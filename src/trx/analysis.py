@@ -21,6 +21,7 @@ from typing import Iterator, NamedTuple
 from .exprs import (Action, AnyChar, Choice, Empty, Expr, Grammar,
                     NonTerminal, Not, Range, Seq, Star, Terminal, expr_text,
                     iter_subexprs)
+from .interp import _CERT_KEY, Certificate
 
 
 class ExprSet:
@@ -182,31 +183,6 @@ class Offender(NamedTuple):
     def describe(self) -> str:
         return "%s: %s  (%s)" % (self.production, expr_text(self.expr),
                                  self.reason)
-
-
-class _CertKey:
-    pass
-
-
-_CERT_KEY = _CertKey()
-
-
-class Certificate:
-    """Proof token that a specific Grammar passed the well-formedness check.
-
-    Only check_well_formed constructs these; they bind to the grammar
-    object identity that was analyzed.
-    """
-
-    __slots__ = ("grammar",)
-
-    def __init__(self, grammar: Grammar, key=None):
-        if key is not _CERT_KEY:
-            raise TypeError("certificates are issued by check_well_formed()")
-        self.grammar = grammar
-
-    def __repr__(self):
-        return "Certificate(%r)" % (self.grammar,)
 
 
 class NotWellFormed(Exception):

@@ -16,6 +16,7 @@ encoded as UTF-8 and matched byte by byte.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator
 
 from .values import Lst, Opt as OptV, Str, UNIT, Value, tuple_items
@@ -477,15 +478,18 @@ class Grammar:
     resolves to a rule.
     """
 
-    __slots__ = ("nonterminals", "productions", "start", "tree_shaped",
-                 "_program")
+    __slots__ = ("nonterminals", "productions", "start", "tree_shaped")
 
     def __init__(self, productions: dict, start: str, tree_shaped: bool = False):
         self.nonterminals = tuple(productions)
-        self.productions = dict(productions)
+        self.productions = MappingProxyType(dict(productions))
         self.start = start
         self.tree_shaped = tree_shaped
-        self._program = None
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError("Grammar is immutable; %s is set" % name)
+        object.__setattr__(self, name, value)
 
     def body(self, name: str) -> Expr:
         return self.productions[name]

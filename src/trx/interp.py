@@ -13,20 +13,28 @@ deeply nested multi-hundred-kilobyte inputs are fine.  Input is an
 immutable byte buffer addressed by position; the "remaining string" of
 the semantics is represented as the next position.
 
-The compiler folds hot shapes into superinstructions (byte matchers
-with lookahead guards, literal runs, repetition scans) whose step
-arithmetic is precomputed; the oracle differential suite pins their
-equivalence with the plain rule-by-rule evaluation.
+A byte-local expression is one whose outcome and step count depend
+only on the byte under the cursor: a terminal, range or any-char, a
+choice of one-byte matchers, the tree-leaf, drop or tuple2str action
+on a matcher, a negation guard in front of a matcher, and the
+negation of any of these.  The compiler evaluates each one once per
+byte into a step table, and the VM runs it, or a repetition of it,
+with one table lookup per byte; right-nested terminal chains (literal
+runs) get their step arithmetic precomputed too.  The oracle
+differential suite pins their equivalence with the plain rule-by-rule
+evaluation.
+
+Certification compiles the program once and the Certificate carries
+it, so parse() runs exactly the grammar that was certified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .analysis import Certificate
 from .exprs import (Action, AnyChar, Choice, Empty, Expr, Grammar,
                     NonTerminal, Not, Range, Seq, Star, Terminal, desugar)
-from .values import CHAR, LeafRun, Lst, Str, TreeNode, Tup, UNIT, Value
+from .values import CHAR, Char, LeafRun, Lst, Str, TreeNode, Tup, UNIT, Value
 
 
 class InvariantViolation(AssertionError):
@@ -35,6 +43,33 @@ class InvariantViolation(AssertionError):
     Raised, never returned: seeing this on a certified grammar is a bug
     in the engine (or a forged certificate), not a parse failure.
     """
+
+
+class _CertKey:
+    pass
+
+
+_CERT_KEY = _CertKey()
+
+
+class Certificate:
+    """Proof token that a specific Grammar passed the well-formedness check.
+
+    Only trx.analysis.check_well_formed constructs these; they bind to
+    the grammar object identity that was analyzed and carry the VM
+    program compiled from it, which is what parse() runs.
+    """
+
+    __slots__ = ("grammar", "program")
+
+    def __init__(self, grammar: Grammar, key=None):
+        if key is not _CERT_KEY:
+            raise TypeError("certificates are issued by check_well_formed()")
+        self.grammar = grammar
+        self.program = _compile(grammar)[0]
+
+    def __repr__(self):
+        return "Certificate(%r)" % (self.grammar,)
 
 
 class CertificateMismatch(Exception):
@@ -83,113 +118,166 @@ def memo_stats(table: MemoTable) -> dict:
             "misses": table.misses}
 
 
-# Opcodes.  The first ten mirror the core constructors; the rest are
-# compiler-derived superinstructions.
-(_K_EMPTY, _K_ANY, _K_TERM, _K_RANGE, _K_NT, _K_SEQ, _K_CHOICE, _K_STAR,
- _K_NOT, _K_ACT, _K_MATCH1, _K_PRED, _K_LIT, _K_SCAN) = range(14)
-
-# Value plans for superinstructions.
-_V_CHAR, _V_LEAF, _V_CONST, _V_STR1, _V_CHARSPINE = range(5)
+# Opcodes.  The first seven mirror core constructors (terminals, ranges
+# and any-char always compile to MATCH1); the rest are superinstructions.
+(_K_EMPTY, _K_NT, _K_SEQ, _K_CHOICE, _K_STAR, _K_NOT, _K_ACT,
+ _K_MATCH1, _K_PRED, _K_LIT, _K_SCAN) = range(11)
 
 
 class _Program:
-    """Grammar flattened into parallel per-node arrays for the VM."""
+    """Grammar flattened into parallel per-node arrays for the VM.
 
-    __slots__ = ("kind", "a", "b", "act", "extra", "prod_body", "prod_names",
-                 "prod_index", "start_prod")
+    ``extra`` holds a superinstruction's descriptor or an action node's
+    ActionRef.
+    """
+
+    __slots__ = ("kind", "a", "b", "extra", "prod_body", "start")
 
     def __init__(self):
         self.kind = []
         self.a = []
         self.b = []
-        self.act = []
         self.extra = []
         self.prod_body = []
-        self.prod_names = []
-        self.prod_index = {}
-        self.start_prod = -1
+        self.start = -1
 
 
 # --- Superinstruction descriptors --------------------------------------
 #
-# matcher: (preds, branches, fail_steps, vkind, vconst)
-#   consumes exactly one byte on success.  ``branches`` is a tuple of
-#   (lo, hi, steps_ok) tried in order; a byte matching none (or end of
-#   input) fails in ``fail_steps``.  ``preds`` are zero-width guards
-#   evaluated at the same position; the step folding follows the
-#   right-nested Seq shape they were compiled from.
-# pred: ("nm", matcher) | ("nl", lit) | ("np", pred)   -- all negations
-# lit:  (bytes, ok_steps, fail_steps_per_prefix, vkind, vconst)
-#   matches a fixed byte string (a right-nested terminal chain).
+# MATCH1 and PRED: (steps, values).  ``steps`` has 257 entries indexed by
+#   the byte under the cursor, 256 standing for end of input: t > 0
+#   succeeds in t steps, t < 0 fails in -t steps.  A one-byte matcher
+#   consumes its byte on success and ``values`` has 256 entries, each
+#   the Value of a success on that byte or an int d: a one-byte leaf
+#   wrapped in d guard pairs, which depends on the position.  Entries
+#   of failing bytes are never read, so equal tables are common and are
+#   shared.  A predicate is zero-width, has ``values`` None and yields
+#   Unit.
+# LIT: (bytes, ok_steps, fail_steps_per_prefix, value) for a fixed byte
+#   string (a right-nested terminal chain).
+# SCAN: (steps, values, leafrun, find) for a repetition of a matcher.
+#   In tree-shaped grammars item values are only ever seen by the node
+#   collector, so ``values`` is None and the run compacts to a LeafRun
+#   (``leafrun``) or, holding no leaves, to an empty list; embedded
+#   grammars keep the exact items.  ``find`` is (c, item_steps) when c
+#   is the only byte that ends the run and every other byte costs the
+#   same, so the scan is bytes.find; otherwise None.
+
+_FAILS = (-1,) * 257
+_UNITS = (UNIT,) * 256
+_LEAVES = (0,) * 256
+_STR1 = tuple(Str(bytes([b])) for b in range(256))
+_EMPTY_LST = Lst(())
 
 
-def _as_matcher(e: Expr):
-    t = type(e)
-    if t is Terminal:
-        return ((), ((e.code, e.code, 1),), 1, _V_CHAR, None)
-    if t is Range:
-        return ((), ((e.lo, e.hi, 1),), 1, _V_CHAR, None)
-    if t is AnyChar:
-        return ((), ((0, 255, 1),), 1, _V_CHAR, None)
-    if t is Action:
-        m = _as_matcher(e.inner)
-        if m is None:
-            return None
-        preds, branches, fail, vkind, vconst = m
-        if preds:
-            return None
-        label = e.ref.label
-        if label == "tree.leaf":
-            nvkind, nvconst = _V_LEAF, None
-        elif label == "drop":
-            nvkind, nvconst = _V_CONST, UNIT
-        elif label == "tuple2str":
-            if vkind != _V_CHAR:
+def _leaf(pos: int, depth: int) -> Value:
+    v = TreeNode("", pos, pos + 1, ())
+    for _ in range(depth):
+        v = Tup((UNIT, v))
+    return v
+
+
+class _ByteTables:
+    """Byte tables of the byte-local expressions of one compile.
+
+    Memoised by expression, since the compiler asks again for every
+    sub-expression it visits, and kept per compile, so that every
+    compile starts cold.  Equal step tables become one object; value
+    tables are shared by construction (module constants, one guarded
+    table per inner table).
+    """
+
+    __slots__ = ("memo", "steps", "guarded")
+
+    def __init__(self):
+        self.memo = {}
+        self.steps = {}
+        self.guarded = {}
+
+    def __call__(self, e: Expr):
+        """(steps, values) of ``e``, or None if it is not byte-local."""
+        try:
+            return self.memo[e]
+        except KeyError:
+            pass
+        out = self._build(e)
+        if out is not None:
+            out = (self.steps.setdefault(out[0], out[0]), out[1])
+        self.memo[e] = out
+        return out
+
+    def _build(self, e: Expr):
+        t = type(e)
+        if t is Terminal or t is Range or t is AnyChar:
+            lo, hi = ((e.code, e.code) if t is Terminal
+                      else (e.lo, e.hi) if t is Range else (0, 255))
+            return (_FAILS[:lo] + (1,) * (hi - lo + 1) + _FAILS[hi + 1:],
+                    CHAR)
+        if t is Choice:
+            a = self(e.first)
+            if a is None or a[1] is None:
                 return None
-            if len(branches) == 1 and branches[0][0] == branches[0][1]:
-                nvkind, nvconst = _V_CONST, Str(bytes([branches[0][0]]))
+            b = self(e.second)
+            if b is None or b[1] is None:
+                return None
+            (sa, va), (sb, vb) = a, b
+            return (tuple([x + 1 if x > 0 else y - x + 1 if y > 0
+                           else x + y - 1 for x, y in zip(sa, sb)]),
+                    va if va is vb else
+                    tuple([u if x > 0 else w for x, u, w in zip(sa, va, vb)]))
+        if t is Seq:
+            g = self(e.left)
+            if g is None or g[1] is not None:
+                return None
+            m = self(e.right)
+            if m is None or m[1] is None:
+                return None
+            values = self.guarded.get(id(m[1]))
+            if values is None:
+                values = self.guarded[id(m[1])] = tuple(
+                    [v + 1 if type(v) is int else Tup((UNIT, v))
+                     for v in m[1]])
+            return (tuple([x - 1 if x < 0 else x + y + 1 if y > 0
+                           else y - x - 1 for x, y in zip(g[0], m[0])]),
+                    values)
+        if t is Not:
+            i = self(e.inner)
+            if i is None:
+                return None
+            return tuple([-x - 1 if x > 0 else 1 - x for x in i[0]]), None
+        if t is Action:
+            i = self(e.inner)
+            if i is None or i[1] is None:
+                return None
+            label = e.ref.label
+            if label == "tree.leaf":
+                values = _LEAVES
+            elif label == "drop":
+                values = _UNITS
+            elif label == "tuple2str" and i[1] is CHAR:
+                values = _STR1
             else:
-                nvkind, nvconst = _V_STR1, None
-        else:
-            return None
-        return ((), tuple((lo, hi, s + 1) for lo, hi, s in branches),
-                fail + 1, nvkind, nvconst)
-    if t is Choice:
-        a = _as_matcher(e.first)
-        b = _as_matcher(e.second)
-        if a is None or b is None or a[0] or b[0]:
-            return None
-        if a[3] != b[3] or a[4] != b[4]:
-            return None
-        fa = a[2]
-        branches = tuple((lo, hi, s + 1) for lo, hi, s in a[1]) \
-            + tuple((lo, hi, fa + s + 1) for lo, hi, s in b[1])
-        return ((), branches, fa + b[2] + 1, a[3], a[4])
-    if t is Seq:
-        p = _as_pred(e.left)
-        if p is None:
-            return None
-        rest = _as_matcher(e.right)
-        if rest is None:
-            return None
-        return ((p,) + rest[0], rest[1], rest[2], rest[3], rest[4])
-    return None
-
-
-def _as_pred(e: Expr):
-    if type(e) is not Not:
+                return None
+            return tuple([x + 1 if x > 0 else x - 1 for x in i[0]]), values
         return None
-    inner = e.inner
-    m = _as_matcher(inner)
-    if m is not None and not m[0]:
-        return ("nm", m)
-    lit = _as_lit(inner)
-    if lit is not None:
-        return ("nl", lit)
-    p = _as_pred(inner)
-    if p is not None:
-        return ("np", p)
-    return None
+
+
+def _scan_descriptor(steps, values, tree_mode: bool):
+    """SCAN descriptor for a repetition of a matcher, or None when its
+    items need their positions (leaves kept as a list)."""
+    ok = [b for b in range(256) if steps[b] > 0]
+    leaves = sum(type(values[b]) is int for b in ok)
+    if tree_mode and leaves in (0, len(ok)):
+        values, leafrun = None, leaves > 0
+    elif leaves:
+        return None
+    else:
+        leafrun = False
+    find = None
+    if len(ok) == 255 and len({steps[b] for b in ok}) == 1:
+        c = next(b for b in range(256) if steps[b] < 0)
+        find = (c, steps[ok[0]] + 1)
+    return steps, values, leafrun, find
 
 
 def _chain_elements(e: Expr):
@@ -206,40 +294,6 @@ def _chain_elements(e: Expr):
     return out
 
 
-def _as_lit(e: Expr):
-    t = type(e)
-    if t is Action:
-        inner = _as_lit(e.inner)
-        if inner is None:
-            return None
-        data, ok, fails, vkind, vconst = inner
-        label = e.ref.label
-        if label == "drop":
-            nvkind, nvconst = _V_CONST, UNIT
-        elif label == "tuple2str" and vkind == _V_CHARSPINE:
-            nvkind, nvconst = _V_CONST, Str(data)
-        else:
-            return None
-        return (data, ok + 1, tuple(f + 1 for f in fails), nvkind, nvconst)
-    codes = _chain_elements(e)
-    if codes is None or not codes:
-        return None
-    k = len(codes)
-    ok = 2 * k - 1
-    fails = tuple((1 if j == k - 1 else 2) + 2 * j for j in range(k))
-    return (bytes(codes), ok, fails, _V_CHARSPINE, None)
-
-
-def _make_value(vkind, vconst, byte, pos):
-    if vkind == _V_CHAR:
-        return CHAR[byte]
-    if vkind == _V_LEAF:
-        return TreeNode("", pos, pos + 1, ())
-    if vkind == _V_CONST:
-        return vconst
-    return Str(bytes([byte]))  # _V_STR1
-
-
 def _spine_value(data: bytes):
     out = CHAR[data[-1]]
     for b in reversed(data[:-1]):
@@ -247,55 +301,43 @@ def _spine_value(data: bytes):
     return out
 
 
-_EMPTY_LST = Lst(())
-
-
-def _scan_descriptor(matcher, tree_mode: bool):
-    """Extend a matcher into a Star-scan descriptor.
-
-    In tree-shaped grammars the per-item values are only ever seen by
-    the node collector, so a run of leaf values compacts to a LeafRun
-    and node-free values to an empty list; embedded grammars keep the
-    exact per-item values.  When the shape is "anything but byte c"
-    (a guarded any-char), the scan reduces to bytes.find with
-    precomputed step constants.
-    """
-    preds, branches, fail, vkind, vconst = matcher
-    treerun = tree_mode and (vkind == _V_LEAF or
-                             (vkind == _V_CONST and vconst is UNIT)
-                             or vkind == _V_CHAR or vkind == _V_STR1)
-    find = None
-    if (treerun and len(preds) == 1 and preds[0][0] == "nm"
-            and len(branches) == 1 and branches[0][:2] == (0, 255)):
-        pm = preds[0][1]
-        p_branches, p_fail = pm[1], pm[2]
-        if len(p_branches) == 1 and p_branches[0][0] == p_branches[0][1]:
-            c = p_branches[0][0]
-            s_pass = p_fail + 1             # guard passes: its matcher missed
-            s_block = p_branches[0][2] + 1  # guard blocks: its matcher hit
-            s_item = branches[0][2] + s_pass + 1 + 1   # item + star rule
-            f_blocked = s_block + 1 + 1                # seq fail + star base
-            f_eof = (fail + s_pass + 1) + 1            # any-char fails at eof
-            find = (c, s_item, f_blocked, f_eof)
-    return (preds, branches, fail, vkind, vconst, treerun, find)
+def _as_lit(e: Expr):
+    if type(e) is Action:
+        inner = _as_lit(e.inner)
+        if inner is None:
+            return None
+        data, ok, fails, value = inner
+        label = e.ref.label
+        if label == "drop":
+            value = UNIT
+        elif label == "tuple2str" and type(value) in (Tup, Char):
+            value = Str(data)
+        else:
+            return None
+        return (data, ok + 1, tuple(f + 1 for f in fails), value)
+    codes = _chain_elements(e)
+    if codes is None:
+        return None
+    k = len(codes)
+    fails = tuple((1 if j == k - 1 else 2) + 2 * j for j in range(k))
+    return (bytes(codes), 2 * k - 1, fails, _spine_value(bytes(codes)))
 
 
 def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
     prog = _Program()
     index = {}
+    prod_index = {}
     tree_mode = bool(g is not None and g.tree_shaped)
+    tables = _ByteTables()
 
     if g is not None:
-        for i, name in enumerate(g.nonterminals):
-            prog.prod_index[name] = i
-            prog.prod_names.append(name)
+        prod_index = {name: i for i, name in enumerate(g.nonterminals)}
         prog.prod_body = [-1] * len(g.nonterminals)
 
-    def emit(kind, a, b, act, extra=None) -> int:
+    def emit(kind, a=-1, b=-1, extra=None) -> int:
         prog.kind.append(kind)
         prog.a.append(a)
         prog.b.append(b)
-        prog.act.append(act)
         prog.extra.append(extra)
         return len(prog.kind) - 1
 
@@ -307,94 +349,48 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
         t = type(e)
         node = None
         if t is Star:
-            m = _as_matcher(e.inner)
+            m = tables(e.inner)
+            if m is not None and m[1] is not None:
+                scan = _scan_descriptor(m[0], m[1], tree_mode)
+                if scan is not None:
+                    node = emit(_K_SCAN, extra=scan)
+            if node is None:
+                node = emit(_K_STAR, visit(e.inner))
+        elif t is NonTerminal:
+            p = prod_index.get(e.name)
+            if p is None:
+                raise KeyError("nonterminal %r is not in the grammar" % e.name)
+            node = emit(_K_NT, p)
+        elif t is Empty:
+            node = emit(_K_EMPTY)
+        else:
+            m = tables(e)
             if m is not None:
-                node = emit(_K_SCAN, -1, -1, None,
-                            _scan_descriptor(m, tree_mode))
-        elif t is Not:
-            p = _as_pred(e)
-            if p is not None:
-                node = emit(_K_PRED, -1, -1, None, p)
-        elif t in (Terminal, Range, AnyChar, Action, Choice, Seq):
-            m = _as_matcher(e)
-            if m is not None:
-                node = emit(_K_MATCH1, -1, -1, None, m)
+                node = emit(_K_PRED if m[1] is None else _K_MATCH1, extra=m)
             else:
                 lit = _as_lit(e)
                 if lit is not None:
-                    node = emit(_K_LIT, -1, -1, None, lit)
-        if node is None:
-            if t is Seq:
-                ia, ib = visit(e.left), visit(e.right)
-                node = emit(_K_SEQ, ia, ib, None)
-            elif t is Choice:
-                ia, ib = visit(e.first), visit(e.second)
-                node = emit(_K_CHOICE, ia, ib, None)
-            elif t is Star:
-                node = emit(_K_STAR, visit(e.inner), -1, None)
-            elif t is Not:
-                node = emit(_K_NOT, visit(e.inner), -1, None)
-            elif t is Action:
-                node = emit(_K_ACT, visit(e.inner), -1, e.ref)
-            elif t is Empty:
-                node = emit(_K_EMPTY, -1, -1, None)
-            elif t is AnyChar:
-                node = emit(_K_ANY, -1, -1, None)
-            elif t is Terminal:
-                node = emit(_K_TERM, e.code, -1, None)
-            elif t is Range:
-                node = emit(_K_RANGE, e.lo, e.hi, None)
-            elif t is NonTerminal:
-                p = prog.prod_index.get(e.name)
-                if p is None:
-                    raise KeyError("nonterminal %r is not in the grammar"
-                                   % e.name)
-                node = emit(_K_NT, p, -1, None)
-            else:
-                raise TypeError("interpreter needs a core expression; "
-                                "desugar first: %r" % (e,))
+                    node = emit(_K_LIT, extra=lit)
+                elif t is Seq:
+                    node = emit(_K_SEQ, visit(e.left), visit(e.right))
+                elif t is Choice:
+                    node = emit(_K_CHOICE, visit(e.first), visit(e.second))
+                elif t is Not:
+                    node = emit(_K_NOT, visit(e.inner))
+                elif t is Action:
+                    node = emit(_K_ACT, visit(e.inner), extra=e.ref)
+                else:
+                    raise TypeError("interpreter needs a core expression; "
+                                    "desugar first: %r" % (e,))
         index[key] = node
         return node
 
     if g is not None:
         for i, name in enumerate(g.nonterminals):
             prog.prod_body[i] = visit(g.productions[name])
-        prog.start_prod = prog.prod_index[g.start]
+        prog.start = prog.prod_body[prod_index[g.start]]
     root_ids = [visit(r) for r in roots]
     return prog, root_ids
-
-
-def _program_for(g: Grammar) -> _Program:
-    prog = g._program
-    if prog is None:
-        prog, _ = _compile(g)
-        g._program = prog
-    return prog
-
-
-def _eval_pred(p, data, pos, n):
-    """Zero-width guard; returns (passed, steps, max_attempted_pos)."""
-    tag, desc = p
-    if tag == "nm":
-        _, branches, fail, _, _ = desc
-        b = data[pos] if pos < n else -1
-        for lo, hi, s in branches:
-            if lo <= b <= hi:
-                return False, s + 1, pos
-        return True, fail + 1, pos
-    if tag == "nl":
-        lbytes, ok, fails, _, _ = desc
-        k = len(lbytes)
-        limit = min(k, n - pos)
-        j = 0
-        while j < limit and data[pos + j] == lbytes[j]:
-            j += 1
-        if j == k:
-            return False, ok + 1, pos + k - 1
-        return True, fails[j] + 1, pos + j
-    # "np": double negation
-    passed, steps, att = _eval_pred(desc, data, pos, n)
-    return (not passed), steps + 1, att
 
 
 def _run(prog: _Program, data: bytes, root: int, pos0: int,
@@ -404,10 +400,8 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
     kind = prog.kind
     aa = prog.a
     bb = prog.b
-    acts = prog.act
     extra = prog.extra
     prod_body = prog.prod_body
-    chars = CHAR
     n = len(data)
     farthest = -1
 
@@ -429,175 +423,73 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
         while True:
             k = kind[cur]
             if k == _K_MATCH1:
-                preds, branches, fail, vkind, vconst = extra[cur]
-                if preds:
-                    acc = None
-                    blocked = -1
-                    for p in preds:
-                        passed, s, att = _eval_pred(p, data, cpos, n)
-                        if att > farthest:
-                            farthest = att
-                        if not passed:
-                            blocked = s
-                            break
-                        if acc is None:
-                            acc = [s]
-                        else:
-                            acc.append(s)
-                    if blocked >= 0:
-                        t = blocked + 1
-                        if acc:
-                            for s in reversed(acc):
-                                t += s + 1
-                        ok = False
-                        rpos = -1
-                        val = None
-                        steps = t
-                        break
-                else:
-                    acc = None
+                tab, vals = extra[cur]
                 if cpos > farthest:
                     farthest = cpos
-                b = data[cpos] if cpos < n else -1
-                t = -1
-                for lo, hi, s in branches:
-                    if lo <= b <= hi:
-                        t = s
-                        break
-                if t >= 0:
+                b = data[cpos] if cpos < n else 256
+                t = tab[b]
+                if t > 0:
                     ok = True
                     rpos = cpos + 1
-                    val = _make_value(vkind, vconst, b, cpos)
+                    val = vals[b]
+                    if type(val) is int:
+                        val = _leaf(cpos, val)
+                    steps = t
                 else:
                     ok = False
                     rpos = -1
                     val = None
-                    t = fail
-                if acc:
-                    if ok:
-                        for s in reversed(acc):
-                            t += s + 1
-                            val = Tup((UNIT, val))
-                    else:
-                        for s in reversed(acc):
-                            t += s + 1
-                steps = t
+                    steps = -t
                 break
             if k == _K_SCAN:
-                preds, branches, fail, vkind, vconst, treerun, find = extra[cur]
-                p = cpos
+                tab, vals, leafrun, find = extra[cur]
                 if find is not None:
-                    c, s_item, f_blocked, f_eof = find
+                    c, s_item = find
                     p = data.find(c, cpos)
                     if p < 0:
                         p = n
-                        steps = (p - cpos) * s_item + f_eof
-                    else:
-                        steps = (p - cpos) * s_item + f_blocked
-                    if p > farthest:
-                        farthest = p
-                    ok = True
-                    rpos = p
-                    val = LeafRun(cpos, p) if vkind == _V_LEAF else _EMPTY_LST
-                    break
-                vals = None if treerun else []
-                acc_steps = 0
-                if not preds and len(branches) == 1:
-                    lo, hi, s_ok = branches[0]
-                    if treerun:
-                        while p < n and lo <= data[p] <= hi:
-                            p += 1
-                        acc_steps = (p - cpos) * (s_ok + 1)
-                        if p > farthest:
-                            farthest = p
-                    else:
-                        while True:
-                            if p > farthest:
-                                farthest = p
-                            if p < n and lo <= data[p] <= hi:
-                                vals.append(_make_value(vkind, vconst,
-                                                        data[p], p))
-                                acc_steps += s_ok + 1
-                                p += 1
-                            else:
-                                break
-                    steps = acc_steps + fail + 1
+                    steps = (p - cpos) * s_item + 1 - tab[c if p < n else 256]
                 else:
-                    while True:
-                        blocked = -1
-                        acc = None
-                        for pr in preds:
-                            passed, s, att = _eval_pred(pr, data, p, n)
-                            if att > farthest:
-                                farthest = att
-                            if not passed:
-                                blocked = s
-                                break
-                            if acc is None:
-                                acc = [s]
-                            else:
-                                acc.append(s)
-                        if blocked >= 0:
-                            t = blocked + 1
-                            if acc:
-                                for s in reversed(acc):
-                                    t += s + 1
-                            steps = acc_steps + t + 1
+                    p = cpos
+                    steps = 1
+                    while p < n:
+                        t = tab[data[p]]
+                        if t < 0:
                             break
-                        if p > farthest:
-                            farthest = p
-                        b = data[p] if p < n else -1
-                        mt = -1
-                        for lo, hi, s in branches:
-                            if lo <= b <= hi:
-                                mt = s
-                                break
-                        if mt < 0:
-                            t = fail
-                            if acc:
-                                for s in reversed(acc):
-                                    t += s + 1
-                            steps = acc_steps + t + 1
-                            break
-                        t = mt
-                        if vals is None:
-                            if acc:
-                                for s in acc:
-                                    t += s + 1
-                        else:
-                            v = _make_value(vkind, vconst, b, p)
-                            if acc:
-                                for s in reversed(acc):
-                                    t += s + 1
-                                    v = Tup((UNIT, v))
-                            vals.append(v)
-                        acc_steps += t + 1
+                        steps += t + 1
                         p += 1
+                    else:
+                        t = tab[256]
+                    steps -= t
+                if p > farthest:
+                    farthest = p
                 ok = True
                 rpos = p
                 if vals is not None:
-                    val = Lst(tuple(vals))
-                elif vkind == _V_LEAF:
+                    val = Lst(tuple([vals[b] for b in data[cpos:p]]))
+                elif leafrun:
                     val = LeafRun(cpos, p)
                 else:
                     val = _EMPTY_LST
                 break
             if k == _K_PRED:
-                passed, s, att = _eval_pred(extra[cur], data, cpos, n)
-                if att > farthest:
-                    farthest = att
-                if passed:
+                tab = extra[cur][0]
+                if cpos > farthest:
+                    farthest = cpos
+                t = tab[data[cpos] if cpos < n else 256]
+                if t > 0:
                     ok = True
                     rpos = cpos
                     val = UNIT
+                    steps = t
                 else:
                     ok = False
                     rpos = -1
                     val = None
-                steps = s
+                    steps = -t
                 break
             if k == _K_LIT:
-                lbytes, ok_steps, fails, vkind, vconst = extra[cur]
+                lbytes, ok_steps, fails, lval = extra[cur]
                 klen = len(lbytes)
                 limit = n - cpos
                 if klen < limit:
@@ -611,8 +503,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                         farthest = att
                     ok = True
                     rpos = cpos + klen
-                    val = vconst if vkind == _V_CONST \
-                        else _spine_value(lbytes)
+                    val = lval
                     steps = ok_steps
                 else:
                     att = cpos + j
@@ -622,45 +513,6 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     rpos = -1
                     val = None
                     steps = fails[j]
-                break
-            if k == _K_TERM:
-                if cpos > farthest:
-                    farthest = cpos
-                if cpos < n and data[cpos] == aa[cur]:
-                    ok = True
-                    rpos = cpos + 1
-                    val = chars[aa[cur]]
-                else:
-                    ok = False
-                    rpos = -1
-                    val = None
-                steps = 1
-                break
-            if k == _K_RANGE:
-                if cpos > farthest:
-                    farthest = cpos
-                if cpos < n and aa[cur] <= data[cpos] <= bb[cur]:
-                    ok = True
-                    rpos = cpos + 1
-                    val = chars[data[cpos]]
-                else:
-                    ok = False
-                    rpos = -1
-                    val = None
-                steps = 1
-                break
-            if k == _K_ANY:
-                if cpos > farthest:
-                    farthest = cpos
-                if cpos < n:
-                    ok = True
-                    rpos = cpos + 1
-                    val = chars[data[cpos]]
-                else:
-                    ok = False
-                    rpos = -1
-                    val = None
-                steps = 1
                 break
             if k == _K_EMPTY:
                 ok = True
@@ -774,7 +626,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                 pop()
             elif st == 7:                    # Action
                 if ok:
-                    ref = acts[f[1]]
+                    ref = extra[f[1]]
                     if ref.span_aware:
                         val = ref.fn(val, f[2], rpos)
                     else:
@@ -814,10 +666,8 @@ def parse(g: Grammar, cert: Certificate, data, mode: str = "plain",
         active = None
     else:
         raise ValueError("mode must be 'plain' or 'packrat', got %r" % mode)
-    prog = _program_for(g)
-    ok, rpos, val, steps, far = _run(prog, data,
-                                     prog.prod_body[prog.start_prod], 0,
-                                     active)
+    prog = cert.program
+    ok, rpos, val, steps, far = _run(prog, data, prog.start, 0, active)
     steps += 1  # the start nonterminal's own rule application
     if ok and not 0 <= rpos <= len(data):
         raise InvariantViolation("result position out of bounds")

@@ -99,12 +99,16 @@ def math_grammar() -> tuple[Grammar, Certificate]:
 
 def evaluate(text) -> int | None:
     """Parse and evaluate an arithmetic expression; None if rejected or
-    there is trailing input."""
+    there is trailing input.
+
+    Parses in packrat mode: each parenthesis level makes plain mode
+    re-parse its inner expression several times over.
+    """
     from .interp import parse
 
     g, cert = math_grammar()
     data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
-    out = parse(g, cert, data)
+    out = parse(g, cert, data, mode="packrat")
     if not out.ok or out.pos != len(data):
         return None
     return out.value.payload

@@ -135,6 +135,19 @@ def test_build_grammar_singleton():
     assert g.productions["A"] == EMPTY
 
 
+def test_grammar_productions_are_read_only():
+    g = build_grammar([("A", EMPTY)], "A")
+    with pytest.raises(TypeError):
+        g.productions["A"] = ANY
+    with pytest.raises(TypeError):
+        del g.productions["A"]
+    with pytest.raises(AttributeError):
+        g.productions = {"A": ANY}
+    with pytest.raises(AttributeError):
+        g.start = "B"
+    assert g.productions["A"] == EMPTY
+
+
 def test_build_grammar_undefined_reference():
     rules = [(n, b) for n, b in math_rules()]
     rules[3] = ("factor", Seq(NonTerminal("termX"), NonTerminal("factor")))

@@ -1,19 +1,22 @@
 """Interpreter semantics: exact step counts, modes, memoization, safety."""
 
+import os
 import random
 
 import pytest
 
+import trx.interp
 from trx import (AnyChar, CertificateMismatch, Choice, EMPTY,
                  InvariantViolation, MemoTable, NonTerminal, Not, Range, Seq,
                  Star, Terminal, User, build_grammar, certify,
-                 check_well_formed, eval_expr, memo_stats, parse,
-                 parse_to_tree)
+                 check_well_formed, eval_expr, expr_text, expression_set,
+                 memo_stats, parse, parse_to_tree)
+from trx.interp import _compile, _run
 from trx.mathdemo import evaluate, math_grammar
-from trx.oracle import oracle_parse
+from trx.oracle import EXHAUSTED, oracle_eval, oracle_parse
 from trx.values import Char, Lst, Tup, UNIT
 
-from conftest import certified
+from conftest import GRAMMAR_DIR, certified
 
 
 def test_terminal_step_counts():
@@ -70,6 +73,21 @@ def test_math_example_evaluates_to_36():
     out = parse(g, cert, "(1+2) * (3 * 4)")
     assert out.ok and out.pos == 15
     assert out.value == User(36)
+
+
+def test_evaluate_parses_in_packrat_mode(monkeypatch):
+    # Plain mode costs about 4x more per parenthesis level on this
+    # grammar; packrat evaluates 12 levels in well under a second.
+    modes = []
+    real_parse = trx.interp.parse
+
+    def spy(g, cert, data, mode="plain", memo=None):
+        modes.append(mode)
+        return real_parse(g, cert, data, mode=mode, memo=memo)
+
+    monkeypatch.setattr(trx.interp, "parse", spy)
+    assert evaluate("(" * 12 + "1+2*3" + ")" * 12 + "*4+5") == 33
+    assert modes == ["packrat"]
 
 
 def test_math_agrees_with_oracle_exactly():
@@ -214,3 +232,31 @@ def test_concurrent_parses_share_one_grammar(xml_lite):
         t.join()
     for row in results:
         assert row == expected
+
+
+_BYTE_INPUTS = [b""] + [bytes([b]) + b"<" for b in range(256)]
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(GRAMMAR_DIR)) + ["math"])
+def test_every_byte_agrees_with_oracle(name):
+    # Byte tables have an entry per byte value; run every sub-expression
+    # (every 7th of synth200) on each byte and on end of input.  Values
+    # are compared only for the embedded grammar: tree-shaped scans
+    # return a LeafRun or an empty list, which only the node collector
+    # sees.
+    if name == "math":
+        g, exact, stride = math_grammar()[0], True, 1
+    else:
+        g, exact = certified(name)[0], False
+        stride = 7 if name == "synth200.peg" else 1
+    subs = list(expression_set(g))[::stride]
+    prog, roots = _compile(g, roots=subs)
+    for e, root in zip(subs, roots):
+        for data in _BYTE_INPUTS:
+            ok, pos, val, steps, _ = _run(prog, data, root, 0, None)
+            want = oracle_eval(g, e, data)
+            assert want is not EXHAUSTED
+            got = (ok, pos if ok else -1, steps)
+            assert got == (want.ok, want.pos, want.steps), (expr_text(e), data)
+            if exact and ok:
+                assert val == want.value, (expr_text(e), data)
