@@ -18,7 +18,7 @@ from .exprs import (ANY, Action, ActionRef, And, AnyChar, CharClass, Choice,
                     EmptyLiteral, Expr, Grammar, GrammarError, InvalidRange,
                     Literal, NonTerminal, Not, Optional, Plus, Range, Seq,
                     Star, Terminal, UndefinedNonterminal, UnknownStart,
-                    build_grammar, desugar, expr_text, iter_subexprs)
+                    build_grammar, expr_text, iter_subexprs)
 from .interp import (CertificateMismatch, InvariantViolation, MemoTable,
                      ParseOutcome, eval_expr, memo_stats, parse,
                      parse_to_tree)

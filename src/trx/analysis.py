@@ -155,7 +155,7 @@ def infer_properties(g: Grammar, *, simplified: bool = False) -> PropertyTable:
                 i = e.inner
                 e0, e1, ef = emp[i], con[i], fai[i]
             else:
-                raise TypeError("non-core expression in analysis: %r" % (e,))
+                raise TypeError("not a parsing expression: %r" % (e,))
             if e0 and not emp[e]:
                 emp[e] = True
                 changed = True
@@ -253,14 +253,14 @@ def _wf_derivable(e: Expr, wf: ExprSet, props: PropertyTable,
                 and (not props.can_empty(e.left) or e.right in wf))
     if t is Star:
         return e.inner in wf and not props.can_empty(e.inner)
-    raise TypeError("non-core expression in analysis: %r" % (e,))
+    raise TypeError("not a parsing expression: %r" % (e,))
 
 
 def check_well_formed(g: Grammar, *, simplified: bool = False) -> WfReport:
     """Well-formedness fixpoint from the empty set; certifies the grammar
     iff the fixpoint covers the whole expression set."""
-    exprs = expression_set(g)
     props = infer_properties(g, simplified=simplified)
+    exprs = props.exprs
     prods = g.productions
 
     wf = ExprSet()

@@ -1,10 +1,9 @@
-"""Parsing-expression algebra, grammars, and surface-to-core lowering.
+"""Parsing-expression algebra, grammars, and canonical text.
 
 The core constructors are Empty, AnyChar, Terminal, Range, NonTerminal,
-Seq, Choice, Star, Not and Action; everything the analyses and the
-interpreter touch is built from these.  The surface constructors
-(Literal, Plus, Optional, And, CharClass, Drop) are sugar that
-``desugar`` rewrites into the core.
+Seq, Choice, Star, Not and Action, and every expression is built from
+them alone.  The derived operators (Literal, Plus, Optional, And,
+CharClass, Drop) are functions that return their core expansion.
 
 Expressions are immutable, compare structurally, and cache their hash
 at construction so they can serve as set and table keys.  Equality of
@@ -109,7 +108,7 @@ class ActionRef:
 
 
 class Expr:
-    """Base class for all expression nodes (core and surface)."""
+    """Base class for the core expression nodes."""
 
     __slots__ = ("_h",)
 
@@ -265,120 +264,12 @@ class Action(Expr):
     __hash__ = Expr.__hash__
 
 
-# ---------------------------------------------------------------------------
-# Surface (derived) constructors.
-
-class Literal(Expr):
-    __slots__ = ("text",)
-
-    def __init__(self, text):
-        if isinstance(text, str):
-            text = text.encode("utf-8")
-        self.text = bytes(text)
-        self._h = hash(("pe.lit", self.text))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Literal
-                                 and other.text == self.text)
-
-    __hash__ = Expr.__hash__
-
-
-class Plus(Expr):
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: Expr):
-        self.inner = inner
-        self._h = hash(("pe.plus", inner._h))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Plus
-                                 and other.inner == self.inner)
-
-    __hash__ = Expr.__hash__
-
-
-class Optional(Expr):
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: Expr):
-        self.inner = inner
-        self._h = hash(("pe.opt", inner._h))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Optional
-                                 and other.inner == self.inner)
-
-    __hash__ = Expr.__hash__
-
-
-class And(Expr):
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: Expr):
-        self.inner = inner
-        self._h = hash(("pe.and", inner._h))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is And
-                                 and other.inner == self.inner)
-
-    __hash__ = Expr.__hash__
-
-
-class CharClass(Expr):
-    """Items are single byte codes (ints) or explicit (lo, hi) ranges.
-
-    The distinction is kept because it survives desugaring: a single
-    character becomes a Terminal, an explicit range a Range, even a
-    degenerate one.
-    """
-
-    __slots__ = ("items",)
-
-    def __init__(self, items: Iterable):
-        norm = []
-        for item in items:
-            if isinstance(item, tuple):
-                lo, hi = item
-                norm.append((_byte(lo), _byte(hi)))
-            else:
-                norm.append(_byte(item))
-        self.items = tuple(norm)
-        self._h = hash(("pe.class", self.items))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is CharClass
-                                 and other.items == self.items)
-
-    __hash__ = Expr.__hash__
-
-
-class Drop(Expr):
-    """Discard the inner value, producing Unit (written ``~e``)."""
-
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: Expr):
-        self.inner = inner
-        self._h = hash(("pe.drop", inner._h))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Drop
-                                 and other.inner == self.inner)
-
-    __hash__ = Expr.__hash__
-
-
 EMPTY = Empty()
 ANY = AnyChar()
 
-CORE_TYPES = (Empty, AnyChar, Terminal, Range, NonTerminal,
-              Seq, Choice, Star, Not, Action)
-
 
 # ---------------------------------------------------------------------------
-# Built-in actions used by desugaring.
+# Derived operators: functions that build their core expansion.
 
 def _tuple2str(v: Value) -> Value:
     return Str(bytes(item.code for item in tuple_items(v)))
@@ -396,65 +287,74 @@ NONE = ActionRef("none", lambda v: OptV(None))
 DROP = ActionRef("drop", lambda v: UNIT)
 
 
-def desugar(e: Expr) -> Expr:
-    """Rewrite surface constructors into the core algebra.
+def _right_nested(parts: list, node) -> Expr:
+    out = parts[-1]
+    for part in reversed(parts[:-1]):
+        out = node(part, out)
+    return out
 
-    Idempotent on core expressions.  Literals become right-nested
-    terminal sequences under a string-collecting action, ``e+`` becomes
-    ``e e*`` with a cons action, ``e?`` becomes ``e / eps`` with
-    Some/None wrapping, ``&e`` becomes ``!!e``, character classes
-    become right-nested choices of ranges and terminals, and ``~e``
-    attaches the unit-producing drop action.
+
+def Literal(text) -> Expr:
+    """``'text'``: a right-nested chain of terminals under tuple2str.
+
+    Raises EmptyLiteral for empty text.
     """
-    t = type(e)
-    if t in (Empty, AnyChar, Terminal, Range, NonTerminal):
-        return e
-    if t is Seq:
-        left, right = desugar(e.left), desugar(e.right)
-        return e if left is e.left and right is e.right else Seq(left, right)
-    if t is Choice:
-        first, second = desugar(e.first), desugar(e.second)
-        return e if first is e.first and second is e.second else Choice(first, second)
-    if t is Star:
-        inner = desugar(e.inner)
-        return e if inner is e.inner else Star(inner)
-    if t is Not:
-        inner = desugar(e.inner)
-        return e if inner is e.inner else Not(inner)
-    if t is Action:
-        inner = desugar(e.inner)
-        return e if inner is e.inner else Action(inner, e.ref)
-    if t is Literal:
-        if not e.text:
-            raise EmptyLiteral()
-        chain: Expr = Terminal(e.text[-1])
-        for b in reversed(e.text[:-1]):
-            chain = Seq(Terminal(b), chain)
-        return Action(chain, TUPLE2STR)
-    if t is Plus:
-        inner = desugar(e.inner)
-        return Action(Seq(inner, Star(inner)), CONS)
-    if t is Optional:
-        return Choice(Action(desugar(e.inner), SOME), Action(EMPTY, NONE))
-    if t is And:
-        return Not(Not(desugar(e.inner)))
-    if t is CharClass:
-        if not e.items:
-            raise EmptyClass()
-        alts = [Range(item[0], item[1]) if isinstance(item, tuple)
-                else Terminal(item)
-                for item in e.items]
-        out = alts[-1]
-        for alt in reversed(alts[:-1]):
-            out = Choice(alt, out)
-        return out
-    if t is Drop:
-        return Action(desugar(e.inner), DROP)
-    raise TypeError("not a parsing expression: %r" % (e,))
+    if isinstance(text, str):
+        text = text.encode("utf-8")
+    text = bytes(text)
+    if not text:
+        raise EmptyLiteral()
+    return Action(_right_nested([Terminal(b) for b in text], Seq), TUPLE2STR)
+
+
+def terminal_chain(e: Expr) -> bytes | None:
+    """The bytes of a right-nested Seq spine of terminals, or None."""
+    out = []
+    while type(e) is Seq and type(e.left) is Terminal:
+        out.append(e.left.code)
+        e = e.right
+    if type(e) is Terminal:
+        out.append(e.code)
+        return bytes(out)
+    return None
+
+
+def Plus(e: Expr) -> Expr:
+    """``e+``: ``e e*`` under cons, one ``e`` object in both places."""
+    return Action(Seq(e, Star(e)), CONS)
+
+
+def Optional(e: Expr) -> Expr:
+    """``e?``: ``e / eps`` with Some/None wrapping."""
+    return Choice(Action(e, SOME), Action(EMPTY, NONE))
+
+
+def And(e: Expr) -> Expr:
+    """``&e``: ``!!e``."""
+    return Not(Not(e))
+
+
+def CharClass(items: Iterable) -> Expr:
+    """A class: a right-nested choice in source order.
+
+    Items are single characters (one Terminal each) or explicit
+    (lo, hi) pairs (one Range each, even a degenerate one).  Raises
+    EmptyClass for no items and InvalidRange for a pair with lo > hi.
+    """
+    alts = [Range(*item) if isinstance(item, tuple) else Terminal(item)
+            for item in items]
+    if not alts:
+        raise EmptyClass()
+    return _right_nested(alts, Choice)
+
+
+def Drop(e: Expr) -> Expr:
+    """``~e``: discard the value of ``e``, producing Unit."""
+    return Action(e, DROP)
 
 
 def iter_subexprs(e: Expr) -> Iterator[Expr]:
-    """Preorder walk over e and its sub-expressions (core only)."""
+    """Preorder walk over e and its sub-expressions."""
     stack = [e]
     while stack:
         node = stack.pop()
@@ -507,7 +407,7 @@ class Grammar:
 
 
 def build_grammar(rules: Iterable, start: str) -> Grammar:
-    """Desugar and assemble rules into a Grammar, checking totality.
+    """Assemble rules into a Grammar, checking totality.
 
     ``rules`` is an iterable of (name, expression) pairs; the production
     map is keyed in rule order but compares order-independently.
@@ -516,7 +416,9 @@ def build_grammar(rules: Iterable, start: str) -> Grammar:
     for name, body in rules:
         if name in productions:
             raise DuplicateRule(name)
-        productions[name] = desugar(body)
+        if not isinstance(body, Expr):
+            raise TypeError("not a parsing expression: %r" % (body,))
+        productions[name] = body
     for name, body in productions.items():
         for sub in iter_subexprs(body):
             if type(sub) is NonTerminal and sub.name not in productions:
@@ -548,24 +450,12 @@ def _quote_literal(text: bytes) -> str:
     return "'" + "".join(_quote_char(b, _LIT_ESCAPES) for b in text) + "'"
 
 
-def _literal_chain_text(e: Expr) -> bytes | None:
-    """Recover the byte string of a right-nested terminal chain, if any."""
-    out = []
-    while type(e) is Seq and type(e.left) is Terminal:
-        out.append(e.left.code)
-        e = e.right
-    if type(e) is Terminal:
-        out.append(e.code)
-        return bytes(out)
-    return None
-
-
 def expr_text(e: Expr, prec: int = _PREC_CHOICE) -> str:
     """Canonical text of an expression in .peg surface syntax.
 
     Tree-shaping wrappers print as their inner expression; drop prints
-    as ``~``; the literal / plus / optional desugarings are folded back
-    into their surface forms.  Other action labels are not expressible
+    as ``~``; the expansions of literals, ``e+`` and ``e?`` are folded
+    back into their textual forms.  Other action labels are not expressible
     in the textual format and print as their inner expression.
     """
     t = type(e)
@@ -583,17 +473,6 @@ def expr_text(e: Expr, prec: int = _PREC_CHOICE) -> str:
                             _quote_char(e.hi, _CLASS_ESCAPES))
     if t is NonTerminal:
         return e.name
-    if t is CharClass:
-        parts = []
-        for item in e.items:
-            if isinstance(item, tuple):
-                parts.append("%s-%s" % (_quote_char(item[0], _CLASS_ESCAPES),
-                                        _quote_char(item[1], _CLASS_ESCAPES)))
-            else:
-                parts.append(_quote_char(item, _CLASS_ESCAPES))
-        return "[%s]" % "".join(parts)
-    if t is Literal:
-        return _quote_literal(e.text)
     if t is Seq:
         s = "%s %s" % (expr_text(e.left, _PREC_PREFIX),
                        expr_text(e.right, _PREC_SEQ))
@@ -609,23 +488,15 @@ def expr_text(e: Expr, prec: int = _PREC_CHOICE) -> str:
         return _wrap(s, _PREC_CHOICE, prec)
     if t is Star:
         return _wrap("%s*" % expr_text(e.inner, _PREC_ATOM), _PREC_POSTFIX, prec)
-    if t is Plus:
-        return _wrap("%s+" % expr_text(e.inner, _PREC_ATOM), _PREC_POSTFIX, prec)
-    if t is Optional:
-        return _wrap("%s?" % expr_text(e.inner, _PREC_ATOM), _PREC_POSTFIX, prec)
     if t is Not:
         return _wrap("!%s" % expr_text(e.inner, _PREC_PREFIX), _PREC_PREFIX, prec)
-    if t is And:
-        return _wrap("&%s" % expr_text(e.inner, _PREC_PREFIX), _PREC_PREFIX, prec)
-    if t is Drop:
-        return _wrap("~%s" % expr_text(e.inner, _PREC_PREFIX), _PREC_PREFIX, prec)
     if t is Action:
         label = e.ref.label
         if label == "drop":
             return _wrap("~%s" % expr_text(e.inner, _PREC_PREFIX),
                          _PREC_PREFIX, prec)
         if label == "tuple2str":
-            chain = _literal_chain_text(e.inner)
+            chain = terminal_chain(e.inner)
             if chain is not None:
                 return _quote_literal(chain)
             return expr_text(e.inner, prec)

@@ -33,8 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exprs import (Action, AnyChar, Choice, Empty, Expr, Grammar,
-                    NonTerminal, Not, Range, Seq, Star, Terminal, desugar)
-from .values import CHAR, Char, LeafRun, Lst, Str, TreeNode, Tup, UNIT, Value
+                    NonTerminal, Not, Range, Seq, Star, Terminal,
+                    terminal_chain)
+from .values import CHAR, Char, Lst, Str, TreeNode, Tup, UNIT, Value
 
 
 class InvariantViolation(AssertionError):
@@ -155,13 +156,14 @@ class _Program:
 #   Unit.
 # LIT: (bytes, ok_steps, fail_steps_per_prefix, value) for a fixed byte
 #   string (a right-nested terminal chain).
-# SCAN: (steps, values, leafrun, find) for a repetition of a matcher.
+# SCAN: (steps, values, leaf, find) for a repetition of a matcher.
 #   In tree-shaped grammars item values are only ever seen by the node
-#   collector, so ``values`` is None and the run compacts to a LeafRun
-#   (``leafrun``) or, holding no leaves, to an empty list; embedded
-#   grammars keep the exact items.  ``find`` is (c, item_steps) when c
-#   is the only byte that ends the run and every other byte costs the
-#   same, so the scan is bytes.find; otherwise None.
+#   collector, which coalesces adjacent leaves, so ``values`` is None
+#   and a non-empty run of leaves (``leaf``) yields one leaf spanning
+#   it; an empty run, or one holding no leaves, yields an empty list.
+#   Embedded grammars keep the exact items.  ``find`` is (c, item_steps)
+#   when c is the only byte that ends the run and every other byte
+#   costs the same, so the scan is bytes.find; otherwise None.
 
 _FAILS = (-1,) * 257
 _UNITS = (UNIT,) * 256
@@ -268,30 +270,16 @@ def _scan_descriptor(steps, values, tree_mode: bool):
     ok = [b for b in range(256) if steps[b] > 0]
     leaves = sum(type(values[b]) is int for b in ok)
     if tree_mode and leaves in (0, len(ok)):
-        values, leafrun = None, leaves > 0
+        values, leaf = None, leaves > 0
     elif leaves:
         return None
     else:
-        leafrun = False
+        leaf = False
     find = None
     if len(ok) == 255 and len({steps[b] for b in ok}) == 1:
         c = next(b for b in range(256) if steps[b] < 0)
         find = (c, steps[ok[0]] + 1)
-    return steps, values, leafrun, find
-
-
-def _chain_elements(e: Expr):
-    """Terminal elements of a right-nested Seq spine, or None."""
-    out = []
-    while type(e) is Seq:
-        if type(e.left) is not Terminal:
-            return None
-        out.append(e.left.code)
-        e = e.right
-    if type(e) is not Terminal:
-        return None
-    out.append(e.code)
-    return out
+    return steps, values, leaf, find
 
 
 def _spine_value(data: bytes):
@@ -315,12 +303,12 @@ def _as_lit(e: Expr):
         else:
             return None
         return (data, ok + 1, tuple(f + 1 for f in fails), value)
-    codes = _chain_elements(e)
-    if codes is None:
+    data = terminal_chain(e)
+    if data is None:
         return None
-    k = len(codes)
+    k = len(data)
     fails = tuple((1 if j == k - 1 else 2) + 2 * j for j in range(k))
-    return (bytes(codes), 2 * k - 1, fails, _spine_value(bytes(codes)))
+    return (data, 2 * k - 1, fails, _spine_value(data))
 
 
 def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
@@ -380,8 +368,7 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
                 elif t is Action:
                     node = emit(_K_ACT, visit(e.inner), extra=e.ref)
                 else:
-                    raise TypeError("interpreter needs a core expression; "
-                                    "desugar first: %r" % (e,))
+                    raise TypeError("not a parsing expression: %r" % (e,))
         index[key] = node
         return node
 
@@ -442,7 +429,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     steps = -t
                 break
             if k == _K_SCAN:
-                tab, vals, leafrun, find = extra[cur]
+                tab, vals, leaf, find = extra[cur]
                 if find is not None:
                     c, s_item = find
                     p = data.find(c, cpos)
@@ -467,8 +454,8 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                 rpos = p
                 if vals is not None:
                     val = Lst(tuple([vals[b] for b in data[cpos:p]]))
-                elif leafrun:
-                    val = LeafRun(cpos, p)
+                elif leaf and p > cpos:
+                    val = TreeNode("", cpos, p, ())
                 else:
                     val = _EMPTY_LST
                 break
@@ -687,11 +674,10 @@ def parse_to_tree(g: Grammar, cert: Certificate, data, mode: str = "plain",
 
 def eval_expr(e: Expr, data, pos: int = 0, g: Grammar | None = None,
               mode: str = "plain", memo: MemoTable | None = None) -> ParseOutcome:
-    """Evaluate a single (core or surface) expression at a position.
+    """Evaluate a single expression at a position.
 
-    This is the uncertified internal entry point used by tests and the
-    analyses' property checks; nonterminals resolve against ``g``.
-    Surface sugar is desugared on the way in.  Termination is NOT
+    This is the uncertified internal entry point used by tests;
+    nonterminals resolve against ``g``.  Termination is NOT
     guaranteed here unless the caller knows the expression terminates;
     use the fueled oracle for arbitrary expressions.
     """
@@ -703,7 +689,7 @@ def eval_expr(e: Expr, data, pos: int = 0, g: Grammar | None = None,
         active = memo if memo is not None else MemoTable()
     else:
         active = None
-    prog, roots = _compile(g, roots=(desugar(e),))
+    prog, roots = _compile(g, roots=(e,))
     ok, rpos, val, steps, far = _run(prog, data, roots[0], pos, active)
     return ParseOutcome(ok, rpos if ok else -1, val if ok else None, steps,
                         farthest=far)

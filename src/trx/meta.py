@@ -2,17 +2,17 @@ r"""The textual .peg grammar format, bootstrapped through the engine.
 
 The loader is the interpreter itself: a built-in grammar for the .peg
 syntax parses grammar text into a tree, and the tree is lowered to
-surface expressions and rebuilt into a Grammar.  The bundled peg.peg
-file is the same grammar written in its own notation; loading it must
+expressions and rebuilt into a Grammar.  The bundled peg.peg file is
+the same grammar written in its own notation; loading it must
 reproduce the built-in grammar exactly.
 
 Grammars loaded from text carry only the built-in tree shapers: every
 nonterminal produces a TreeNode, terminals/classes/literals contribute
 leaf spans (adjacent leaves coalesce), and ``~`` drops a subtree.  The
-value-shaping actions that desugaring installs (tuple2str, cons,
-some/none) are removed by the tree transform since the tree collector
-subsumes them; arbitrary semantic actions are available only through
-the embedded API.
+value-shaping actions that the derived operators install (tuple2str,
+cons, some/none) are removed by the tree transform since the tree
+collector subsumes them; arbitrary semantic actions are available only
+through the embedded API.
 
 Format summary (see the bundled peg.peg for the authoritative version):
 rules ``name <- expr ;``; choice ``/``; sequence by juxtaposition;
@@ -33,7 +33,7 @@ from .exprs import (ANY, Action, ActionRef, And, AnyChar, CharClass, Choice,
                     Optional, Plus, Range, Seq, Star, Terminal, build_grammar,
                     expr_text)
 from .interp import parse
-from .values import LeafRun, Lst, Opt, TreeNode, Tup
+from .values import Lst, TreeNode, Tup
 
 
 class PegSyntaxError(Exception):
@@ -82,10 +82,9 @@ _NODE_PREFIX = "tree.node:"
 def node_action(rule: str) -> ActionRef:
     """Collect the TreeNode children out of a production's raw value.
 
-    Walks pairs/lists/options in parse order, keeps nodes, expands leaf
-    runs, and coalesces adjacent leaves; Unit and other scalars carry no
-    tree content.  One iterative pass, since this runs once per
-    nonterminal application.
+    Walks pairs and lists in parse order, keeps nodes, and coalesces
+    adjacent leaves; Unit and other scalars carry no tree content.  One
+    iterative pass, since this runs once per nonterminal application.
     """
     def fn(v, start, end):
         children = []
@@ -104,16 +103,6 @@ def node_action(rule: str) -> ActionRef:
                     children[-1] = TreeNode("", last.start, x.end, ())
                 else:
                     children.append(x)
-            elif t is LeafRun:
-                if x.end > x.start:
-                    if (children and (last := children[-1]).rule == ""
-                            and last.end == x.start):
-                        children[-1] = TreeNode("", last.start, x.end, ())
-                    else:
-                        children.append(TreeNode("", x.start, x.end, ()))
-            elif t is Opt:
-                if x.item is not None:
-                    stack.append(x.item)
         return TreeNode(rule, start, end, tuple(children))
     return ActionRef(_NODE_PREFIX + rule, fn, span_aware=True)
 
@@ -266,7 +255,7 @@ def builtin_meta_grammar() -> tuple[Grammar, Certificate]:
 
 
 # ---------------------------------------------------------------------------
-# Lowering parse trees of .peg text to surface expressions.
+# Lowering parse trees of .peg text to expressions.
 
 _ESCAPE_DECODE = {
     ord("n"): 0x0A, ord("t"): 0x09, ord("r"): 0x0D,
@@ -405,9 +394,10 @@ def load_grammar_source(text, path: str | None = None) -> GrammarSource:
 def load_grammar(text) -> Grammar:
     """Parse .peg text into a tree-shaped Grammar.
 
-    Raises PegSyntaxError for malformed text, then any grammar
-    construction error (duplicate rules, undefined references, unknown
-    start, bad ranges, empty literals).
+    Raises PegSyntaxError for malformed text, then the errors of
+    building the rules' expressions (bad ranges, empty literals), then
+    those of assembling the grammar (duplicate rules, undefined
+    references, unknown start).
     """
     return load_grammar_source(text).grammar
 

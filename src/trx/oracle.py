@@ -17,7 +17,7 @@ from typing import Iterator
 
 from .exprs import (Action, AnyChar, CharClass, Choice, Drop, EMPTY, Empty,
                     Expr, Grammar, NonTerminal, Not, Range, Seq, Star,
-                    Terminal, build_grammar, desugar)
+                    Terminal, build_grammar)
 from .interp import ParseOutcome
 from .values import Lst, Tup, UNIT, CHAR
 
@@ -50,16 +50,21 @@ def oracle_eval(g: Grammar | None, e: Expr, data, pos: int = 0,
     tuples in rule-application order.
 
     Every recursion level consumes at least one unit of fuel, so the
-    evaluator's recursion depth is bounded by the fuel; when probing
-    pathological grammars (self-referential rules, nullable stars) keep
-    the fuel within the platform's recursion headroom.
+    evaluator's recursion depth is bounded by the fuel.  The call raises
+    the recursion limit to 40 000 and restores it on return; when
+    probing pathological grammars (self-referential rules, nullable
+    stars) keep the fuel within that headroom.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
-    if sys.getrecursionlimit() < 40_000:
+    limit = sys.getrecursionlimit()
+    if limit < 40_000:
         sys.setrecursionlimit(40_000)
-    return _eval(g.productions if g is not None else {}, e, data, pos, fuel,
-                 trace)
+    try:
+        return _eval(g.productions if g is not None else {}, e, data, pos,
+                     fuel, trace)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def oracle_parse(g: Grammar, data, fuel: int = 10_000,
@@ -162,8 +167,7 @@ def _eval(prods, e, data, pos, fuel, trace):
         else:
             out = _fail(r.steps + 1)
     else:
-        raise TypeError("oracle needs a core expression; desugar first: %r"
-                        % (e,))
+        raise TypeError("not a parsing expression: %r" % (e,))
 
     if trace is not None:
         trace.append((e, pos, _OK_TRACE if out.ok else _FAIL_TRACE, out.steps))

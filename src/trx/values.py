@@ -99,19 +99,6 @@ class TreeNode(Value):
 
 
 @dataclass(frozen=True, slots=True)
-class LeafRun(Value):
-    """Internal compact stand-in for a run of adjacent single-byte leaves.
-
-    Produced only inside tree-shaped grammars, where the node collector
-    (the sole observer of intermediate values there) coalesces adjacent
-    leaves regardless; an empty run contributes nothing.
-    """
-
-    start: int
-    end: int
-
-
-@dataclass(frozen=True, slots=True)
 class User(Value):
     """Opaque payload produced by an embedded semantic action."""
 

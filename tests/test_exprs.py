@@ -1,57 +1,81 @@
-"""Expression algebra: desugaring, grammar assembly, structural identity."""
+"""Expression algebra: derived operators, grammar assembly, structural
+identity."""
 
+import os
 import random
 
 import pytest
 
 from trx import (ANY, Action, ActionRef, And, AnyChar, CharClass, Choice,
-                 Drop, DuplicateRule, EMPTY, EmptyLiteral, InvalidRange,
-                 Literal, NonTerminal, Not, Optional, Plus, Range, Seq, Star,
-                 Terminal, UndefinedNonterminal, UnknownStart, build_grammar,
-                 desugar, eval_expr, expr_text)
+                 Drop, DuplicateRule, EMPTY, Empty, EmptyClass, EmptyLiteral,
+                 InvalidRange, Literal, NonTerminal, Not, Optional, Plus,
+                 Range, Seq, Star, Terminal, UndefinedNonterminal,
+                 UnknownStart, build_grammar, eval_expr, expr_text,
+                 iter_subexprs)
 from trx.exprs import CONS, DROP, NONE, SOME, TUPLE2STR
+from trx.oracle import EXHAUSTED, oracle_eval
 from trx.mathdemo import math_rules
 
 
 def test_literal_desugars_to_terminal_chain_with_string_action():
-    d = desugar(Literal("if"))
+    d = Literal("if")
     assert d == Action(Seq(Terminal("i"), Terminal("f")), TUPLE2STR)
 
 
 def test_and_desugars_to_double_negation():
-    assert desugar(And(AnyChar())) == Not(Not(AnyChar()))
+    assert And(AnyChar()) == Not(Not(AnyChar()))
 
 
 def test_single_range_class_desugars_to_range():
-    assert desugar(CharClass([("0", "9")])) == Range("0", "9")
+    assert CharClass([("0", "9")]) == Range("0", "9")
 
 
 def test_single_char_class_desugars_to_terminal():
-    assert desugar(CharClass(["x"])) == Terminal("x")
+    assert CharClass(["x"]) == Terminal("x")
 
 
 def test_class_desugar_is_right_nested_in_source_order():
-    d = desugar(CharClass([("a", "z"), ("A", "Z"), "_"]))
+    d = CharClass([("a", "z"), ("A", "Z"), "_"])
     assert d == Choice(Range("a", "z"), Choice(Range("A", "Z"), Terminal("_")))
 
 
 def test_plus_optional_drop_desugarings():
     t = Terminal("a")
-    assert desugar(Plus(t)) == Action(Seq(t, Star(t)), CONS)
-    assert desugar(Optional(t)) == Choice(Action(t, SOME), Action(EMPTY, NONE))
-    assert desugar(Drop(t)) == Action(t, DROP)
+    plus = Plus(t)
+    assert plus == Action(Seq(t, Star(t)), CONS)
+    assert plus.inner.left is plus.inner.right.inner is t
+    assert Optional(t) == Choice(Action(t, SOME), Action(EMPTY, NONE))
+    assert Drop(t) == Action(t, DROP)
+
+
+_CORE = (Empty, AnyChar, Terminal, Range, NonTerminal, Seq, Choice, Star,
+         Not, Action)
+
+
+def test_derived_operators_build_core_expressions():
+    inner = Seq(NonTerminal("A"), Star(Range("a", "z")))
+    for e in (Literal("if"), Literal(b"\x00\xff"), Plus(inner),
+              Optional(inner), And(inner), Drop(inner),
+              CharClass([("a", "z"), "_", ("0", "9")]),
+              Plus(Optional(And(Drop(Literal("x")))))):
+        assert all(type(sub) in _CORE for sub in iter_subexprs(e)), e
 
 
 def test_empty_literal_rejected():
     with pytest.raises(EmptyLiteral):
-        desugar(Literal(""))
+        Literal("")
 
 
 def test_invalid_range_rejected():
     with pytest.raises(InvalidRange):
-        desugar(CharClass([("z", "a")]))
+        CharClass([("z", "a")])
     with pytest.raises(InvalidRange):
         Range("9", "0")
+
+
+def test_empty_class_rejected():
+    with pytest.raises(EmptyClass):
+        CharClass([])
 
 
 def _random_core(rng, depth=3):
@@ -69,17 +93,10 @@ def _random_core(rng, depth=3):
     return Not(_random_core(rng, depth - 1))
 
 
-def test_desugar_idempotent_on_core():
-    rng = random.Random(0)
-    for _ in range(200):
-        e = _random_core(rng)
-        assert desugar(e) == e
-        assert desugar(desugar(e)) == desugar(e)
-
-
 def test_desugar_matches_hand_expansion_behavior():
-    # The derived operators against their defining expansions, written
-    # out by hand, compared over every short input.
+    # Each derived operator builds its defining expansion, written out
+    # by hand, and the interpreter runs it as the oracle does over every
+    # short input.
     rng = random.Random(1)
     inputs = [b"", b"a", b"b", b"ab", b"ba", b"aab", b"bba"]
     for _ in range(60):
@@ -91,20 +108,20 @@ def test_desugar_matches_hand_expansion_behavior():
             (And(inner), Not(Not(inner))),
             (Drop(inner), Action(inner, DROP)),
         ]
+        pairs.append((Literal("ab"),
+                      Action(Seq(Terminal("a"), Terminal("b")), TUPLE2STR)))
         for sugar, hand in pairs:
+            assert sugar == hand
             for s in inputs:
+                want = oracle_eval(None, sugar, s, fuel=2_000)
                 try:
                     got = eval_expr(sugar, s)
                 except AssertionError:
-                    # nullable-star loops abort identically on both sides
-                    with pytest.raises(AssertionError):
-                        eval_expr(hand, s)
+                    # a nullable-star loop aborts the interpreter and
+                    # exhausts the oracle's fuel
+                    assert want is EXHAUSTED
                     continue
-                assert got == eval_expr(hand, s)
-    lit = Literal("ab")
-    hand = Action(Seq(Terminal("a"), Terminal("b")), TUPLE2STR)
-    for s in inputs:
-        assert eval_expr(lit, s) == eval_expr(hand, s)
+                assert got == want
 
 
 def test_action_equality_is_by_label():
@@ -162,6 +179,8 @@ def test_build_grammar_duplicate_and_bad_start():
         build_grammar([("A", EMPTY), ("A", ANY)], "A")
     with pytest.raises(UnknownStart):
         build_grammar([("A", EMPTY)], "B")
+    with pytest.raises(TypeError):
+        build_grammar([("A", "x")], "A")
 
 
 def test_grammar_order_independence():
@@ -180,8 +199,13 @@ def test_expr_text_examples():
     assert expr_text(Seq(Choice(EMPTY, ANY), ANY)) == "(eps / .) ."
 
 
-def test_empty_class_rejected():
-    from trx import EmptyClass
 
-    with pytest.raises(EmptyClass):
-        desugar(CharClass([]))
+def test_readme_library_quickstart_runs(capsys, monkeypatch):
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("## Library quickstart", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(root)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.split("\n") == ["True 11 197", "42", ""]

@@ -241,9 +241,9 @@ _BYTE_INPUTS = [b""] + [bytes([b]) + b"<" for b in range(256)]
 def test_every_byte_agrees_with_oracle(name):
     # Byte tables have an entry per byte value; run every sub-expression
     # (every 7th of synth200) on each byte and on end of input.  Values
-    # are compared only for the embedded grammar: tree-shaped scans
-    # return a LeafRun or an empty list, which only the node collector
-    # sees.
+    # are compared only for the embedded grammar: a tree-shaped scan
+    # returns one leaf for its whole run, or an empty list, which only
+    # the node collector sees.
     if name == "math":
         g, exact, stride = math_grammar()[0], True, 1
     else:

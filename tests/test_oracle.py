@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 from trx import EMPTY, EXHAUSTED, Star, Terminal, build_grammar, parse
 from trx.exprs import (Action, AnyChar, Choice, NonTerminal, Not, Range, Seq,
@@ -21,6 +22,20 @@ def test_terminal_with_exact_fuel():
     assert out is not EXHAUSTED
     assert (out.ok, out.pos, out.steps) == (True, 1, 1)
     assert oracle_eval(None, Terminal("a"), "a", fuel=0) is EXHAUSTED
+
+
+def test_oracle_restores_recursion_limit():
+    # A raised limit left behind would hide recursion faults from every
+    # later caller in the process.
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(2_000)
+    try:
+        oracle_eval(None, Terminal("a"), b"a")
+        assert sys.getrecursionlimit() == 2_000
+        oracle_parse(build_grammar([("S", Terminal("a"))], "S"), b"a")
+        assert sys.getrecursionlimit() == 2_000
+    finally:
+        sys.setrecursionlimit(before)
 
 
 def test_math_expr_matches_interpreter_exactly():
