@@ -80,6 +80,11 @@ def _byte(c) -> int:
     raise TypeError("not a character: %r" % (c,))
 
 
+#: Label prefix of the tree shapers' node collectors: the collector of
+#: rule ``r`` is labelled ``NODE_PREFIX + r``.
+NODE_PREFIX = "tree.node:"
+
+
 class ActionRef:
     """Named value transformer attached to an expression.
 
@@ -297,11 +302,15 @@ def _right_nested(parts: list, node) -> Expr:
 def Literal(text) -> Expr:
     """``'text'``: a right-nested chain of terminals under tuple2str.
 
-    Raises EmptyLiteral for empty text.
+    ``text`` is a str (encoded as UTF-8), bytes or bytearray; anything
+    else raises TypeError.  Raises EmptyLiteral for empty text.
     """
     if isinstance(text, str):
         text = text.encode("utf-8")
-    text = bytes(text)
+    elif isinstance(text, (bytes, bytearray)):
+        text = bytes(text)
+    else:
+        raise TypeError("a literal is text or bytes, not %r" % (text,))
     if not text:
         raise EmptyLiteral()
     return Action(_right_nested([Terminal(b) for b in text], Seq), TUPLE2STR)
@@ -376,11 +385,25 @@ class Grammar:
     Immutable after construction; safe to share between threads.  The
     production map is total: every NonTerminal referenced anywhere
     resolves to a rule.
+
+    A tree-shaped grammar (``trx.meta.tree_wrap`` builds them) wraps
+    every production in its node collector, and its other actions are
+    the built-in tree shapers, or sit under ``!`` or ``~`` where their
+    values are discarded.  The interpreter builds its trees directly and
+    runs no other action of such a grammar.
     """
 
     __slots__ = ("nonterminals", "productions", "start", "tree_shaped")
 
     def __init__(self, productions: dict, start: str, tree_shaped: bool = False):
+        if tree_shaped:
+            for name, body in productions.items():
+                # A node named "" would read as a leaf.
+                if not (name and type(body) is Action
+                        and body.ref.label == NODE_PREFIX + name):
+                    raise ValueError("rule %r of a tree-shaped grammar is "
+                                     "not wrapped in its node collector"
+                                     % name)
         self.nonterminals = tuple(productions)
         self.productions = MappingProxyType(dict(productions))
         self.start = start

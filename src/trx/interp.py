@@ -24,6 +24,24 @@ runs) get their step arithmetic precomputed too.  The oracle
 differential suite pins their equivalence with the plain rule-by-rule
 evaluation.
 
+Tree mode.  A program compiled from a tree-shaped grammar (one that
+trx.meta.tree_wrap built) builds no value spines: sequences make no
+pairs and repetitions no lists.  Like LPeg's capture list, the VM
+keeps one flat ``kids`` list of what the tree will hold, in parse
+order: rule nodes, and the (start, end) spans of leaves, which leaf
+matchers and leaf scans append.  A rule's node collector takes the
+slice of ``kids`` from the mark its frame recorded, coalesces adjacent
+spans into leaves as trx.meta.node_action coalesces leaves, and
+replaces the slice with the node, which is also the rule's value and
+memo entry; a memo hit appends it again.  Choice, repetition, negation and
+action frames record a mark too, and truncate ``kids`` back to it when
+they discard a result: a failed first alternative, a failed repetition
+step, every negation and a drop.  Other actions appear in such
+grammars only under ``!`` or ``~``, so the VM does not run them.  The
+oracle runs the real collector actions, so the differential suites
+check this path.  Opcodes choose the mode at compile time; a
+value-mode program tests for it only on a leaf value or a memo hit.
+
 Certification compiles the program once and the Certificate carries
 it, so parse() runs exactly the grammar that was certified.
 """
@@ -32,9 +50,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exprs import (Action, AnyChar, Choice, Empty, Expr, Grammar,
-                    NonTerminal, Not, Range, Seq, Star, Terminal,
-                    terminal_chain)
+from .exprs import (NODE_PREFIX as _NODE_PREFIX, Action, AnyChar, Choice,
+                    Empty, Expr, Grammar, NonTerminal, Not, Range, Seq, Star,
+                    Terminal, terminal_chain)
 from .values import CHAR, Char, Lst, Str, TreeNode, Tup, UNIT, Value
 
 
@@ -119,20 +137,30 @@ def memo_stats(table: MemoTable) -> dict:
             "misses": table.misses}
 
 
-# Opcodes.  The first seven mirror core constructors (terminals, ranges
-# and any-char always compile to MATCH1); the rest are superinstructions.
-(_K_EMPTY, _K_NT, _K_SEQ, _K_CHOICE, _K_STAR, _K_NOT, _K_ACT,
- _K_MATCH1, _K_PRED, _K_LIT, _K_SCAN) = range(11)
+# Opcodes.  A composite node's opcode is the state its frame starts in,
+# and the numbering groups composites by frame shape: [state, node, pos]
+# up to TSEQ, then the repetitions, then the tree frames that also
+# record where their children start.  The states in between continue a
+# node (2: Seq right, 4: Choice second, 8: tree-mode Seq right), and 0
+# returns from a nonterminal.  Tree-mode programs use the _K_T*
+# composites, _K_NODE and _K_TACT in place of the value-mode ones.
+# Terminals, ranges and any-char always compile to MATCH1; MATCH1,
+# PRED, LIT and SCAN are superinstructions.
+_K_SEQ, _K_CHOICE, _K_NOT, _K_ACT, _K_TSEQ = 1, 3, 5, 6, 7
+_K_STAR, _K_TSTAR, _K_TCHOICE, _K_TNOT, _K_NODE, _K_TACT = range(9, 15)
+_K_EMPTY, _K_NT, _K_MATCH1, _K_PRED, _K_LIT, _K_SCAN = range(15, 21)
 
 
 class _Program:
     """Grammar flattened into parallel per-node arrays for the VM.
 
-    ``extra`` holds a superinstruction's descriptor or an action node's
-    ActionRef.
+    ``extra`` holds a superinstruction's descriptor, a value-mode action
+    node's ActionRef, a tree node's rule name, or whether a tree-mode
+    action is a leaf.  ``tree`` is set when the program was compiled
+    from a tree-shaped grammar.
     """
 
-    __slots__ = ("kind", "a", "b", "extra", "prod_body", "start")
+    __slots__ = ("kind", "a", "b", "extra", "prod_body", "start", "tree")
 
     def __init__(self):
         self.kind = []
@@ -141,6 +169,7 @@ class _Program:
         self.extra = []
         self.prod_body = []
         self.start = -1
+        self.tree = False
 
 
 # --- Superinstruction descriptors --------------------------------------
@@ -157,19 +186,17 @@ class _Program:
 # LIT: (bytes, ok_steps, fail_steps_per_prefix, value) for a fixed byte
 #   string (a right-nested terminal chain).
 # SCAN: (steps, values, leaf, find) for a repetition of a matcher.
-#   In tree-shaped grammars item values are only ever seen by the node
-#   collector, which coalesces adjacent leaves, so ``values`` is None
-#   and a non-empty run of leaves (``leaf``) yields one leaf spanning
-#   it; an empty run, or one holding no leaves, yields an empty list.
-#   Embedded grammars keep the exact items.  ``find`` is (c, item_steps)
-#   when c is the only byte that ends the run and every other byte
-#   costs the same, so the scan is bytes.find; otherwise None.
+#   In tree mode a rule's node coalesces adjacent leaves, so ``values``
+#   is None and a non-empty run of leaves (``leaf``) adds one leaf
+#   span covering it to the children list.  Embedded grammars keep the exact
+#   items.  ``find`` is (c, item_steps) when c is the only byte that
+#   ends the run and every other byte costs the same, so the scan is
+#   bytes.find; otherwise None.
 
 _FAILS = (-1,) * 257
 _UNITS = (UNIT,) * 256
 _LEAVES = (0,) * 256
 _STR1 = tuple(Str(bytes([b])) for b in range(256))
-_EMPTY_LST = Lst(())
 
 
 def _leaf(pos: int, depth: int) -> Value:
@@ -313,14 +340,18 @@ def _as_lit(e: Expr):
 
 def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
     prog = _Program()
+    tree_mode = prog.tree = bool(g is not None and g.tree_shaped)
     index = {}
     prod_index = {}
-    tree_mode = bool(g is not None and g.tree_shaped)
+    rule_names = {}
     tables = _ByteTables()
 
     if g is not None:
         prod_index = {name: i for i, name in enumerate(g.nonterminals)}
         prog.prod_body = [-1] * len(g.nonterminals)
+        # A node carries the grammar's own rule-name string, the one its
+        # collector action holds, not a new slice of the action label.
+        rule_names = {_NODE_PREFIX + name: name for name in g.nonterminals}
 
     def emit(kind, a=-1, b=-1, extra=None) -> int:
         prog.kind.append(kind)
@@ -343,7 +374,8 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
                 if scan is not None:
                     node = emit(_K_SCAN, extra=scan)
             if node is None:
-                node = emit(_K_STAR, visit(e.inner))
+                node = emit(_K_TSTAR if tree_mode else _K_STAR,
+                            visit(e.inner))
         elif t is NonTerminal:
             p = prod_index.get(e.name)
             if p is None:
@@ -360,13 +392,25 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
                 if lit is not None:
                     node = emit(_K_LIT, extra=lit)
                 elif t is Seq:
-                    node = emit(_K_SEQ, visit(e.left), visit(e.right))
+                    node = emit(_K_TSEQ if tree_mode else _K_SEQ,
+                                visit(e.left), visit(e.right))
                 elif t is Choice:
-                    node = emit(_K_CHOICE, visit(e.first), visit(e.second))
+                    node = emit(_K_TCHOICE if tree_mode else _K_CHOICE,
+                                visit(e.first), visit(e.second))
                 elif t is Not:
-                    node = emit(_K_NOT, visit(e.inner))
-                elif t is Action:
+                    node = emit(_K_TNOT if tree_mode else _K_NOT,
+                                visit(e.inner))
+                elif t is Action and not tree_mode:
                     node = emit(_K_ACT, visit(e.inner), extra=e.ref)
+                elif t is Action:
+                    label = e.ref.label
+                    if label.startswith(_NODE_PREFIX):
+                        rule = rule_names.get(label,
+                                              label[len(_NODE_PREFIX):])
+                        node = emit(_K_NODE, visit(e.inner), extra=rule)
+                    else:
+                        node = emit(_K_TACT, visit(e.inner),
+                                    extra=label == "tree.leaf")
                 else:
                     raise TypeError("not a parsing expression: %r" % (e,))
         index[key] = node
@@ -393,6 +437,8 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
     farthest = -1
 
     memo_entries = memo.entries if memo is not None else None
+    # Tree mode: the rule nodes and leaf spans made so far, in order.
+    kids = [] if prog.tree else None
 
     stack = []
     push = stack.append
@@ -409,6 +455,33 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
         # Descend until a primitive (or superinstruction) yields a result.
         while True:
             k = kind[cur]
+            if k < _K_EMPTY:
+                # A composite: push its frame in its first state.
+                if k <= _K_TSEQ:
+                    push([k, cur, cpos])
+                elif k >= _K_TCHOICE:
+                    push([k, cur, cpos, len(kids)])
+                elif k == _K_STAR:
+                    push([k, cur, cpos, [], 0])
+                else:
+                    push([k, cur, cpos, len(kids), 0])
+                cur = aa[cur]
+                continue
+            if k == _K_NT:
+                p = aa[cur]
+                if memo_entries is not None:
+                    hit = memo_entries.get((p, cpos))
+                    if hit is not None:
+                        memo.hits += 1
+                        ok, rpos, val, steps = hit
+                        steps += 1
+                        if ok and kids is not None:
+                            kids.append(val)
+                        break
+                    memo.misses += 1
+                push([0, p, cpos])
+                cur = prod_body[p]
+                continue
             if k == _K_MATCH1:
                 tab, vals = extra[cur]
                 if cpos > farthest:
@@ -420,7 +493,10 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     rpos = cpos + 1
                     val = vals[b]
                     if type(val) is int:
-                        val = _leaf(cpos, val)
+                        if kids is None:
+                            val = _leaf(cpos, val)
+                        else:
+                            kids.append((cpos, rpos))
                     steps = t
                 else:
                     ok = False
@@ -455,25 +531,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                 if vals is not None:
                     val = Lst(tuple([vals[b] for b in data[cpos:p]]))
                 elif leaf and p > cpos:
-                    val = TreeNode("", cpos, p, ())
-                else:
-                    val = _EMPTY_LST
-                break
-            if k == _K_PRED:
-                tab = extra[cur][0]
-                if cpos > farthest:
-                    farthest = cpos
-                t = tab[data[cpos] if cpos < n else 256]
-                if t > 0:
-                    ok = True
-                    rpos = cpos
-                    val = UNIT
-                    steps = t
-                else:
-                    ok = False
-                    rpos = -1
-                    val = None
-                    steps = -t
+                    kids.append((cpos, p))
                 break
             if k == _K_LIT:
                 lbytes, ok_steps, fails, lval = extra[cur]
@@ -501,47 +559,35 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     val = None
                     steps = fails[j]
                 break
-            if k == _K_EMPTY:
-                ok = True
-                rpos = cpos
-                val = UNIT
-                steps = 1
+            if k == _K_PRED:
+                tab = extra[cur][0]
+                if cpos > farthest:
+                    farthest = cpos
+                t = tab[data[cpos] if cpos < n else 256]
+                if t > 0:
+                    ok = True
+                    rpos = cpos
+                    val = UNIT
+                    steps = t
+                else:
+                    ok = False
+                    rpos = -1
+                    val = None
+                    steps = -t
                 break
-            if k == _K_NT:
-                p = aa[cur]
-                if memo_entries is not None:
-                    hit = memo_entries.get((p, cpos))
-                    if hit is not None:
-                        memo.hits += 1
-                        ok, rpos, val, steps = hit
-                        steps += 1
-                        break
-                    memo.misses += 1
-                push([8, p, cpos])
-                cur = prod_body[p]
-                continue
-            if k == _K_SEQ:
-                push([1, cur, cpos])
-                cur = aa[cur]
-                continue
-            if k == _K_CHOICE:
-                push([3, cur, cpos])
-                cur = aa[cur]
-                continue
-            if k == _K_STAR:
-                push([5, cur, cpos, [], 0])
-                cur = aa[cur]
-                continue
-            if k == _K_NOT:
-                push([6, cur, cpos])
-                cur = aa[cur]
-                continue
-            # _K_ACT
-            push([7, cur, cpos])
-            cur = aa[cur]
-            continue
+            # _K_EMPTY
+            ok = True
+            rpos = cpos
+            val = UNIT
+            steps = 1
+            break
 
-        # Unwind completed results into waiting frames.
+        # Unwind completed results into waiting frames.  Value-mode and
+        # tree-mode states are interleaved, most frequent first.  In
+        # tree mode values are not built: leaves, scans and memo hits
+        # add to ``kids``, a rule's node takes what was added since its
+        # mark, and every frame that discards a result truncates
+        # ``kids`` back to its mark.
         descend = False
         while True:
             if not stack:
@@ -559,12 +605,68 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     break
                 steps += 1
                 pop()
+            elif st == 7:                    # tree Seq, left finished
+                if ok:
+                    f[0] = 8
+                    f.append(steps)
+                    cur = bb[f[1]]
+                    cpos = rpos
+                    descend = True
+                    break
+                steps += 1
+                pop()
+            elif st == 8:                    # tree Seq, right finished
+                steps += f[3] + 1
+                if ok and (rpos < f[2] or rpos > n):
+                    raise InvariantViolation("sequence moved backwards")
+                pop()
+            elif st == 6:                    # Action
+                if ok:
+                    ref = extra[f[1]]
+                    if ref.span_aware:
+                        val = ref.fn(val, f[2], rpos)
+                    else:
+                        val = ref.fn(val)
+                steps += 1
+                pop()
             elif st == 2:                    # Seq, right finished
                 steps += f[3] + 1
                 if ok:
                     if rpos < f[2] or rpos > n:
                         raise InvariantViolation("sequence moved backwards")
                     val = Tup((f[4], val))
+                pop()
+            elif st == 0:                    # NonTerminal return
+                if memo_entries is not None:
+                    memo_entries[(f[1], f[2])] = (ok, rpos, val, steps)
+                steps += 1
+                if ok and (rpos < f[2] or rpos > n):
+                    raise InvariantViolation("nonterminal moved backwards")
+                pop()
+            elif st == 13:                   # a rule's node
+                if ok:
+                    m = f[3]
+                    children = []
+                    start = end = -1         # the leaf run being coalesced
+                    for x in kids[m:]:
+                        if type(x) is tuple:
+                            if x[0] == end:
+                                end = x[1]
+                                continue
+                            if start >= 0:
+                                children.append(TreeNode("", start, end, ()))
+                            start, end = x
+                        else:
+                            if start >= 0:
+                                children.append(TreeNode("", start, end, ()))
+                                start = end = -1
+                            children.append(x)
+                    if start >= 0:
+                        children.append(TreeNode("", start, end, ()))
+                    del kids[m:]
+                    val = TreeNode(extra[f[1]], f[2], rpos, tuple(children))
+                    kids.append(val)
+                steps += 1
                 pop()
             elif st == 3:                    # Choice, first finished
                 if ok:
@@ -577,10 +679,22 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     cpos = f[2]
                     descend = True
                     break
+            elif st == 11:                   # tree Choice, first finished
+                if ok:
+                    steps += 1
+                    pop()
+                else:
+                    del kids[f[3]:]
+                    f[0] = 4
+                    f[3] = steps
+                    cur = bb[f[1]]
+                    cpos = f[2]
+                    descend = True
+                    break
             elif st == 4:                    # Choice, second finished
                 steps += f[3] + 1
                 pop()
-            elif st == 5:                    # Star, one iteration finished
+            elif st == 9 or st == 10:        # Star, one iteration finished
                 if ok:
                     if rpos == f[2]:
                         raise InvariantViolation(
@@ -588,19 +702,33 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                             "input on a certified grammar")
                     if rpos < f[2] or rpos > n:
                         raise InvariantViolation("repetition moved backwards")
-                    f[3].append(val)
+                    if st == 9:
+                        f[3].append(val)
+                    else:
+                        f[3] = len(kids)
                     f[4] += steps + 1
                     f[2] = rpos
                     cur = aa[f[1]]
                     cpos = rpos
                     descend = True
                     break
+                if st == 9:
+                    val = Lst(tuple(f[3]))
+                else:
+                    del kids[f[3]:]
                 ok = True
                 rpos = f[2]
-                val = Lst(tuple(f[3]))
                 steps += f[4] + 1
                 pop()
-            elif st == 6:                    # Not
+            elif st == 14:                   # tree drop, leaf or other action
+                del kids[f[3]:]
+                if ok and extra[f[1]]:
+                    kids.append((f[2], rpos))
+                steps += 1
+                pop()
+            else:                            # 5 or 12: Not (12 in tree mode)
+                if st == 12:
+                    del kids[f[3]:]
                 if ok:
                     ok = False
                     rpos = -1
@@ -610,22 +738,6 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     rpos = f[2]
                     val = UNIT
                 steps += 1
-                pop()
-            elif st == 7:                    # Action
-                if ok:
-                    ref = extra[f[1]]
-                    if ref.span_aware:
-                        val = ref.fn(val, f[2], rpos)
-                    else:
-                        val = ref.fn(val)
-                steps += 1
-                pop()
-            else:                            # 8: NonTerminal return
-                if memo_entries is not None:
-                    memo_entries[(f[1], f[2])] = (ok, rpos, val, steps)
-                steps += 1
-                if ok and (rpos < f[2] or rpos > n):
-                    raise InvariantViolation("nonterminal moved backwards")
                 pop()
         if descend:
             continue
@@ -680,6 +792,11 @@ def eval_expr(e: Expr, data, pos: int = 0, g: Grammar | None = None,
     nonterminals resolve against ``g``.  Termination is NOT
     guaranteed here unless the caller knows the expression terminates;
     use the fueled oracle for arbitrary expressions.
+
+    When ``g`` is tree-shaped the expression runs in tree mode, where
+    only the values of rule applications are built: for any other root
+    only ok, pos and steps (and farthest) are meaningful, and the value
+    is not the oracle's value spine.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")

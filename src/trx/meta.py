@@ -28,10 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import Certificate, certify
-from .exprs import (ANY, Action, ActionRef, And, AnyChar, CharClass, Choice,
-                    Drop, EMPTY, Expr, Grammar, Literal, NonTerminal, Not,
-                    Optional, Plus, Range, Seq, Star, Terminal, build_grammar,
-                    expr_text)
+from .exprs import (ANY, NODE_PREFIX as _NODE_PREFIX, Action, ActionRef, And,
+                    AnyChar, CharClass, Choice, Drop, EMPTY, Expr, Grammar,
+                    Literal, NonTerminal, Not, Optional, Plus, Range, Seq,
+                    Star, Terminal, build_grammar, expr_text)
 from .interp import parse
 from .values import Lst, TreeNode, Tup
 
@@ -76,15 +76,16 @@ def _leaf_fn(v, start, end):
 
 LEAF = ActionRef("tree.leaf", _leaf_fn, span_aware=True)
 
-_NODE_PREFIX = "tree.node:"
-
 
 def node_action(rule: str) -> ActionRef:
     """Collect the TreeNode children out of a production's raw value.
 
     Walks pairs and lists in parse order, keeps nodes, and coalesces
     adjacent leaves; Unit and other scalars carry no tree content.  One
-    iterative pass, since this runs once per nonterminal application.
+    iterative pass.  The oracle runs it, and so does a value-mode
+    evaluation of these expressions; a certified tree-shaped parse
+    does not call it, since the interpreter's tree mode builds the same
+    nodes from its children list (see trx.interp).
     """
     def fn(v, start, end):
         children = []

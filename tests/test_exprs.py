@@ -66,6 +66,15 @@ def test_empty_literal_rejected():
         Literal("")
 
 
+def test_literal_rejects_non_text():
+    # bytes(3) is three NUL bytes and bytes(0) is empty; neither is the
+    # text of a literal.
+    for bad in (3, 0, None, [97]):
+        with pytest.raises(TypeError):
+            Literal(bad)
+    assert Literal(bytearray(b"ab")) == Literal("ab") == Literal(b"ab")
+
+
 def test_invalid_range_rejected():
     with pytest.raises(InvalidRange):
         CharClass([("z", "a")])

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from trx import (Choice, Drop, DuplicateRule, EmptyLiteral, InvalidRange,
-                 Literal, Not, Optional, PegSyntaxError, Seq,
-                 Star, Terminal, UndefinedNonterminal, UnknownStart,
-                 build_grammar, builtin_meta_grammar, check_well_formed,
-                 dump_grammar, load_grammar, parse, parse_to_tree, tree_wrap)
-from trx.meta import line_col
-from trx.oracle import oracle_parse, random_grammar
+from trx import (ANY, Action, Choice, Drop, DuplicateRule, EmptyLiteral,
+                 Grammar, InvalidRange, Literal, MemoTable, NonTerminal, Not,
+                 Optional, PegSyntaxError, Seq, Star, Terminal,
+                 UndefinedNonterminal, UnknownStart, build_grammar,
+                 builtin_meta_grammar, check_well_formed, dump_grammar,
+                 load_grammar, parse, parse_to_tree, tree_wrap)
+from trx.meta import LEAF, line_col, node_action
+from trx.oracle import EXHAUSTED, all_inputs, oracle_parse, random_grammar
 
 from conftest import certified, grammar_text
 
@@ -235,3 +236,100 @@ def test_meta_grammar_itself_matches_oracle():
         expected = oracle_parse(builtin, text, fuel=2_000_000)
         got = parse(builtin, cert, text)
         assert got == expected and got.steps == expected.steps, text
+
+
+def _agrees_with_oracle_in_both_modes(g, cert, s):
+    """Full outcomes, value trees included, of both modes against the
+    oracle; returns the packrat memo table."""
+    expected = oracle_parse(g, s, fuel=100_000)
+    assert expected is not EXHAUSTED, s
+    memo = MemoTable()
+    for mode in ("plain", "packrat"):
+        got = parse(g, cert, s, mode=mode, memo=memo)
+        assert got == expected and got.steps == expected.steps, (mode, s)
+    return memo
+
+
+def test_tree_mode_backtracking_matches_oracle_on_random_grammars():
+    # A tree-shaped grammar's parse builds its nodes from one list of
+    # children, which backtracking truncates; the oracle runs the real
+    # collector actions on the value spines.  Random grammars use every
+    # core constructor and ~ (the only action random_grammar draws).
+    # The same rules in a grammar not marked tree-shaped run the
+    # collector actions in the VM's value mode.
+    rng = random.Random(5)
+    inputs = all_inputs("ab", 4)
+    certified_grammars = 0
+    nodes_with_children = 0
+    while certified_grammars < 400:
+        g = tree_wrap(random_grammar(rng, "ab", rng.randrange(1, 4),
+                                     body_size=rng.randrange(2, 8)))
+        report = check_well_formed(g)
+        if not report.is_well_formed:
+            continue
+        certified_grammars += 1
+        plain = Grammar(dict(g.productions), g.start)
+        plain_cert = check_well_formed(plain).certificate
+        for s in inputs:
+            _agrees_with_oracle_in_both_modes(g, report.certificate, s)
+            _agrees_with_oracle_in_both_modes(plain, plain_cert, s)
+            out = parse(g, report.certificate, s)
+            if out.ok and out.value.children:
+                nodes_with_children += 1
+    assert nodes_with_children > 100
+
+
+@pytest.mark.parametrize("text, inputs", [
+    # A failed first alternative that already produced a node.
+    ("A <- B 'x' / B ;\nB <- 'b' ;", [b"b", b"bx", b"c"]),
+    # A repetition whose last iteration fails after a node.
+    ("A <- (B 'x')* B ;\nB <- 'b' ;", [b"b", b"bxb", b"bxbxb", b"bx"]),
+    # Negation and drop of a rule, and the and-predicate.
+    ("A <- !(B 'x') B ~B &B B ;\nB <- 'b' ;", [b"bbbb", b"bbb", b"bxbb"]),
+    ("A <- !B 'a' / ~B 'c' / B ;\nB <- 'b' ;", [b"a", b"bc", b"b", b"c"]),
+    # Value-shaping actions under ~ and ! are not run in tree mode.
+    ("A <- ~('a'+ 'b'?) !('c'+ / 'd'?) [a-z]* ;",
+     [b"a", b"abz", b"aac", b"ab", b"ac", b"b"]),
+])
+def test_tree_mode_truncation_points_match_oracle(text, inputs):
+    g = load_grammar(text)
+    cert = check_well_formed(g).certificate
+    for s in inputs:
+        _agrees_with_oracle_in_both_modes(g, cert, s)
+
+
+def test_tree_mode_memo_hit_appends_the_stored_node():
+    g = load_grammar("A <- B 'x' / B 'y' / C ;\nB <- C 'b' ;\nC <- 'c'+ ;")
+    cert = check_well_formed(g).certificate
+    for s in (b"ccby", b"cby", b"cc", b"ccbz"):
+        memo = _agrees_with_oracle_in_both_modes(g, cert, s)
+        assert memo.hits > 0, s
+    out = parse(g, cert, b"ccby", mode="packrat")
+    assert [c.rule for c in out.value.children] == ["B", ""]
+    assert [c.rule for c in out.value.children[0].children] == ["C", ""]
+
+
+def test_tree_mode_leaf_action_over_a_sequence():
+    # tree_wrap puts leaves on single bytes only; a hand-built leaf over
+    # a longer match spans all of it and discards what is inside.
+    g = Grammar({"A": Action(Seq(Action(Seq(NonTerminal("B"), ANY), LEAF),
+                                 NonTerminal("B")), node_action("A")),
+                 "B": Action(Terminal("b"), node_action("B"))},
+                "A", tree_shaped=True)
+    cert = check_well_formed(g).certificate
+    for s in (b"bxb", b"bx", b"b"):
+        _agrees_with_oracle_in_both_modes(g, cert, s)
+    out = parse(g, cert, b"bxb")
+    assert [(c.rule, c.start, c.end) for c in out.value.children] == [
+        ("", 0, 2), ("B", 2, 3)]
+
+
+def test_tree_shaped_grammar_wraps_every_rule():
+    with pytest.raises(ValueError):
+        Grammar({"A": Terminal("a")}, "A", tree_shaped=True)
+    with pytest.raises(ValueError):
+        Grammar({"A": Action(Terminal("a"), node_action("B"))}, "A",
+                tree_shaped=True)
+    with pytest.raises(ValueError):
+        Grammar({"": Action(Terminal("a"), node_action(""))}, "",
+                tree_shaped=True)
