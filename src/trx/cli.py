@@ -2,7 +2,8 @@
 
 Exit codes are stable: 0 success, 1 reject or not-well-formed verdict,
 2 usage and I/O problems (including grammar syntax errors, which leave
-no verdict to report), 3 refusal to parse with an uncertified grammar.
+no verdict to report, and an accepted input whose tree is too deep to
+render), 3 refusal to parse with an uncertified grammar.
 
 Tree JSON schema: nodes are {"rule", "start", "end", "children"},
 leaves {"text", "start", "end"}; offsets are byte offsets into the
@@ -152,11 +153,16 @@ def cmd_parse(args) -> int:
         print(json.dumps({"ok": True, "consumed": out.pos,
                           "total": len(data)}))
         return EXIT_OK
-    doc = tree_to_json(out.value, data)
-    if args.json:
-        print(json.dumps(doc))
-    else:
-        _print_tree(doc)
+    try:
+        doc = tree_to_json(out.value, data)
+        if args.json:
+            print(json.dumps(doc))
+        else:
+            _print_tree(doc)
+    except RecursionError:
+        _err("input accepted, but its tree is too deep to render "
+             "(Python recursion limit)")
+        return EXIT_USAGE
     if args.mode == "packrat":
         print("memo: %r" % (memo_stats(memo),), file=sys.stderr)
     return EXIT_OK

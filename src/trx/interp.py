@@ -41,6 +41,9 @@ grammars only under ``!`` or ``~``, so the VM does not run them.  The
 oracle runs the real collector actions, so the differential suites
 check this path.  Opcodes choose the mode at compile time; a
 value-mode program tests for it only on a leaf value or a memo hit.
+Nodes are built as flat tuples in one call (see trx.values.TreeNode),
+and parse() runs a tree-mode program with the cyclic garbage
+collector suspended.
 
 Certification compiles the program once and the Certificate carries
 it, so parse() runs exactly the grammar that was certified.
@@ -48,6 +51,7 @@ it, so parse() runs exactly the grammar that was certified.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 
 from .exprs import (NODE_PREFIX as _NODE_PREFIX, Action, AnyChar, Choice,
@@ -439,6 +443,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
     memo_entries = memo.entries if memo is not None else None
     # Tree mode: the rule nodes and leaf spans made so far, in order.
     kids = [] if prog.tree else None
+    new_tuple = tuple.__new__
 
     stack = []
     push = stack.append
@@ -646,7 +651,8 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
             elif st == 13:                   # a rule's node
                 if ok:
                     m = f[3]
-                    children = []
+                    # The node's own fields, then its children.
+                    children = [extra[f[1]], f[2], rpos]
                     start = end = -1         # the leaf run being coalesced
                     for x in kids[m:]:
                         if type(x) is tuple:
@@ -654,17 +660,19 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                                 end = x[1]
                                 continue
                             if start >= 0:
-                                children.append(TreeNode("", start, end, ()))
+                                children.append(
+                                    new_tuple(TreeNode, ("", start, end)))
                             start, end = x
                         else:
                             if start >= 0:
-                                children.append(TreeNode("", start, end, ()))
+                                children.append(
+                                    new_tuple(TreeNode, ("", start, end)))
                                 start = end = -1
                             children.append(x)
                     if start >= 0:
-                        children.append(TreeNode("", start, end, ()))
+                        children.append(new_tuple(TreeNode, ("", start, end)))
                     del kids[m:]
-                    val = TreeNode(extra[f[1]], f[2], rpos, tuple(children))
+                    val = new_tuple(TreeNode, children)
                     kids.append(val)
                 steps += 1
                 pop()
@@ -752,6 +760,15 @@ def parse(g: Grammar, cert: Certificate, data, mode: str = "plain",
     identical outcomes, steps included.  Passing a fresh MemoTable in
     ``memo`` exposes the packrat statistics to the caller (in plain mode
     it stays empty).
+
+    A tree-mode parse (a grammar loaded from .peg text or built by
+    tree_wrap) runs with the cyclic garbage collector suspended: it
+    runs no user code and makes no reference cycles, so the
+    collector's passes over the growing tree would free nothing, and
+    their cost grows faster than the input.  The caller's collector
+    state is restored afterwards, also when the parse raises.  A
+    value-mode parse keeps the collector, since embedded actions may
+    build cycles.
     """
     if not isinstance(cert, Certificate) or cert.grammar is not g:
         raise CertificateMismatch()
@@ -766,7 +783,17 @@ def parse(g: Grammar, cert: Certificate, data, mode: str = "plain",
     else:
         raise ValueError("mode must be 'plain' or 'packrat', got %r" % mode)
     prog = cert.program
-    ok, rpos, val, steps, far = _run(prog, data, prog.start, 0, active)
+    if prog.tree:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ok, rpos, val, steps, far = _run(prog, data, prog.start, 0,
+                                             active)
+        finally:
+            if enabled:
+                gc.enable()
+    else:
+        ok, rpos, val, steps, far = _run(prog, data, prog.start, 0, active)
     steps += 1  # the start nonterminal's own rule application
     if ok and not 0 <= rpos <= len(data):
         raise InvariantViolation("result position out of bounds")

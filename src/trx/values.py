@@ -4,12 +4,16 @@ Sequences produce pairs, repetitions produce lists, predicates and the
 empty expression produce the unit value, and actions may map any of
 these to an arbitrary user payload.  Parse trees built by the textual
 grammar loader are ``TreeNode`` values; a node whose rule name is empty
-is a leaf covering the bytes of its span.
+is a leaf covering the bytes of its span.  A ``TreeNode`` is one flat
+tuple whose positional layout is not API: read it through its named
+fields, and note that ``children`` builds a fresh tuple on each access.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any
 
 
@@ -79,23 +83,52 @@ class Opt(Value):
         return "Opt(%r)" % (self.item,)
 
 
-@dataclass(frozen=True, slots=True)
-class TreeNode(Value):
-    """Parse-tree node; ``rule == ""`` marks a leaf with no children."""
+class TreeNode(tuple, Value):
+    """Parse-tree node; ``rule == ""`` marks a leaf with no children.
 
-    rule: str
-    start: int
-    end: int
-    children: tuple
+    A node is one flat tuple, so that a parse can build hundreds of
+    thousands of them cheaply; its positional layout is not API.  Read
+    it through ``rule``, ``start``, ``end`` and ``children``; the last
+    builds a fresh tuple on each access.  Nodes compare and hash by
+    their fields, and a node never equals a plain tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rule: str, start: int, end: int, children: tuple):
+        return tuple.__new__(cls, (rule, start, end, *children))
+
+    rule = property(itemgetter(0))
+    start = property(itemgetter(1))
+    end = property(itemgetter(2))
+
+    @property
+    def children(self) -> tuple:
+        return self[3:]
+
+    def __getnewargs__(self):
+        return self[0], self[1], self[2], self[3:]
+
+    def __eq__(self, other):
+        if type(other) is TreeNode:
+            return tuple.__eq__(self, other)
+        # A plain tuple's own comparison would accept a node.
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    __hash__ = tuple.__hash__
 
     def is_leaf(self):
-        return self.rule == ""
+        return self[0] == ""
 
     def __repr__(self):
         if self.is_leaf():
             return "Leaf[%d:%d]" % (self.start, self.end)
         return "TreeNode(%s[%d:%d], %d children)" % (
-            self.rule, self.start, self.end, len(self.children))
+            self.rule, self.start, self.end, len(self) - 3)
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,17 +158,30 @@ def tree_to_json(node: TreeNode, data: bytes):
     Nodes become ``{"rule", "start", "end", "children"}``; leaves become
     ``{"text", "start", "end"}`` with text sliced from the input bytes
     (decoded as UTF-8, byte offsets kept even when a span splits a
-    multi-byte character).
+    multi-byte character).  The cyclic garbage collector is suspended
+    while the dicts are built, since they form no cycles, and the
+    caller's collector state is restored afterwards.
     """
-    if node.is_leaf():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _to_json(node, data)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _to_json(node: TreeNode, data: bytes):
+    rule, start, end = node[:3]
+    if not rule:
         return {
-            "text": data[node.start:node.end].decode("utf-8", "replace"),
-            "start": node.start,
-            "end": node.end,
+            "text": data[start:end].decode("utf-8", "replace"),
+            "start": start,
+            "end": end,
         }
     return {
-        "rule": node.rule,
-        "start": node.start,
-        "end": node.end,
-        "children": [tree_to_json(c, data) for c in node.children],
+        "rule": rule,
+        "start": start,
+        "end": end,
+        "children": [_to_json(c, data) for c in node[3:]],
     }

@@ -96,6 +96,21 @@ def test_parse_tree_json(capsys, tmp_path):
     assert doc == golden
 
 
+def test_parse_tree_too_deep_to_render(capsys, tmp_path):
+    # Accepted, but rendering recurses once per level: a usage-class
+    # error (exit 2) with one line, not a traceback or exit 1 (reject).
+    depth = 300
+    inp = tmp_path / "deep.xml"
+    inp.write_bytes(b"<doc>" + b"<e>" * depth + b"x" + b"</e>" * depth
+                    + b"</doc>")
+    for flags in ((), ("--json",)):
+        code, out, err = run(capsys, "parse", grammar_path("xml-lite.peg"),
+                             str(inp), *flags)
+        assert code == 2
+        assert out == ""
+        assert "too deep to render" in err and len(err.splitlines()) == 1
+
+
 def test_parse_reject_reports_position(capsys, tmp_path):
     inp = tmp_path / "inp.xml"
     inp.write_bytes(b"<a></b>")

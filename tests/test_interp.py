@@ -1,16 +1,22 @@
 """Interpreter semantics: exact step counts, modes, memoization, safety."""
 
+import copy
+import gc
+import json
 import os
+import pickle
 import random
+from contextlib import contextmanager
 
 import pytest
 
 import trx.interp
-from trx import (AnyChar, CertificateMismatch, Choice, EMPTY,
-                 InvariantViolation, MemoTable, NonTerminal, Not, Range, Seq,
-                 Star, Terminal, User, build_grammar, certify,
+import trx.values
+from trx import (Action, ActionRef, AnyChar, CertificateMismatch, Choice,
+                 EMPTY, InvariantViolation, MemoTable, NonTerminal, Not, Range,
+                 Seq, Star, Terminal, TreeNode, User, build_grammar, certify,
                  check_well_formed, eval_expr, expr_text, expression_set,
-                 memo_stats, parse, parse_to_tree)
+                 memo_stats, parse, parse_to_tree, tree_to_json)
 from trx.interp import _compile, _run
 from trx.mathdemo import evaluate, math_grammar
 from trx.oracle import EXHAUSTED, oracle_eval, oracle_parse
@@ -260,3 +266,142 @@ def test_every_byte_agrees_with_oracle(name):
             assert got == (want.ok, want.pos, want.steps), (expr_text(e), data)
             if exact and ok:
                 assert val == want.value, (expr_text(e), data)
+
+
+def _tree_nodes(node):
+    """Every node of a tree, iteratively."""
+    todo, seen = [node], []
+    while todo:
+        n = todo.pop()
+        seen.append(n)
+        todo.extend(n.children)
+    return seen
+
+
+def test_tree_node_contract():
+    leaf, last = TreeNode("", 0, 1, ()), TreeNode("", 1, 3, ())
+    node = TreeNode("r", 0, 3, (leaf, last))
+    same = TreeNode("r", 0, 3,
+                    (TreeNode("", 0, 1, ()), TreeNode("", 1, 3, ())))
+    assert node == same and not node != same and hash(node) == hash(same)
+    assert (node.rule, node.start, node.end) == ("r", 0, 3)
+    for changed in (TreeNode("s", 0, 3, (leaf, last)),
+                    TreeNode("r", 1, 3, (leaf, last)),
+                    TreeNode("r", 0, 4, (leaf, last)),
+                    TreeNode("r", 0, 3, (leaf, TreeNode("", 1, 2, ()))),
+                    TreeNode("r", 0, 3, (leaf,))):
+        assert changed != node and not changed == node
+        assert node != changed and not node == changed
+    for plain in (tuple(node), tuple(leaf)):
+        other = node if len(plain) > 3 else leaf
+        assert other != plain and plain != other
+        assert not other == plain and not plain == other
+    assert node != ("r", 0, 3, (leaf, last)) and node != "r"
+    for name in ("rule", "start", "end", "children", "other"):
+        with pytest.raises(AttributeError):
+            setattr(node, name, 0)
+    assert type(node.children) is tuple and node.children == (leaf, last)
+    assert leaf.children == () and leaf.is_leaf() and not node.is_leaf()
+    for twin in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node),
+                 copy.copy(node)):
+        assert type(twin) is TreeNode and twin == node
+        assert all(type(c) is TreeNode for c in twin.children)
+    assert repr(leaf) == "Leaf[0:1]"
+    assert repr(node) == "TreeNode(r[0:3], 2 children)"
+
+
+def test_parsed_tree_matches_oracle_on_golden_xml(xml_lite):
+    g, cert = xml_lite
+    data = b"<a><b/></a>"
+    golden = os.path.join(os.path.dirname(__file__), "golden",
+                          "xml_lite_tree.json")
+    for mode in ("plain", "packrat"):
+        out = parse(g, cert, data, mode=mode)
+        want = oracle_parse(g, data, fuel=100_000)
+        assert out.ok and want.ok and out.value == want.value
+        assert hash(out.value) == hash(want.value)
+        assert out.steps == want.steps
+        for n in _tree_nodes(out.value):
+            assert type(n) is TreeNode and type(n.children) is tuple
+        assert tree_to_json(out.value, data) == json.load(open(golden))
+
+
+@contextmanager
+def _collector(enabled):
+    """Run the body with the cyclic collector on or off, then restore."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_tree_parse_suspends_and_restores_collector(xml_lite, monkeypatch,
+                                                    enabled):
+    g, cert = xml_lite
+    data = b"<a><b/>t</a>"
+    seen = []
+    real_run = trx.interp._run
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return real_run(*args)
+
+    def boom(*args):
+        raise MemoryError("injected")
+
+    with _collector(enabled):
+        monkeypatch.setattr(trx.interp, "_run", spy)
+        for mode in ("plain", "packrat"):
+            assert parse(g, cert, data, mode=mode).ok
+            assert gc.isenabled() is enabled
+        assert seen == [False, False]
+        monkeypatch.setattr(trx.interp, "_run", boom)
+        with pytest.raises(MemoryError):
+            parse(g, cert, data)
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_tree_to_json_suspends_and_restores_collector(xml_lite, monkeypatch,
+                                                      enabled):
+    g, cert = xml_lite
+    data = b"<a><b/>t</a>"
+    tree = parse(g, cert, data).value
+    seen = []
+    real = trx.values._to_json
+
+    def spy(node, text):
+        seen.append(gc.isenabled())
+        return real(node, text)
+
+    def boom(node, text):
+        raise RecursionError("injected")
+
+    with _collector(enabled):
+        monkeypatch.setattr(trx.values, "_to_json", spy)
+        doc = tree_to_json(tree, data)
+        assert gc.isenabled() is enabled and seen[0] is False
+        monkeypatch.setattr(trx.values, "_to_json", boom)
+        with pytest.raises(RecursionError):
+            tree_to_json(tree, data)
+        assert gc.isenabled() is enabled
+    assert doc["rule"] == "element"
+
+
+def test_value_mode_actions_run_with_collector():
+    seen = []
+
+    def record(v):
+        seen.append(gc.isenabled())
+        return v
+
+    g = build_grammar([("S", Action(Terminal("a"), ActionRef("rec", record)))],
+                      "S")
+    cert = certify(g)
+    with _collector(True):
+        for mode in ("plain", "packrat"):
+            assert parse(g, cert, b"a", mode=mode).ok
+    assert seen == [True, True]
