@@ -51,13 +51,14 @@ it, so parse() runs exactly the grammar that was certified.
 
 from __future__ import annotations
 
-import gc
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from .exprs import (NODE_PREFIX as _NODE_PREFIX, Action, AnyChar, Choice,
                     Empty, Expr, Grammar, NonTerminal, Not, Range, Seq, Star,
                     Terminal, terminal_chain)
-from .values import CHAR, Char, Lst, Str, TreeNode, Tup, UNIT, Value
+from .values import (CHAR, Char, Lst, Str, TreeNode, Tup, UNIT, Value,
+                     gc_suspended)
 
 
 class InvariantViolation(AssertionError):
@@ -766,9 +767,10 @@ def parse(g: Grammar, cert: Certificate, data, mode: str = "plain",
     runs no user code and makes no reference cycles, so the
     collector's passes over the growing tree would free nothing, and
     their cost grows faster than the input.  The caller's collector
-    state is restored afterwards, also when the parse raises.  A
-    value-mode parse keeps the collector, since embedded actions may
-    build cycles.
+    state is restored afterwards, also when the parse raises; while
+    parses in several threads overlap, it stays suspended until the
+    last of them ends (see ``values.gc_suspended``).  A value-mode parse
+    keeps the collector, since embedded actions may build cycles.
     """
     if not isinstance(cert, Certificate) or cert.grammar is not g:
         raise CertificateMismatch()
@@ -783,16 +785,7 @@ def parse(g: Grammar, cert: Certificate, data, mode: str = "plain",
     else:
         raise ValueError("mode must be 'plain' or 'packrat', got %r" % mode)
     prog = cert.program
-    if prog.tree:
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            ok, rpos, val, steps, far = _run(prog, data, prog.start, 0,
-                                             active)
-        finally:
-            if enabled:
-                gc.enable()
-    else:
+    with gc_suspended() if prog.tree else nullcontext():
         ok, rpos, val, steps, far = _run(prog, data, prog.start, 0, active)
     steps += 1  # the start nonterminal's own rule application
     if ok and not 0 <= rpos <= len(data):

@@ -12,6 +12,8 @@ fields, and note that ``children`` builds a fresh tuple on each access.
 from __future__ import annotations
 
 import gc
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any
@@ -90,7 +92,10 @@ class TreeNode(tuple, Value):
     thousands of them cheaply; its positional layout is not API.  Read
     it through ``rule``, ``start``, ``end`` and ``children``; the last
     builds a fresh tuple on each access.  Nodes compare and hash by
-    their fields, and a node never equals a plain tuple.
+    their fields, and a node never equals a plain tuple.  Nodes are not
+    ordered: ``<`` and its kin raise ``TypeError``.  Other tuple
+    operations (``len``, iteration, ``in``, ``+``, indexing) work but
+    see the layout, and are not part of the interface.
     """
 
     __slots__ = ()
@@ -121,6 +126,15 @@ class TreeNode(tuple, Value):
 
     __hash__ = tuple.__hash__
 
+    def _unordered(self, other):
+        # NotImplemented would let tuple's reflected comparison order a
+        # node against a plain tuple, field by field.
+        if isinstance(other, tuple):
+            raise TypeError("TreeNode values are not ordered")
+        return NotImplemented
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
     def is_leaf(self):
         return self[0] == ""
 
@@ -129,6 +143,35 @@ class TreeNode(tuple, Value):
             return "Leaf[%d:%d]" % (self.start, self.end)
         return "TreeNode(%s[%d:%d], %d children)" % (
             self.rule, self.start, self.end, len(self) - 3)
+
+
+_gc_lock = threading.Lock()
+_gc_depth = 0
+_gc_was_enabled = False
+
+
+@contextmanager
+def gc_suspended():
+    """Suspend Python's cyclic garbage collector for the ``with`` body.
+
+    Only for code that runs no user code and makes no reference cycles,
+    such as building a parse tree.  Suspensions may overlap across
+    threads: the first one in records whether the collector was on and
+    disables it, and the last one out re-enables it only if it was on.
+    """
+    global _gc_depth, _gc_was_enabled
+    with _gc_lock:
+        if _gc_depth == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_depth += 1
+    try:
+        yield
+    finally:
+        with _gc_lock:
+            _gc_depth -= 1
+            if _gc_depth == 0 and _gc_was_enabled:
+                gc.enable()
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,13 +205,8 @@ def tree_to_json(node: TreeNode, data: bytes):
     while the dicts are built, since they form no cycles, and the
     caller's collector state is restored afterwards.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with gc_suspended():
         return _to_json(node, data)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _to_json(node: TreeNode, data: bytes):

@@ -6,6 +6,8 @@ import json
 import os
 import pickle
 import random
+import sys
+import threading
 from contextlib import contextmanager
 
 import pytest
@@ -20,7 +22,7 @@ from trx import (Action, ActionRef, AnyChar, CertificateMismatch, Choice,
 from trx.interp import _compile, _run
 from trx.mathdemo import evaluate, math_grammar
 from trx.oracle import EXHAUSTED, oracle_eval, oracle_parse
-from trx.values import Char, Lst, Tup, UNIT
+from trx.values import Char, Lst, Tup, UNIT, gc_suspended
 
 from conftest import GRAMMAR_DIR, certified
 
@@ -219,8 +221,6 @@ def test_random_certified_cases_agree_across_modes():
 
 
 def test_concurrent_parses_share_one_grammar(xml_lite):
-    import threading
-
     g, cert = xml_lite
     inputs = [b"<a><b/></a>", b'<a x="1">t</a>', b"<a></b>", b"<a>hi<c/></a>"]
     expected = [parse(g, cert, s) for s in inputs]
@@ -308,6 +308,14 @@ def test_tree_node_contract():
         assert all(type(c) is TreeNode for c in twin.children)
     assert repr(leaf) == "Leaf[0:1]"
     assert repr(node) == "TreeNode(r[0:3], 2 children)"
+    for a, b in ((node, same), (leaf, last), (node, tuple(node)),
+                 (tuple(node), node), (node, 1)):
+        for compare in (lambda: a < b, lambda: a <= b, lambda: a > b,
+                        lambda: a >= b):
+            with pytest.raises(TypeError):
+                compare()
+    with pytest.raises(TypeError):
+        sorted([node, leaf])
 
 
 def test_parsed_tree_matches_oracle_on_golden_xml(xml_lite):
@@ -389,6 +397,50 @@ def test_tree_to_json_suspends_and_restores_collector(xml_lite, monkeypatch,
             tree_to_json(tree, data)
         assert gc.isenabled() is enabled
     assert doc["rule"] == "element"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_overlapping_suspensions_restore_collector_once(enabled):
+    # Two suspensions that end out of order, as two threads' would.
+    with _collector(enabled):
+        first, second = gc_suspended(), gc_suspended()
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert not gc.isenabled()
+        second.__exit__(None, None, None)
+        assert gc.isenabled() is enabled
+
+
+def test_threads_mixing_parse_and_json_restore_collector(xml_lite):
+    g, cert = xml_lite
+    data = b'<a x="1"><b/>t<c/></a>'
+    want = tree_to_json(parse(g, cert, data).value, data)
+    errors = []
+
+    def worker(slot):
+        try:
+            for i in range(200):
+                out = parse(g, cert, data,
+                            mode="packrat" if (slot + i) % 2 else "plain")
+                assert tree_to_json(out.value, data) == want
+        except BaseException as exc:  # reported after the join
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _collector(True):
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert gc.isenabled()
+    finally:
+        sys.setswitchinterval(switch)
+    assert errors == []
 
 
 def test_value_mode_actions_run_with_collector():
