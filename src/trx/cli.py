@@ -248,7 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="parse input with a certified grammar")
     p.add_argument("grammar")
     p.add_argument("input", help="input file, or - for stdin")
-    p.add_argument("--mode", choices=("plain", "packrat"), default="plain")
+    p.add_argument("--mode", choices=("plain", "packrat"), default="packrat",
+                   help="packrat (the default) memoises the rules the "
+                        "parse re-enters; plain memoises nothing and can "
+                        "take exponential time; both give the same "
+                        "outcome")
     p.add_argument("--json", action="store_true")
     p.add_argument("--prefix", action="store_true",
                    help="accept a prefix match instead of the whole input")
@@ -262,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen", default="xmark-lite",
                    help="'xmark-lite' or a directory of corpus files")
     p.add_argument("--sizes", default="1M,2M,4M")
-    p.add_argument("--mode", choices=("plain", "packrat"), default="plain")
+    p.add_argument("--mode", choices=("plain", "packrat"), default="packrat",
+                   help="interpretation mode (default packrat)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--json", action="store_true")

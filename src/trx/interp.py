@@ -4,8 +4,20 @@ Every outcome carries the exact step index of its derivation: leaves
 cost one step, and each composite rule adds one to the sum of its
 sub-derivations (sequences and failing choices run both parts, a
 succeeding choice only the first).  Plain and packrat modes return
-byte-identical outcomes, steps included; packrat memoizes nonterminal
-outcomes keyed by (production, position).
+byte-identical outcomes, steps included.
+
+Packrat mode memoises the outcomes of rule applications, keyed by
+(production, position), but only of the rules a parse can call again
+at a position.  Two parts decide which.  The static seed set, computed
+on a program's first packrat parse, holds every rule that both
+alternatives of one choice can call at the choice's own position; it
+is memoised from the start.  Every other rule carries a per-parse
+watermark, the highest position it has been called at: a call at or
+below it may be a re-entry, so from that call on the rule is
+memoised.  So no rule body runs more than twice at one position, and
+packrat stays linear within a factor of two also on re-entries no
+choice shows, while a grammar that never re-enters a rule (xml-lite)
+makes no memo entries at all.
 
 Evaluation runs on an explicit heap-allocated frame stack, so input
 nesting depth is bounded by memory, not the Python recursion limit;
@@ -51,6 +63,7 @@ it, so parse() runs exactly the grammar that was certified.
 
 from __future__ import annotations
 
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -123,10 +136,14 @@ class ParseOutcome:
 
 
 class MemoTable:
-    """Per-parse memo of nonterminal body outcomes keyed by (production, pos).
+    """Per-parse memo of nonterminal body outcomes.
 
-    Entries are written once and never contradicted; hits + misses is
-    the number of memoized nonterminal evaluations.
+    An entry's key encodes (production, position) as one int, position
+    times the number of productions plus the production index, which
+    hashes and compares faster than a tuple.  Only memoised calls (see
+    the module docstring) look it up: hits + misses is their number,
+    and each miss writes one entry, so entries equals misses.  Entries
+    are written once and never contradicted.
     """
 
     __slots__ = ("entries", "hits", "misses")
@@ -162,10 +179,13 @@ class _Program:
     ``extra`` holds a superinstruction's descriptor, a value-mode action
     node's ActionRef, a tree node's rule name, or whether a tree-mode
     action is a leaf.  ``tree`` is set when the program was compiled
-    from a tree-shaped grammar.
+    from a tree-shaped grammar.  ``marks`` holds the watermarks a
+    packrat parse starts from (see _initial_marks); it is computed on
+    the program's first packrat parse.
     """
 
-    __slots__ = ("kind", "a", "b", "extra", "prod_body", "start", "tree")
+    __slots__ = ("kind", "a", "b", "extra", "prod_body", "start", "tree",
+                 "marks")
 
     def __init__(self):
         self.kind = []
@@ -175,6 +195,7 @@ class _Program:
         self.prod_body = []
         self.start = -1
         self.tree = False
+        self.marks = None
 
 
 # --- Superinstruction descriptors --------------------------------------
@@ -429,6 +450,60 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
     return prog, root_ids
 
 
+# A watermark above every position: the rule is memoised at every call.
+_ALWAYS = sys.maxsize
+
+
+def _initial_marks(prog: _Program) -> list:
+    """Per-rule watermarks a packrat parse starts from: _ALWAYS for the
+    rules of the static seed set, -1 for the others.
+
+    The seed set holds every rule that both alternatives of one choice
+    can call at the choice's own position, so that the second
+    alternative may call it where the first already did.  A rule leads
+    an expression through nullable prefixes, negations, repetitions,
+    actions and the bodies of leading rules.  Both properties are least
+    fixpoints over the rules; rule sets are bit masks over production
+    indices, and a node's children have lower indices than the node.
+    """
+    kind, aa, bb, body = prog.kind, prog.a, prog.b, prog.prod_body
+    null = [False] * len(kind)      # can succeed without consuming
+    lead = [0] * len(kind)          # rules called at the node's position
+    rule_null = [False] * len(body)
+    rule_lead = [1 << p for p in range(len(body))]
+    while True:
+        for i, k in enumerate(kind):
+            if k == _K_NT:
+                null[i] = rule_null[aa[i]]
+                lead[i] = rule_lead[aa[i]]
+            elif k == _K_SEQ or k == _K_TSEQ:
+                x, y = aa[i], bb[i]
+                null[i] = null[x] and null[y]
+                lead[i] = lead[x] | lead[y] if null[x] else lead[x]
+            elif k == _K_CHOICE or k == _K_TCHOICE:
+                x, y = aa[i], bb[i]
+                null[i] = null[x] or null[y]
+                lead[i] = lead[x] | lead[y]
+            elif k < _K_EMPTY:
+                # Repetitions and negations; actions pass both through.
+                null[i] = (k != _K_ACT and k != _K_TACT and k != _K_NODE
+                           or null[aa[i]])
+                lead[i] = lead[aa[i]]
+            else:
+                # Of the superinstructions, only these always consume.
+                null[i] = k != _K_MATCH1 and k != _K_LIT
+        now_null = [null[b] for b in body]
+        now_lead = [1 << p | lead[b] for p, b in enumerate(body)]
+        if now_null == rule_null and now_lead == rule_lead:
+            break
+        rule_null, rule_lead = now_null, now_lead
+    seed = 0
+    for i, k in enumerate(kind):
+        if k == _K_CHOICE or k == _K_TCHOICE:
+            seed |= lead[aa[i]] & lead[bb[i]]
+    return [_ALWAYS if seed >> p & 1 else -1 for p in range(len(body))]
+
+
 def _run(prog: _Program, data: bytes, root: int, pos0: int,
          memo: MemoTable | None):
     """Evaluate node ``root`` at ``pos0``; returns (ok, pos, value, steps,
@@ -441,7 +516,19 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
     n = len(data)
     farthest = -1
 
-    memo_entries = memo.entries if memo is not None else None
+    if memo is not None:
+        memo_entries = memo.entries
+        marks = prog.marks
+        if marks is None:
+            # Parses that overlap here compute equal lists.
+            marks = prog.marks = _initial_marks(prog)
+        # Per rule, the highest position it has been called at in this
+        # parse, or _ALWAYS once it is memoised.
+        mark = marks[:]
+        hits = misses = 0            # added to ``memo`` when the run ends
+        n_prods = len(prod_body)
+    else:
+        memo_entries = None
     # Tree mode: the rule nodes and leaf spans made so far, in order.
     kids = [] if prog.tree else None
     new_tuple = tuple.__new__
@@ -476,16 +563,26 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
             if k == _K_NT:
                 p = aa[cur]
                 if memo_entries is not None:
-                    hit = memo_entries.get((p, cpos))
-                    if hit is not None:
-                        memo.hits += 1
-                        ok, rpos, val, steps = hit
-                        steps += 1
-                        if ok and kids is not None:
-                            kids.append(val)
-                        break
-                    memo.misses += 1
-                push([0, p, cpos])
+                    if cpos > mark[p]:
+                        mark[p] = cpos
+                    else:
+                        key = cpos * n_prods + p
+                        hit = memo_entries.get(key)
+                        if hit is not None:
+                            hits += 1
+                            ok, rpos, val, steps = hit
+                            steps += 1
+                            if ok and kids is not None:
+                                kids.append(val)
+                            break
+                        # Perhaps called here before: memoise from now
+                        # on.  (A hit means the rule is memoised already.)
+                        mark[p] = _ALWAYS
+                        misses += 1
+                        push([0, key, cpos])
+                        cur = prod_body[p]
+                        continue
+                push([0, None, cpos])
                 cur = prod_body[p]
                 continue
             if k == _K_MATCH1:
@@ -597,6 +694,9 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
         descend = False
         while True:
             if not stack:
+                if memo is not None:
+                    memo.hits += hits
+                    memo.misses += misses
                 return ok, rpos, val, steps, farthest
             f = stack[-1]
             st = f[0]
@@ -643,8 +743,9 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     val = Tup((f[4], val))
                 pop()
             elif st == 0:                    # NonTerminal return
-                if memo_entries is not None:
-                    memo_entries[(f[1], f[2])] = (ok, rpos, val, steps)
+                if memo_entries is not None and f[1] is not None:
+                    # A memo miss, and f[1] its key.
+                    memo_entries[f[1]] = (ok, rpos, val, steps)
                 steps += 1
                 if ok and (rpos < f[2] or rpos > n):
                     raise InvariantViolation("nonterminal moved backwards")
@@ -758,9 +859,12 @@ def parse(g: Grammar, cert: Certificate, data, mode: str = "plain",
 
     ``cert`` must have been issued for ``g``; that is what makes this
     entry point total.  ``mode`` is "plain" or "packrat"; both return
-    identical outcomes, steps included.  Passing a fresh MemoTable in
-    ``memo`` exposes the packrat statistics to the caller (in plain mode
-    it stays empty).
+    identical outcomes, steps included.  Packrat memoises only the rules
+    the parse can re-enter (the static seed set, and any rule from its
+    first call at or below its highest earlier position), so no rule
+    body runs more than twice at one position.  Passing a fresh
+    MemoTable in ``memo`` exposes the packrat statistics to the caller
+    (in plain mode it stays empty).
 
     A tree-mode parse (a grammar loaded from .peg text or built by
     tree_wrap) runs with the cyclic garbage collector suspended: it

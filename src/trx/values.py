@@ -91,11 +91,13 @@ class TreeNode(tuple, Value):
     A node is one flat tuple, so that a parse can build hundreds of
     thousands of them cheaply; its positional layout is not API.  Read
     it through ``rule``, ``start``, ``end`` and ``children``; the last
-    builds a fresh tuple on each access.  Nodes compare and hash by
-    their fields, and a node never equals a plain tuple.  Nodes are not
-    ordered: ``<`` and its kin raise ``TypeError``.  Other tuple
-    operations (``len``, iteration, ``in``, ``+``, indexing) work but
-    see the layout, and are not part of the interface.
+    builds a fresh tuple on each access.  Nodes compare by their
+    fields, children included, at any depth; a node hashes by its rule,
+    span and number of children only, and never equals a plain tuple.
+    Nodes are not ordered: ``<`` and its kin raise ``TypeError``.
+    Other tuple operations (``len``, iteration, ``in``, ``+``,
+    indexing) work but see the layout, and are not part of the
+    interface.
     """
 
     __slots__ = ()
@@ -115,16 +117,39 @@ class TreeNode(tuple, Value):
         return self[0], self[1], self[2], self[3:]
 
     def __eq__(self, other):
-        if type(other) is TreeNode:
-            return tuple.__eq__(self, other)
-        # A plain tuple's own comparison would accept a node.
-        return False if isinstance(other, tuple) else NotImplemented
+        if type(other) is not TreeNode:
+            # A plain tuple's own comparison would accept a node.
+            return False if isinstance(other, tuple) else NotImplemented
+        # Iterative, so that trees of any depth compare.  A node with no
+        # children holds only its fields, which tuple equality compares.
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if len(a) != len(b):
+                return False
+            for x, y in zip(a, b):
+                if x is y:
+                    continue
+                if type(x) is TreeNode:
+                    if type(y) is not TreeNode:
+                        return False
+                    if len(x) == 3:
+                        if not tuple.__eq__(x, y):
+                            return False
+                    else:
+                        todo.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
     def __ne__(self, other):
         eq = self.__eq__(other)
         return eq if eq is NotImplemented else not eq
 
-    __hash__ = tuple.__hash__
+    def __hash__(self):
+        # The node's own fields and child count, not its subtree: equal
+        # nodes still hash alike, and a deep tree hashes in O(1).
+        return hash((self[0], self[1], self[2], len(self)))
 
     def _unordered(self, other):
         # NotImplemented would let tuple's reflected comparison order a

@@ -206,13 +206,55 @@ def test_bench_corpus_dir_and_ratios(capsys, tmp_path):
     assert "ratioToPrevious" in rows[1]
 
 
-def test_bench_packrat_reports_memo(capsys):
+def test_bench_packrat_reports_memo(capsys, tmp_path):
+    # Nested expressions re-enter math.peg's rules, so the memo hits;
+    # no xml-lite rule is ever called twice at one position, so packrat
+    # memoises nothing there.
+    for depth in (2, 4, 6):
+        (tmp_path / ("d%d.txt" % depth)).write_bytes(
+            b"(" * depth + b"1 + 2*3" + b")" * depth + b" * 4")
+    code, out, _ = run(capsys, "bench", grammar_path("math.peg"),
+                       "--gen", str(tmp_path), "--reps", "1",
+                       "--mode", "packrat", "--json")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 3 and all(r["ok"] for r in rows)
+    assert all(r["memo"]["entries"] > 0 and r["memo"]["hits"] > 0
+               for r in rows)
+
     code, out, _ = run(capsys, "bench", grammar_path("xml-lite.peg"),
                        "--gen", "xmark-lite", "--sizes", "4K", "--reps", "1",
                        "--mode", "packrat", "--json")
     assert code == 0
-    rows = json.loads(out)
-    assert rows[0]["memo"]["entries"] > 0
+    memo = json.loads(out)[0]["memo"]
+    assert memo["entries"] == memo["hits"] == 0
+
+
+def test_parse_and_bench_default_to_packrat(capsys, monkeypatch, tmp_path):
+    import trx.bench
+    import trx.cli
+
+    seen = []
+    real_tree, real_parse = trx.cli.parse_to_tree, trx.bench.parse
+
+    def spy_tree(g, cert, data, mode="plain", memo=None):
+        seen.append(("parse", mode))
+        return real_tree(g, cert, data, mode=mode, memo=memo)
+
+    def spy_parse(g, cert, data, mode="plain", memo=None):
+        seen.append(("bench", mode))
+        return real_parse(g, cert, data, mode=mode, memo=memo)
+
+    monkeypatch.setattr(trx.cli, "parse_to_tree", spy_tree)
+    monkeypatch.setattr(trx.bench, "parse", spy_parse)
+    inp = tmp_path / "inp.txt"
+    inp.write_bytes(b"(1+2) * (3 * 4)")
+    code, _, err = run(capsys, "parse", grammar_path("math.peg"), str(inp))
+    assert code == 0 and "memo" in err
+    code, _, _ = run(capsys, "bench", grammar_path("math.peg"),
+                     "--gen", str(tmp_path), "--reps", "1")
+    assert code == 0
+    assert seen == [("parse", "packrat"), ("bench", "packrat")]
 
 
 def test_bench_refuses_uncertified(capsys, tmp_path):

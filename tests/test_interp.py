@@ -16,15 +16,16 @@ import trx.interp
 import trx.values
 from trx import (Action, ActionRef, AnyChar, CertificateMismatch, Choice,
                  EMPTY, InvariantViolation, MemoTable, NonTerminal, Not, Range,
-                 Seq, Star, Terminal, TreeNode, User, build_grammar, certify,
-                 check_well_formed, eval_expr, expr_text, expression_set,
-                 memo_stats, parse, parse_to_tree, tree_to_json)
-from trx.interp import _compile, _run
+                 Seq, Star, Terminal, TreeNode, User, build_grammar,
+                 builtin_meta_grammar, certify, check_well_formed, eval_expr,
+                 expr_text, expression_set, load_grammar, memo_stats, parse,
+                 parse_to_tree, tree_to_json)
+from trx.interp import _ALWAYS, _compile, _initial_marks, _run
 from trx.mathdemo import evaluate, math_grammar
 from trx.oracle import EXHAUSTED, oracle_eval, oracle_parse
 from trx.values import Char, Lst, Tup, UNIT, gc_suspended
 
-from conftest import GRAMMAR_DIR, certified
+from conftest import GRAMMAR_DIR, certified, grammar_text
 
 
 def test_terminal_step_counts():
@@ -168,6 +169,132 @@ def test_packrat_hits_on_backtracking_and_accounting_identity():
 
     plain = parse(g, cert, data, mode="plain")
     assert plain == out and plain.steps == out.steps
+
+
+def _seed_set(g, cert):
+    """The rules a packrat parse memoises from its start."""
+    marks = _initial_marks(cert.program)
+    return {name for name, m in zip(g.nonterminals, marks) if m == _ALWAYS}
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("math.peg", {"ws", "number", "term", "factor"}),
+    ("peg.peg", {"classchar", "escape"}),
+    ("xml-lite.peg", set()),
+    ("reserved.peg", set()),
+    ("dangling.peg", set()),
+    ("synth200.peg", set()),
+    ("math", {"ws", "number", "term", "factor"}),
+    ("meta", {"classchar", "escape"}),
+])
+def test_static_seed_sets(name, seed):
+    # A rule is seeded when both alternatives of one choice can call it
+    # at the choice's own position, e.g. math.peg's `ws` (a nullable
+    # prefix) under `term`, and `term` and what it leads with under
+    # `factor`.  No xml-lite choice has such a rule.
+    if name == "math":
+        g, cert = math_grammar()
+    elif name == "meta":
+        g, cert = builtin_meta_grammar()
+    else:
+        g, cert = certified(name)
+    assert _seed_set(g, cert) == seed
+
+
+def _memo_run(g, cert, data, plain=True):
+    """Packrat outcome and memo statistics, checked against plain mode
+    (unless ``plain`` is false) and the entries-equal-misses identity."""
+    memo = MemoTable()
+    out = parse(g, cert, data, mode="packrat", memo=memo)
+    if plain:
+        assert out == parse(g, cert, data, mode="plain")
+    stats = memo_stats(memo)
+    assert stats["entries"] == stats["misses"]
+    return out, stats
+
+
+def test_memo_hits_on_fixed_inputs():
+    # Full memoisation (every rule at every position) hits as often on
+    # math and on the meta-grammars: every re-entry there is of a seeded
+    # rule.  On the dangling-else chain the watermark memoises `elsepart`
+    # from its second call at the end of the input on, so the first of
+    # full memoisation's 199 hits there becomes a miss.  (Plain mode
+    # would take minutes on the 12-deep expression.)
+    deep = b"(" * 12 + b"1+2*3" + b")" * 12 + b"*4+5"
+    for g, cert in (math_grammar(), certified("math.peg")):
+        out, stats = _memo_run(g, cert, deep, plain=False)
+        assert out.ok and stats["hits"] == 40
+    meta = (certified("peg.peg"), builtin_meta_grammar())
+    hits = {"reserved.peg": 0, "math.peg": 0, "dangling.peg": 2,
+            "xml-lite.peg": 10, "peg.peg": 16, "synth200.peg": 1}
+    for name, want in hits.items():
+        for g, cert in meta:
+            out, stats = _memo_run(g, cert, grammar_text(name))
+            assert out.ok and stats["hits"] == want, name
+    g, cert = certified("dangling.peg")
+    out, stats = _memo_run(g, cert, b"if (a) " * 200 + b"x;")
+    assert out.ok and stats == {"entries": 1, "hits": 198, "misses": 1}
+    g, cert = certified("xml-lite.peg")
+    out, stats = _memo_run(g, cert, b"<a x=\"1\"><b/>t<c>u</c></a>")
+    assert out.ok and stats == {"entries": 0, "hits": 0, "misses": 0}
+
+
+def test_watermark_bounds_shared_prefix_reentry():
+    # S re-enters itself after the shared prefix '<' of two alternatives,
+    # which no choice shows statically: without the watermark, packrat
+    # mode would take 2^depth steps here, like plain mode.
+    g = load_grammar("S <- '<' S 'a' / '<' S 'b' / 'x' ;")
+    cert = check_well_formed(g).certificate
+    assert _seed_set(g, cert) == set()
+    for depth in (2, 4, 8):
+        data = b"<" * depth + b"x" + b"b" * depth
+        out, stats = _memo_run(g, cert, data)
+        assert out.ok and out.pos == len(data)
+        assert stats["hits"] > 0
+        assert stats["misses"] <= 2 * (len(data) + 1)
+    data = b"<" * 20 + b"x" + b"b" * 20
+    memo = MemoTable()
+    out = parse(g, cert, data, mode="packrat", memo=memo)
+    assert out.ok and out.pos == len(data)
+    assert memo.misses == len(memo.entries) == 20
+
+
+def test_watermark_runs_a_rule_body_at_most_twice_per_position():
+    # The body's action sees each successful run of S with its span.
+    runs = []
+
+    def record(v, start, end):
+        runs.append(start)
+        return v
+
+    S = NonTerminal("S")
+    body = Choice(Seq(Terminal("<"), Seq(S, Terminal("a"))),
+                  Choice(Seq(Terminal("<"), Seq(S, Terminal("b"))),
+                         Terminal("x")))
+    g = build_grammar([("S", Action(body, ActionRef("rec", record, True)))],
+                      "S")
+    data = b"<" * 12 + b"x" + b"b" * 12
+    assert parse(g, certify(g), data, mode="packrat").ok
+    assert max(runs.count(p) for p in set(runs)) <= 2
+
+
+@pytest.mark.parametrize("body, inputs", [
+    # T calls A twice at one position wherever A fails.
+    ("!A A", [b"cccc", b"cabab", b""]),
+    ("A? A", [b"cccc", b"ababcc", b"cab"]),
+    ("(A 'x')* A", [b"cccc", b"axaxab", b"axcaxab"]),
+])
+def test_watermark_memoises_hand_cases(body, inputs):
+    g = load_grammar("S <- (T / 'c')* ;\nT <- %s ;\nA <- 'a' 'b'* ;" % body)
+    cert = check_well_formed(g).certificate
+    assert _seed_set(g, cert) == set()
+    for data in inputs:
+        _memo_run(g, cert, data)
+    # At each 'c' and at the end, T calls A twice.  The second call at
+    # the first 'c' is a miss, after which A is memoised: from the next
+    # position on, the first call misses and the second hits.
+    assert _memo_run(g, cert, b"cccc")[1] == {
+        "entries": 5, "hits": 4, "misses": 5}
 
 
 def test_farthest_failure_position(xml_lite):
@@ -316,6 +443,23 @@ def test_tree_node_contract():
                 compare()
     with pytest.raises(TypeError):
         sorted([node, leaf])
+
+
+def test_deep_tree_nodes_hash_and_compare():
+    # Tuple hashing and comparison recurse per level: hash() of a node
+    # this deep overflowed the C stack, and == raised RecursionError
+    # from about 330 levels.
+    def chain(depth, end):
+        node = TreeNode("", 0, end, ())
+        for _ in range(depth):
+            node = TreeNode("r", 0, 1, (node,))
+        return node
+
+    a, b, c = chain(300_000, 1), chain(300_000, 1), chain(300_000, 2)
+    assert hash(a) == hash(b) == hash(c)
+    assert a == b and not a != b
+    assert a != c and not a == c
+    assert {a: 1}[b] == 1
 
 
 def test_parsed_tree_matches_oracle_on_golden_xml(xml_lite):
