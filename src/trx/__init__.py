@@ -10,7 +10,7 @@ through the embedded API (with arbitrary semantic actions) or loaded
 from the bootstrapped .peg textual format (tree-shaping actions only).
 """
 
-from .analysis import (Certificate, ExprSet, NotWellFormed, Offender, Props,
+from .analysis import (Certificate, NotWellFormed, Offender, Props,
                        PropertyTable, WfReport, certify, check_well_formed,
                        expression_set, infer_properties, wf_measure)
 from .exprs import (ANY, Action, ActionRef, And, AnyChar, CharClass, Choice,

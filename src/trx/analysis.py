@@ -16,7 +16,7 @@ so each loop is bounded by the size of the expression set.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .exprs import (Action, AnyChar, Choice, Empty, Expr, Grammar,
                     NonTerminal, Not, Range, Seq, Star, Terminal, expr_text,
@@ -24,42 +24,14 @@ from .exprs import (Action, AnyChar, Choice, Empty, Expr, Grammar,
 from .interp import _CERT_KEY, Certificate
 
 
-class ExprSet:
-    """Ordered set of expressions keyed by structural identity."""
-
-    __slots__ = ("_items",)
-
-    def __init__(self, items=()):
-        self._items = dict.fromkeys(items)
-
-    def add(self, e: Expr) -> bool:
-        if e in self._items:
-            return False
-        self._items[e] = None
-        return True
-
-    def __contains__(self, e) -> bool:
-        return e in self._items
-
-    def __iter__(self) -> Iterator[Expr]:
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __le__(self, other) -> bool:
-        return all(e in other for e in self._items)
-
-    def copy(self) -> "ExprSet":
-        return ExprSet(self._items)
-
-
-def expression_set(g: Grammar) -> ExprSet:
-    """All sub-expressions of all production bodies, closed under children."""
-    out = ExprSet()
+def expression_set(g: Grammar) -> dict:
+    """E(G): all sub-expressions of all production bodies, closed under
+    children, as the keys of an insertion-ordered dict (production
+    order, preorder within each body, first occurrence wins)."""
+    out = {}
     for name in g.nonterminals:
         for sub in iter_subexprs(g.productions[name]):
-            out.add(sub)
+            out[sub] = None
     return out
 
 
@@ -74,7 +46,7 @@ class PropertyTable:
 
     __slots__ = ("exprs", "_empty", "_consume", "_fail", "sweeps", "simplified")
 
-    def __init__(self, exprs: ExprSet, simplified: bool):
+    def __init__(self, exprs: dict, simplified: bool):
         self.exprs = exprs
         self._empty = dict.fromkeys(exprs, False)
         self._consume = dict.fromkeys(exprs, simplified)
@@ -230,12 +202,11 @@ class WfReport:
 def wf_measure(current, g: Grammar) -> int:
     """|E(G)| - |current|; strictly decreases across productive sweeps."""
     exprs = expression_set(g)
-    for e in current:
-        assert e in exprs, "well-formed set escaped E(G)"
+    assert all(e in exprs for e in current), "well-formed set escaped E(G)"
     return len(exprs) - len(current)
 
 
-def _wf_derivable(e: Expr, wf: ExprSet, props: PropertyTable,
+def _wf_derivable(e: Expr, wf: dict, props: PropertyTable,
                   prods: dict) -> bool:
     t = type(e)
     if t in (Empty, AnyChar, Terminal, Range):
@@ -263,7 +234,7 @@ def check_well_formed(g: Grammar, *, simplified: bool = False) -> WfReport:
     exprs = props.exprs
     prods = g.productions
 
-    wf = ExprSet()
+    wf = {}
     iterations = 0
     while True:
         iterations += 1
@@ -272,11 +243,11 @@ def check_well_formed(g: Grammar, *, simplified: bool = False) -> WfReport:
         new = wf.copy()
         for e in exprs:
             if e not in new and _wf_derivable(e, new, props, prods):
-                new.add(e)
+                new[e] = None
         # Monotonicity invariants of the iteration: the set only grows
         # and never escapes E(G).
-        assert wf <= new
-        assert all(e in exprs for e in new)
+        assert wf.keys() <= new.keys()
+        assert new.keys() <= exprs.keys()
         if len(new) > before:
             assert (len(exprs) - len(new)) < (len(exprs) - before)
         wf = new
@@ -298,7 +269,7 @@ def certify(g: Grammar) -> Certificate:
     return report.certificate
 
 
-def _blockers(e: Expr, wf: ExprSet, props: PropertyTable, prods: dict):
+def _blockers(e: Expr, wf: dict, props: PropertyTable, prods: dict):
     """Sub-parts whose absence from wf blocks e's derivation."""
     t = type(e)
     if t is NonTerminal:
@@ -322,14 +293,13 @@ def _blockers(e: Expr, wf: ExprSet, props: PropertyTable, prods: dict):
 
 def _offenders(g, exprs, wf, props):
     prods = g.productions
-    ill = [e for e in exprs if e not in wf]
-    ill_set = set(ill)
+    ill = {e: None for e in exprs if e not in wf}
 
     # An ill expression sits on a dependency cycle if it can reach itself
     # through blocker edges; those are the (possibly mutual) left-recursion
     # suspects.  Stars rejected purely by their nullable inner get their
     # own reason; everything else just inherits ill-formedness.
-    block = {e: [b for b in _blockers(e, wf, props, prods) if b in ill_set]
+    block = {e: [b for b in _blockers(e, wf, props, prods) if b in ill]
              for e in ill}
     on_cycle = set()
     for root in ill:
@@ -357,7 +327,7 @@ def _offenders(g, exprs, wf, props):
     for name in g.nonterminals:
         seen = set()
         for sub in iter_subexprs(prods[name]):
-            if sub in ill_set and sub not in seen:
+            if sub in ill and sub not in seen:
                 seen.add(sub)
                 out.append(Offender(name, sub, reason(sub)))
     return out

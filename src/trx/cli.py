@@ -2,8 +2,9 @@
 
 Exit codes are stable: 0 success, 1 reject or not-well-formed verdict,
 2 usage and I/O problems (including grammar syntax errors, which leave
-no verdict to report, and an accepted input whose tree is too deep to
-render), 3 refusal to parse with an uncertified grammar.
+no verdict to report, a grammar nested too deeply to load, check or
+compile, and an accepted input whose tree is too deep to render), 3
+refusal to parse with an uncertified grammar.
 
 Tree JSON schema: nodes are {"rule", "start", "end", "children"},
 leaves {"text", "start", "end"}; offsets are byte offsets into the
@@ -189,9 +190,8 @@ def cmd_bench(args) -> int:
 
     corpora = []
     if args.gen == "xmark-lite":
-        for spec in args.sizes.split(","):
-            size = parse_size(spec)
-            corpora.append((spec.strip(), xmark_lite(size, seed=args.seed)))
+        for label, size in args.sizes:
+            corpora.append((label, xmark_lite(size, seed=args.seed)))
     else:
         if not os.path.isdir(args.gen):
             _err("--gen must be 'xmark-lite' or a corpus directory")
@@ -218,6 +218,20 @@ def cmd_bench(args) -> int:
             if "memo" in row:
                 print("   memo: %r" % (row["memo"],))
     return EXIT_OK
+
+
+def _sizes(text: str) -> list:
+    """``--sizes``: comma-separated byte counts with an optional K or M."""
+    out = []
+    for spec in text.split(","):
+        try:
+            size = parse_size(spec)
+        except (ValueError, OverflowError):
+            size = -1
+        if size < 0:
+            raise argparse.ArgumentTypeError("bad size %r" % spec.strip())
+        out.append((spec.strip(), size))
+    return out
 
 
 def cmd_selftest(args) -> int:
@@ -265,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("grammar")
     p.add_argument("--gen", default="xmark-lite",
                    help="'xmark-lite' or a directory of corpus files")
-    p.add_argument("--sizes", default="1M,2M,4M")
+    p.add_argument("--sizes", type=_sizes, default="1M,2M,4M")
     p.add_argument("--mode", choices=("plain", "packrat"), default="packrat",
                    help="interpretation mode (default packrat)")
     p.add_argument("--seed", type=int, default=0)
@@ -288,7 +302,16 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except RecursionError:
+        if not hasattr(args, "grammar"):
+            raise
+        # Loading, tree-wrapping, compiling and printing expressions
+        # recurse once per nesting level of the grammar.
+        _err("%s: grammar nested too deeply to process (Python recursion "
+             "limit)" % args.grammar)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

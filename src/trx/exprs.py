@@ -5,9 +5,10 @@ Seq, Choice, Star, Not and Action, and every expression is built from
 them alone.  The derived operators (Literal, Plus, Optional, And,
 CharClass, Drop) are functions that return their core expansion.
 
-Expressions are immutable, compare structurally, and cache their hash
-at construction so they can serve as set and table keys.  Equality of
-Action nodes looks at the action *label* only, never the function.
+Expressions are immutable and hash-consed: building a node equal in
+structure to a live one returns that node, so equality is identity and
+takes constant time at any depth.  An Action node is keyed by its inner
+expression and by its ref's label, function and ``span_aware`` flag.
 
 The terminal alphabet is 8-bit bytes; grammar text and parser input are
 encoded as UTF-8 and matched byte by byte.
@@ -15,6 +16,8 @@ encoded as UTF-8 and matched byte by byte.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator
 
@@ -88,37 +91,78 @@ NODE_PREFIX = "tree.node:"
 class ActionRef:
     """Named value transformer attached to an expression.
 
-    Identity (equality, hashing, printing) is the label alone; the
-    callable never participates.  ``span_aware`` is an internal flag for
-    the built-in tree shapers, which receive ``fn(value, start, end)``
-    instead of ``fn(value)``; embedder-supplied actions are plain
-    ``Value -> Value`` functions that must be total.
+    Refs compare by identity.  An Action node is keyed by the label,
+    the callable (by identity) and ``span_aware`` of its ref, so refs
+    that differ in any of them never share a node.  ``span_aware``
+    marks the built-in tree shapers, which receive ``fn(value, start,
+    end)``; embedder actions are total ``Value -> Value`` functions.
     """
 
-    __slots__ = ("label", "fn", "span_aware")
+    __slots__ = ("label", "fn", "span_aware", "__weakref__")
 
     def __init__(self, label: str, fn: Callable, span_aware: bool = False):
         self.label = label
         self.fn = fn
         self.span_aware = span_aware
 
-    def __eq__(self, other):
-        return isinstance(other, ActionRef) and other.label == self.label
-
-    def __hash__(self):
-        return hash(("action", self.label))
-
     def __repr__(self):
         return "ActionRef(%r)" % self.label
 
 
+#: Every live expression node, by its class and fields.  Held weakly, so
+#: a node goes when the last grammar or expression holding it goes.
+#: Nodes are made and entered under INTERN_LOCK, which trx.meta's
+#: collector cache shares; a lookup takes no lock, since the table is
+#: never iterated and a dead node's entry is dropped atomically.
+_NODES = weakref.WeakValueDictionary()
+INTERN_LOCK = threading.Lock()
+
+
+def _intern(cls, fields: tuple, key: tuple):
+    """The live node of ``key``, made of ``fields`` if there is none."""
+    node = _NODES.get(key)
+    if node is None:
+        with INTERN_LOCK:
+            node = _NODES.get(key)
+            if node is None:
+                if (len(fields) != len(cls.__slots__)
+                        or not all(map(isinstance, fields, cls._kinds))):
+                    raise TypeError("bad %s%r" % (cls.__name__, fields))
+                node = object.__new__(cls)
+                for name, value in zip(cls.__slots__, fields):
+                    object.__setattr__(node, name, value)
+                _NODES[key] = node
+    return node
+
+
 class Expr:
-    """Base class for the core expression nodes."""
+    """Base class for the core expression nodes.
 
-    __slots__ = ("_h",)
+    Nodes are hash-consed: a constructor returns the live node of the
+    same class and fields if there is one, so equal structure is the
+    same object and the default identity ``==`` and ``hash`` serve.
+    Nodes are immutable, since one node may sit in many grammars.
+    """
 
-    def __hash__(self):
-        return self._h
+    __slots__ = ("__weakref__",)
+    _kinds = ()  # the type of each field
+
+    def __new__(cls, *fields):
+        return _intern(cls, fields, (cls, *fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("expressions are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("expressions are immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __deepcopy__(self, memo):
+        # The node is its own copy; rebuilding through __reduce__ would
+        # recurse once per level.
+        return self
 
     def __repr__(self):
         return expr_text(self)
@@ -127,146 +171,64 @@ class Expr:
 class Empty(Expr):
     __slots__ = ()
 
-    def __init__(self):
-        self._h = hash("pe.empty")
-
-    def __eq__(self, other):
-        return isinstance(other, Empty)
-
-    __hash__ = Expr.__hash__
-
 
 class AnyChar(Expr):
     __slots__ = ()
 
-    def __init__(self):
-        self._h = hash("pe.any")
-
-    def __eq__(self, other):
-        return isinstance(other, AnyChar)
-
-    __hash__ = Expr.__hash__
-
 
 class Terminal(Expr):
     __slots__ = ("code",)
+    _kinds = (int,)
 
-    def __init__(self, c):
-        self.code = _byte(c)
-        self._h = hash(("pe.term", self.code))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Terminal
-                                 and other.code == self.code)
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, c):
+        return Expr.__new__(cls, _byte(c))
 
 
 class Range(Expr):
     __slots__ = ("lo", "hi")
+    _kinds = (int, int)
 
-    def __init__(self, lo, hi):
-        self.lo = _byte(lo)
-        self.hi = _byte(hi)
-        if self.lo > self.hi:
-            raise InvalidRange(self.lo, self.hi)
-        self._h = hash(("pe.range", self.lo, self.hi))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Range
-                                 and other.lo == self.lo and other.hi == self.hi)
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, lo, hi):
+        lo, hi = _byte(lo), _byte(hi)
+        if lo > hi:
+            raise InvalidRange(lo, hi)
+        return Expr.__new__(cls, lo, hi)
 
 
 class NonTerminal(Expr):
     __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-        self._h = hash(("pe.nt", name))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is NonTerminal
-                                 and other.name == self.name)
-
-    __hash__ = Expr.__hash__
+    _kinds = (str,)
 
 
 class Seq(Expr):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Expr, right: Expr):
-        self.left = left
-        self.right = right
-        self._h = hash(("pe.seq", left._h, right._h))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Seq and other._h == self._h
-                                 and other.left == self.left
-                                 and other.right == self.right)
-
-    __hash__ = Expr.__hash__
+    _kinds = (Expr, Expr)
 
 
 class Choice(Expr):
     __slots__ = ("first", "second")
-
-    def __init__(self, first: Expr, second: Expr):
-        self.first = first
-        self.second = second
-        self._h = hash(("pe.choice", first._h, second._h))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Choice and other._h == self._h
-                                 and other.first == self.first
-                                 and other.second == self.second)
-
-    __hash__ = Expr.__hash__
+    _kinds = (Expr, Expr)
 
 
 class Star(Expr):
     __slots__ = ("inner",)
-
-    def __init__(self, inner: Expr):
-        self.inner = inner
-        self._h = hash(("pe.star", inner._h))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Star
-                                 and other.inner == self.inner)
-
-    __hash__ = Expr.__hash__
+    _kinds = (Expr,)
 
 
 class Not(Expr):
     __slots__ = ("inner",)
-
-    def __init__(self, inner: Expr):
-        self.inner = inner
-        self._h = hash(("pe.not", inner._h))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Not
-                                 and other.inner == self.inner)
-
-    __hash__ = Expr.__hash__
+    _kinds = (Expr,)
 
 
 class Action(Expr):
     __slots__ = ("inner", "ref")
+    _kinds = (Expr, ActionRef)
 
-    def __init__(self, inner: Expr, ref: ActionRef):
-        self.inner = inner
-        self.ref = ref
-        self._h = hash(("pe.act", inner._h, ref.label))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Action and other._h == self._h
-                                 and other.ref == self.ref
-                                 and other.inner == self.inner)
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, inner: Expr, ref: ActionRef):
+        # The function by identity, so that any callable serves; the
+        # node holds it, so its id is not reused while the node lives.
+        return _intern(cls, (inner, ref),
+                       (cls, inner, ref.label, id(ref.fn), ref.span_aware))
 
 
 EMPTY = Empty()
@@ -389,21 +351,16 @@ class Grammar:
     A tree-shaped grammar (``trx.meta.tree_wrap`` builds them) wraps
     every production in its node collector, and its other actions are
     the built-in tree shapers, or sit under ``!`` or ``~`` where their
-    values are discarded.  The interpreter builds its trees directly and
-    runs no other action of such a grammar.
+    values are discarded; the constructor raises ValueError otherwise.
+    The interpreter builds its trees directly and runs no other action
+    of such a grammar.
     """
 
     __slots__ = ("nonterminals", "productions", "start", "tree_shaped")
 
     def __init__(self, productions: dict, start: str, tree_shaped: bool = False):
         if tree_shaped:
-            for name, body in productions.items():
-                # A node named "" would read as a leaf.
-                if not (name and type(body) is Action
-                        and body.ref.label == NODE_PREFIX + name):
-                    raise ValueError("rule %r of a tree-shaped grammar is "
-                                     "not wrapped in its node collector"
-                                     % name)
+            _check_tree_shaped(productions)
         self.nonterminals = tuple(productions)
         self.productions = MappingProxyType(dict(productions))
         self.start = start
@@ -427,6 +384,41 @@ class Grammar:
 
     def __repr__(self):
         return "Grammar(%d rules, start=%r)" % (len(self.nonterminals), self.start)
+
+
+def _check_tree_shaped(productions: dict):
+    """Raise ValueError unless every rule is wrapped in its own node
+    collector and every other action, outside ``!`` and ``~``, is a
+    tree shaper: tree mode would silently skip any other action."""
+    seen = set()
+    for name, body in productions.items():
+        # A node named "" would read as a leaf.
+        if not (name and type(body) is Action
+                and body.ref.label == NODE_PREFIX + name):
+            raise ValueError("rule %r of a tree-shaped grammar is not "
+                             "wrapped in its node collector" % name)
+        stack = [body.inner]
+        while stack:
+            e = stack.pop()
+            if e in seen:
+                continue
+            seen.add(e)
+            t = type(e)
+            if t is Seq:
+                stack += (e.left, e.right)
+            elif t is Choice:
+                stack += (e.first, e.second)
+            elif t is Star:
+                stack.append(e.inner)
+            elif t is Action:
+                label = e.ref.label
+                if label == "drop":
+                    continue
+                if label != "tree.leaf" and not label.startswith(NODE_PREFIX):
+                    raise ValueError("rule %r of a tree-shaped grammar "
+                                     "holds the action %r, which tree mode "
+                                     "does not run" % (name, label))
+                stack.append(e.inner)
 
 
 def build_grammar(rules: Iterable, start: str) -> Grammar:
@@ -502,8 +494,9 @@ def expr_text(e: Expr, prec: int = _PREC_CHOICE) -> str:
         return _wrap(s, _PREC_SEQ, prec)
     if t is Choice:
         first, second = e.first, e.second
-        if (type(first) is Action and first.ref == SOME
-                and type(second) is Action and second.ref == NONE):
+        if (type(first) is Action and type(second) is Action
+                and first.ref.label == "some"
+                and second.ref.label == "none"):
             return _wrap("%s?" % expr_text(first.inner, _PREC_ATOM),
                          _PREC_POSTFIX, prec)
         s = "%s / %s" % (expr_text(first, _PREC_SEQ),
@@ -526,7 +519,7 @@ def expr_text(e: Expr, prec: int = _PREC_CHOICE) -> str:
         if label == "cons":
             inner = e.inner
             if (type(inner) is Seq and type(inner.right) is Star
-                    and inner.right.inner == inner.left):
+                    and inner.right.inner is inner.left):
                 return _wrap("%s+" % expr_text(inner.left, _PREC_ATOM),
                              _PREC_POSTFIX, prec)
             return expr_text(inner, prec)

@@ -33,11 +33,6 @@ def _digits_to_int(v):
     return User(int(digits))
 
 
-def _pick(index: int) -> ActionRef:
-    return ActionRef("math.pick%d" % index,
-                     lambda v: tuple_items(v)[index])
-
-
 def _mul(v):
     items = tuple_items(v)
     return User(items[0].payload * items[2].payload)
@@ -48,6 +43,10 @@ def _add(v):
     return User(items[0].payload + items[2].payload)
 
 
+# Module-level refs, so that every call of math_rules builds the same
+# nodes (an action node is keyed by its function, see trx.exprs).
+PICK1 = ActionRef("math.pick1", lambda v: tuple_items(v)[1])
+PICK2 = ActionRef("math.pick2", lambda v: tuple_items(v)[2])
 DIG_LIST_TO_INT = ActionRef("math.digListToInt", _digits_to_int)
 MUL = ActionRef("math.mul", _mul)
 ADD = ActionRef("math.add", _add)
@@ -65,9 +64,9 @@ def math_rules():
         ("ws", Drop(Star(Choice(Terminal(" "), Terminal("\t"))))),
         ("number", Action(Plus(Range("0", "9")), DIG_LIST_TO_INT)),
         ("term", Choice(
-            Action(_seq(_WS, _NUMBER, _WS), _pick(1)),
+            Action(_seq(_WS, _NUMBER, _WS), PICK1),
             Action(_seq(_WS, Terminal("("), _EXPR, Terminal(")"), _WS),
-                   _pick(2)))),
+                   PICK2))),
         ("factor", Choice(
             Action(_seq(_TERM, Terminal("*"), _FACTOR), MUL),
             _TERM)),

@@ -25,13 +25,14 @@ comment; the first rule is the start unless ``@start name ;`` appears.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .analysis import Certificate, certify
-from .exprs import (ANY, NODE_PREFIX as _NODE_PREFIX, Action, ActionRef, And,
-                    AnyChar, CharClass, Choice, Drop, EMPTY, Expr, Grammar,
-                    Literal, NonTerminal, Not, Optional, Plus, Range, Seq,
-                    Star, Terminal, build_grammar, expr_text)
+from .exprs import (ANY, INTERN_LOCK, NODE_PREFIX as _NODE_PREFIX, Action,
+                    ActionRef, And, AnyChar, CharClass, Choice, Drop, EMPTY,
+                    Expr, Grammar, Literal, NonTerminal, Not, Optional, Plus,
+                    Range, Seq, Star, Terminal, build_grammar, expr_text)
 from .interp import parse
 from .values import Lst, TreeNode, Tup
 
@@ -77,6 +78,11 @@ def _leaf_fn(v, start, end):
 LEAF = ActionRef("tree.leaf", _leaf_fn, span_aware=True)
 
 
+#: The live collector of each rule name, so that every grammar with a
+#: rule of that name shares one ref and equal bodies stay one node.
+_NODE_ACTIONS = weakref.WeakValueDictionary()
+
+
 def node_action(rule: str) -> ActionRef:
     """Collect the TreeNode children out of a production's raw value.
 
@@ -105,7 +111,10 @@ def node_action(rule: str) -> ActionRef:
                 else:
                     children.append(x)
         return TreeNode(rule, start, end, tuple(children))
-    return ActionRef(_NODE_PREFIX + rule, fn, span_aware=True)
+
+    with INTERN_LOCK:
+        return _NODE_ACTIONS.setdefault(
+            rule, ActionRef(_NODE_PREFIX + rule, fn, span_aware=True))
 
 
 _STRIP_LABELS = ("tuple2str", "cons", "some", "none")

@@ -113,8 +113,18 @@ class TreeNode(tuple, Value):
     def children(self) -> tuple:
         return self[3:]
 
-    def __getnewargs__(self):
-        return self[0], self[1], self[2], self[3:]
+    def __reduce__(self):
+        # A flat post-order list of (rule, start, end, child count), so
+        # that pickle and copy handle trees of any depth.  Walking the
+        # tree node first, children right to left, gives it reversed.
+        records = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            records.append((node[0], node[1], node[2], len(node) - 3))
+            stack.extend(node[3:])
+        records.reverse()
+        return _tree_from_records, (records,)
 
     def __eq__(self, other):
         if type(other) is not TreeNode:
@@ -168,6 +178,18 @@ class TreeNode(tuple, Value):
             return "Leaf[%d:%d]" % (self.start, self.end)
         return "TreeNode(%s[%d:%d], %d children)" % (
             self.rule, self.start, self.end, len(self) - 3)
+
+
+def _tree_from_records(records: list) -> TreeNode:
+    """Rebuild the tree that ``TreeNode.__reduce__`` flattened."""
+    stack = []
+    for rule, start, end, count in records:
+        children = ()
+        if count:
+            children = stack[-count:]
+            del stack[-count:]
+        stack.append(TreeNode(rule, start, end, children))
+    return stack[0]
 
 
 _gc_lock = threading.Lock()

@@ -7,7 +7,7 @@ from trx import (Certificate, Choice, EMPTY, NonTerminal, Not, NotWellFormed,
                  check_well_formed, expression_set, infer_properties,
                  wf_measure)
 from trx.analysis import (REASON_DEPENDS, REASON_LEFT_RECURSION,
-                          REASON_NULLABLE_STAR, ExprSet)
+                          REASON_NULLABLE_STAR)
 from trx.exprs import iter_subexprs
 from trx.mathdemo import left_recursive_math_rules, math_rules
 from trx.oracle import EXHAUSTED, all_inputs, oracle_eval, small_grammars
@@ -112,9 +112,9 @@ def test_dependent_ill_formedness_reason():
 def test_wf_measure():
     g = build_grammar(math_rules(), "expr")
     exprs = expression_set(g)
-    assert wf_measure(ExprSet(), g) == len(exprs)
+    assert wf_measure({}, g) == len(exprs)
     assert wf_measure(exprs, g) == 0
-    partial = ExprSet(list(exprs)[: len(exprs) // 2])
+    partial = dict.fromkeys(list(exprs)[: len(exprs) // 2])
     assert wf_measure(partial, g) == len(exprs) - len(partial)
 
 

@@ -264,6 +264,25 @@ def test_bench_refuses_uncertified(capsys, tmp_path):
     assert code == 3
 
 
+def test_grammar_too_deep_to_load_exits_2(capsys, tmp_path):
+    path = tmp_path / "long.peg"
+    path.write_text("a <- '%s' ;\n" % ("x" * 3000))
+    for argv in (("check", str(path)), ("parse", str(path), "-"),
+                 ("bench", str(path), "--sizes", "1K")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "Traceback" not in err
+        assert err.count("\n") == 1 and "too deeply" in err
+
+
+def test_bench_malformed_sizes_is_usage_error(capsys):
+    for sizes in ("1X", "1K,", "-1K", "inf", "nanK"):
+        code, out, err = run(capsys, "bench", grammar_path("xml-lite.peg"),
+                             "--sizes", sizes)
+        assert code == 2, sizes
+        assert out == "" and "--sizes" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["parse"]) == 2
     capsys.readouterr()

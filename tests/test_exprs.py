@@ -1,8 +1,14 @@
-"""Expression algebra: derived operators, grammar assembly, structural
+"""Expression algebra: derived operators, grammar assembly, hash-consed
 identity."""
 
+import copy
+import gc
 import os
+import pickle
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 
@@ -10,8 +16,8 @@ from trx import (ANY, Action, ActionRef, And, AnyChar, CharClass, Choice,
                  Drop, DuplicateRule, EMPTY, Empty, EmptyClass, EmptyLiteral,
                  InvalidRange, Literal, NonTerminal, Not, Optional, Plus,
                  Range, Seq, Star, Terminal, UndefinedNonterminal,
-                 UnknownStart, build_grammar, eval_expr, expr_text,
-                 iter_subexprs)
+                 UnknownStart, build_grammar, check_well_formed, eval_expr,
+                 expr_text, iter_subexprs)
 from trx.exprs import CONS, DROP, NONE, SOME, TUPLE2STR
 from trx.oracle import EXHAUSTED, oracle_eval
 from trx.mathdemo import math_rules
@@ -133,13 +139,119 @@ def test_desugar_matches_hand_expansion_behavior():
                 assert got == want
 
 
-def test_action_equality_is_by_label():
-    a1 = Action(EMPTY, ActionRef("f", lambda v: v))
+def test_action_identity_is_by_label_and_function():
+    f = lambda v: v  # noqa: E731
+    a1 = Action(EMPTY, ActionRef("f", f))
+    assert Action(EMPTY, ActionRef("f", f)) is a1
+    # One label with another function must not hand over the first one.
     a2 = Action(EMPTY, ActionRef("f", lambda v: None))
-    a3 = Action(EMPTY, ActionRef("g", lambda v: v))
-    assert a1 == a2
-    assert hash(a1) == hash(a2)
-    assert a1 != a3
+    assert a2 is not a1 and a2 != a1
+    assert Action(EMPTY, ActionRef("g", f)) is not a1
+    assert Action(EMPTY, ActionRef("f", f, span_aware=True)) is not a1
+
+
+def test_action_function_need_not_be_hashable():
+    class Pick:
+        __hash__ = None
+
+        def __call__(self, v):
+            return v
+
+    pick = Pick()
+    a = Action(EMPTY, ActionRef("p", pick))
+    assert Action(EMPTY, ActionRef("p", pick)) is a
+    assert Action(EMPTY, ActionRef("p", Pick())) is not a
+
+
+def _build_all():
+    inner = Seq(NonTerminal("A"), Star(Range("a", "z")))
+    return [Empty(), AnyChar(), Terminal("a"), Terminal(b"a"), Range("a", "z"),
+            NonTerminal("A"), inner, Choice(inner, EMPTY), Star(inner),
+            Not(inner), Action(inner, CONS), Literal("if"), Plus(inner),
+            Optional(inner), And(inner), Drop(inner),
+            CharClass([("a", "z"), "_"])]
+
+
+def test_equal_structure_is_the_same_node():
+    first, second = _build_all(), _build_all()
+    for a, b in zip(first, second):
+        assert a is b, a
+    assert Terminal("a") is Terminal(97) is Terminal(b"a")
+    assert Literal("ab") is Literal(b"ab") is Literal(bytearray(b"ab"))
+    assert len({id(e) for e in first}) == len(first) - 1  # Terminal twice
+
+
+def test_deep_equal_literals_are_one_node():
+    text = b"ab" * 1500
+    a, b = Literal(text), Literal(bytes(text))
+    assert a is b and a == b and hash(a) == hash(b)
+    g = build_grammar([("S", Choice(a, b))], "S")
+    report = check_well_formed(g)
+    assert report.is_well_formed
+    # The choice, the action, 2 999 spine nodes and two terminals.
+    assert report.expr_count == 1 + 1 + 2999 + 2
+
+
+def test_threads_build_identical_nodes():
+    # More threads than cores and a short switch interval, so that the
+    # threads often race to make the same new node; a lost race would
+    # leave two nodes for one structure.
+    barrier = threading.Barrier(4, timeout=60)
+    results = [None] * 4
+
+    def build(slot):
+        barrier.wait()
+        results[slot] = [Seq(NonTerminal("race%d" % i), Literal("x%d" % i))
+                         for i in range(2000)]
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for nodes in results[1:]:
+        assert all(a is b for a, b in zip(nodes, results[0]))
+    assert results[0][7] is Seq(NonTerminal("race7"), Literal("x7"))
+
+
+def test_unheld_node_is_freed():
+    ref = weakref.ref(Seq(Terminal("q"), NonTerminal("unheld_node")))
+    gc.collect()
+    assert ref() is None
+
+
+def test_nodes_are_immutable():
+    e = Seq(Terminal("a"), Terminal("b"))
+    with pytest.raises(AttributeError):
+        e.left = Terminal("c")
+    with pytest.raises(AttributeError):
+        Terminal("a").code = 98
+    with pytest.raises(AttributeError):
+        del e.right
+    assert expr_text(e) == "[a] [b]"
+
+
+def test_pickle_and_copy_return_the_interned_node():
+    for e in (Literal("if"), Choice(Plus(Range("0", "9")), EMPTY),
+              NonTerminal("A"), ANY, Literal("ab" * 2000)):
+        assert copy.copy(e) is e
+        assert copy.deepcopy(e) is e
+    for e in (Literal("if"), Choice(Plus(Range("0", "9")), EMPTY)):
+        assert pickle.loads(pickle.dumps(e)) is e
+
+
+def test_children_must_be_expressions():
+    for bad in (lambda: Seq(Terminal("a"), "b"), lambda: Choice(None, EMPTY),
+                lambda: Star("a"), lambda: Not(3),
+                lambda: Action("a", CONS)):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_exprs_work_as_dict_keys():
@@ -153,6 +265,7 @@ def test_build_grammar_math_rules():
     assert len(g.nonterminals) == 5
     assert g.start == "expr"
     assert set(g.nonterminals) == {"ws", "number", "term", "factor", "expr"}
+    assert build_grammar(math_rules(), "expr") == g
 
 
 def test_build_grammar_singleton():

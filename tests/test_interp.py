@@ -462,6 +462,20 @@ def test_deep_tree_nodes_hash_and_compare():
     assert {a: 1}[b] == 1
 
 
+def test_deep_tree_nodes_pickle_and_copy():
+    # Pickling the children tuple recursed per level: pickle failed
+    # beyond about 330 levels and deepcopy beyond about 165.
+    node = TreeNode("", 0, 1, ())
+    for depth in range(3000):
+        node = TreeNode("r%d" % (depth % 3), 0, depth + 2,
+                        (TreeNode("", 0, 1, ()), node,
+                         TreeNode("s", 1, 2, ())))
+    for twin in (pickle.loads(pickle.dumps(node)), copy.copy(node),
+                 copy.deepcopy(node)):
+        assert type(twin) is TreeNode and twin == node
+        assert twin.children[1].rule == node.children[1].rule
+
+
 def test_parsed_tree_matches_oracle_on_golden_xml(xml_lite):
     g, cert = xml_lite
     data = b"<a><b/></a>"

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from trx import (ANY, Action, Choice, Drop, DuplicateRule, EmptyLiteral,
+from trx import (ANY, Action, ActionRef, Choice, Drop, DuplicateRule, EmptyLiteral,
                  Grammar, InvalidRange, Literal, MemoTable, NonTerminal, Not,
                  Optional, PegSyntaxError, Seq, Star, Terminal,
                  UndefinedNonterminal, UnknownStart, build_grammar,
@@ -333,3 +333,21 @@ def test_tree_shaped_grammar_wraps_every_rule():
     with pytest.raises(ValueError):
         Grammar({"": Action(Terminal("a"), node_action(""))}, "",
                 tree_shaped=True)
+    # Tree mode runs no action but the tree shapers, so a user action
+    # anywhere but under ! or ~ would be skipped.
+    ident = ActionRef("id", lambda v: v)
+    b_rule = Action(Action(Terminal("b"), LEAF), node_action("B"))
+    a_leaf = Action(Terminal("a"), LEAF)
+    with pytest.raises(ValueError):
+        Grammar({"A": Action(Seq(Action(NonTerminal("B"), ident), a_leaf),
+                             node_action("A")),
+                 "B": b_rule}, "A", tree_shaped=True)
+    with pytest.raises(ValueError):
+        Grammar({"A": Action(Literal("ab"), node_action("A"))}, "A",
+                tree_shaped=True)
+    for hidden in (Not(Action(NonTerminal("B"), ident)),
+                   Drop(Action(NonTerminal("B"), ident))):
+        g = Grammar({"A": Action(Seq(hidden, Seq(NonTerminal("B"), a_leaf)),
+                                 node_action("A")),
+                     "B": b_rule}, "A", tree_shaped=True)
+        assert check_well_formed(g).is_well_formed
