@@ -10,11 +10,11 @@ Packrat mode memoises the outcomes of rule applications, keyed by
 (production, position), but only of the rules a parse can call again
 at a position.  Two parts decide which.  The static seed set, computed
 on a program's first packrat parse, holds every rule that both
-alternatives of one choice can call at the choice's own position; it
-is memoised from the start.  Every other rule carries a per-parse
-watermark, the highest position it has been called at: a call at or
-below it may be a re-entry, so from that call on the rule is
-memoised.  So no rule body runs more than twice at one position, and
+alternatives of one choice can call at the choice's own position other
+than from inside another seeded rule; it is memoised from the start.
+Every other rule carries a per-parse watermark, the highest position
+it has been called at: a call at or below it may be a re-entry, so
+from that call on the rule is memoised.  So no rule body runs more than twice at one position, and
 packrat stays linear within a factor of two also on re-entries no
 choice shows, while a grammar that never re-enters a rule (xml-lite)
 makes no memo entries at all.
@@ -52,10 +52,22 @@ step, every negation and a drop.  Other actions appear in such
 grammars only under ``!`` or ``~``, so the VM does not run them.  The
 oracle runs the real collector actions, so the differential suites
 check this path.  Opcodes choose the mode at compile time; a
-value-mode program tests for it only on a leaf value or a memo hit.
-Nodes are built as flat tuples in one call (see trx.values.TreeNode),
-and parse() runs a tree-mode program with the cyclic garbage
-collector suspended.
+value-mode program tests for it only on a leaf value.  Nodes are
+built as flat tuples in one call (see trx.values.TreeNode), and
+parse() runs a tree-mode program with the cyclic garbage collector
+suspended.
+
+Tree mode also pushes fewer frames for the same step index.  A
+right-nested chain of n Seqs' items is one node with one frame, which
+adds the n - 1 Seq steps itself: all of them on success, j + 1 on a
+failure at item j, and n - 1 on a failure at the last item.  Every
+rule body is its node collector, so a rule call pushes one frame that
+runs the collector's inside and, on return, builds the node, writes
+the memo entry (the body's steps, the collector's included) and adds
+the call's step.  And ``m x*``, m a one-byte matcher (``x+`` among
+them), is one scan, also as the inside of a longer chain.  Value-mode
+programs keep the binary Seq, and a call's frame apart from its
+body's.
 
 Certification compiles the program once and the Certificate carries
 it, so parse() runs exactly the grammar that was certified.
@@ -160,16 +172,25 @@ def memo_stats(table: MemoTable) -> dict:
 
 
 # Opcodes.  A composite node's opcode is the state its frame starts in,
-# and the numbering groups composites by frame shape: [state, node, pos]
-# up to TSEQ, then the repetitions, then the tree frames that also
-# record where their children start.  The states in between continue a
-# node (2: Seq right, 4: Choice second, 8: tree-mode Seq right), and 0
-# returns from a nonterminal.  Tree-mode programs use the _K_T*
-# composites, _K_NODE and _K_TACT in place of the value-mode ones.
-# Terminals, ranges and any-char always compile to MATCH1; MATCH1,
-# PRED, LIT and SCAN are superinstructions.
-_K_SEQ, _K_CHOICE, _K_NOT, _K_ACT, _K_TSEQ = 1, 3, 5, 6, 7
-_K_STAR, _K_TSTAR, _K_TCHOICE, _K_TNOT, _K_NODE, _K_TACT = range(9, 15)
+# and the numbering groups composites by frame shape:
+#   [state, node, pos]                 SEQ, CHOICE, NOT, ACT
+#   [state, node, pos, items, steps]   STAR
+#   [state, node, pos, mark, steps]    TSTAR
+#   [state, node, pos, next, steps]    TSEQ (next: the item to run next)
+#   [10, node, pos, mark, key]         NODE and TNT
+#   [state, node, pos, mark]           TCHOICE, TNOT, TACT
+# where ``mark`` is where the node's children start in ``kids``.  The
+# states in between continue a node (2: Seq right, 4: Choice second),
+# and 0 returns from a value-mode nonterminal.  Tree-mode programs use
+# the _K_T* composites and _K_NODE in place of the value-mode ones.  A
+# tree-mode rule call (TNT) runs its rule's node collector in its own
+# frame: the frame starts in the NODE state, and its ``key`` is the
+# memo key, -1 for a call that is not memoised, or None for a bare
+# collector (a parse's start rule, or an eval_expr root).  Terminals,
+# ranges and any-char always compile to MATCH1; MATCH1, PRED, LIT and
+# SCAN are superinstructions.
+_K_SEQ, _K_CHOICE, _K_NOT, _K_ACT, _K_STAR = 1, 3, 5, 6, 7
+_K_TSTAR, _K_TSEQ, _K_NODE, _K_TNT, _K_TCHOICE, _K_TNOT, _K_TACT = range(8, 15)
 _K_EMPTY, _K_NT, _K_MATCH1, _K_PRED, _K_LIT, _K_SCAN = range(15, 21)
 
 
@@ -177,11 +198,14 @@ class _Program:
     """Grammar flattened into parallel per-node arrays for the VM.
 
     ``extra`` holds a superinstruction's descriptor, a value-mode action
-    node's ActionRef, a tree node's rule name, or whether a tree-mode
-    action is a leaf.  ``tree`` is set when the program was compiled
-    from a tree-shaped grammar.  ``marks`` holds the watermarks a
-    packrat parse starts from (see _initial_marks); it is computed on
-    the program's first packrat parse.
+    node's ActionRef, a tree node's or tree-mode call's rule name, a
+    tree-mode sequence's items, or whether a tree-mode action is a
+    leaf.  A tree-mode call's ``a`` is its production and ``b`` the
+    inside of the production's node collector; a tree-mode sequence's
+    ``a`` is its first item.  ``tree`` is set when the program was
+    compiled from a tree-shaped grammar.  ``marks`` holds the
+    watermarks a packrat parse starts from (see _initial_marks); it is
+    computed on the program's first packrat parse.
     """
 
     __slots__ = ("kind", "a", "b", "extra", "prod_body", "start", "tree",
@@ -211,13 +235,19 @@ class _Program:
 #   Unit.
 # LIT: (bytes, ok_steps, fail_steps_per_prefix, value) for a fixed byte
 #   string (a right-nested terminal chain).
-# SCAN: (steps, values, leaf, find) for a repetition of a matcher.
-#   In tree mode a rule's node coalesces adjacent leaves, so ``values``
-#   is None and a non-empty run of leaves (``leaf``) adds one leaf
-#   span covering it to the children list.  Embedded grammars keep the exact
-#   items.  ``find`` is (c, item_steps) when c is the only byte that
-#   ends the run and every other byte costs the same, so the scan is
-#   bytes.find; otherwise None.
+# SCAN: (steps, values, leaf, find, first) for a repetition of a
+#   matcher.  In tree mode a rule's node coalesces adjacent leaves, so
+#   ``values`` is None and a non-empty run of leaves (``leaf``) adds one
+#   leaf span covering it to the children list.  Embedded grammars keep
+#   the exact items.  ``find`` is (c, item_steps) when c is the only
+#   byte that ends the run and every other byte costs the same, so the
+#   scan is bytes.find; otherwise None.  ``first`` is None for ``x*``.
+#   For a tree-mode ``m x*`` (``x+`` and the like: m a one-byte matcher
+#   whose leaves agree with the scan's) it is m's step table with the
+#   Seq's step added, which m runs on the first byte; the span then
+#   starts at m's byte.  A success adds the step; a failure adds it
+#   only when the pair ends its tree-mode sequence, since a failure at
+#   an earlier item has the sequence count it (see _run).
 
 _FAILS = (-1,) * 257
 _UNITS = (UNIT,) * 256
@@ -255,6 +285,16 @@ class _ByteTables:
             return self.memo[e]
         except KeyError:
             pass
+        if type(e) is Seq:
+            # The right spine first, bottom up, so that a long chain of
+            # guards is built in a loop, not one recursion per item.
+            spine = []
+            x = e.right
+            while type(x) is Seq and x not in self.memo:
+                spine.append(x)
+                x = x.right
+            for x in reversed(spine):
+                self(x)
         out = self._build(e)
         if out is not None:
             out = (self.steps.setdefault(out[0], out[0]), out[1])
@@ -332,7 +372,30 @@ def _scan_descriptor(steps, values, tree_mode: bool):
     if len(ok) == 255 and len({steps[b] for b in ok}) == 1:
         c = next(b for b in range(256) if steps[b] < 0)
         find = (c, steps[ok[0]] + 1)
-    return steps, values, leaf, find
+    return steps, values, leaf, find, None
+
+
+def _plus_descriptor(m: Expr, rep: Expr, tables: _ByteTables, last: bool):
+    """SCAN descriptor of the tree-mode sequence items ``m rep`` (see
+    SCAN above), or None when they are not an ``m x*``.  ``last`` is set
+    when the pair ends its sequence."""
+    if type(rep) is not Star:
+        return None
+    mt = tables(m)
+    xt = tables(rep.inner)
+    if mt is None or mt[1] is None or xt is None or xt[1] is None:
+        return None
+    scan = _scan_descriptor(xt[0], xt[1], True)
+    if scan is None or scan[1] is not None:
+        return None
+    steps, values = mt
+    # One span covers both parts, so m's successes must be leaves
+    # exactly when the scan's are.
+    if any((type(values[b]) is int) != scan[2]
+           for b in range(256) if steps[b] > 0):
+        return None
+    first = tuple([t + 1 if t > 0 else t - last for t in steps])
+    return scan[:4] + (tables.steps.setdefault(first, first),)
 
 
 def _spine_value(data: bytes):
@@ -386,6 +449,32 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
         prog.extra.append(extra)
         return len(prog.kind) - 1
 
+    def seq_items(e: Seq) -> tuple:
+        """The compiled items of the right-nested chain ``e`` heads,
+        walked in a loop: the chain goes on while the right part is a
+        Seq that is not byte-local or a literal.  Items cost what they
+        would cost as parts of binary Seqs, so only the Seqs' own steps
+        need counting (see _run).  An ``m x*`` pair becomes one SCAN."""
+        parts = [e.left]
+        e = e.right
+        while type(e) is Seq and tables(e) is None and _as_lit(e) is None:
+            parts.append(e.left)
+            e = e.right
+        parts.append(e)
+        items = []
+        i = 0
+        while i < len(parts):
+            plus = (_plus_descriptor(parts[i], parts[i + 1], tables,
+                                     i + 2 == len(parts))
+                    if i + 1 < len(parts) else None)
+            if plus is not None:
+                items.append(emit(_K_SCAN, extra=plus))
+                i += 2
+            else:
+                items.append(visit(parts[i]))
+                i += 1
+        return tuple(items)
+
     def visit(e: Expr) -> int:
         key = id(e)
         got = index.get(key)
@@ -406,7 +495,7 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
             p = prod_index.get(e.name)
             if p is None:
                 raise KeyError("nonterminal %r is not in the grammar" % e.name)
-            node = emit(_K_NT, p)
+            node = emit(_K_TNT if tree_mode else _K_NT, p)
         elif t is Empty:
             node = emit(_K_EMPTY)
         else:
@@ -417,9 +506,12 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
                 lit = _as_lit(e)
                 if lit is not None:
                     node = emit(_K_LIT, extra=lit)
+                elif t is Seq and tree_mode:
+                    items = seq_items(e)
+                    node = (items[0] if len(items) == 1
+                            else emit(_K_TSEQ, items[0], extra=items))
                 elif t is Seq:
-                    node = emit(_K_TSEQ if tree_mode else _K_SEQ,
-                                visit(e.left), visit(e.right))
+                    node = emit(_K_SEQ, visit(e.left), visit(e.right))
                 elif t is Choice:
                     node = emit(_K_TCHOICE if tree_mode else _K_CHOICE,
                                 visit(e.first), visit(e.second))
@@ -447,6 +539,14 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
             prog.prod_body[i] = visit(g.productions[name])
         prog.start = prog.prod_body[prod_index[g.start]]
     root_ids = [visit(r) for r in roots]
+    if tree_mode:
+        # A tree-mode call runs the inside of its rule's node collector,
+        # which every rule body of a tree-shaped grammar is.
+        for i, k in enumerate(prog.kind):
+            if k == _K_TNT:
+                collector = prog.prod_body[prog.a[i]]
+                prog.b[i] = prog.a[collector]
+                prog.extra[i] = prog.extra[collector]
     return prog, root_ids
 
 
@@ -462,46 +562,91 @@ def _initial_marks(prog: _Program) -> list:
     can call at the choice's own position, so that the second
     alternative may call it where the first already did.  A rule leads
     an expression through nullable prefixes, negations, repetitions,
-    actions and the bodies of leading rules.  Both properties are least
-    fixpoints over the rules; rule sets are bit masks over production
-    indices, and a node's children have lower indices than the node.
+    actions and the bodies of leading rules, but not through the body
+    of a seeded rule: a seeded rule's second call there is a memo hit,
+    which runs no body.  Nullability and, for a given seed set, leads
+    are least fixpoints over the rules; rule sets are bit masks over
+    production indices, and a node's children have lower indices than
+    the node.  The seed set is then iterated from the empty set to a
+    fixpoint.  Each rule's membership depends only on the rules that
+    lead to it, and a certified grammar has no cycle of leading rules
+    (that is left recursion), so this takes at most one round per rule
+    plus one; should it not settle, the union of the last two sets is
+    used.
     """
-    kind, aa, bb, body = prog.kind, prog.a, prog.b, prog.prod_body
+    kind, aa, bb, extra, body = (prog.kind, prog.a, prog.b, prog.extra,
+                                 prog.prod_body)
+    calls = (_K_NT, _K_TNT)
+    seqs = (_K_SEQ, _K_TSEQ)
+    choices = (_K_CHOICE, _K_TCHOICE)
     null = [False] * len(kind)      # can succeed without consuming
-    lead = [0] * len(kind)          # rules called at the node's position
     rule_null = [False] * len(body)
-    rule_lead = [1 << p for p in range(len(body))]
     while True:
         for i, k in enumerate(kind):
-            if k == _K_NT:
+            if k in calls:
                 null[i] = rule_null[aa[i]]
-                lead[i] = rule_lead[aa[i]]
-            elif k == _K_SEQ or k == _K_TSEQ:
-                x, y = aa[i], bb[i]
-                null[i] = null[x] and null[y]
-                lead[i] = lead[x] | lead[y] if null[x] else lead[x]
-            elif k == _K_CHOICE or k == _K_TCHOICE:
-                x, y = aa[i], bb[i]
-                null[i] = null[x] or null[y]
-                lead[i] = lead[x] | lead[y]
+            elif k in seqs:
+                null[i] = all([null[x] for x in _seq_parts(prog, i)])
+            elif k in choices:
+                null[i] = null[aa[i]] or null[bb[i]]
             elif k < _K_EMPTY:
-                # Repetitions and negations; actions pass both through.
+                # Repetitions and negations; actions pass it through.
                 null[i] = (k != _K_ACT and k != _K_TACT and k != _K_NODE
                            or null[aa[i]])
-                lead[i] = lead[aa[i]]
             else:
-                # Of the superinstructions, only these always consume.
-                null[i] = k != _K_MATCH1 and k != _K_LIT
+                # Of the superinstructions, these always consume.
+                null[i] = not (k == _K_MATCH1 or k == _K_LIT
+                               or k == _K_SCAN and extra[i][4] is not None)
         now_null = [null[b] for b in body]
-        now_lead = [1 << p | lead[b] for p, b in enumerate(body)]
-        if now_null == rule_null and now_lead == rule_lead:
+        if now_null == rule_null:
             break
-        rule_null, rule_lead = now_null, now_lead
+        rule_null = now_null
+
+    def seed_of(seeded: int) -> int:
+        lead = [0] * len(kind)      # rules called at the node's position
+        rule_lead = [1 << p for p in range(len(body))]
+        while True:
+            for i, k in enumerate(kind):
+                if k in calls:
+                    lead[i] = rule_lead[aa[i]]
+                elif k in seqs:
+                    out = 0
+                    for x in _seq_parts(prog, i):
+                        out |= lead[x]
+                        if not null[x]:
+                            break
+                    lead[i] = out
+                elif k in choices:
+                    lead[i] = lead[aa[i]] | lead[bb[i]]
+                elif k < _K_EMPTY:
+                    lead[i] = lead[aa[i]]
+            now_lead = [1 << p if seeded >> p & 1 else 1 << p | lead[b]
+                        for p, b in enumerate(body)]
+            if now_lead == rule_lead:
+                break
+            rule_lead = now_lead
+        out = 0
+        for i, k in enumerate(kind):
+            if k in choices:
+                out |= lead[aa[i]] & lead[bb[i]]
+        return out
+
     seed = 0
-    for i, k in enumerate(kind):
-        if k == _K_CHOICE or k == _K_TCHOICE:
-            seed |= lead[aa[i]] & lead[bb[i]]
+    for _ in range(len(body) + 1):
+        now = seed_of(seed)
+        if now == seed:
+            break
+        seed = now
+    else:
+        seed |= seed_of(seed)
     return [_ALWAYS if seed >> p & 1 else -1 for p in range(len(body))]
+
+
+def _seq_parts(prog: _Program, i: int):
+    """The parts of sequence node ``i``, in order."""
+    if prog.kind[i] == _K_TSEQ:
+        return prog.extra[i]
+    return prog.a[i], prog.b[i]
 
 
 def _run(prog: _Program, data: bytes, root: int, pos0: int,
@@ -550,10 +695,36 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
             k = kind[cur]
             if k < _K_EMPTY:
                 # A composite: push its frame in its first state.
-                if k <= _K_TSEQ:
+                if k <= _K_ACT:
                     push([k, cur, cpos])
+                elif k == _K_TNT:
+                    # A tree-mode rule call: one frame, the node's.
+                    p = aa[cur]
+                    key = -1
+                    if memo_entries is not None:
+                        if cpos > mark[p]:
+                            mark[p] = cpos
+                        else:
+                            key = cpos * n_prods + p
+                            hit = memo_entries.get(key)
+                            if hit is not None:
+                                hits += 1
+                                ok, rpos, val, steps = hit
+                                steps += 1
+                                if ok:
+                                    kids.append(val)
+                                break
+                            mark[p] = _ALWAYS
+                            misses += 1
+                    push([_K_NODE, cur, cpos, len(kids), key])
+                    cur = bb[cur]
+                    continue
+                elif k == _K_TSEQ:
+                    push([k, cur, cpos, 1, 0])
                 elif k >= _K_TCHOICE:
                     push([k, cur, cpos, len(kids)])
+                elif k == _K_NODE:
+                    push([k, cur, cpos, len(kids), None])
                 elif k == _K_STAR:
                     push([k, cur, cpos, [], 0])
                 else:
@@ -572,8 +743,6 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                             hits += 1
                             ok, rpos, val, steps = hit
                             steps += 1
-                            if ok and kids is not None:
-                                kids.append(val)
                             break
                         # Perhaps called here before: memoise from now
                         # on.  (A hit means the rule is memoised already.)
@@ -608,16 +777,30 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     steps = -t
                 break
             if k == _K_SCAN:
-                tab, vals, leaf, find = extra[cur]
+                tab, vals, leaf, find, first = extra[cur]
+                q = cpos                     # where the repetition starts
+                steps = 1                    # the repetition's own step
+                if first is not None:
+                    # ``m x*``: m on the first byte, with the Seq's step.
+                    t = first[data[q] if q < n else 256]
+                    if t < 0:
+                        if q > farthest:
+                            farthest = q
+                        ok = False
+                        rpos = -1
+                        val = None
+                        steps = -t
+                        break
+                    q += 1
+                    steps += t
                 if find is not None:
                     c, s_item = find
-                    p = data.find(c, cpos)
+                    p = data.find(c, q)
                     if p < 0:
                         p = n
-                    steps = (p - cpos) * s_item + 1 - tab[c if p < n else 256]
+                    steps += (p - q) * s_item - tab[c if p < n else 256]
                 else:
-                    p = cpos
-                    steps = 1
+                    p = q
                     while p < n:
                         t = tab[data[p]]
                         if t < 0:
@@ -711,46 +894,27 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     break
                 steps += 1
                 pop()
-            elif st == 7:                    # tree Seq, left finished
-                if ok:
-                    f[0] = 8
-                    f.append(steps)
-                    cur = bb[f[1]]
-                    cpos = rpos
-                    descend = True
-                    break
-                steps += 1
-                pop()
-            elif st == 8:                    # tree Seq, right finished
-                steps += f[3] + 1
-                if ok and (rpos < f[2] or rpos > n):
-                    raise InvariantViolation("sequence moved backwards")
-                pop()
-            elif st == 6:                    # Action
-                if ok:
-                    ref = extra[f[1]]
-                    if ref.span_aware:
-                        val = ref.fn(val, f[2], rpos)
-                    else:
-                        val = ref.fn(val)
-                steps += 1
-                pop()
-            elif st == 2:                    # Seq, right finished
-                steps += f[3] + 1
+            elif st == 9:                    # tree Seq, item next - 1 finished
                 if ok:
                     if rpos < f[2] or rpos > n:
                         raise InvariantViolation("sequence moved backwards")
-                    val = Tup((f[4], val))
+                    items = extra[f[1]]
+                    j = f[3]
+                    if j < len(items):
+                        # Each item but the last brings one Seq's step.
+                        f[2] = rpos
+                        f[3] = j + 1
+                        f[4] += steps + 1
+                        cur = items[j]
+                        cpos = rpos
+                        descend = True
+                        break
+                    steps += f[4]
+                else:
+                    # So does a failed item, unless it is the last.
+                    steps += f[4] + (f[3] < len(extra[f[1]]))
                 pop()
-            elif st == 0:                    # NonTerminal return
-                if memo_entries is not None and f[1] is not None:
-                    # A memo miss, and f[1] its key.
-                    memo_entries[f[1]] = (ok, rpos, val, steps)
-                steps += 1
-                if ok and (rpos < f[2] or rpos > n):
-                    raise InvariantViolation("nonterminal moved backwards")
-                pop()
-            elif st == 13:                   # a rule's node
+            elif st == 10:                   # a rule's node, maybe a call
                 if ok:
                     m = f[3]
                     # The node's own fields, then its children.
@@ -777,6 +941,43 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     val = new_tuple(TreeNode, children)
                     kids.append(val)
                 steps += 1
+                key = f[4]
+                if key is not None:          # the return of a rule call
+                    if key >= 0:
+                        memo_entries[key] = (ok, rpos, val, steps)
+                    steps += 1
+                    if ok and (rpos < f[2] or rpos > n):
+                        raise InvariantViolation("nonterminal moved backwards")
+                pop()
+            elif st == 6:                    # Action
+                if ok:
+                    ref = extra[f[1]]
+                    if ref.span_aware:
+                        val = ref.fn(val, f[2], rpos)
+                    else:
+                        val = ref.fn(val)
+                steps += 1
+                pop()
+            elif st == 2:                    # Seq, right finished
+                steps += f[3] + 1
+                if ok:
+                    if rpos < f[2] or rpos > n:
+                        raise InvariantViolation("sequence moved backwards")
+                    val = Tup((f[4], val))
+                pop()
+            elif st == 0:                    # NonTerminal return
+                if memo_entries is not None and f[1] is not None:
+                    # A memo miss, and f[1] its key.
+                    memo_entries[f[1]] = (ok, rpos, val, steps)
+                steps += 1
+                if ok and (rpos < f[2] or rpos > n):
+                    raise InvariantViolation("nonterminal moved backwards")
+                pop()
+            elif st == 14:                   # tree drop, leaf or other action
+                del kids[f[3]:]
+                if ok and extra[f[1]]:
+                    kids.append((f[2], rpos))
+                steps += 1
                 pop()
             elif st == 3:                    # Choice, first finished
                 if ok:
@@ -789,7 +990,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     cpos = f[2]
                     descend = True
                     break
-            elif st == 11:                   # tree Choice, first finished
+            elif st == 12:                   # tree Choice, first finished
                 if ok:
                     steps += 1
                     pop()
@@ -804,7 +1005,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
             elif st == 4:                    # Choice, second finished
                 steps += f[3] + 1
                 pop()
-            elif st == 9 or st == 10:        # Star, one iteration finished
+            elif st == 7 or st == 8:         # Star, one iteration finished
                 if ok:
                     if rpos == f[2]:
                         raise InvariantViolation(
@@ -812,7 +1013,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                             "input on a certified grammar")
                     if rpos < f[2] or rpos > n:
                         raise InvariantViolation("repetition moved backwards")
-                    if st == 9:
+                    if st == 7:
                         f[3].append(val)
                     else:
                         f[3] = len(kids)
@@ -822,7 +1023,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     cpos = rpos
                     descend = True
                     break
-                if st == 9:
+                if st == 7:
                     val = Lst(tuple(f[3]))
                 else:
                     del kids[f[3]:]
@@ -830,14 +1031,8 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                 rpos = f[2]
                 steps += f[4] + 1
                 pop()
-            elif st == 14:                   # tree drop, leaf or other action
-                del kids[f[3]:]
-                if ok and extra[f[1]]:
-                    kids.append((f[2], rpos))
-                steps += 1
-                pop()
-            else:                            # 5 or 12: Not (12 in tree mode)
-                if st == 12:
+            else:                            # 5 or 13: Not (13 in tree mode)
+                if st == 13:
                     del kids[f[3]:]
                 if ok:
                     ok = False

@@ -275,6 +275,19 @@ def test_grammar_too_deep_to_load_exits_2(capsys, tmp_path):
         assert err.count("\n") == 1 and "too deeply" in err
 
 
+def test_deep_sequence_grammar_checks_and_parses(capsys, tmp_path):
+    # 3 000 items under ! (tree wrapping leaves the inside of ! as it
+    # is): the compiler walks the sequence in a loop.
+    path = tmp_path / "deep.peg"
+    path.write_text("a <- !(%s) 'x' ;\n" % ("[ab] " * 3000))
+    data = tmp_path / "x.txt"
+    data.write_text("x")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 0 and json.loads(out)["wellFormed"] is True
+    code, out, err = run(capsys, "parse", str(path), str(data))
+    assert code == 0 and "Traceback" not in err
+
+
 def test_bench_malformed_sizes_is_usage_error(capsys):
     for sizes in ("1X", "1K,", "-1K", "inf", "nanK"):
         code, out, err = run(capsys, "bench", grammar_path("xml-lite.peg"),
