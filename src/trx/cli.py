@@ -170,13 +170,19 @@ def cmd_parse(args) -> int:
 
 
 def _print_tree(doc: dict, indent: int = 0):
-    pad = "  " * indent
-    if "rule" in doc:
-        print("%s%s [%d:%d]" % (pad, doc["rule"], doc["start"], doc["end"]))
-        for child in doc["children"]:
-            _print_tree(child, indent + 1)
-    else:
-        print("%s%r [%d:%d]" % (pad, doc["text"], doc["start"], doc["end"]))
+    # Depth first with an explicit stack, so trees of any depth print.
+    todo = [(doc, indent)]
+    while todo:
+        doc, indent = todo.pop()
+        pad = "  " * indent
+        if "rule" in doc:
+            print("%s%s [%d:%d]" % (pad, doc["rule"], doc["start"],
+                                    doc["end"]))
+            todo.extend([(child, indent + 1)
+                         for child in reversed(doc["children"])])
+        else:
+            print("%s%r [%d:%d]" % (pad, doc["text"], doc["start"],
+                                    doc["end"]))
 
 
 def cmd_bench(args) -> int:

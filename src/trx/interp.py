@@ -65,9 +65,18 @@ rule body is its node collector, so a rule call pushes one frame that
 runs the collector's inside and, on return, builds the node, writes
 the memo entry (the body's steps, the collector's included) and adds
 the call's step.  And ``m x*``, m a one-byte matcher (``x+`` among
-them), is one scan, also as the inside of a longer chain.  Value-mode
-programs keep the binary Seq, and a call's frame apart from its
-body's.
+them), is one scan, also as the inside of a longer chain.  A call of a
+leaf rule, whose collector's inside is one primitive (an EMPTY,
+MATCH1, PRED, LIT or SCAN: xml-lite's name, text, attrvalue, ws and
+ws1), pushes no frame, and nor does a drop of one (``~ws``): the call
+runs the primitive in place and then adds, as the frame would, 1 step
+for the collector, writes the memo entry, and adds 1 for the call and,
+for a drop, 1 more.  The node is (rule, start, end) with at most the
+primitive's one leaf, built directly; a drop builds it only when the
+call is memoised, since a kept call at that position may hit the
+entry.  A memo hit adds 1 step, or 2 for a drop, which appends
+nothing.  Value-mode programs keep the binary Seq, and a call's frame
+apart from its body's.
 
 Certification compiles the program once and the Certificate carries
 it, so parse() runs exactly the grammar that was certified.
@@ -186,12 +195,18 @@ def memo_stats(table: MemoTable) -> dict:
 # tree-mode rule call (TNT) runs its rule's node collector in its own
 # frame: the frame starts in the NODE state, and its ``key`` is the
 # memo key, -1 for a call that is not memoised, or None for a bare
-# collector (a parse's start rule, or an eval_expr root).  Terminals,
-# ranges and any-char always compile to MATCH1; MATCH1, PRED, LIT and
-# SCAN are superinstructions.
+# collector (a parse's start rule, or an eval_expr root).  A call of a
+# leaf rule, one whose collector's inside is a single EMPTY, MATCH1,
+# PRED, LIT or SCAN, is TLEAF, and a drop of such a call TDLEAF.  The
+# three calls are numbered next to each other, among the composites,
+# but the leaf calls push no frame: they run that primitive in place,
+# then add the collector's step, write the memo entry and add the
+# call's step, and a drop's.  Terminals, ranges and any-char always
+# compile to MATCH1; MATCH1, PRED, LIT and SCAN are superinstructions.
 _K_SEQ, _K_CHOICE, _K_NOT, _K_ACT, _K_STAR = 1, 3, 5, 6, 7
-_K_TSTAR, _K_TSEQ, _K_NODE, _K_TNT, _K_TCHOICE, _K_TNOT, _K_TACT = range(8, 15)
-_K_EMPTY, _K_NT, _K_MATCH1, _K_PRED, _K_LIT, _K_SCAN = range(15, 21)
+_K_TSTAR, _K_TSEQ, _K_NODE, _K_TCHOICE, _K_TNOT, _K_TACT = range(8, 14)
+_K_TNT, _K_TLEAF, _K_TDLEAF = range(14, 17)
+_K_EMPTY, _K_NT, _K_MATCH1, _K_PRED, _K_LIT, _K_SCAN = range(17, 23)
 
 
 class _Program:
@@ -200,12 +215,13 @@ class _Program:
     ``extra`` holds a superinstruction's descriptor, a value-mode action
     node's ActionRef, a tree node's or tree-mode call's rule name, a
     tree-mode sequence's items, or whether a tree-mode action is a
-    leaf.  A tree-mode call's ``a`` is its production and ``b`` the
-    inside of the production's node collector; a tree-mode sequence's
-    ``a`` is its first item.  ``tree`` is set when the program was
-    compiled from a tree-shaped grammar.  ``marks`` holds the
-    watermarks a packrat parse starts from (see _initial_marks); it is
-    computed on the program's first packrat parse.
+    leaf.  A tree-mode call's (TNT, TLEAF, TDLEAF) ``a`` is its
+    production and ``b`` the inside of the production's node collector;
+    a tree-mode sequence's ``a`` is its first item.  ``tree`` is set
+    when the program was compiled from a tree-shaped grammar.
+    ``marks`` holds the watermarks a packrat parse starts from (see
+    _initial_marks); it is computed on the program's first packrat
+    parse.
     """
 
     __slots__ = ("kind", "a", "b", "extra", "prod_body", "start", "tree",
@@ -541,12 +557,23 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
     root_ids = [visit(r) for r in roots]
     if tree_mode:
         # A tree-mode call runs the inside of its rule's node collector,
-        # which every rule body of a tree-shaped grammar is.
-        for i, k in enumerate(prog.kind):
+        # which every rule body of a tree-shaped grammar is.  When that
+        # inside is one primitive the call is a leaf call, and a drop of
+        # a leaf call is one too.
+        kind, aa, bb, extra = prog.kind, prog.a, prog.b, prog.extra
+        leaf_insides = (_K_EMPTY, _K_MATCH1, _K_PRED, _K_LIT, _K_SCAN)
+        for i, k in enumerate(kind):
             if k == _K_TNT:
-                collector = prog.prod_body[prog.a[i]]
-                prog.b[i] = prog.a[collector]
-                prog.extra[i] = prog.extra[collector]
+                collector = prog.prod_body[aa[i]]
+                bb[i] = aa[collector]
+                extra[i] = extra[collector]
+                if kind[bb[i]] in leaf_insides:
+                    kind[i] = _K_TLEAF
+        for i, k in enumerate(kind):
+            if k == _K_TACT and not extra[i] and kind[aa[i]] == _K_TLEAF:
+                call = aa[i]
+                kind[i] = _K_TDLEAF
+                aa[i], bb[i], extra[i] = aa[call], bb[call], extra[call]
     return prog, root_ids
 
 
@@ -576,7 +603,7 @@ def _initial_marks(prog: _Program) -> list:
     """
     kind, aa, bb, extra, body = (prog.kind, prog.a, prog.b, prog.extra,
                                  prog.prod_body)
-    calls = (_K_NT, _K_TNT)
+    calls = (_K_NT, _K_TNT, _K_TLEAF, _K_TDLEAF)
     seqs = (_K_SEQ, _K_TSEQ)
     choices = (_K_CHOICE, _K_TCHOICE)
     null = [False] * len(kind)      # can succeed without consuming
@@ -688,17 +715,23 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
     rpos = -1
     val = None
     steps = 0
+    # A leaf call whose primitive runs next: its rule name (None when
+    # there is none), and its memo key, mark in ``kids`` and whether it
+    # drops, in leaf_key, leaf_mark and leaf_drop.
+    leaf_rule = None
 
     while True:
         # Descend until a primitive (or superinstruction) yields a result.
         while True:
             k = kind[cur]
             if k < _K_EMPTY:
-                # A composite: push its frame in its first state.
+                # A composite or a tree-mode call: push its frame in
+                # its first state (a leaf call pushes none).
                 if k <= _K_ACT:
                     push([k, cur, cpos])
-                elif k == _K_TNT:
-                    # A tree-mode rule call: one frame, the node's.
+                elif k >= _K_TNT:
+                    # A tree-mode rule call: one frame, the node's, or
+                    # none for a leaf rule.
                     p = aa[cur]
                     key = -1
                     if memo_entries is not None:
@@ -710,13 +743,22 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                             if hit is not None:
                                 hits += 1
                                 ok, rpos, val, steps = hit
-                                steps += 1
-                                if ok:
-                                    kids.append(val)
+                                if k == _K_TDLEAF:
+                                    steps += 2   # the call's and the drop's
+                                else:
+                                    steps += 1
+                                    if ok:
+                                        kids.append(val)
                                 break
                             mark[p] = _ALWAYS
                             misses += 1
-                    push([_K_NODE, cur, cpos, len(kids), key])
+                    if k == _K_TNT:
+                        push([_K_NODE, cur, cpos, len(kids), key])
+                    else:
+                        leaf_rule = extra[cur]
+                        leaf_key = key
+                        leaf_mark = len(kids)
+                        leaf_drop = k == _K_TDLEAF
                     cur = bb[cur]
                     continue
                 elif k == _K_TSEQ:
@@ -868,13 +910,40 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
             steps = 1
             break
 
+        if leaf_rule is not None:
+            # The end of a leaf call, whose collector's inside has just
+            # run at cpos.  Node, memo entry and steps are those of the
+            # NODE state below, with the node built directly: the inside
+            # adds at most one leaf span to ``kids``, and it is
+            # (cpos, rpos).  A drop then appends nothing, and builds the
+            # node only for its memo entry, which a kept call of the
+            # rule at cpos may hit.
+            if ok:
+                if len(kids) > leaf_mark:
+                    del kids[-1]
+                    if leaf_key >= 0 or not leaf_drop:
+                        val = new_tuple(TreeNode, (
+                            leaf_rule, cpos, rpos,
+                            new_tuple(TreeNode, ("", cpos, rpos))))
+                elif leaf_key >= 0 or not leaf_drop:
+                    val = new_tuple(TreeNode, (leaf_rule, cpos, rpos))
+                if not leaf_drop:
+                    kids.append(val)
+            steps += 1
+            if leaf_key >= 0:
+                memo_entries[leaf_key] = (ok, rpos, val, steps)
+            steps += 1 + leaf_drop           # the call's, and the drop's
+            if ok and (rpos < cpos or rpos > n):
+                raise InvariantViolation("nonterminal moved backwards")
+            leaf_rule = None
+
         # Unwind completed results into waiting frames.  Value-mode and
         # tree-mode states are interleaved, most frequent first.  In
         # tree mode values are not built: leaves, scans and memo hits
         # add to ``kids``, a rule's node takes what was added since its
         # mark, and every frame that discards a result truncates
-        # ``kids`` back to its mark.
-        descend = False
+        # ``kids`` back to its mark.  A frame that starts a part breaks
+        # out to descend into it.
         while True:
             if not stack:
                 if memo is not None:
@@ -890,7 +959,6 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     f.append(val)
                     cur = bb[f[1]]
                     cpos = rpos
-                    descend = True
                     break
                 steps += 1
                 pop()
@@ -907,7 +975,6 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                         f[4] += steps + 1
                         cur = items[j]
                         cpos = rpos
-                        descend = True
                         break
                     steps += f[4]
                 else:
@@ -973,7 +1040,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                 if ok and (rpos < f[2] or rpos > n):
                     raise InvariantViolation("nonterminal moved backwards")
                 pop()
-            elif st == 14:                   # tree drop, leaf or other action
+            elif st == 13:                   # tree drop, leaf or other action
                 del kids[f[3]:]
                 if ok and extra[f[1]]:
                     kids.append((f[2], rpos))
@@ -988,9 +1055,8 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     f.append(steps)
                     cur = bb[f[1]]
                     cpos = f[2]
-                    descend = True
                     break
-            elif st == 12:                   # tree Choice, first finished
+            elif st == 11:                   # tree Choice, first finished
                 if ok:
                     steps += 1
                     pop()
@@ -1000,7 +1066,6 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     f[3] = steps
                     cur = bb[f[1]]
                     cpos = f[2]
-                    descend = True
                     break
             elif st == 4:                    # Choice, second finished
                 steps += f[3] + 1
@@ -1021,7 +1086,6 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     f[2] = rpos
                     cur = aa[f[1]]
                     cpos = rpos
-                    descend = True
                     break
                 if st == 7:
                     val = Lst(tuple(f[3]))
@@ -1031,8 +1095,8 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                 rpos = f[2]
                 steps += f[4] + 1
                 pop()
-            else:                            # 5 or 13: Not (13 in tree mode)
-                if st == 13:
+            else:                            # 5 or 12: Not (12 in tree mode)
+                if st == 12:
                     del kids[f[3]:]
                 if ok:
                     ok = False
@@ -1044,8 +1108,6 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     val = UNIT
                 steps += 1
                 pop()
-        if descend:
-            continue
 
 
 def parse(g: Grammar, cert: Certificate, data, mode: str = "plain",

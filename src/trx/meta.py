@@ -125,7 +125,16 @@ def _tree_wrap_expr(e: Expr) -> Expr:
     if t in (Terminal, Range, AnyChar):
         return Action(e, LEAF)
     if t is Seq:
-        return Seq(_tree_wrap_expr(e.left), _tree_wrap_expr(e.right))
+        # The right spine in a loop, so that a long sequence wraps
+        # without one recursion per item.
+        lefts = []
+        while type(e) is Seq:
+            lefts.append(_tree_wrap_expr(e.left))
+            e = e.right
+        out = _tree_wrap_expr(e)
+        for left in reversed(lefts):
+            out = Seq(left, out)
+        return out
     if t is Choice:
         return Choice(_tree_wrap_expr(e.first), _tree_wrap_expr(e.second))
     if t is Star:

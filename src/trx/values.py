@@ -248,25 +248,41 @@ def tree_to_json(node: TreeNode, data: bytes):
     Nodes become ``{"rule", "start", "end", "children"}``; leaves become
     ``{"text", "start", "end"}`` with text sliced from the input bytes
     (decoded as UTF-8, byte offsets kept even when a span splits a
-    multi-byte character).  The cyclic garbage collector is suspended
-    while the dicts are built, since they form no cycles, and the
-    caller's collector state is restored afterwards.
+    multi-byte character).  Trees of any depth convert.  The cyclic
+    garbage collector is suspended while the dicts are built, since
+    they form no cycles, and the caller's collector state is restored
+    afterwards.
     """
     with gc_suspended():
         return _to_json(node, data)
 
 
-def _to_json(node: TreeNode, data: bytes):
-    rule, start, end = node[:3]
-    if not rule:
-        return {
-            "text": data[start:end].decode("utf-8", "replace"),
-            "start": start,
-            "end": end,
-        }
-    return {
-        "rule": rule,
-        "start": start,
-        "end": end,
-        "children": [_to_json(c, data) for c in node[3:]],
-    }
+def _to_json(root: TreeNode, data: bytes):
+    # Top down with an explicit stack: a node's dict is made, with an
+    # empty children list, when its parent's children are visited in
+    # order, and its own children fill the list when it is popped.
+    # ASCII input is decoded once and sliced as a str, which equals
+    # decoding each slice.
+    text = data.decode("ascii") if data.isascii() else None
+    top = []
+    todo = [((root,), top)]
+    while todo:
+        nodes, out = todo.pop()
+        for node in nodes:
+            rule = node[0]
+            if rule:
+                children = []
+                out.append({"rule": rule, "start": node[1], "end": node[2],
+                            "children": children})
+                if len(node) > 3:
+                    todo.append((node[3:], children))
+            else:
+                start = node[1]
+                end = node[2]
+                out.append({
+                    "text": (text[start:end] if text is not None else
+                             data[start:end].decode("utf-8", "replace")),
+                    "start": start,
+                    "end": end,
+                })
+    return top[0]

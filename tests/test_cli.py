@@ -97,18 +97,27 @@ def test_parse_tree_json(capsys, tmp_path):
 
 
 def test_parse_tree_too_deep_to_render(capsys, tmp_path):
-    # Accepted, but rendering recurses once per level: a usage-class
-    # error (exit 2) with one line, not a traceback or exit 1 (reject).
+    # Accepted and 300 levels deep.  The text rendering walks the tree
+    # with a stack and prints it; json.dumps still recurses once per
+    # level, so --json is a usage-class error (exit 2) with one line,
+    # not a traceback or exit 1 (reject).
     depth = 300
     inp = tmp_path / "deep.xml"
     inp.write_bytes(b"<doc>" + b"<e>" * depth + b"x" + b"</e>" * depth
                     + b"</doc>")
-    for flags in ((), ("--json",)):
-        code, out, err = run(capsys, "parse", grammar_path("xml-lite.peg"),
-                             str(inp), *flags)
-        assert code == 2
-        assert out == ""
-        assert "too deep to render" in err and len(err.splitlines()) == 1
+    code, out, err = run(capsys, "parse", grammar_path("xml-lite.peg"),
+                         str(inp))
+    assert code == 0 and "Traceback" not in err
+    lines = out.splitlines()
+    assert lines[0] == "element [0:%d]" % len(inp.read_bytes())
+    assert max(len(x) - len(x.lstrip(" ")) for x in lines) >= 2 * depth
+    assert lines[-1].lstrip(" ") == "'doc' [%d:%d]" % (
+        len(inp.read_bytes()) - 4, len(inp.read_bytes()) - 1)
+    code, out, err = run(capsys, "parse", grammar_path("xml-lite.peg"),
+                         str(inp), "--json")
+    assert code == 2
+    assert out == ""
+    assert "too deep to render" in err and len(err.splitlines()) == 1
 
 
 def test_parse_reject_reports_position(capsys, tmp_path):
@@ -265,8 +274,9 @@ def test_bench_refuses_uncertified(capsys, tmp_path):
 
 
 def test_grammar_too_deep_to_load_exits_2(capsys, tmp_path):
-    path = tmp_path / "long.peg"
-    path.write_text("a <- '%s' ;\n" % ("x" * 3000))
+    # Lowering recurses once per parenthesis.
+    path = tmp_path / "nested.peg"
+    path.write_text("a <- %s'x'%s ;\n" % ("(" * 300, ")" * 300))
     for argv in (("check", str(path)), ("parse", str(path), "-"),
                  ("bench", str(path), "--sizes", "1K")):
         code, out, err = run(capsys, *argv)

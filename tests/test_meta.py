@@ -351,3 +351,23 @@ def test_tree_shaped_grammar_wraps_every_rule():
                                  node_action("A")),
                      "B": b_rule}, "A", tree_shaped=True)
         assert check_well_formed(g).is_well_formed
+
+
+def test_long_sequences_load():
+    # Tree wrapping walks a sequence's right spine in a loop, so 3 000
+    # guards in a row, and a 3 000-byte literal, load.
+    def spine(e):
+        items = []
+        while type(e) is Seq:
+            items.append(e.left)
+            e = e.right
+        return items + [e]
+
+    x_leaf = Action(Terminal("x"), LEAF)
+    guards = " ".join("!'%s'" % chr(97 + i % 26) for i in range(3000))
+    items = spine(load_grammar("a <- %s 'x' ;" % guards).productions["a"].inner)
+    assert len(items) == 3001 and items[-1] is x_leaf
+    assert all(type(e) is Not for e in items[:-1])
+    items = spine(load_grammar("a <- '%s' ;" % ("x" * 3000))
+                  .productions["a"].inner)
+    assert items == [x_leaf] * 3000
