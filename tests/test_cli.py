@@ -105,14 +105,14 @@ def test_parse_tree_too_deep_to_render(capsys, tmp_path):
     inp = tmp_path / "deep.xml"
     inp.write_bytes(b"<doc>" + b"<e>" * depth + b"x" + b"</e>" * depth
                     + b"</doc>")
+    size = len(inp.read_bytes())
     code, out, err = run(capsys, "parse", grammar_path("xml-lite.peg"),
                          str(inp))
     assert code == 0 and "Traceback" not in err
     lines = out.splitlines()
-    assert lines[0] == "element [0:%d]" % len(inp.read_bytes())
+    assert lines[0] == "element [0:%d]" % size
     assert max(len(x) - len(x.lstrip(" ")) for x in lines) >= 2 * depth
-    assert lines[-1].lstrip(" ") == "'doc' [%d:%d]" % (
-        len(inp.read_bytes()) - 4, len(inp.read_bytes()) - 1)
+    assert lines[-1].lstrip(" ") == "'doc' [%d:%d]" % (size - 4, size - 1)
     code, out, err = run(capsys, "parse", grammar_path("xml-lite.peg"),
                          str(inp), "--json")
     assert code == 2

@@ -567,8 +567,8 @@ def test_leaf_rule_calls_agree_with_oracle(text, alphabet):
     twin = Grammar(dict(g.productions), g.start)
     twin_cert = certify(twin)
     inputs = [b""]
-    for _ in range(4):
-        inputs += [x + c.encode() for x in inputs if len(x) == _
+    for n in range(4):
+        inputs += [x + c.encode() for x in inputs if len(x) == n
                    for c in alphabet]
     hits = 0
     for data in inputs:

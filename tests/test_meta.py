@@ -365,7 +365,8 @@ def test_long_sequences_load():
 
     x_leaf = Action(Terminal("x"), LEAF)
     guards = " ".join("!'%s'" % chr(97 + i % 26) for i in range(3000))
-    items = spine(load_grammar("a <- %s 'x' ;" % guards).productions["a"].inner)
+    items = spine(load_grammar("a <- %s 'x' ;" % guards)
+                  .productions["a"].inner)
     assert len(items) == 3001 and items[-1] is x_leaf
     assert all(type(e) is Not for e in items[:-1])
     items = spine(load_grammar("a <- '%s' ;" % ("x" * 3000))
