@@ -8,10 +8,15 @@ well-formed is complete, i.e. the interpreter terminates on every
 input.  Passing the check yields an unforgeable Certificate that gates
 the total parse entry point.
 
-Both fixpoints iterate round-robin sweeps in the deterministic order of
-the expression set (production order, preorder within each body, first
-occurrence wins) until a sweep changes nothing.  Sets only ever grow,
-so each loop is bounded by the size of the expression set.
+Both fixpoints iterate round-robin sweeps over the expression set until
+a sweep changes nothing.  The property fixpoint visits children before
+parents, in the reverse of the set's deterministic order (production
+order, preorder within each body, first occurrence wins), so a nested
+chain closes in a few sweeps, not one per level; a least fixpoint does
+not depend on the order.  The well-formedness fixpoint sweeps in that
+order itself, and the number of its sweeps is the report's
+``iterations``.  Sets only ever grow, so each loop is bounded by the
+size of the expression set.
 """
 
 from __future__ import annotations
@@ -93,7 +98,7 @@ def infer_properties(g: Grammar, *, simplified: bool = False) -> PropertyTable:
         changed = False
         sweeps += 1
         assert sweeps <= 3 * len(exprs) + 1, "property fixpoint failed to close"
-        for e in exprs:
+        for e in reversed(exprs):
             t = type(e)
             if t is Empty:
                 e0, e1, ef = True, False, False

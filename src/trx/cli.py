@@ -2,9 +2,8 @@
 
 Exit codes are stable: 0 success, 1 reject or not-well-formed verdict,
 2 usage and I/O problems (including grammar syntax errors, which leave
-no verdict to report, a grammar nested too deeply to load, check or
-compile, and an accepted input whose tree is too deep to render), 3
-refusal to parse with an uncertified grammar.
+no verdict to report, and a grammar nested too deeply to load, check or
+compile), 3 refusal to parse with an uncertified grammar.
 
 Tree JSON schema: nodes are {"rule", "start", "end", "children"},
 leaves {"text", "start", "end"}; offsets are byte offsets into the
@@ -33,7 +32,7 @@ from .interp import MemoTable, memo_stats, parse_to_tree
 from .mathdemo import evaluate, math_grammar
 from .meta import PegSyntaxError, line_col, load_grammar_source
 from .selftest import run_selftest
-from .values import tree_to_json
+from .values import tree_json_text, tree_to_json
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -154,16 +153,10 @@ def cmd_parse(args) -> int:
         print(json.dumps({"ok": True, "consumed": out.pos,
                           "total": len(data)}))
         return EXIT_OK
-    try:
-        doc = tree_to_json(out.value, data)
-        if args.json:
-            print(json.dumps(doc))
-        else:
-            _print_tree(doc)
-    except RecursionError:
-        _err("input accepted, but its tree is too deep to render "
-             "(Python recursion limit)")
-        return EXIT_USAGE
+    if args.json:
+        print(tree_json_text(out.value, data))
+    else:
+        _print_tree(tree_to_json(out.value, data))
     if args.mode == "packrat":
         print("memo: %r" % (memo_stats(memo),), file=sys.stderr)
     return EXIT_OK

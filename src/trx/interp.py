@@ -78,6 +78,33 @@ entry.  A memo hit adds 1 step, or 2 for a drop, which appends
 nothing.  Value-mode programs keep the binary Seq, and a call's frame
 apart from its body's.
 
+Failure tables.  Most probes of a parse fail on the byte under the
+cursor (the meta-grammar tries every operator rule at every token), so
+every composite node, calls included, has a failure table of 257
+entries indexed like a step table: entry b > 0 is the number of steps
+after which the node, started on byte b (256: end of input), fails,
+having tried matchers only at that position and added nothing to
+``kids``; 0 means it must run.  The VM reads the table when it
+descends into a composite, and on a non-zero entry sets ``farthest``
+to at least the position and unwinds a failure of that many steps
+without pushing a frame (after LPeg's head-fail tests, but keeping the
+step index exact).  The entries follow the step arithmetic: MATCH1
+and PRED fail in -t steps where their step table has t < 0; LIT in
+its first prefix's failure steps on every byte but its first; SCAN
+like MATCH1 by its ``first`` table, and never without one; a sequence
+in its first item's steps + 1; a choice in a + b + 1 where both
+alternatives fail; an action or rule node in its inside's + 1;
+repetitions and negations never.  A rule call adds its steps to its
+inside's: 2 for TNT and TLEAF, 3 for TDLEAF and 1 for NT.  In packrat
+mode a call moves a watermark and may count a memo hit or miss, so
+there a call's entry is 0, and so is every entry whose failure runs
+through a call: the call runs, and the table of its inside then
+applies.  So each mode has its tables.  A table is built the first
+time a parse descends into its node (compiling builds none, so
+certification does not pay for them), with those it is made from,
+with an explicit stack, and kept on the program; a table with every
+entry below 256 is a bytes object, and equal tables are one object.
+
 Certification compiles the program once and the Certificate carries
 it, so parse() runs exactly the grammar that was certified.
 """
@@ -188,6 +215,7 @@ def memo_stats(table: MemoTable) -> dict:
 #   [state, node, pos, next, steps]    TSEQ (next: the item to run next)
 #   [10, node, pos, mark, key]         NODE and TNT
 #   [state, node, pos, mark]           TCHOICE, TNOT, TACT
+#   [0, key, pos]                      NT
 # where ``mark`` is where the node's children start in ``kids``.  The
 # states in between continue a node (2: Seq right, 4: Choice second),
 # and 0 returns from a value-mode nonterminal.  Tree-mode programs use
@@ -198,15 +226,17 @@ def memo_stats(table: MemoTable) -> dict:
 # collector (a parse's start rule, or an eval_expr root).  A call of a
 # leaf rule, one whose collector's inside is a single EMPTY, MATCH1,
 # PRED, LIT or SCAN, is TLEAF, and a drop of such a call TDLEAF.  The
-# three calls are numbered next to each other, among the composites,
-# but the leaf calls push no frame: they run that primitive in place,
-# then add the collector's step, write the memo entry and add the
-# call's step, and a drop's.  Terminals, ranges and any-char always
-# compile to MATCH1; MATCH1, PRED, LIT and SCAN are superinstructions.
+# four calls are numbered next to each other, after the other
+# composites, but the leaf calls push no frame: they run that primitive
+# in place, then add the collector's step, write the memo entry and add
+# the call's step, and a drop's.  Every opcode below EMPTY has a failure
+# table (see the module docstring).  Terminals, ranges and any-char
+# always compile to MATCH1; MATCH1, PRED, LIT and SCAN are
+# superinstructions.
 _K_SEQ, _K_CHOICE, _K_NOT, _K_ACT, _K_STAR = 1, 3, 5, 6, 7
 _K_TSTAR, _K_TSEQ, _K_NODE, _K_TCHOICE, _K_TNOT, _K_TACT = range(8, 14)
-_K_TNT, _K_TLEAF, _K_TDLEAF = range(14, 17)
-_K_EMPTY, _K_NT, _K_MATCH1, _K_PRED, _K_LIT, _K_SCAN = range(17, 23)
+_K_TNT, _K_TLEAF, _K_TDLEAF, _K_NT = range(14, 18)
+_K_EMPTY, _K_MATCH1, _K_PRED, _K_LIT, _K_SCAN = range(18, 23)
 
 
 class _Program:
@@ -221,11 +251,14 @@ class _Program:
     when the program was compiled from a tree-shaped grammar.
     ``marks`` holds the watermarks a packrat parse starts from (see
     _initial_marks); it is computed on the program's first packrat
-    parse.
+    parse.  ``fails`` holds the failure tables of plain and of packrat
+    mode, per node, None where not built yet (see _fail_table), and
+    ``shared`` one copy of each distinct table, and by the id of each
+    matcher step table the failure table made from it.
     """
 
     __slots__ = ("kind", "a", "b", "extra", "prod_body", "start", "tree",
-                 "marks")
+                 "marks", "fails", "shared")
 
     def __init__(self):
         self.kind = []
@@ -236,6 +269,8 @@ class _Program:
         self.start = -1
         self.tree = False
         self.marks = None
+        self.fails = [None, None]
+        self.shared = {}
 
 
 # --- Superinstruction descriptors --------------------------------------
@@ -676,6 +711,90 @@ def _seq_parts(prog: _Program, i: int):
     return prog.a[i], prog.b[i]
 
 
+# The failure table of a node that never fails on its first byte alone.
+_NO_FAIL = b""
+# bytes.translate tables that add 1, 2 or 3 to every non-zero entry
+# below 256 - k (a table with a larger entry is not translated).
+_PLUS = {k: bytes([0] + [v + k for v in range(1, 256 - k)] + [0] * k)
+         for k in (1, 2, 3)}
+
+
+def _fail_table(prog: _Program, tables: list, root: int, packrat: bool):
+    """The failure table of node ``root`` for one mode, built now
+    together with the tables it is made from that ``tables`` does not
+    hold yet, and stored there (see the module docstring).
+
+    Depth first with an explicit stack.  A table made from one that is
+    still being built (a cycle of leading calls, which only an
+    uncertified program has) takes that one as _NO_FAIL, which is
+    always exact: the node then runs.
+    """
+    kind, aa, bb, extra, body = (prog.kind, prog.a, prog.b, prog.extra,
+                                 prog.prod_body)
+    shared = prog.shared
+
+    def pack(out: list):
+        if not any(out):
+            return _NO_FAIL
+        out = bytes(out) if max(out) < 256 else tuple(out)
+        return shared.setdefault(out, out)
+
+    opened = set()
+    todo = [root]
+    while todo:
+        i = todo[-1]
+        if tables[i] is not None:
+            todo.pop()
+            continue
+        k = kind[i]
+        # The tables this one is made from, and the steps a node adds
+        # to a failure of the first of them at its own position.
+        if k == _K_SEQ or k == _K_TSEQ or k == _K_ACT or k == _K_TACT \
+                or k == _K_NODE:
+            parts, add = (aa[i],), 1
+        elif k == _K_CHOICE or k == _K_TCHOICE:
+            parts = (aa[i], bb[i])
+        elif k >= _K_TNT and k <= _K_NT and not packrat:
+            parts = (body[aa[i]],) if k == _K_NT else (bb[i],)
+            add = 1 if k == _K_NT else 3 if k == _K_TDLEAF else 2
+        else:
+            parts = ()
+        if i not in opened:
+            opened.add(i)
+            more = [x for x in parts if tables[x] is None and x not in opened]
+            if more:
+                todo.extend(more)
+                continue
+        todo.pop()
+        sub = [tables[x] or _NO_FAIL for x in parts]
+        if k == _K_MATCH1 or k == _K_PRED or k == _K_SCAN:
+            steps = extra[i][4 if k == _K_SCAN else 0]
+            # Matchers share step tables, so their failure tables are
+            # kept by the step table's identity too.
+            out = _NO_FAIL if steps is None else shared.get(id(steps))
+            if out is None:
+                out = shared[id(steps)] = pack(
+                    [-t if t < 0 else 0 for t in steps])
+        elif k == _K_LIT:
+            lbytes, _, fails, _ = extra[i]
+            out = [fails[0]] * 257
+            out[lbytes[0]] = 0
+            out = pack(out)
+        elif not parts or not all(sub):
+            out = _NO_FAIL
+        elif len(sub) == 1:
+            s = sub[0]
+            if type(s) is bytes and max(s) + add < 256:
+                out = s.translate(_PLUS[add])
+                out = shared.setdefault(out, out)
+            else:
+                out = pack([x + add if x else 0 for x in s])
+        else:
+            out = pack([x + y + 1 if x and y else 0 for x, y in zip(*sub)])
+        tables[i] = out
+    return tables[root]
+
+
 def _run(prog: _Program, data: bytes, root: int, pos0: int,
          memo: MemoTable | None):
     """Evaluate node ``root`` at ``pos0``; returns (ok, pos, value, steps,
@@ -701,6 +820,10 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
         n_prods = len(prod_body)
     else:
         memo_entries = None
+    packrat = memo is not None
+    fail = prog.fails[packrat]
+    if fail is None:
+        fail = prog.fails[packrat] = [None] * len(kind)
     # Tree mode: the rule nodes and leaf spans made so far, in order.
     kids = [] if prog.tree else None
     new_tuple = tuple.__new__
@@ -725,13 +848,30 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
         while True:
             k = kind[cur]
             if k < _K_EMPTY:
-                # A composite or a tree-mode call: push its frame in
-                # its first state (a leaf call pushes none).
+                # A composite or a call.  If it cannot start on the byte
+                # under the cursor, its failure table has the steps.
+                g = fail[cur]
+                if g:
+                    s = g[data[cpos] if cpos < n else 256]
+                    if s:
+                        if cpos > farthest:
+                            farthest = cpos
+                        ok = False
+                        rpos = -1
+                        val = None
+                        steps = s
+                        break
+                elif g is None:
+                    # Not built yet: build it, then read it.
+                    _fail_table(prog, fail, cur, packrat)
+                    continue
+                # Push its frame in its first state (a leaf call pushes
+                # none).
                 if k <= _K_ACT:
                     push([k, cur, cpos])
                 elif k >= _K_TNT:
-                    # A tree-mode rule call: one frame, the node's, or
-                    # none for a leaf rule.
+                    # A rule call: in tree mode one frame, the node's,
+                    # or none for a leaf rule.
                     p = aa[cur]
                     key = -1
                     if memo_entries is not None:
@@ -747,11 +887,17 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                                     steps += 2   # the call's and the drop's
                                 else:
                                     steps += 1
-                                    if ok:
+                                    if ok and k != _K_NT:
                                         kids.append(val)
                                 break
+                            # Perhaps called here before: memoise from
+                            # now on.  (A hit means it is memoised.)
                             mark[p] = _ALWAYS
                             misses += 1
+                    if k == _K_NT:
+                        push([0, key, cpos])
+                        cur = prod_body[p]
+                        continue
                     if k == _K_TNT:
                         push([_K_NODE, cur, cpos, len(kids), key])
                     else:
@@ -772,29 +918,6 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                 else:
                     push([k, cur, cpos, len(kids), 0])
                 cur = aa[cur]
-                continue
-            if k == _K_NT:
-                p = aa[cur]
-                if memo_entries is not None:
-                    if cpos > mark[p]:
-                        mark[p] = cpos
-                    else:
-                        key = cpos * n_prods + p
-                        hit = memo_entries.get(key)
-                        if hit is not None:
-                            hits += 1
-                            ok, rpos, val, steps = hit
-                            steps += 1
-                            break
-                        # Perhaps called here before: memoise from now
-                        # on.  (A hit means the rule is memoised already.)
-                        mark[p] = _ALWAYS
-                        misses += 1
-                        push([0, key, cpos])
-                        cur = prod_body[p]
-                        continue
-                push([0, None, cpos])
-                cur = prod_body[p]
                 continue
             if k == _K_MATCH1:
                 tab, vals = extra[cur]
@@ -1033,7 +1156,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     val = Tup((f[4], val))
                 pop()
             elif st == 0:                    # NonTerminal return
-                if memo_entries is not None and f[1] is not None:
+                if f[1] >= 0:
                     # A memo miss, and f[1] its key.
                     memo_entries[f[1]] = (ok, rpos, val, steps)
                 steps += 1

@@ -15,6 +15,7 @@ import gc
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Any
 
@@ -286,3 +287,41 @@ def _to_json(root: TreeNode, data: bytes):
                     "end": end,
                 })
     return top[0]
+
+
+def tree_json_text(root: TreeNode, data: bytes) -> str:
+    """``json.dumps(tree_to_json(root, data))``, written directly.
+
+    The same text for trees of any depth: the tree is walked with an
+    explicit stack, where ``json.dumps`` recurses once per container,
+    and no dicts are built.  Strings are escaped as ``json.dumps``
+    escapes them by default.
+    """
+    text = data.decode("ascii") if data.isascii() else None
+    out = []
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        if type(node) is str:
+            out.append(node)
+            continue
+        rule = node[0]
+        start = node[1]
+        end = node[2]
+        if not rule:
+            out.append('{"text": %s, "start": %d, "end": %d}' % (
+                encode_basestring_ascii(
+                    text[start:end] if text is not None else
+                    data[start:end].decode("utf-8", "replace")),
+                start, end))
+        else:
+            out.append('{"rule": %s, "start": %d, "end": %d, "children": ['
+                       % (encode_basestring_ascii(rule), start, end))
+            # Pushed last to first: the closing brackets, then each
+            # child, after a separator unless it is the first.
+            todo.append("]}")
+            for i in range(len(node) - 1, 2, -1):
+                todo.append(node[i])
+                if i > 3:
+                    todo.append(", ")
+    return "".join(out)

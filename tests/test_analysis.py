@@ -5,7 +5,7 @@ import pytest
 from trx import (Certificate, Choice, EMPTY, NonTerminal, Not, NotWellFormed,
                  Range, Seq, Star, Terminal, build_grammar, certify,
                  check_well_formed, expression_set, infer_properties,
-                 wf_measure)
+                 load_grammar, wf_measure)
 from trx.analysis import (REASON_DEPENDS, REASON_LEFT_RECURSION,
                           REASON_NULLABLE_STAR)
 from trx.exprs import iter_subexprs
@@ -123,6 +123,19 @@ def test_iteration_count_bounded_by_expression_set():
         g = build_grammar(rules, "expr")
         report = check_well_formed(g)
         assert report.iterations <= report.expr_count + 1
+
+
+def test_nested_chain_closes_in_few_property_sweeps():
+    # Children are visited before parents, so a 3 000-item chain under
+    # ! closes in a few sweeps, not one per level.  The well-formedness
+    # sweeps (the report's iterations) keep their own order and count.
+    g = load_grammar("a <- !(%s) 'x' ;" % ("[ab] " * 3000))
+    for simplified in (False, True):
+        assert infer_properties(g, simplified=simplified).sweeps <= 4
+    report = check_well_formed(g)
+    assert report.is_well_formed
+    assert report.properties.sweeps <= 4
+    assert report.iterations == 7
 
 
 def test_certificate_not_publicly_constructible():

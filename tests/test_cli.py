@@ -3,10 +3,12 @@
 import io
 import json
 import os
+import sys
 
+from trx import parse, tree_to_json
 from trx.cli import main
 
-from conftest import grammar_path
+from conftest import certified, grammar_path
 
 LEFT_RECURSIVE_MATH = """\
 @start expr ;
@@ -98,14 +100,15 @@ def test_parse_tree_json(capsys, tmp_path):
 
 def test_parse_tree_too_deep_to_render(capsys, tmp_path):
     # Accepted and 300 levels deep.  The text rendering walks the tree
-    # with a stack and prints it; json.dumps still recurses once per
-    # level, so --json is a usage-class error (exit 2) with one line,
-    # not a traceback or exit 1 (reject).
+    # with a stack and prints it, and --json writes its text with a
+    # stack too: exactly what json.dumps writes, given the recursion
+    # depth it needs.
     depth = 300
     inp = tmp_path / "deep.xml"
     inp.write_bytes(b"<doc>" + b"<e>" * depth + b"x" + b"</e>" * depth
                     + b"</doc>")
-    size = len(inp.read_bytes())
+    data = inp.read_bytes()
+    size = len(data)
     code, out, err = run(capsys, "parse", grammar_path("xml-lite.peg"),
                          str(inp))
     assert code == 0 and "Traceback" not in err
@@ -115,9 +118,16 @@ def test_parse_tree_too_deep_to_render(capsys, tmp_path):
     assert lines[-1].lstrip(" ") == "'doc' [%d:%d]" % (size - 4, size - 1)
     code, out, err = run(capsys, "parse", grammar_path("xml-lite.peg"),
                          str(inp), "--json")
-    assert code == 2
-    assert out == ""
-    assert "too deep to render" in err and len(err.splitlines()) == 1
+    assert code == 0 and "Traceback" not in err
+    g, cert = certified("xml-lite.peg")
+    doc = tree_to_json(parse(g, cert, data).value, data)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20000)
+    try:
+        want = json.dumps(doc)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out == want + "\n"
 
 
 def test_parse_reject_reports_position(capsys, tmp_path):

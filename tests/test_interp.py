@@ -18,12 +18,15 @@ from trx import (Action, ActionRef, AnyChar, CertificateMismatch, Choice,
                  Drop, EMPTY, Grammar, InvariantViolation, MemoTable, NonTerminal, Not, Range,
                  Seq, Star, Terminal, TreeNode, User, build_grammar,
                  builtin_meta_grammar, certify, check_well_formed, eval_expr,
-                 expr_text, expression_set, load_grammar, memo_stats, parse,
-                 parse_to_tree, tree_to_json)
-from trx.interp import _ALWAYS, _compile, _initial_marks, _run
+                 expr_text, expression_set, Literal, load_grammar,
+                 memo_stats, parse, parse_to_tree, tree_to_json, tree_wrap)
+from trx.bench import xmark_lite
+from trx.interp import _ALWAYS, _NO_FAIL, _compile, _initial_marks, _run
 from trx.mathdemo import evaluate, math_grammar
-from trx.oracle import EXHAUSTED, oracle_eval, oracle_parse
-from trx.values import Char, Lst, Tup, UNIT, gc_suspended
+from trx.oracle import (EXHAUSTED, all_inputs, oracle_eval, oracle_parse,
+                        small_grammars)
+from trx.values import (Char, Lst, Tup, UNIT, gc_suspended,
+                        tree_json_text)
 
 from conftest import GRAMMAR_DIR, certified, grammar_text
 
@@ -590,19 +593,161 @@ def _deep_sequence(n):
 
 def test_deep_sequence_compiles_and_runs():
     # A 3 000-item sequence under ! (which tree wrapping leaves as it
-    # is) compiles in a loop, not one recursion per item; so does a
-    # chain of guards, whose byte tables are built along its spine.
+    # is) compiles, and its parses build their failure tables, in a
+    # loop, not one recursion per item; so does a chain of guards,
+    # whose byte tables are built along its spine.
     g = load_grammar(_deep_sequence(3000))
     report = check_well_formed(g)
     assert report.is_well_formed
     cert = report.certificate
-    for mode in ("plain", "packrat"):
+    for packrat, mode in enumerate(("plain", "packrat")):
         assert parse(g, cert, b"x", mode=mode).ok
         assert not parse(g, cert, b"ab" * 1500 + b"x", mode=mode).ok
+        # The failure tables of every node the parses ran are built.
+        assert any(cert.program.fails[packrat])
     guards = " ".join("!'%s'" % chr(97 + i % 20) for i in range(1500))
     g = load_grammar("a <- !(%s 'x') 'y' ;" % guards)
     cert = certify(g)
     assert parse(g, cert, b"y").ok and not parse(g, cert, b"xy").ok
+
+
+def _without_failure_tables(prog):
+    """A copy of ``prog`` whose failure tables let every node run."""
+    twin = copy.copy(prog)
+    twin.fails = [[_NO_FAIL] * len(prog.kind) for _ in range(2)]
+    twin.shared = {}
+    return twin
+
+
+def _outcome(prog, data, packrat):
+    memo = MemoTable() if packrat else None
+    ok, pos, val, steps, farthest = _run(prog, data, prog.start, 0, memo)
+    return (ok, pos, repr(val), val, steps, farthest,
+            memo_stats(memo) if packrat else None)
+
+
+def _guard_cases():
+    """(certificate, inputs) pairs: the embedded differential grammars,
+    in value and tree mode, and the meta-grammar on every bundled
+    grammar's text and on cuts of it."""
+    inputs = all_inputs("ab", 4)
+    for g in small_grammars("ab", 4, seed=0, limit=300):
+        for g in (g, tree_wrap(g)):
+            report = check_well_formed(g)
+            if report.is_well_formed:
+                yield report.certificate, inputs
+    texts = []
+    for name in sorted(os.listdir(GRAMMAR_DIR)):
+        text = grammar_text(name)
+        texts.append(text)
+        texts.extend(text[:len(text) * j // 9] for j in range(9))
+        texts.append(text[:len(text) // 2] + b"@")
+    yield builtin_meta_grammar()[1], texts
+
+
+@pytest.mark.parametrize("packrat", [False, True])
+def test_failure_tables_change_no_outcome(packrat):
+    # A node skipped by its failure table ends exactly as if it had run:
+    # ok, position, value, tree, steps, farthest and memo statistics.
+    guarded = 0
+    for cert, inputs in _guard_cases():
+        prog = cert.program
+        twin = _without_failure_tables(prog)
+        for data in inputs:
+            assert (_outcome(prog, data, packrat)
+                    == _outcome(twin, data, packrat)), data
+        guarded += any(prog.fails[packrat])
+    assert guarded > 100
+
+
+def test_packrat_call_through_nested_call_still_runs():
+    # ``b`` fails on "z" without consuming, through the call of ``c``.
+    # Plain mode skips the call; packrat runs it, since the call counts
+    # a memo miss (a's second alternative then hits), and inside ``b``
+    # runs the call of ``c``, which moves c's watermark.
+    g = load_grammar("a <- b 'x' / b 'y' ; b <- c 'q' ; c <- '!' ;")
+    prog = certify(g).program
+    twin = _without_failure_tables(prog)
+    for packrat in (False, True):
+        got = _outcome(prog, b"z", packrat)
+        assert got == _outcome(twin, b"z", packrat)
+        assert not got[0] and got[5] == 0
+    assert _outcome(prog, b"z", True)[6] == {"entries": 1, "hits": 1,
+                                               "misses": 1}
+    # Both alternatives' calls of b are one node.
+    [call] = [i for i, k in enumerate(prog.kind) if k == trx.interp._K_TNT]
+    assert g.nonterminals[prog.a[call]] == "b"
+    assert prog.fails[0][call][ord("z")] > 0
+    assert prog.fails[1][call] == _NO_FAIL
+
+
+def test_failure_tables_at_end_of_input():
+    # Entry 256 is end of input, where every matcher fails.
+    g = load_grammar("a <- b / c 'x' ; b <- 'y' 'z' ; c <- [0-9]+ ;")
+    cert = certify(g)
+    twin = _without_failure_tables(cert.program)
+    for data in (b"", b"1", b"y"):
+        want, farthest = _oracle_farthest(g, data)
+        for mode in ("plain", "packrat"):
+            packrat = mode == "packrat"
+            assert (_outcome(cert.program, data, packrat)
+                    == _outcome(twin, data, packrat)), (data, mode)
+            out = parse(g, cert, data, mode=mode)
+            assert out == want
+            assert out.farthest == farthest
+    assert cert.program.fails[0][cert.program.start][256] > 0
+
+
+def test_literal_matching_its_first_byte_runs():
+    # 'ab' matches the first byte of "ad", so neither the literal nor
+    # the choice is skipped: the failure is found at byte 1.  An
+    # embedded grammar runs the literal as one LIT; a loaded one runs
+    # it as a sequence of two one-byte matchers.
+    rules = [("a", Choice(Literal("ab"), Literal("ac")))]
+    for g in (build_grammar(rules, "a"), load_grammar("a <- 'ab' / 'ac' ;")):
+        cert = certify(g)
+        for mode in ("plain", "packrat"):
+            out = parse(g, cert, b"ad", mode=mode)
+            assert out == oracle_parse(g, b"ad", fuel=10_000)
+            assert not out.ok and out.farthest == 1
+        prog = cert.program
+        assert prog.fails[0][prog.start][ord("a")] == 0
+        assert prog.fails[0][prog.start][ord("d")] > 0
+        lits = [i for i, k in enumerate(prog.kind)
+                if k == trx.interp._K_LIT]
+        assert len(lits) == (2 if g.tree_shaped is False else 0)
+        for i in lits:
+            assert prog.fails[0][i][ord("a")] == 0
+            assert prog.fails[0][i][ord("d")] > 0
+
+
+def _call_chain(n):
+    """r0 <- 'a0' / r1 ; r1 <- 'a1' / r2 ; ... ; r<n-1> <- 'a<n-1>' ;"""
+    rules = [("r%d" % i, Choice(Literal("a%d" % i),
+                                NonTerminal("r%d" % (i + 1))))
+             for i in range(n - 1)]
+    rules.append(("r%d" % (n - 1), Literal("a%d" % (n - 1))))
+    return build_grammar(rules, "r0")
+
+
+def test_failure_tables_of_a_deep_call_chain():
+    # In plain mode the table of r0's body is made from those of all
+    # 3 000 rules' bodies, with an explicit stack.  The chain is
+    # well-formed at any length, but the well-formedness fixpoint takes
+    # a sweep per rule on it, and the seed set of a packrat parse a
+    # round per rule, so the certificate is made directly and the
+    # parses run in plain mode.
+    assert check_well_formed(_call_chain(40)).is_well_formed
+    n = 3000
+    for g in (_call_chain(n), tree_wrap(_call_chain(n))):
+        cert = trx.interp.Certificate(g, trx.interp._CERT_KEY)
+        twin = _without_failure_tables(cert.program)
+        for data in (b"z", b"a", b"a%d" % (n - 1)):
+            out = parse(g, cert, data)
+            assert out.ok == (data == b"a%d" % (n - 1))
+            assert (_outcome(cert.program, data, False)
+                    == _outcome(twin, data, False))
+        assert cert.program.fails[0][cert.program.start][ord("z")] > 255
 
 
 def _tree_nodes(node):
@@ -700,6 +845,25 @@ def test_parsed_tree_matches_oracle_on_golden_xml(xml_lite):
         for n in _tree_nodes(out.value):
             assert type(n) is TreeNode and type(n.children) is tuple
         assert tree_to_json(out.value, data) == json.load(open(golden))
+
+
+def test_tree_json_text_is_json_dumps_of_tree_to_json(xml_lite):
+    g, cert = xml_lite
+    pairs = [(g, cert, data) for data in (
+        b"<a><b/></a>", xmark_lite(8192, seed=2),
+        '<a t="\u00e9\\&quot;">\u00fc\x01\t<c/>\u2026</a>'.encode())]
+    # One-byte rules split a two-byte character across leaves.
+    g2 = load_grammar("a <- b* ; b <- . ;")
+    pairs.append((g2, certify(g2), "x\u00e9\"\U0001f600".encode()))
+    for g, cert, data in pairs:
+        out = parse(g, cert, data)
+        assert out.ok and out.pos == len(data)
+        assert tree_json_text(out.value, data) == json.dumps(
+            tree_to_json(out.value, data))
+    tree = TreeNode('r"\u00e9\n', 0, 2, (TreeNode("", 0, 1, ()),
+                                        TreeNode("s", 1, 2, ())))
+    data = b"\xff<"
+    assert tree_json_text(tree, data) == json.dumps(tree_to_json(tree, data))
 
 
 @contextmanager
