@@ -75,8 +75,17 @@ for a drop, 1 more.  The node is (rule, start, end) with at most the
 primitive's one leaf, built directly; a drop builds it only when the
 call is memoised, since a kept call at that position may hit the
 entry.  A memo hit adds 1 step, or 2 for a drop, which appends
-nothing.  Value-mode programs keep the binary Seq, and a call's frame
-apart from its body's.
+nothing.
+
+Value mode builds only the values it returns (LPeg builds a capture
+only where it is kept).  ``~x*`` and ``x+`` (a cons over ``m x*``, m
+sharing x's value table) over one-byte matchers are one scan each,
+adding the drop's, or the Seq's and the cons's, steps itself.  A call
+of a rule whose body is one primitive, or one action over one
+(mathdemo's ws and number), is a leaf call like TLEAF: no frame, and
+the action's step and the call's added in place.  Sequences stay
+binary, and other calls keep their frame apart from their body's (an
+n-ary value-mode Seq measured slower).
 
 Failure tables.  Most probes of a parse fail on the byte under the
 cursor (the meta-grammar tries every operator rule at every token), so
@@ -95,15 +104,16 @@ like MATCH1 by its ``first`` table, and never without one; a sequence
 in its first item's steps + 1; a choice in a + b + 1 where both
 alternatives fail; an action or rule node in its inside's + 1;
 repetitions and negations never.  A rule call adds its steps to its
-inside's: 2 for TNT and TLEAF, 3 for TDLEAF and 1 for NT.  In packrat
-mode a call moves a watermark and may count a memo hit or miss, so
-there a call's entry is 0, and so is every entry whose failure runs
-through a call: the call runs, and the table of its inside then
-applies.  So each mode has its tables.  A table is built the first
-time a parse descends into its node (compiling builds none, so
-certification does not pay for them), with those it is made from,
-with an explicit stack, and kept on the program; a table with every
-entry below 256 is a bytes object, and equal tables are one object.
+inside's: 2 for TNT and TLEAF, 3 for TDLEAF, and for NT and LEAF 1 to
+their rule body's.  In packrat mode a call moves a watermark and may
+count a memo hit or miss, so there a call's entry is 0, and so is
+every entry whose failure runs through a call: the call runs, and the
+table of its inside then applies.  So each mode has its tables.  A
+table is built the first time a parse descends into its node
+(compiling builds none, so certification does not pay for them), with
+those it is made from, with an explicit stack, and kept on the
+program; a table with every entry below 256 is a bytes object, and
+equal tables are one object.
 
 Certification compiles the program once and the Certificate carries
 it, so parse() runs exactly the grammar that was certified.
@@ -115,9 +125,9 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from .exprs import (NODE_PREFIX as _NODE_PREFIX, Action, AnyChar, Choice,
-                    Empty, Expr, Grammar, NonTerminal, Not, Range, Seq, Star,
-                    Terminal, terminal_chain)
+from .exprs import (CONS, DROP, NODE_PREFIX as _NODE_PREFIX, Action,
+                    AnyChar, Choice, Empty, Expr, Grammar, NonTerminal, Not,
+                    Range, Seq, Star, Terminal, terminal_chain)
 from .values import (CHAR, Char, Lst, Str, TreeNode, Tup, UNIT, Value,
                      gc_suspended)
 
@@ -225,30 +235,36 @@ def memo_stats(table: MemoTable) -> dict:
 # memo key, -1 for a call that is not memoised, or None for a bare
 # collector (a parse's start rule, or an eval_expr root).  A call of a
 # leaf rule, one whose collector's inside is a single EMPTY, MATCH1,
-# PRED, LIT or SCAN, is TLEAF, and a drop of such a call TDLEAF.  The
-# four calls are numbered next to each other, after the other
-# composites, but the leaf calls push no frame: they run that primitive
-# in place, then add the collector's step, write the memo entry and add
-# the call's step, and a drop's.  Every opcode below EMPTY has a failure
-# table (see the module docstring).  Terminals, ranges and any-char
-# always compile to MATCH1; MATCH1, PRED, LIT and SCAN are
-# superinstructions.
+# PRED, LIT or SCAN, is TLEAF, and a drop of such a call TDLEAF; in
+# value mode a call of a rule whose body is such a primitive, or one
+# action over it, is LEAF.  The five calls are numbered next to each
+# other, after the other composites, but the leaf calls push no frame:
+# they run that primitive in place, then add the collector's or the
+# action's step, write the memo entry and add the call's step, and a
+# drop's.  Every opcode below EMPTY has a failure table (see the module
+# docstring).  Terminals, ranges and any-char always compile to MATCH1;
+# MATCH1, PRED, LIT and SCAN are superinstructions.
 _K_SEQ, _K_CHOICE, _K_NOT, _K_ACT, _K_STAR = 1, 3, 5, 6, 7
 _K_TSTAR, _K_TSEQ, _K_NODE, _K_TCHOICE, _K_TNOT, _K_TACT = range(8, 14)
-_K_TNT, _K_TLEAF, _K_TDLEAF, _K_NT = range(14, 18)
-_K_EMPTY, _K_MATCH1, _K_PRED, _K_LIT, _K_SCAN = range(18, 23)
+_K_TNT, _K_TLEAF, _K_TDLEAF, _K_NT, _K_LEAF = range(14, 19)
+_K_EMPTY, _K_MATCH1, _K_PRED, _K_LIT, _K_SCAN = range(19, 24)
+
+# The ``extra`` of a LEAF call whose rule body is the primitive itself.
+_NO_ACTION = object()
 
 
 class _Program:
     """Grammar flattened into parallel per-node arrays for the VM.
 
     ``extra`` holds a superinstruction's descriptor, a value-mode action
-    node's ActionRef, a tree node's or tree-mode call's rule name, a
-    tree-mode sequence's items, or whether a tree-mode action is a
-    leaf.  A tree-mode call's (TNT, TLEAF, TDLEAF) ``a`` is its
-    production and ``b`` the inside of the production's node collector;
-    a tree-mode sequence's ``a`` is its first item.  ``tree`` is set
-    when the program was compiled from a tree-shaped grammar.
+    node's or LEAF call's ActionRef (_NO_ACTION for none), a tree node's
+    or tree-mode call's rule name, a tree-mode sequence's items, or
+    whether a tree-mode action is a leaf.  A call's ``a`` is its
+    production; a tree-mode call's (TNT, TLEAF, TDLEAF) ``b`` is the
+    inside of the production's node collector, and a LEAF call's the
+    primitive it runs.  A tree-mode sequence's ``a`` is its first item.
+    ``tree`` is set when the program was compiled from a tree-shaped
+    grammar.
     ``marks`` holds the watermarks a packrat parse starts from (see
     _initial_marks); it is computed on the program's first packrat
     parse.  ``fails`` holds the failure tables of plain and of packrat
@@ -286,19 +302,25 @@ class _Program:
 #   Unit.
 # LIT: (bytes, ok_steps, fail_steps_per_prefix, value) for a fixed byte
 #   string (a right-nested terminal chain).
-# SCAN: (steps, values, leaf, find, first) for a repetition of a
+# SCAN: (steps, values, leaf, find, first, base) for a repetition of a
 #   matcher.  In tree mode a rule's node coalesces adjacent leaves, so
 #   ``values`` is None and a non-empty run of leaves (``leaf``) adds one
 #   leaf span covering it to the children list.  Embedded grammars keep
-#   the exact items.  ``find`` is (c, item_steps) when c is the only
-#   byte that ends the run and every other byte costs the same, so the
-#   scan is bytes.find; otherwise None.  ``first`` is None for ``x*``.
-#   For a tree-mode ``m x*`` (``x+`` and the like: m a one-byte matcher
-#   whose leaves agree with the scan's) it is m's step table with the
-#   Seq's step added, which m runs on the first byte; the span then
-#   starts at m's byte.  A success adds the step; a failure adds it
-#   only when the pair ends its tree-mode sequence, since a failure at
-#   an earlier item has the sequence count it (see _run).
+#   the exact items, as a list, except under a drop (``~x*``), whose
+#   ``values`` is None and which yields Unit.  ``find`` is
+#   (c, item_steps) when c is the only byte that ends the run and every
+#   other byte costs the same, so the scan is bytes.find; otherwise
+#   None.  ``first`` is None for ``x*``.  For a tree-mode ``m x*``
+#   (``x+`` and the like: m a one-byte matcher whose leaves agree with
+#   the scan's) it is m's step table with the Seq's step added, which m
+#   runs on the first byte; the span then starts at m's byte.  A success
+#   adds the step; a failure adds it only when the pair ends its
+#   tree-mode sequence, since a failure at an earlier item has the
+#   sequence count it (see _run).  For a value-mode ``x+`` (a cons over
+#   ``m x*``, m's value table x's) it has the Seq's and the cons's steps
+#   added, on success and on failure, and the list holds m's value too.
+#   ``base`` is the steps a scan adds to its items': 1 for the
+#   repetition, 2 under a drop.
 
 _FAILS = (-1,) * 257
 _UNITS = (UNIT,) * 256
@@ -318,17 +340,19 @@ class _ByteTables:
 
     Memoised by expression, since the compiler asks again for every
     sub-expression it visits, and kept per compile, so that every
-    compile starts cold.  Equal step tables become one object; value
-    tables are shared by construction (module constants, one guarded
-    table per inner table).
+    compile starts cold.  Equal step tables become one object, and a
+    table derived from others (by an action, a negation, a choice or a
+    guard) is kept by the identity of those, so that it is derived once
+    per compile; value tables are shared by construction (module
+    constants, one guarded table per inner table).
     """
 
-    __slots__ = ("memo", "steps", "guarded")
+    __slots__ = ("memo", "steps", "derived")
 
     def __init__(self):
         self.memo = {}
         self.steps = {}
-        self.guarded = {}
+        self.derived = {}
 
     def __call__(self, e: Expr):
         """(steps, values) of ``e``, or None if it is not byte-local."""
@@ -352,6 +376,15 @@ class _ByteTables:
         self.memo[e] = out
         return out
 
+    def _derive(self, make, *tables):
+        """``make(*tables)``, kept by ``make`` and the tables' ids (the
+        memo keeps the tables alive for the compile)."""
+        key = (make, *map(id, tables))
+        out = self.derived.get(key)
+        if out is None:
+            out = self.derived[key] = make(*tables)
+        return out
+
     def _build(self, e: Expr):
         t = type(e)
         if t is Terminal or t is Range or t is AnyChar:
@@ -367,10 +400,9 @@ class _ByteTables:
             if b is None or b[1] is None:
                 return None
             (sa, va), (sb, vb) = a, b
-            return (tuple([x + 1 if x > 0 else y - x + 1 if y > 0
-                           else x + y - 1 for x, y in zip(sa, sb)]),
+            return (self._derive(_choice_steps, sa, sb),
                     va if va is vb else
-                    tuple([u if x > 0 else w for x, u, w in zip(sa, va, vb)]))
+                    self._derive(_choice_values, sa, va, vb))
         if t is Seq:
             g = self(e.left)
             if g is None or g[1] is not None:
@@ -378,19 +410,13 @@ class _ByteTables:
             m = self(e.right)
             if m is None or m[1] is None:
                 return None
-            values = self.guarded.get(id(m[1]))
-            if values is None:
-                values = self.guarded[id(m[1])] = tuple(
-                    [v + 1 if type(v) is int else Tup((UNIT, v))
-                     for v in m[1]])
-            return (tuple([x - 1 if x < 0 else x + y + 1 if y > 0
-                           else y - x - 1 for x, y in zip(g[0], m[0])]),
-                    values)
+            return (self._derive(_guarded_steps, g[0], m[0]),
+                    self._derive(_guarded_values, m[1]))
         if t is Not:
             i = self(e.inner)
             if i is None:
                 return None
-            return tuple([-x - 1 if x > 0 else 1 - x for x in i[0]]), None
+            return self._derive(_not_steps, i[0]), None
         if t is Action:
             i = self(e.inner)
             if i is None or i[1] is None:
@@ -404,49 +430,85 @@ class _ByteTables:
                 values = _STR1
             else:
                 return None
-            return tuple([x + 1 if x > 0 else x - 1 for x in i[0]]), values
+            return self._derive(_action_steps, i[0]), values
         return None
 
 
-def _scan_descriptor(steps, values, tree_mode: bool):
+# The tables _ByteTables derives: of a choice of two matchers, of a
+# guard in front of a matcher, of a negation and of an action.
+
+def _choice_steps(sa, sb):
+    return tuple([x + 1 if x > 0 else y - x + 1 if y > 0 else x + y - 1
+                  for x, y in zip(sa, sb)])
+
+
+def _choice_values(sa, va, vb):
+    return tuple([u if x > 0 else w for x, u, w in zip(sa, va, vb)])
+
+
+def _guarded_steps(sg, sm):
+    return tuple([x - 1 if x < 0 else x + y + 1 if y > 0 else y - x - 1
+                  for x, y in zip(sg, sm)])
+
+
+def _guarded_values(vm):
+    return tuple([v + 1 if type(v) is int else Tup((UNIT, v)) for v in vm])
+
+
+def _not_steps(s):
+    return tuple([-x - 1 if x > 0 else 1 - x for x in s])
+
+
+def _action_steps(s):
+    return tuple([x + 1 if x > 0 else x - 1 for x in s])
+
+
+def _scan_descriptor(steps, values, tree_mode: bool, base: int = 1):
     """SCAN descriptor for a repetition of a matcher, or None when its
-    items need their positions (leaves kept as a list)."""
+    items need their positions (leaves kept as a list).  ``values`` is
+    None for a repetition under a drop."""
     ok = [b for b in range(256) if steps[b] > 0]
-    leaves = sum(type(values[b]) is int for b in ok)
-    if tree_mode and leaves in (0, len(ok)):
-        values, leaf = None, leaves > 0
-    elif leaves:
-        return None
-    else:
-        leaf = False
+    leaf = False
+    if values is not None:
+        leaves = sum(type(values[b]) is int for b in ok)
+        if tree_mode and leaves in (0, len(ok)):
+            values, leaf = None, leaves > 0
+        elif leaves:
+            return None
     find = None
     if len(ok) == 255 and len({steps[b] for b in ok}) == 1:
         c = next(b for b in range(256) if steps[b] < 0)
         find = (c, steps[ok[0]] + 1)
-    return steps, values, leaf, find, None
+    return steps, values, leaf, find, None, base
 
 
-def _plus_descriptor(m: Expr, rep: Expr, tables: _ByteTables, last: bool):
-    """SCAN descriptor of the tree-mode sequence items ``m rep`` (see
-    SCAN above), or None when they are not an ``m x*``.  ``last`` is set
-    when the pair ends its sequence."""
+def _plus_descriptor(m: Expr, rep: Expr, tables: _ByteTables,
+                     tree_mode: bool, ok_add: int, fail_add: int):
+    """SCAN descriptor of ``m rep`` (see SCAN above), or None when it is
+    not an ``m x*`` whose items the scan can make.  ``ok_add`` and
+    ``fail_add`` are the steps the scan adds to m's success and to its
+    failure: the Seq's, and in value mode the cons's."""
     if type(rep) is not Star:
         return None
     mt = tables(m)
     xt = tables(rep.inner)
     if mt is None or mt[1] is None or xt is None or xt[1] is None:
         return None
-    scan = _scan_descriptor(xt[0], xt[1], True)
-    if scan is None or scan[1] is not None:
+    scan = _scan_descriptor(xt[0], xt[1], tree_mode)
+    if scan is None:
         return None
     steps, values = mt
-    # One span covers both parts, so m's successes must be leaves
-    # exactly when the scan's are.
-    if any((type(values[b]) is int) != scan[2]
-           for b in range(256) if steps[b] > 0):
+    if tree_mode:
+        # One span covers both parts, so m's successes must be leaves
+        # exactly when the scan's are.
+        if any((type(values[b]) is int) != scan[2]
+               for b in range(256) if steps[b] > 0):
+            return None
+    elif values is not xt[1]:
+        # The list is made from x's value table, m's byte included.
         return None
-    first = tuple([t + 1 if t > 0 else t - last for t in steps])
-    return scan[:4] + (tables.steps.setdefault(first, first),)
+    first = tuple([t + ok_add if t > 0 else t - fail_add for t in steps])
+    return scan[:4] + (tables.steps.setdefault(first, first), 1)
 
 
 def _spine_value(data: bytes):
@@ -515,8 +577,8 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
         items = []
         i = 0
         while i < len(parts):
-            plus = (_plus_descriptor(parts[i], parts[i + 1], tables,
-                                     i + 2 == len(parts))
+            plus = (_plus_descriptor(parts[i], parts[i + 1], tables, True,
+                                     1, i + 2 == len(parts))
                     if i + 1 < len(parts) else None)
             if plus is not None:
                 items.append(emit(_K_SCAN, extra=plus))
@@ -570,7 +632,18 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
                     node = emit(_K_TNOT if tree_mode else _K_NOT,
                                 visit(e.inner))
                 elif t is Action and not tree_mode:
-                    node = emit(_K_ACT, visit(e.inner), extra=e.ref)
+                    # ``x+`` and ``~x*`` are one scan each.
+                    inner = e.inner
+                    scan = None
+                    if e.ref is CONS and type(inner) is Seq:
+                        scan = _plus_descriptor(inner.left, inner.right,
+                                                tables, False, 2, 2)
+                    elif e.ref is DROP and type(inner) is Star:
+                        x = tables(inner.inner)
+                        if x is not None and x[1] is not None:
+                            scan = _scan_descriptor(x[0], None, False, 2)
+                    node = (emit(_K_SCAN, extra=scan) if scan is not None
+                            else emit(_K_ACT, visit(inner), extra=e.ref))
                 elif t is Action:
                     label = e.ref.label
                     if label.startswith(_NODE_PREFIX):
@@ -590,25 +663,34 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
             prog.prod_body[i] = visit(g.productions[name])
         prog.start = prog.prod_body[prod_index[g.start]]
     root_ids = [visit(r) for r in roots]
+    kind, aa, bb, extra = prog.kind, prog.a, prog.b, prog.extra
     if tree_mode:
         # A tree-mode call runs the inside of its rule's node collector,
         # which every rule body of a tree-shaped grammar is.  When that
         # inside is one primitive the call is a leaf call, and a drop of
         # a leaf call is one too.
-        kind, aa, bb, extra = prog.kind, prog.a, prog.b, prog.extra
-        leaf_insides = (_K_EMPTY, _K_MATCH1, _K_PRED, _K_LIT, _K_SCAN)
         for i, k in enumerate(kind):
             if k == _K_TNT:
                 collector = prog.prod_body[aa[i]]
                 bb[i] = aa[collector]
                 extra[i] = extra[collector]
-                if kind[bb[i]] in leaf_insides:
+                if kind[bb[i]] >= _K_EMPTY:
                     kind[i] = _K_TLEAF
         for i, k in enumerate(kind):
             if k == _K_TACT and not extra[i] and kind[aa[i]] == _K_TLEAF:
                 call = aa[i]
                 kind[i] = _K_TDLEAF
                 aa[i], bb[i], extra[i] = aa[call], bb[call], extra[call]
+    else:
+        # A value-mode call of a rule whose body is one primitive, or one
+        # action over one primitive, is a leaf call.
+        for i, k in enumerate(kind):
+            if k == _K_NT:
+                body = prog.prod_body[aa[i]]
+                if kind[body] >= _K_EMPTY:
+                    kind[i], bb[i], extra[i] = _K_LEAF, body, _NO_ACTION
+                elif kind[body] == _K_ACT and kind[aa[body]] >= _K_EMPTY:
+                    kind[i], bb[i], extra[i] = _K_LEAF, aa[body], extra[body]
     return prog, root_ids
 
 
@@ -626,71 +708,119 @@ def _initial_marks(prog: _Program) -> list:
     an expression through nullable prefixes, negations, repetitions,
     actions and the bodies of leading rules, but not through the body
     of a seeded rule: a seeded rule's second call there is a memo hit,
-    which runs no body.  Nullability and, for a given seed set, leads
-    are least fixpoints over the rules; rule sets are bit masks over
-    production indices, and a node's children have lower indices than
-    the node.  The seed set is then iterated from the empty set to a
-    fixpoint.  Each rule's membership depends only on the rules that
-    lead to it, and a certified grammar has no cycle of leading rules
-    (that is left recursion), so this takes at most one round per rule
-    plus one; should it not settle, the union of the last two sets is
-    used.
+    which runs no body.  Rule sets are bit masks over production
+    indices, and a node's children have lower indices than the node.
+
+    Nullability is a least fixpoint, found with a worklist.  A node's
+    direct leads (not through a called rule's body) take one pass in
+    index order, and the rules' leads for a seed set one pass over the
+    rules, callees first: a certified grammar has no cycle of leading
+    rules (that is left recursion).  An uncertified program (eval_expr)
+    may have one; then that pass repeats until nothing changes.  The
+    seed set is iterated from the empty set to a fixpoint.  Each rule's
+    membership depends only on the rules that lead to it, so this takes
+    at most one round per rule plus one; should it not settle, the union
+    of the last two sets is used.
     """
     kind, aa, bb, extra, body = (prog.kind, prog.a, prog.b, prog.extra,
                                  prog.prod_body)
-    calls = (_K_NT, _K_TNT, _K_TLEAF, _K_TDLEAF)
+    calls = (_K_NT, _K_LEAF, _K_TNT, _K_TLEAF, _K_TDLEAF)
     seqs = (_K_SEQ, _K_TSEQ)
     choices = (_K_CHOICE, _K_TCHOICE)
     null = [False] * len(kind)      # can succeed without consuming
-    rule_null = [False] * len(body)
-    while True:
-        for i, k in enumerate(kind):
-            if k in calls:
-                null[i] = rule_null[aa[i]]
-            elif k in seqs:
-                null[i] = all([null[x] for x in _seq_parts(prog, i)])
-            elif k in choices:
-                null[i] = null[aa[i]] or null[bb[i]]
-            elif k < _K_EMPTY:
-                # Repetitions and negations; actions pass it through.
-                null[i] = (k != _K_ACT and k != _K_TACT and k != _K_NODE
-                           or null[aa[i]])
+    need = [1] * len(kind)          # parts yet to become nullable
+    users = [[] for _ in kind]      # the nodes each node is a part of
+    todo = []
+    for i, k in enumerate(kind):
+        if k in calls:
+            parts = (body[aa[i]],)
+        elif k in seqs:
+            parts = _seq_parts(prog, i)
+            need[i] = len(parts)
+        elif k in choices:
+            parts = (aa[i], bb[i])
+        elif k == _K_ACT or k == _K_TACT or k == _K_NODE:
+            parts = (aa[i],)
+        else:
+            # Repetitions and negations always are; of the
+            # superinstructions, these never are.
+            parts = ()
+            if not (k == _K_MATCH1 or k == _K_LIT
+                    or k == _K_SCAN and extra[i][4] is not None):
+                todo.append(i)
+        for x in parts:
+            users[x].append(i)
+    while todo:
+        i = todo.pop()
+        null[i] = True
+        for u in users[i]:
+            need[u] -= 1
+            if need[u] == 0:
+                todo.append(u)
+
+    direct = [0] * len(kind)        # rules called at the node's position
+    for i, k in enumerate(kind):
+        if k in calls:
+            direct[i] = 1 << aa[i]
+        elif k in seqs:
+            out = 0
+            for x in _seq_parts(prog, i):
+                out |= direct[x]
+                if not null[x]:
+                    break
+            direct[i] = out
+        elif k in choices:
+            direct[i] = direct[aa[i]] | direct[bb[i]]
+        elif k < _K_EMPTY:
+            direct[i] = direct[aa[i]]
+    callees = [_bits(direct[b]) for b in body]
+    pairs = [(_bits(direct[aa[i]]), _bits(direct[bb[i]]))
+             for i, k in enumerate(kind)
+             if k in choices and direct[aa[i]] and direct[bb[i]]]
+
+    # The rules, callees first (depth first, with an explicit stack).
+    order = []
+    state = [0] * len(body)         # 1: on the stack, 2: ordered
+    cyclic = False
+    for root in range(len(body)):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(callees[root]))]
+        while stack:
+            p, rest = stack[-1]
+            for q in rest:
+                if not state[q]:
+                    state[q] = 1
+                    stack.append((q, iter(callees[q])))
+                    break
+                cyclic |= state[q] == 1
             else:
-                # Of the superinstructions, these always consume.
-                null[i] = not (k == _K_MATCH1 or k == _K_LIT
-                               or k == _K_SCAN and extra[i][4] is not None)
-        now_null = [null[b] for b in body]
-        if now_null == rule_null:
-            break
-        rule_null = now_null
+                stack.pop()
+                state[p] = 2
+                order.append(p)
 
     def seed_of(seeded: int) -> int:
-        lead = [0] * len(kind)      # rules called at the node's position
         rule_lead = [1 << p for p in range(len(body))]
-        while True:
-            for i, k in enumerate(kind):
-                if k in calls:
-                    lead[i] = rule_lead[aa[i]]
-                elif k in seqs:
-                    out = 0
-                    for x in _seq_parts(prog, i):
-                        out |= lead[x]
-                        if not null[x]:
-                            break
-                    lead[i] = out
-                elif k in choices:
-                    lead[i] = lead[aa[i]] | lead[bb[i]]
-                elif k < _K_EMPTY:
-                    lead[i] = lead[aa[i]]
-            now_lead = [1 << p if seeded >> p & 1 else 1 << p | lead[b]
-                        for p, b in enumerate(body)]
-            if now_lead == rule_lead:
-                break
-            rule_lead = now_lead
+        changed = True
+        while changed:
+            changed = False
+            for p in order:
+                if not seeded >> p & 1:
+                    out = rule_lead[p]
+                    for q in callees[p]:
+                        out |= rule_lead[q]
+                    if out != rule_lead[p]:
+                        rule_lead[p] = out
+                        changed = cyclic
         out = 0
-        for i, k in enumerate(kind):
-            if k in choices:
-                out |= lead[aa[i]] & lead[bb[i]]
+        for first, second in pairs:
+            a = b = 0
+            for q in first:
+                a |= rule_lead[q]
+            for q in second:
+                b |= rule_lead[q]
+            out |= a & b
         return out
 
     seed = 0
@@ -702,6 +832,16 @@ def _initial_marks(prog: _Program) -> list:
     else:
         seed |= seed_of(seed)
     return [_ALWAYS if seed >> p & 1 else -1 for p in range(len(body))]
+
+
+def _bits(mask: int) -> list:
+    """The indices of the bits set in ``mask``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _seq_parts(prog: _Program, i: int):
@@ -754,9 +894,9 @@ def _fail_table(prog: _Program, tables: list, root: int, packrat: bool):
             parts, add = (aa[i],), 1
         elif k == _K_CHOICE or k == _K_TCHOICE:
             parts = (aa[i], bb[i])
-        elif k >= _K_TNT and k <= _K_NT and not packrat:
-            parts = (body[aa[i]],) if k == _K_NT else (bb[i],)
-            add = 1 if k == _K_NT else 3 if k == _K_TDLEAF else 2
+        elif k >= _K_TNT and k <= _K_LEAF and not packrat:
+            parts = (body[aa[i]],) if k >= _K_NT else (bb[i],)
+            add = 1 if k >= _K_NT else 3 if k == _K_TDLEAF else 2
         else:
             parts = ()
         if i not in opened:
@@ -838,8 +978,9 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
     rpos = -1
     val = None
     steps = 0
-    # A leaf call whose primitive runs next: its rule name (None when
-    # there is none), and its memo key, mark in ``kids`` and whether it
+    # A leaf call whose primitive runs next: its rule name in tree mode,
+    # its ActionRef or _NO_ACTION in value mode (None when there is no
+    # such call), and its memo key, mark in ``kids`` and whether it
     # drops, in leaf_key, leaf_mark and leaf_drop.
     leaf_rule = None
 
@@ -871,7 +1012,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     push([k, cur, cpos])
                 elif k >= _K_TNT:
                     # A rule call: in tree mode one frame, the node's,
-                    # or none for a leaf rule.
+                    # and none for a leaf call in either mode.
                     p = aa[cur]
                     key = -1
                     if memo_entries is not None:
@@ -887,18 +1028,22 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                                     steps += 2   # the call's and the drop's
                                 else:
                                     steps += 1
-                                    if ok and k != _K_NT:
+                                    if ok and k < _K_NT:
                                         kids.append(val)
                                 break
                             # Perhaps called here before: memoise from
                             # now on.  (A hit means it is memoised.)
                             mark[p] = _ALWAYS
                             misses += 1
-                    if k == _K_NT:
-                        push([0, key, cpos])
-                        cur = prod_body[p]
-                        continue
-                    if k == _K_TNT:
+                    if k >= _K_NT:
+                        if k == _K_NT:
+                            push([0, key, cpos])
+                            cur = prod_body[p]
+                            continue
+                        leaf_rule = extra[cur]
+                        leaf_key = key
+                        leaf_drop = False
+                    elif k == _K_TNT:
                         push([_K_NODE, cur, cpos, len(kids), key])
                     else:
                         leaf_rule = extra[cur]
@@ -942,11 +1087,11 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     steps = -t
                 break
             if k == _K_SCAN:
-                tab, vals, leaf, find, first = extra[cur]
+                tab, vals, leaf, find, first, steps = extra[cur]
                 q = cpos                     # where the repetition starts
-                steps = 1                    # the repetition's own step
                 if first is not None:
-                    # ``m x*``: m on the first byte, with the Seq's step.
+                    # ``m x*``: m on the first byte, with the Seq's step
+                    # (and a cons's).
                     t = first[data[q] if q < n else 256]
                     if t < 0:
                         if q > farthest:
@@ -979,10 +1124,13 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     farthest = p
                 ok = True
                 rpos = p
-                if vals is not None:
+                if leaf:
+                    if p > cpos:
+                        kids.append((cpos, p))
+                elif vals is not None:
                     val = Lst(tuple([vals[b] for b in data[cpos:p]]))
-                elif leaf and p > cpos:
-                    kids.append((cpos, p))
+                else:
+                    val = UNIT
                 break
             if k == _K_LIT:
                 lbytes, ok_steps, fails, lval = extra[cur]
@@ -1034,25 +1182,35 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
             break
 
         if leaf_rule is not None:
-            # The end of a leaf call, whose collector's inside has just
-            # run at cpos.  Node, memo entry and steps are those of the
-            # NODE state below, with the node built directly: the inside
-            # adds at most one leaf span to ``kids``, and it is
-            # (cpos, rpos).  A drop then appends nothing, and builds the
-            # node only for its memo entry, which a kept call of the
-            # rule at cpos may hit.
-            if ok:
-                if len(kids) > leaf_mark:
-                    del kids[-1]
-                    if leaf_key >= 0 or not leaf_drop:
-                        val = new_tuple(TreeNode, (
-                            leaf_rule, cpos, rpos,
-                            new_tuple(TreeNode, ("", cpos, rpos))))
-                elif leaf_key >= 0 or not leaf_drop:
-                    val = new_tuple(TreeNode, (leaf_rule, cpos, rpos))
-                if not leaf_drop:
-                    kids.append(val)
-            steps += 1
+            # The end of a leaf call, whose primitive has just run at
+            # cpos.  In value mode the rule body's action, if there is
+            # one, applies as the ACT state below would apply it.  In tree
+            # mode node, memo entry and steps are those of the NODE state
+            # below, with the node built directly: the inside adds at
+            # most one leaf span to ``kids``, and it is (cpos, rpos).  A
+            # drop then appends nothing, and builds the node only for its
+            # memo entry, which a kept call of the rule at cpos may hit.
+            if kids is None:
+                if leaf_rule is not _NO_ACTION:
+                    if ok:
+                        if leaf_rule.span_aware:
+                            val = leaf_rule.fn(val, cpos, rpos)
+                        else:
+                            val = leaf_rule.fn(val)
+                    steps += 1
+            else:
+                if ok:
+                    if len(kids) > leaf_mark:
+                        del kids[-1]
+                        if leaf_key >= 0 or not leaf_drop:
+                            val = new_tuple(TreeNode, (
+                                leaf_rule, cpos, rpos,
+                                new_tuple(TreeNode, ("", cpos, rpos))))
+                    elif leaf_key >= 0 or not leaf_drop:
+                        val = new_tuple(TreeNode, (leaf_rule, cpos, rpos))
+                    if not leaf_drop:
+                        kids.append(val)
+                steps += 1
             if leaf_key >= 0:
                 memo_entries[leaf_key] = (ok, rpos, val, steps)
             steps += 1 + leaf_drop           # the call's, and the drop's

@@ -15,12 +15,13 @@ import pytest
 import trx.interp
 import trx.values
 from trx import (Action, ActionRef, AnyChar, CertificateMismatch, Choice,
-                 Drop, EMPTY, Grammar, InvariantViolation, MemoTable, NonTerminal, Not, Range,
+                 Drop, EMPTY, Grammar, InvariantViolation, MemoTable, NonTerminal, Not, Plus, Range,
                  Seq, Star, Terminal, TreeNode, User, build_grammar,
                  builtin_meta_grammar, certify, check_well_formed, eval_expr,
                  expr_text, expression_set, Literal, load_grammar,
                  memo_stats, parse, parse_to_tree, tree_to_json, tree_wrap)
 from trx.bench import xmark_lite
+from trx.exprs import CONS
 from trx.interp import _ALWAYS, _NO_FAIL, _compile, _initial_marks, _run
 from trx.mathdemo import evaluate, math_grammar
 from trx.oracle import (EXHAUSTED, all_inputs, oracle_eval, oracle_parse,
@@ -205,6 +206,24 @@ def test_static_seed_sets(name, seed):
     else:
         g, cert = certified(name)
     assert _seed_set(g, cert) == seed
+
+
+def test_seed_sets_follow_leading_calls():
+    # C leads both alternatives of S's choice, through A (after the
+    # nullable W) and through B, neither of them seeded; W leads only
+    # the first.  In the left-recursive (uncertified) program the
+    # leading calls of A and B form a cycle, so B's leads take a second
+    # pass over the rules to take in D; the seed set then does not
+    # settle, and is the union of the last two.
+    g = load_grammar("S <- A 'x' / B 'y' ; A <- W C 'a' ; B <- C 'b' ;"
+                     "C <- 'c' ; W <- ' '* ;")
+    assert _seed_set(g, certify(g)) == {"C"}
+    g = load_grammar("S <- A 'x' / B 'y' ; A <- B 'a' / D ;"
+                     "B <- A 'b' / C ; C <- 'c' ; D <- 'd' ;")
+    assert not check_well_formed(g).is_well_formed
+    marks = _initial_marks(_compile(g)[0])
+    assert {name for name, m in zip(g.nonterminals, marks)
+            if m == _ALWAYS} == {"A", "B", "C", "D"}
 
 
 def _memo_run(g, cert, data, plain=True):
@@ -538,12 +557,15 @@ _LEAF_BODIES = [
 ]
 
 
-def _oracle_farthest(g, data):
+def _oracle_farthest(g, data, e=None):
+    """The oracle's outcome of ``e`` (the start rule's call if None) at
+    the start of ``data``, and the farthest matcher position it tried."""
     trace = []
-    want = oracle_parse(g, data, fuel=100_000, trace=trace)
+    want = oracle_eval(g, NonTerminal(g.start) if e is None else e, data,
+                       fuel=100_000, trace=trace)
     assert want is not EXHAUSTED
-    return want, max([pos for e, pos, _, _ in trace
-                      if type(e) in (Terminal, Range, AnyChar)], default=-1)
+    return want, max([pos for x, pos, _, _ in trace
+                      if type(x) in (Terminal, Range, AnyChar)], default=-1)
 
 
 def _leaf_cases():
@@ -562,7 +584,8 @@ def _leaf_cases():
 def test_leaf_rule_calls_agree_with_oracle(text, alphabet):
     # Calls of a leaf rule run frameless: ok, pos, steps, farthest and
     # the tree agree with the oracle, and memo statistics with the
-    # same rules run in value mode, where every call has its frame.
+    # same rules run in value mode, where the node collectors run as
+    # actions and a leaf rule's call is a value-mode leaf call.
     g = load_grammar(text)
     cert = certify(g)
     kinds = cert.program.kind
@@ -585,6 +608,118 @@ def test_leaf_rule_calls_agree_with_oracle(text, alphabet):
             assert memo_stats(memo) == memo_stats(twin_memo), (data, mode)
             hits += memo.hits
     assert hits > 0
+
+
+# One-byte matchers, with the value tables they make: Char, Char or
+# Unit by byte, a guard's pairs, Str.
+_MATCHERS = [
+    Terminal("a"),
+    Range("a", "b"),
+    AnyChar(),
+    Choice(Terminal("a"), Drop(Terminal("b"))),
+    Seq(Not(Terminal("#")), AnyChar()),
+    Literal("a"),
+]
+# Value-mode ``x+`` and ``~x*`` over a one-byte matcher are one scan each;
+# a cons whose m and x differ in their value tables, and a repetition of
+# what is not a one-byte matcher, are not.
+_FOLDS = ([(Plus(m), True) for m in _MATCHERS]
+          + [(Drop(Star(m)), True) for m in _MATCHERS]
+          + [(Action(Seq(Literal("a"), Star(Terminal("a"))), CONS), False),
+             (Action(Seq(Drop(Terminal("a")), Star(Range("a", "b"))), CONS),
+              False),
+             (Plus(Literal("ab")), False),
+             (Drop(Star(Literal("ab"))), False)])
+_WRAP = ActionRef("wrap", lambda v: User(repr(v)))
+_SPAN = ActionRef("span", lambda v, start, end: User((repr(v), start, end)),
+                  span_aware=True)
+
+
+def _with_call_frames(prog):
+    """A copy of ``prog`` whose value-mode leaf calls push their frame."""
+    twin = copy.copy(prog)
+    twin.kind = [trx.interp._K_NT if k == trx.interp._K_LEAF else k
+                 for k in prog.kind]
+    twin.fails = [None, None]
+    twin.shared = {}
+    return twin
+
+
+@pytest.mark.parametrize("e, folds", _FOLDS)
+def test_value_mode_scans_agree_with_oracle(e, folds):
+    # ok, pos, the value (by repr), steps and farthest, in both modes.
+    prog, [root] = _compile(None, roots=(e,))
+    assert (prog.kind[root] == trx.interp._K_SCAN) == folds
+    for data in all_inputs("ab#", 3):
+        want, farthest = _oracle_farthest(None, data, e)
+        for mode in ("plain", "packrat"):
+            out = eval_expr(e, data, mode=mode)
+            assert out == want and repr(out.value) == repr(want.value)
+            assert (out.steps, out.farthest) == (want.steps, farthest)
+
+
+@pytest.mark.parametrize("m", _MATCHERS)
+def test_value_mode_leaf_calls_agree_with_oracle(m):
+    # Calls of a rule whose body is one primitive, or one action over
+    # one, push no frame.  Each rule is called kept and dropped at one
+    # position, so in packrat mode either call hits the other's memo
+    # entry.  Outcomes, memo statistics included, are those of the same
+    # program with every call's frame pushed.
+    L, B, W, P = (NonTerminal(x) for x in "LBWP")
+    g = build_grammar([
+        ("S", Choice(Seq(L, Terminal("#")), Choice(
+            Seq(Drop(L), Terminal("%")), Choice(
+                Seq(B, Seq(Drop(B), W)), Seq(Drop(W), Seq(P, L)))))),
+        ("L", Action(Plus(m), _WRAP)),
+        ("B", m),
+        ("W", Drop(Star(m))),
+        ("P", Action(m, _SPAN)),
+    ], "S")
+    cert = certify(g)
+    prog = cert.program
+    leaves = {g.nonterminals[prog.a[i]] for i, k in enumerate(prog.kind)
+              if k == trx.interp._K_LEAF}
+    assert leaves == set("LBWP")
+    assert trx.interp._K_NT not in prog.kind
+    twin = _with_call_frames(prog)
+    hits = 0
+    for data in all_inputs("ab#%", 4):
+        want, farthest = _oracle_farthest(g, data)
+        for mode in ("plain", "packrat"):
+            memo = MemoTable()
+            out = parse(g, cert, data, mode=mode, memo=memo)
+            assert out == want and repr(out.value) == repr(want.value)
+            assert (out.steps, out.farthest) == (want.steps, farthest)
+            hits += memo.hits
+        for packrat in (False, True):
+            assert (_outcome(prog, data, packrat)
+                    == _outcome(twin, data, packrat)), data
+    assert hits > 0
+
+
+def test_math_leaf_rules_push_no_frame():
+    # ws and number are called without a frame: ws is one scan that
+    # builds no list, number one action over a scan that builds its
+    # list once.  term, factor and expr keep their frames.
+    g, cert = math_grammar()
+    prog = cert.program
+    calls = {}
+    for i, k in enumerate(prog.kind):
+        if k in (trx.interp._K_NT, trx.interp._K_LEAF):
+            calls.setdefault(g.nonterminals[prog.a[i]], set()).add(k)
+    assert calls == {"ws": {trx.interp._K_LEAF},
+                     "number": {trx.interp._K_LEAF},
+                     "term": {trx.interp._K_NT},
+                     "factor": {trx.interp._K_NT},
+                     "expr": {trx.interp._K_NT}}
+    ws = prog.prod_body[g.nonterminals.index("ws")]
+    assert prog.kind[ws] == trx.interp._K_SCAN
+    assert prog.extra[ws][1] is None
+    number = prog.prod_body[g.nonterminals.index("number")]
+    assert prog.kind[number] == trx.interp._K_ACT
+    scan = prog.a[number]
+    assert prog.kind[scan] == trx.interp._K_SCAN
+    assert prog.extra[scan][1] is not None and prog.extra[scan][4] is not None
 
 
 def _deep_sequence(n):
@@ -734,11 +869,11 @@ def _call_chain(n):
 
 def test_failure_tables_of_a_deep_call_chain():
     # In plain mode the table of r0's body is made from those of all
-    # 3 000 rules' bodies, with an explicit stack.  The chain is
-    # well-formed at any length, but the well-formedness fixpoint takes
-    # a sweep per rule on it, and the seed set of a packrat parse a
-    # round per rule, so the certificate is made directly and the
-    # parses run in plain mode.
+    # 3 000 rules' bodies, with an explicit stack.  A packrat parse
+    # first finds the static seed set, in one pass over the rules,
+    # callees first.  The chain is well-formed at any length, but the
+    # well-formedness fixpoint takes a sweep per rule on it, so the
+    # certificate is made directly.
     assert check_well_formed(_call_chain(40)).is_well_formed
     n = 3000
     for g in (_call_chain(n), tree_wrap(_call_chain(n))):
@@ -747,9 +882,12 @@ def test_failure_tables_of_a_deep_call_chain():
         for data in (b"z", b"a", b"a%d" % (n - 1)):
             out = parse(g, cert, data)
             assert out.ok == (data == b"a%d" % (n - 1))
-            assert (_outcome(cert.program, data, False)
-                    == _outcome(twin, data, False))
+            assert parse(g, cert, data, mode="packrat") == out
+            for packrat in (False, True):
+                assert (_outcome(cert.program, data, packrat)
+                        == _outcome(twin, data, packrat))
         assert cert.program.fails[0][cert.program.start][ord("z")] > 255
+        assert _seed_set(g, cert) == set()
 
 
 def _tree_nodes(node):
