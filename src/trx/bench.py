@@ -3,12 +3,14 @@
 Absolute wall times are informational; the contract is the scaling
 ratio between input sizes (a linear parser doubles its time, within
 noise, when the input doubles).  Medians over several repetitions keep
-single-run jitter out of the ratios.
+single-run jitter out of the ratios, and the sizes are parsed in
+interleaved rounds, so that a slow stretch hits every size alike.
 """
 
 from __future__ import annotations
 
 import random
+import statistics
 import time
 
 from .analysis import Certificate
@@ -86,30 +88,29 @@ def parse_size(spec: str) -> int:
     return int(float(spec) * mult)
 
 
-def time_parse(g: Grammar, cert: Certificate, data: bytes, mode: str,
-               reps: int = 5):
-    """Median wall time over ``reps`` runs plus the last run's outcome."""
-    times = []
-    outcome = None
-    memo = None
-    for _ in range(max(reps, 1)):
-        memo = MemoTable()
-        t0 = time.perf_counter()
-        outcome = parse(g, cert, data, mode=mode, memo=memo)
-        times.append(time.perf_counter() - t0)
-    times.sort()
-    median = times[len(times) // 2] if len(times) % 2 else \
-        (times[len(times) // 2 - 1] + times[len(times) // 2]) / 2.0
-    return median, outcome, memo
-
-
 def run_bench(g: Grammar, cert: Certificate, corpora, mode: str = "plain",
               reps: int = 5) -> list[dict]:
-    """Benchmark rows for (label, bytes) corpora, with doubling ratios."""
+    """Benchmark rows for (label, bytes) corpora, with doubling ratios.
+
+    The corpora are parsed in rounds, one parse of each per round, so
+    that a slow stretch of a shared machine slows every corpus alike
+    rather than all the repetitions of one; each row's time is the
+    median of its ``reps`` parses, and its outcome and memo statistics
+    are those of its last parse.
+    """
+    times = [[] for _ in corpora]
+    last = [None] * len(corpora)
+    for _ in range(max(reps, 1)):
+        for i, (_, data) in enumerate(corpora):
+            memo = MemoTable()
+            t0 = time.perf_counter()
+            outcome = parse(g, cert, data, mode=mode, memo=memo)
+            times[i].append(time.perf_counter() - t0)
+            last[i] = outcome, memo
     rows = []
     prev = None
-    for label, data in corpora:
-        median, outcome, memo = time_parse(g, cert, data, mode, reps)
+    for (label, data), runs, (outcome, memo) in zip(corpora, times, last):
+        median = statistics.median(runs)
         row = {
             "label": label,
             "bytes": len(data),

@@ -21,7 +21,7 @@ import weakref
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator
 
-from .values import Lst, Opt as OptV, Str, UNIT, Value, tuple_items
+from .values import Lst, Opt as OptV, Str, TreeNode, UNIT, Value, tuple_items
 
 
 class GrammarError(Exception):
@@ -254,6 +254,17 @@ NONE = ActionRef("none", lambda v: OptV(None))
 DROP = ActionRef("drop", lambda v: UNIT)
 
 
+def _leaf_fn(v, start, end):
+    return TreeNode("", start, end, ())
+
+
+#: The tree shaper of a terminal, range or any-char: a leaf span.
+LEAF = ActionRef("tree.leaf", _leaf_fn, span_aware=True)
+
+# The built-in actions above are recognised by identity, never by label:
+# an embedder's ActionRef with one of their labels is an ordinary action.
+
+
 def _right_nested(parts: list, node) -> Expr:
     out = parts[-1]
     for part in reversed(parts[:-1]):
@@ -411,13 +422,13 @@ def _check_tree_shaped(productions: dict):
             elif t is Star:
                 stack.append(e.inner)
             elif t is Action:
-                label = e.ref.label
-                if label == "drop":
+                ref = e.ref
+                if ref is DROP:
                     continue
-                if label != "tree.leaf" and not label.startswith(NODE_PREFIX):
+                if ref is not LEAF and not ref.label.startswith(NODE_PREFIX):
                     raise ValueError("rule %r of a tree-shaped grammar "
                                      "holds the action %r, which tree mode "
-                                     "does not run" % (name, label))
+                                     "does not run" % (name, ref.label))
                 stack.append(e.inner)
 
 

@@ -14,10 +14,10 @@ alternatives of one choice can call at the choice's own position other
 than from inside another seeded rule; it is memoised from the start.
 Every other rule carries a per-parse watermark, the highest position
 it has been called at: a call at or below it may be a re-entry, so
-from that call on the rule is memoised.  So no rule body runs more than twice at one position, and
-packrat stays linear within a factor of two also on re-entries no
-choice shows, while a grammar that never re-enters a rule (xml-lite)
-makes no memo entries at all.
+from that call on the rule is memoised.  So no rule body runs more
+than twice at one position, and packrat stays linear within a factor
+of two also on re-entries no choice shows, while a grammar that never
+re-enters a rule (xml-lite) makes no memo entries at all.
 
 Evaluation runs on an explicit heap-allocated frame stack, so input
 nesting depth is bounded by memory, not the Python recursion limit;
@@ -27,35 +27,36 @@ the semantics is represented as the next position.
 
 A byte-local expression is one whose outcome and step count depend
 only on the byte under the cursor: a terminal, range or any-char, a
-choice of one-byte matchers, the tree-leaf, drop or tuple2str action
-on a matcher, a negation guard in front of a matcher, and the
-negation of any of these.  The compiler evaluates each one once per
-byte into a step table, and the VM runs it, or a repetition of it,
-with one table lookup per byte; right-nested terminal chains (literal
-runs) get their step arithmetic precomputed too.  The oracle
-differential suite pins their equivalence with the plain rule-by-rule
-evaluation.
+choice of one-byte matchers, the built-in tree-leaf, drop or tuple2str
+action on a matcher (known by its ActionRef's identity; an embedder's
+action with the same label runs as any other), a negation guard in
+front of a matcher, and the negation of any of these.  The compiler
+evaluates each one once per byte into a step table, and the VM runs
+it, or a repetition of it, with one table lookup per byte;
+right-nested terminal chains (literal runs) get their step arithmetic
+precomputed too.  The oracle differential suite pins their equivalence
+with the plain rule-by-rule evaluation.
 
 Tree mode.  A program compiled from a tree-shaped grammar (one that
 trx.meta.tree_wrap built) builds no value spines: sequences make no
 pairs and repetitions no lists.  Like LPeg's capture list, the VM
 keeps one flat ``kids`` list of what the tree will hold, in parse
 order: rule nodes, and the (start, end) spans of leaves, which leaf
-matchers and leaf scans append.  A rule's node collector takes the
-slice of ``kids`` from the mark its frame recorded, coalesces adjacent
-spans into leaves as trx.meta.node_action coalesces leaves, and
-replaces the slice with the node, which is also the rule's value and
-memo entry; a memo hit appends it again.  Choice, repetition, negation and
-action frames record a mark too, and truncate ``kids`` back to it when
-they discard a result: a failed first alternative, a failed repetition
-step, every negation and a drop.  Other actions appear in such
-grammars only under ``!`` or ``~``, so the VM does not run them.  The
-oracle runs the real collector actions, so the differential suites
-check this path.  Opcodes choose the mode at compile time; a
-value-mode program tests for it only on a leaf value.  Nodes are
-built as flat tuples in one call (see trx.values.TreeNode), and
-parse() runs a tree-mode program with the cyclic garbage collector
-suspended.
+matchers, leaf scans and iteration tables append.  A rule's node
+collector takes the slice of ``kids`` from the mark its frame
+recorded, coalesces adjacent spans into leaves as trx.meta.node_action
+coalesces leaves, and replaces the slice with the node, which is also
+the rule's value and memo entry; a memo hit appends it again.  Choice,
+repetition, negation and action frames record a mark too, and truncate
+``kids`` back to it when they discard a result: a failed first
+alternative, a failed repetition step, every negation and a drop.
+Other actions appear in such grammars only under ``!`` or ``~``, so
+the VM does not run them.  The oracle runs the real collector actions,
+so the differential suites check this path.  Opcodes choose the mode
+at compile time; a value-mode program tests for it only on a leaf
+value.  Nodes are built as flat tuples in one call (see
+trx.values.TreeNode), and parse() runs a tree-mode program with the
+cyclic garbage collector suspended.
 
 Tree mode also pushes fewer frames for the same step index.  A
 right-nested chain of n Seqs' items is one node with one frame, which
@@ -75,7 +76,11 @@ for a drop, 1 more.  The node is (rule, start, end) with at most the
 primitive's one leaf, built directly; a drop builds it only when the
 call is memoised, since a kept call at that position may hit the
 entry.  A memo hit adds 1 step, or 2 for a drop, which appends
-nothing.
+nothing.  A drop of a call of any other rule (the meta-grammar's
+``~spacing``) is one frame too, which adds the collector's, the call's
+and the drop's steps on return, truncates ``kids`` and builds no node;
+when packrat memoises the call, the node frame of the rule's collector
+is pushed as well and builds the node for the memo entry.
 
 Value mode builds only the values it returns (LPeg builds a capture
 only where it is kept).  ``~x*`` and ``x+`` (a cons over ``m x*``, m
@@ -97,23 +102,44 @@ having tried matchers only at that position and added nothing to
 descends into a composite, and on a non-zero entry sets ``farthest``
 to at least the position and unwinds a failure of that many steps
 without pushing a frame (after LPeg's head-fail tests, but keeping the
-step index exact).  The entries follow the step arithmetic: MATCH1
-and PRED fail in -t steps where their step table has t < 0; LIT in
-its first prefix's failure steps on every byte but its first; SCAN
-like MATCH1 by its ``first`` table, and never without one; a sequence
-in its first item's steps + 1; a choice in a + b + 1 where both
+step index exact).  The entries follow the step arithmetic: MATCH1 and
+PRED fail in -t steps where their step table has t < 0; LIT in its
+first prefix's failure steps on every byte but its first; SCAN like
+MATCH1 by its ``first`` table, and never without one; a sequence in
+its first item's steps + 1; a choice in a + b + 1 where both
 alternatives fail; an action or rule node in its inside's + 1;
-repetitions and negations never.  A rule call adds its steps to its
-inside's: 2 for TNT and TLEAF, 3 for TDLEAF, and for NT and LEAF 1 to
-their rule body's.  In packrat mode a call moves a watermark and may
-count a memo hit or miss, so there a call's entry is 0, and so is
-every entry whose failure runs through a call: the call runs, and the
-table of its inside then applies.  So each mode has its tables.  A
-table is built the first time a parse descends into its node
-(compiling builds none, so certification does not pay for them), with
-those it is made from, with an explicit stack, and kept on the
-program; a table with every entry below 256 is a bytes object, and
-equal tables are one object.
+repetitions (which have iteration tables, below) and negations
+never.  A rule call adds its steps to its inside's: 2 for TNT and
+TLEAF, 3 for TDLEAF and TDNT, and for NT and LEAF 1 to their rule
+body's.  In packrat mode a call moves a watermark and may count a memo
+hit or miss, so there a call's entry is 0, and so is every entry whose
+failure runs through a call: the call runs, and the table of its
+inside then applies.  So each mode has its tables.  A table is built
+the first time a parse descends into its node (compiling builds none,
+so certification does not pay for them), with those it is made from,
+with an explicit stack, and kept on the program; a table with every
+entry below 256 is a bytes object, and equal tables are one object.
+
+Iteration tables.  A repetition that is not a SCAN (Ford's
+``([ \\t\\r\\n] / comment)*``, or an operator star ``(a / b / c)*`` of
+calls) has an iteration table per mode, of 257 entries indexed like a
+failure table and built from the failure tables of its body's
+alternatives, the parts of its choice chain (after LPeg's span and
+test instructions).  An entry t > 0 means the body, started on that
+byte, succeeds in t steps by consuming just that byte through a
+one-byte matcher after the alternatives before it fail there: in tree
+mode as a leaf span, in value mode with that byte's entry of the
+matcher's value table (a position-dependent value makes the entry 0).
+An entry t < 0 means the body fails there in -t steps; 0 means it must
+run.  The VM loops over the input while the entries are positive,
+adding t + 1 steps each.  On a negative entry the repetition ends
+without a frame, adding -t + 1, with ``farthest`` at least the
+position; on 0 it pushes the repetition's frame with the steps and the
+span so far and runs the body, and comes back to the table after each
+iteration that ran it.  In packrat mode a call's failure table is 0, so
+no entry skips a call and memo statistics do not change.  Iteration
+tables, like failure tables, are built the first time a parse reaches
+their repetition.
 
 Certification compiles the program once and the Certificate carries
 it, so parse() runs exactly the grammar that was certified.
@@ -125,9 +151,10 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from .exprs import (CONS, DROP, NODE_PREFIX as _NODE_PREFIX, Action,
-                    AnyChar, Choice, Empty, Expr, Grammar, NonTerminal, Not,
-                    Range, Seq, Star, Terminal, terminal_chain)
+from .exprs import (CONS, DROP, LEAF, NODE_PREFIX as _NODE_PREFIX,
+                    TUPLE2STR, Action, AnyChar, Choice, Empty, Expr, Grammar,
+                    NonTerminal, Not, Range, Seq, Star, Terminal,
+                    terminal_chain)
 from .values import (CHAR, Char, Lst, Str, TreeNode, Tup, UNIT, Value,
                      gc_suspended)
 
@@ -202,14 +229,31 @@ class MemoTable:
     the module docstring) look it up: hits + misses is their number,
     and each miss writes one entry, so entries equals misses.  Entries
     are written once and never contradicted.
+
+    Since keys hold no program and no input, a table serves one of
+    each: the first packrat parse given the table binds it to the
+    parse's program and input, and a packrat parse with another program
+    or another input raises ValueError.  Plain mode neither reads nor
+    binds it.
     """
 
-    __slots__ = ("entries", "hits", "misses")
+    __slots__ = ("entries", "hits", "misses", "program", "data")
 
     def __init__(self):
         self.entries = {}
         self.hits = 0
         self.misses = 0
+        self.program = None
+        self.data = None
+
+    def _bind(self, program, data: bytes):
+        if self.program is None:
+            self.program = program
+            self.data = data
+        elif self.program is not program or (self.data is not data
+                                             and self.data != data):
+            raise ValueError("a MemoTable serves one program and one "
+                             "input; pass a fresh one")
 
 
 def memo_stats(table: MemoTable) -> dict:
@@ -225,6 +269,7 @@ def memo_stats(table: MemoTable) -> dict:
 #   [state, node, pos, next, steps]    TSEQ (next: the item to run next)
 #   [10, node, pos, mark, key]         NODE and TNT
 #   [state, node, pos, mark]           TCHOICE, TNOT, TACT
+#   [13, node, pos, mark, add]         TDNT
 #   [0, key, pos]                      NT
 # where ``mark`` is where the node's children start in ``kids``.  The
 # states in between continue a node (2: Seq right, 4: Choice second),
@@ -235,19 +280,25 @@ def memo_stats(table: MemoTable) -> dict:
 # memo key, -1 for a call that is not memoised, or None for a bare
 # collector (a parse's start rule, or an eval_expr root).  A call of a
 # leaf rule, one whose collector's inside is a single EMPTY, MATCH1,
-# PRED, LIT or SCAN, is TLEAF, and a drop of such a call TDLEAF; in
+# PRED, LIT or SCAN, is TLEAF, and a drop of such a call TDLEAF; a
+# drop of any other tree-mode call is TDNT, whose frame is in TACT's
+# state with ``add`` the steps it adds on return (3, or 1 when the call
+# is memoised and a NODE frame for its memo entry sits above it).  In
 # value mode a call of a rule whose body is such a primitive, or one
-# action over it, is LEAF.  The five calls are numbered next to each
+# action over it, is LEAF.  The six calls are numbered next to each
 # other, after the other composites, but the leaf calls push no frame:
 # they run that primitive in place, then add the collector's or the
 # action's step, write the memo entry and add the call's step, and a
-# drop's.  Every opcode below EMPTY has a failure table (see the module
-# docstring).  Terminals, ranges and any-char always compile to MATCH1;
-# MATCH1, PRED, LIT and SCAN are superinstructions.
+# drop's.  Every opcode below EMPTY has a
+# failure table, and STAR and TSTAR an iteration table too (see the
+# module docstring); a repetition's frame is pushed only when its body
+# runs, and its ``pos`` and ``steps`` start where the table stopped.
+# Terminals, ranges and any-char always compile to MATCH1; MATCH1,
+# PRED, LIT and SCAN are superinstructions.
 _K_SEQ, _K_CHOICE, _K_NOT, _K_ACT, _K_STAR = 1, 3, 5, 6, 7
 _K_TSTAR, _K_TSEQ, _K_NODE, _K_TCHOICE, _K_TNOT, _K_TACT = range(8, 14)
-_K_TNT, _K_TLEAF, _K_TDLEAF, _K_NT, _K_LEAF = range(14, 19)
-_K_EMPTY, _K_MATCH1, _K_PRED, _K_LIT, _K_SCAN = range(19, 24)
+_K_TNT, _K_TLEAF, _K_TDLEAF, _K_TDNT, _K_NT, _K_LEAF = range(14, 20)
+_K_EMPTY, _K_MATCH1, _K_PRED, _K_LIT, _K_SCAN = range(20, 25)
 
 # The ``extra`` of a LEAF call whose rule body is the primitive itself.
 _NO_ACTION = object()
@@ -269,12 +320,14 @@ class _Program:
     _initial_marks); it is computed on the program's first packrat
     parse.  ``fails`` holds the failure tables of plain and of packrat
     mode, per node, None where not built yet (see _fail_table), and
-    ``shared`` one copy of each distinct table, and by the id of each
-    matcher step table the failure table made from it.
+    ``iters`` the iteration tables of the repetitions likewise (see
+    _iter_table); ``shared`` holds one copy of each distinct failure
+    table, and by the id of each matcher step table the failure table
+    made from it.
     """
 
     __slots__ = ("kind", "a", "b", "extra", "prod_body", "start", "tree",
-                 "marks", "fails", "shared")
+                 "marks", "fails", "iters", "shared")
 
     def __init__(self):
         self.kind = []
@@ -286,6 +339,7 @@ class _Program:
         self.tree = False
         self.marks = None
         self.fails = [None, None]
+        self.iters = [None, None]
         self.shared = {}
 
 
@@ -421,12 +475,12 @@ class _ByteTables:
             i = self(e.inner)
             if i is None or i[1] is None:
                 return None
-            label = e.ref.label
-            if label == "tree.leaf":
+            ref = e.ref
+            if ref is LEAF:
                 values = _LEAVES
-            elif label == "drop":
+            elif ref is DROP:
                 values = _UNITS
-            elif label == "tuple2str" and i[1] is CHAR:
+            elif ref is TUPLE2STR and i[1] is CHAR:
                 values = _STR1
             else:
                 return None
@@ -524,10 +578,10 @@ def _as_lit(e: Expr):
         if inner is None:
             return None
         data, ok, fails, value = inner
-        label = e.ref.label
-        if label == "drop":
+        ref = e.ref
+        if ref is DROP:
             value = UNIT
-        elif label == "tuple2str" and type(value) in (Tup, Char):
+        elif ref is TUPLE2STR and type(value) in (Tup, Char):
             value = Str(data)
         else:
             return None
@@ -652,7 +706,7 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
                         node = emit(_K_NODE, visit(e.inner), extra=rule)
                     else:
                         node = emit(_K_TACT, visit(e.inner),
-                                    extra=label == "tree.leaf")
+                                    extra=e.ref is LEAF)
                 else:
                     raise TypeError("not a parsing expression: %r" % (e,))
         index[key] = node
@@ -677,10 +731,14 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
                 if kind[bb[i]] >= _K_EMPTY:
                     kind[i] = _K_TLEAF
         for i, k in enumerate(kind):
-            if k == _K_TACT and not extra[i] and kind[aa[i]] == _K_TLEAF:
+            if k == _K_TACT and not extra[i]:
                 call = aa[i]
-                kind[i] = _K_TDLEAF
-                aa[i], bb[i], extra[i] = aa[call], bb[call], extra[call]
+                if kind[call] == _K_TLEAF:
+                    kind[i] = _K_TDLEAF
+                    aa[i], bb[i], extra[i] = aa[call], bb[call], extra[call]
+                elif kind[call] == _K_TNT:
+                    kind[i] = _K_TDNT
+                    aa[i], bb[i] = aa[call], bb[call]
     else:
         # A value-mode call of a rule whose body is one primitive, or one
         # action over one primitive, is a leaf call.
@@ -724,7 +782,7 @@ def _initial_marks(prog: _Program) -> list:
     """
     kind, aa, bb, extra, body = (prog.kind, prog.a, prog.b, prog.extra,
                                  prog.prod_body)
-    calls = (_K_NT, _K_LEAF, _K_TNT, _K_TLEAF, _K_TDLEAF)
+    calls = (_K_NT, _K_LEAF, _K_TNT, _K_TLEAF, _K_TDLEAF, _K_TDNT)
     seqs = (_K_SEQ, _K_TSEQ)
     choices = (_K_CHOICE, _K_TCHOICE)
     null = [False] * len(kind)      # can succeed without consuming
@@ -896,7 +954,7 @@ def _fail_table(prog: _Program, tables: list, root: int, packrat: bool):
             parts = (aa[i], bb[i])
         elif k >= _K_TNT and k <= _K_LEAF and not packrat:
             parts = (body[aa[i]],) if k >= _K_NT else (bb[i],)
-            add = 1 if k >= _K_NT else 3 if k == _K_TDLEAF else 2
+            add = (1 if k >= _K_NT else 2 if k <= _K_TLEAF else 3)
         else:
             parts = ()
         if i not in opened:
@@ -935,6 +993,61 @@ def _fail_table(prog: _Program, tables: list, root: int, packrat: bool):
     return tables[root]
 
 
+def _iter_table(prog: _Program, fails: list, iters: list, root: int,
+                packrat: bool):
+    """The iteration table of repetition ``root`` for one mode, built now
+    from its body's alternatives and their failure tables (built too,
+    into ``fails``), and stored in ``iters`` (see the module docstring).
+
+    The alternatives are the parts of the body's right-nested choice
+    chain, or the body alone.  An entry is (steps, values): on byte b,
+    steps[b] > 0 when the alternatives before a one-byte matcher fail
+    there by their failure tables, and the matcher then consumes b with
+    a value that does not depend on the position (in tree mode, a leaf
+    span): the body succeeds in that many steps with values[b] (None in
+    tree mode).  steps[b] < 0 when every alternative fails by its table,
+    in -steps[b] steps; otherwise it is 0 and the body runs.
+    """
+    kind, aa, bb, extra = prog.kind, prog.a, prog.b, prog.extra
+    alts = []
+    x = aa[root]
+    while kind[x] == _K_CHOICE or kind[x] == _K_TCHOICE:
+        alts.append(aa[x])
+        x = bb[x]
+    alts.append(x)
+    last = len(alts) - 1
+    tables = [extra[x] if kind[x] == _K_MATCH1
+              else _fail_table(prog, fails, x, packrat) for x in alts]
+    tree = prog.tree
+    steps = [0] * 257
+    values = None if tree else [None] * 256
+    for b in range(257):
+        acc = 0
+        for j, x in enumerate(alts):
+            if j < last:
+                acc += 1                 # the choice's step
+            if kind[x] == _K_MATCH1:
+                tab, vals = tables[j]
+                t = tab[b]
+                if t < 0:
+                    acc -= t
+                    continue
+                if (type(vals[b]) is int) == tree:
+                    steps[b] = acc + t
+                    if values is not None:
+                        values[b] = vals[b]
+                break
+            t = tables[j][b] if tables[j] else 0
+            if not t:
+                break
+            acc += t
+        else:
+            steps[b] = -acc
+    out = iters[root] = (tuple(steps),
+                         None if values is None else tuple(values))
+    return out
+
+
 def _run(prog: _Program, data: bytes, root: int, pos0: int,
          memo: MemoTable | None):
     """Evaluate node ``root`` at ``pos0``; returns (ok, pos, value, steps,
@@ -948,6 +1061,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
     farthest = -1
 
     if memo is not None:
+        memo._bind(prog, data)
         memo_entries = memo.entries
         marks = prog.marks
         if marks is None:
@@ -964,6 +1078,9 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
     fail = prog.fails[packrat]
     if fail is None:
         fail = prog.fails[packrat] = [None] * len(kind)
+    iters = prog.iters[packrat]
+    if iters is None:
+        iters = prog.iters[packrat] = [None] * len(kind)
     # Tree mode: the rule nodes and leaf spans made so far, in order.
     kids = [] if prog.tree else None
     new_tuple = tuple.__new__
@@ -983,6 +1100,9 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
     # such call), and its memo key, mark in ``kids`` and whether it
     # drops, in leaf_key, leaf_mark and leaf_drop.
     leaf_rule = None
+    # The frame of a repetition whose body has just succeeded, which
+    # goes back to its iteration table.
+    again = None
 
     while True:
         # Descend until a primitive (or superinstruction) yields a result.
@@ -1024,7 +1144,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                             if hit is not None:
                                 hits += 1
                                 ok, rpos, val, steps = hit
-                                if k == _K_TDLEAF:
+                                if k == _K_TDLEAF or k == _K_TDNT:
                                     steps += 2   # the call's and the drop's
                                 else:
                                     steps += 1
@@ -1045,6 +1165,17 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                         leaf_drop = False
                     elif k == _K_TNT:
                         push([_K_NODE, cur, cpos, len(kids), key])
+                    elif k == _K_TDNT:
+                        # A dropped call is one frame, which builds no
+                        # node, unless it is memoised: then the node
+                        # frame of its rule's collector builds the
+                        # node for the memo entry.
+                        if key < 0:
+                            push([_K_TACT, cur, cpos, len(kids), 3])
+                        else:
+                            push([_K_TACT, cur, cpos, len(kids), 1])
+                            push([_K_NODE, prod_body[p], cpos, len(kids),
+                                  key])
                     else:
                         leaf_rule = extra[cur]
                         leaf_key = key
@@ -1058,10 +1189,56 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     push([k, cur, cpos, len(kids)])
                 elif k == _K_NODE:
                     push([k, cur, cpos, len(kids), None])
-                elif k == _K_STAR:
-                    push([k, cur, cpos, [], 0])
                 else:
-                    push([k, cur, cpos, len(kids), 0])
+                    # A repetition, new or back from a body that
+                    # succeeded (``again``, its frame).  The iteration
+                    # table settles what it can, and the frame runs the
+                    # body where the entry is 0.
+                    tab, vals = iters[cur] or _iter_table(
+                        prog, fail, iters, cur, packrat)
+                    f = again
+                    if f is None:
+                        acc = 0
+                    else:
+                        again = None
+                        acc = f[4]
+                    p = cpos
+                    while p < n:
+                        t = tab[data[p]]
+                        if t <= 0:
+                            break
+                        acc += t + 1
+                        p += 1
+                    else:
+                        t = tab[256]
+                    if kids is None:
+                        items = [] if f is None else f[3]
+                        if p > cpos:
+                            items += [vals[b] for b in data[cpos:p]]
+                    elif p > cpos:
+                        kids.append((cpos, p))
+                    if t:
+                        # The body fails at p: the repetition ends.
+                        if p > farthest:
+                            farthest = p
+                        if f is not None:
+                            pop()
+                        ok = True
+                        rpos = p
+                        val = None if kids is not None else Lst(tuple(items))
+                        steps = acc - t + 1
+                        break
+                    if p > cpos and p > farthest + 1:
+                        farthest = p - 1
+                    if f is None:
+                        push([k, cur, p, items if kids is None else len(kids),
+                              acc])
+                    else:
+                        f[2] = p
+                        if kids is not None:
+                            f[3] = len(kids)
+                        f[4] = acc
+                    cpos = p
                 cur = aa[cur]
                 continue
             if k == _K_MATCH1:
@@ -1321,11 +1498,19 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                 if ok and (rpos < f[2] or rpos > n):
                     raise InvariantViolation("nonterminal moved backwards")
                 pop()
-            elif st == 13:                   # tree drop, leaf or other action
+            elif st == 13:                   # tree drop: an action or a call
                 del kids[f[3]:]
-                if ok and extra[f[1]]:
-                    kids.append((f[2], rpos))
-                steps += 1
+                if len(f) == 4:              # a leaf or other action
+                    if ok and extra[f[1]]:
+                        kids.append((f[2], rpos))
+                    steps += 1
+                else:
+                    # A dropped call, and in f[4] the steps it adds: the
+                    # collector's, the call's and the drop's, or the
+                    # drop's alone after the call's node frame.
+                    steps += f[4]
+                    if ok and (rpos < f[2] or rpos > n):
+                        raise InvariantViolation("nonterminal moved backwards")
                 pop()
             elif st == 3:                    # Choice, first finished
                 if ok:
@@ -1361,12 +1546,18 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                         raise InvariantViolation("repetition moved backwards")
                     if st == 7:
                         f[3].append(val)
-                    else:
-                        f[3] = len(kids)
                     f[4] += steps + 1
-                    f[2] = rpos
-                    cur = aa[f[1]]
                     cpos = rpos
+                    if iters[f[1]][0][data[rpos] if rpos < n else 256]:
+                        # Back to the iteration table.
+                        again = f
+                        cur = f[1]
+                        break
+                    # The body runs again.
+                    f[2] = rpos
+                    if st == 8:
+                        f[3] = len(kids)
+                    cur = aa[f[1]]
                     break
                 if st == 7:
                     val = Lst(tuple(f[3]))
@@ -1402,7 +1593,9 @@ def parse(g: Grammar, cert: Certificate, data, mode: str = "plain",
     first call at or below its highest earlier position), so no rule
     body runs more than twice at one position.  Passing a fresh
     MemoTable in ``memo`` exposes the packrat statistics to the caller
-    (in plain mode it stays empty).
+    (in plain mode it stays empty).  A table serves one grammar and one
+    input: passing it to a packrat parse of another grammar or another
+    input raises ValueError.
 
     A tree-mode parse (a grammar loaded from .peg text or built by
     tree_wrap) runs with the cyclic garbage collector suspended: it

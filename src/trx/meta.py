@@ -29,7 +29,8 @@ import weakref
 from dataclasses import dataclass
 
 from .analysis import Certificate, certify
-from .exprs import (ANY, INTERN_LOCK, NODE_PREFIX as _NODE_PREFIX, Action,
+from .exprs import (ANY, CONS, DROP, INTERN_LOCK, LEAF, NONE,
+                    NODE_PREFIX as _NODE_PREFIX, SOME, TUPLE2STR, Action,
                     ActionRef, And, AnyChar, CharClass, Choice, Drop, EMPTY,
                     Expr, Grammar, Literal, NonTerminal, Not, Optional, Plus,
                     Range, Seq, Star, Terminal, build_grammar, expr_text)
@@ -71,13 +72,6 @@ def _context_line(data: bytes, pos: int) -> str:
 # ---------------------------------------------------------------------------
 # Tree shaping.
 
-def _leaf_fn(v, start, end):
-    return TreeNode("", start, end, ())
-
-
-LEAF = ActionRef("tree.leaf", _leaf_fn, span_aware=True)
-
-
 #: The live collector of each rule name, so that every grammar with a
 #: rule of that name shares one ref and equal bodies stay one node.
 _NODE_ACTIONS = weakref.WeakValueDictionary()
@@ -117,7 +111,9 @@ def node_action(rule: str) -> ActionRef:
             rule, ActionRef(_NODE_PREFIX + rule, fn, span_aware=True))
 
 
-_STRIP_LABELS = ("tuple2str", "cons", "some", "none")
+# The value shapers of the derived operators, which the tree collector
+# subsumes.
+_STRIPPED = (TUPLE2STR, CONS, SOME, NONE)
 
 
 def _tree_wrap_expr(e: Expr) -> Expr:
@@ -143,14 +139,13 @@ def _tree_wrap_expr(e: Expr) -> Expr:
         # Lookahead values are discarded; leave the inside untouched.
         return e
     if t is Action:
-        label = e.ref.label
-        if label in _STRIP_LABELS:
+        ref = e.ref
+        if ref in _STRIPPED:
             return _tree_wrap_expr(e.inner)
-        if label == "drop" or label == "tree.leaf" \
-                or label.startswith(_NODE_PREFIX):
+        if ref is DROP or ref is LEAF or ref.label.startswith(_NODE_PREFIX):
             return e
         raise ValueError("textual grammars carry only built-in tree-shaping "
-                         "actions, not %r" % label)
+                         "actions, not %r" % ref.label)
     return e  # Empty, NonTerminal
 
 

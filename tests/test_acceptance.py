@@ -104,6 +104,8 @@ def test_criterion_7_linear_scaling():
         corpora = [(label, xmark_lite(size, seed=0))
                    for label, size in (("1M", 1 << 20), ("2M", 2 << 20),
                                        ("4M", 4 << 20))]
+        # run_bench parses the sizes in interleaved rounds, so that a
+        # slow stretch of a shared machine slows all three alike.
         rows = run_bench(g, cert, corpora, mode="plain", reps=5)
         total = time.perf_counter() - t0
         for row in rows:

@@ -14,8 +14,9 @@ import pytest
 
 import trx.interp
 import trx.values
-from trx import (Action, ActionRef, AnyChar, CertificateMismatch, Choice,
-                 Drop, EMPTY, Grammar, InvariantViolation, MemoTable, NonTerminal, Not, Plus, Range,
+from trx import (Action, ActionRef, AnyChar, CertificateMismatch, CharClass,
+                 Choice, Drop, EMPTY, Grammar, InvariantViolation, MemoTable,
+                 NonTerminal, Not, Plus, Range,
                  Seq, Star, Terminal, TreeNode, User, build_grammar,
                  builtin_meta_grammar, certify, check_well_formed, eval_expr,
                  expr_text, expression_set, Literal, load_grammar,
@@ -641,6 +642,7 @@ def _with_call_frames(prog):
     twin.kind = [trx.interp._K_NT if k == trx.interp._K_LEAF else k
                  for k in prog.kind]
     twin.fails = [None, None]
+    twin.iters = [None, None]
     twin.shared = {}
     return twin
 
@@ -747,9 +749,12 @@ def test_deep_sequence_compiles_and_runs():
 
 
 def _without_failure_tables(prog):
-    """A copy of ``prog`` whose failure tables let every node run."""
+    """A copy of ``prog`` whose failure and iteration tables let every
+    node and every repetition's body run."""
     twin = copy.copy(prog)
     twin.fails = [[_NO_FAIL] * len(prog.kind) for _ in range(2)]
+    run_body = ((0,) * 257, None)
+    twin.iters = [[run_body] * len(prog.kind) for _ in range(2)]
     twin.shared = {}
     return twin
 
@@ -888,6 +893,193 @@ def test_failure_tables_of_a_deep_call_chain():
                         == _outcome(twin, data, packrat))
         assert cert.program.fails[0][cert.program.start][ord("z")] > 255
         assert _seed_set(g, cert) == set()
+
+
+# Iteration tables and dropped calls.  The shapes are those of Ford's
+# lexical idiom: a spacing rule ``W <- ([ \n] / C)*`` with a comment
+# ``C <- '#' (!'\n' .)*``, a rule R that ends in ``~W``, and stars of
+# their choices.
+_W, _C, _R = NonTerminal("W"), NonTerminal("C"), NonTerminal("R")
+_SPACE = CharClass([" ", "\n"])
+_GUARDED = Seq(Not(Terminal("b")), AnyChar())
+_STAR_RULES = [
+    ("W", Star(Choice(_SPACE, _C))),
+    ("C", Seq(Terminal("#"), Star(Seq(Not(Terminal("\n")), AnyChar())))),
+    ("R", Seq(Terminal("a"), Drop(_W))),
+    ("E", Seq(Terminal("\\"), AnyChar())),
+    ("A", Seq(Terminal("!"), Drop(_W))),
+    ("B", Seq(Terminal("&"), Drop(_W))),
+    ("D", Seq(Terminal("~"), Drop(_W))),
+]
+# (start rule body, alphabet): each shape, seeded (S calls T twice at
+# its start) so that packrat mode memoises.
+_STAR_SHAPES = [
+    # (m / X)*, X a call, a guarded matcher before a call, a sequence.
+    (Star(Choice(_SPACE, _R)), "a #\n"),
+    (Star(Choice(_SPACE, Choice(_GUARDED, _R))), "ab #"),
+    (Star(Choice(_SPACE, Seq(Terminal("a"), Terminal("b")))), "ab \n"),
+    (Star(Choice(_SPACE, Seq(Terminal("a"), _R))), "a #\n"),
+    # X first: (X / m)*, and literal's (escape / !'\'' !'\\' .)*.
+    (Star(Choice(_R, _SPACE)), "a #\n"),
+    (Star(Choice(NonTerminal("E"), Seq(Not(Terminal("'")),
+                                        Seq(Not(Terminal("\\")),
+                                            AnyChar())))), "\\'a#"),
+    # Operator stars of calls.
+    (Star(Choice(NonTerminal("A"), Choice(NonTerminal("B"),
+                                          NonTerminal("D")))), "!&~ "),
+    (Seq(Star(Choice(NonTerminal("A"), NonTerminal("B"))), _R), "!&a#"),
+    # Value-mode matchers whose values depend on the position, and a
+    # matcher that is a leaf only on some bytes.
+    (Star(Choice(Seq(Not(Terminal("#")), AnyChar()), _C)), "a #\n"),
+    (Star(Choice(Choice(Terminal("a"), Drop(Terminal(" "))), _R)), "a #\n"),
+    # Spacing itself, then ~R for a rule that is not a leaf rule:
+    # kept and dropped at one position (memoised in packrat mode), and
+    # dropped where nothing else calls it (not memoised).
+    (Seq(Drop(_W), Star(_R)), "a #\n"),
+    (Choice(Seq(Drop(_R), Terminal("1")),
+            Choice(Seq(_R, Terminal("2")),
+                   Seq(Drop(_R), Seq(Drop(NonTerminal("A")), _R)))),
+     "a 12!"),
+]
+
+
+def _star_grammars():
+    for i, (body, alphabet) in enumerate(_STAR_SHAPES):
+        rules = [("S", Choice(Seq(NonTerminal("T"), Terminal("z")),
+                              NonTerminal("T"))),
+                 ("T", body)] + _STAR_RULES
+        g = build_grammar(rules, "S")
+        for form in (g, tree_wrap(g)):
+            yield pytest.param(form, alphabet, id="%d-%s" % (
+                i, "tree" if form.tree_shaped else "value"))
+
+
+@pytest.mark.parametrize("g, alphabet", list(_star_grammars()))
+def test_iteration_tables_and_dropped_calls_agree_with_oracle(g, alphabet):
+    # On every input up to length 5: ok, pos, the value (by repr) or
+    # tree, steps and farthest agree with the oracle in both modes, and
+    # full outcomes, memo statistics included, with the same program
+    # run without failure and iteration tables; for a tree-shaped
+    # grammar memo statistics also agree with its rules run in value
+    # mode.
+    cert = certify(g)
+    prog = cert.program
+    twin = _without_failure_tables(prog)
+    if g.tree_shaped:
+        value = Grammar(dict(g.productions), g.start)
+        value_cert = certify(value)
+    hits = 0
+    for data in all_inputs(alphabet, 5):
+        want, farthest = _oracle_farthest(g, data)
+        for mode in ("plain", "packrat"):
+            memo = MemoTable()
+            out = parse(g, cert, data, mode=mode, memo=memo)
+            assert out == want and repr(out.value) == repr(want.value)
+            assert (out.steps, out.farthest) == (want.steps, farthest), data
+            hits += memo.hits
+            if g.tree_shaped:
+                value_memo = MemoTable()
+                parse(value, value_cert, data, mode=mode, memo=value_memo)
+                assert memo_stats(memo) == memo_stats(value_memo), data
+        for packrat in (False, True):
+            assert (_outcome(prog, data, packrat)
+                    == _outcome(twin, data, packrat)), data
+    assert hits > 0
+    # The parses built iteration tables, and in tree mode ~R, ~W and ~A
+    # are dropped calls.
+    assert any(prog.kind[i] in (trx.interp._K_STAR, trx.interp._K_TSTAR)
+               for i, t in enumerate(prog.iters[0]) if t is not None)
+    if g.tree_shaped:
+        dropped = {g.nonterminals[prog.a[i]]
+                   for i, k in enumerate(prog.kind)
+                   if k == trx.interp._K_TDNT}
+        assert dropped & {"R", "W", "A"}
+
+
+def test_meta_program_drops_spacing_in_one_frame():
+    # Every ~spacing of the meta-grammar (one node, since expressions are
+    # hash-consed) is one dropped call, and no other call is.
+    # Certification builds no failure or iteration tables; parses build
+    # an iteration table for each repetition they reach.
+    g = tree_wrap(build_grammar(trx.meta._meta_rules(), "grammar"))
+    cert = certify(g)
+    prog = cert.program
+    assert prog.fails == [None, None] and prog.iters == [None, None]
+    dropped = {g.nonterminals[prog.a[i]] for i, k in enumerate(prog.kind)
+               if k == trx.interp._K_TDNT}
+    assert dropped == {"spacing"}
+    # Every other drop is of a literal, which is a matcher.
+    assert trx.interp._K_TACT not in prog.kind
+    stars = [i for i, k in enumerate(prog.kind) if k == trx.interp._K_TSTAR]
+    assert len(stars) >= 8
+    for name in sorted(os.listdir(GRAMMAR_DIR)):
+        assert parse(g, cert, grammar_text(name)).ok
+    assert parse(g, cert, b'a <- "x" ;').ok
+    assert all(prog.iters[0][i] is not None for i in stars)
+    assert prog.iters[1] is None
+    # Spacing's table: a space costs its matcher's steps and the
+    # choice's, '#' runs the comment, and any other byte and end of
+    # input end the repetition in plain mode; in packrat mode the call
+    # of comment runs everywhere but on a space.
+    assert parse(g, cert, grammar_text("peg.peg"), mode="packrat").ok
+    star = prog.a[prog.prod_body[g.nonterminals.index("spacing")]]
+    space = prog.a[prog.a[star]]
+    assert star in stars and prog.kind[space] == trx.interp._K_MATCH1
+    for packrat in (False, True):
+        steps, values = prog.iters[packrat][star]
+        assert values is None
+        for b in b" \t\r\n":
+            assert steps[b] == prog.extra[space][0][b] + 1
+        assert steps[ord("#")] == 0
+        for b in (ord("a"), ord("'"), 256):
+            assert (steps[b] < 0) != packrat and steps[b] <= 0
+
+
+def _look_alikes():
+    """Actions labelled like the built-ins, over 'a' and over 'ab'."""
+    f = ActionRef("probe", lambda v: User(("probe", repr(v)))).fn
+    for label in ("drop", "tuple2str", "tree.leaf"):
+        yield Action(Terminal("a"), ActionRef(label, f))
+    yield Action(Seq(Terminal("a"), Terminal("b")), ActionRef("tuple2str", f))
+
+
+@pytest.mark.parametrize("e", list(_look_alikes()))
+def test_look_alike_actions_run_as_actions(e):
+    # Only the built-in ActionRefs have the built-in meanings; one of an
+    # embedder's with the same label runs its own function.
+    g = build_grammar([("S", e)], "S")
+    cert = certify(g)
+    for data in all_inputs("ab", 3):
+        want = oracle_parse(g, data, fuel=10_000)
+        for mode in ("plain", "packrat"):
+            out = parse(g, cert, data, mode=mode)
+            assert out == want and repr(out.value) == repr(want.value)
+            assert out.steps == want.steps
+    assert parse(g, cert, b"ab").value == User(("probe", repr(
+        oracle_parse(build_grammar([("S", e.inner)], "S"), b"ab").value)))
+    with pytest.raises(ValueError):
+        tree_wrap(g)
+
+
+def test_memo_table_serves_one_program_and_one_input():
+    g, cert = math_grammar()
+    memo = MemoTable()
+    assert parse(g, cert, b"(1+2)*3", mode="packrat", memo=memo).value \
+        == User(9)
+    # The same program on an equal input, and plain mode, which does
+    # not use the table, are fine.
+    assert parse(g, cert, bytes(b"(1+2)*3"), mode="packrat",
+                 memo=memo).value == User(9)
+    assert parse(g, cert, b"(4+5)*6", memo=memo).value == User(54)
+    with pytest.raises(ValueError):
+        parse(g, cert, b"(4+5)*6", mode="packrat", memo=memo)
+    other, other_cert = math_grammar()
+    other_cert = certify(Grammar(dict(other.productions), other.start))
+    with pytest.raises(ValueError):
+        parse(other_cert.grammar, other_cert, b"(1+2)*3", mode="packrat",
+              memo=memo)
+    assert parse(g, cert, b"(4+5)*6", mode="packrat",
+                 memo=MemoTable()).value == User(54)
 
 
 def _tree_nodes(node):

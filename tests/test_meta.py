@@ -345,6 +345,12 @@ def test_tree_shaped_grammar_wraps_every_rule():
     with pytest.raises(ValueError):
         Grammar({"A": Action(Literal("ab"), node_action("A"))}, "A",
                 tree_shaped=True)
+    # The built-in shapers are known by their refs, not their labels.
+    for label in ("drop", "tree.leaf"):
+        fake = Action(Terminal("b"), ActionRef(label, lambda v: v))
+        with pytest.raises(ValueError):
+            Grammar({"A": Action(Seq(fake, a_leaf), node_action("A"))}, "A",
+                    tree_shaped=True)
     for hidden in (Not(Action(NonTerminal("B"), ident)),
                    Drop(Action(NonTerminal("B"), ident))):
         g = Grammar({"A": Action(Seq(hidden, Seq(NonTerminal("B"), a_leaf)),

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from trx import (EMPTY, Action, ActionRef, AnyChar, Choice, Drop, Literal,
                  MemoTable, NonTerminal, Not, Plus, Range, Seq, Star,
-                 Terminal, User, build_grammar, check_well_formed, parse)
+                 Terminal, User, build_grammar, check_well_formed, parse,
+                 tree_wrap)
 from trx.oracle import EXHAUSTED, oracle_parse
 
 # One-byte matchers, each with its own value table, and two primitives
@@ -39,9 +40,22 @@ def _body(e, wrap):
 _FOLDED = st.sampled_from(_MATCHERS).flatmap(
     lambda m: st.sampled_from([Plus(m), Drop(Star(m))]))
 
+_CALLS = st.sampled_from([NonTerminal(n) for n in _NAMES])
+
+# What iteration tables and dropped calls serve: stars of a choice of a
+# matcher and a call, in either order, operator stars of calls, and a
+# dropped call.
+_ITERATED = st.one_of(
+    st.tuples(st.sampled_from(_MATCHERS), _CALLS).map(
+        lambda p: Star(Choice(*p))),
+    st.tuples(_CALLS, st.sampled_from(_MATCHERS)).map(
+        lambda p: Star(Choice(*p))),
+    st.tuples(_CALLS, _CALLS, _CALLS).map(
+        lambda p: Star(Choice(p[0], Choice(p[1], p[2])))),
+    _CALLS.map(Drop))
+
 _EXPRS = st.recursive(
-    st.one_of(st.sampled_from(_PRIMITIVES), _FOLDED,
-              st.sampled_from([NonTerminal(n) for n in _NAMES])),
+    st.one_of(st.sampled_from(_PRIMITIVES), _FOLDED, _ITERATED, _CALLS),
     lambda inner: st.one_of(
         st.tuples(inner, inner).map(lambda p: Seq(*p)),
         st.tuples(inner, inner).map(lambda p: Choice(*p)),
@@ -65,21 +79,29 @@ def _farthest(trace):
 @given(start=_EXPRS, other=_EXPRS, leaf=_LEAF_BODIES,
        inputs=st.lists(st.text("ab", max_size=6), min_size=1, max_size=4))
 def test_embedded_grammars_agree_with_oracle(start, other, leaf, inputs):
-    # Random embedded grammars, with ``x+``, ``~x*`` and leaf rule
-    # bodies among their parts: where they are well-formed, both modes
-    # agree with the oracle on ok, position, the value (by repr), steps
-    # and farthest.
+    # Random embedded grammars, with ``x+``, ``~x*``, leaf rule bodies,
+    # stars of choices with calls and dropped calls among their parts:
+    # where they are well-formed, both modes agree with the oracle on
+    # ok, position, the value (by repr), steps and farthest, and so do
+    # their tree_wraps where the grammar has no action of its own.
     g = build_grammar([("S", start), ("A", other), ("L", leaf)], "S")
     report = check_well_formed(g)
     assume(report.is_well_formed)
-    cert = report.certificate
-    for text in inputs:
-        data = text.encode()
-        trace = []
-        want = oracle_parse(g, data, fuel=1_000_000, trace=trace)
-        assert want is not EXHAUSTED
-        for mode in ("plain", "packrat"):
-            out = parse(g, cert, data, mode=mode, memo=MemoTable())
-            assert out == want and repr(out.value) == repr(want.value)
-            assert out.steps == want.steps
-            assert out.farthest == _farthest(trace)
+    grammars = [(g, report.certificate)]
+    try:
+        tree = tree_wrap(g)
+    except ValueError:
+        pass
+    else:
+        grammars.append((tree, check_well_formed(tree).certificate))
+    for g, cert in grammars:
+        for text in inputs:
+            data = text.encode()
+            trace = []
+            want = oracle_parse(g, data, fuel=1_000_000, trace=trace)
+            assert want is not EXHAUSTED
+            for mode in ("plain", "packrat"):
+                out = parse(g, cert, data, mode=mode, memo=MemoTable())
+                assert out == want and repr(out.value) == repr(want.value)
+                assert out.steps == want.steps
+                assert out.farthest == _farthest(trace)
