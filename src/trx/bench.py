@@ -96,11 +96,13 @@ def run_bench(g: Grammar, cert: Certificate, corpora, mode: str = "plain",
     that a slow stretch of a shared machine slows every corpus alike
     rather than all the repetitions of one; each row's time is the
     median of its ``reps`` parses, and its outcome and memo statistics
-    are those of its last parse.
+    are those of its last parse.  ``reps`` below 1 raises ValueError.
     """
+    if reps < 1:
+        raise ValueError("reps must be at least 1, got %r" % (reps,))
     times = [[] for _ in corpora]
     last = [None] * len(corpora)
-    for _ in range(max(reps, 1)):
+    for _ in range(reps):
         for i, (_, data) in enumerate(corpora):
             memo = MemoTable()
             t0 = time.perf_counter()

@@ -233,6 +233,17 @@ def _sizes(text: str) -> list:
     return out
 
 
+def _reps(text: str) -> int:
+    """``--reps``: a whole number of parses, at least 1."""
+    try:
+        reps = int(text)
+    except ValueError:
+        reps = 0
+    if reps < 1:
+        raise argparse.ArgumentTypeError("bad count %r: at least 1" % text)
+    return reps
+
+
 def cmd_selftest(args) -> int:
     results = run_selftest(seed=args.seed, budget=args.budget)
     ok = True
@@ -282,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("plain", "packrat"), default="packrat",
                    help="interpretation mode (default packrat)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=int, default=5)
+    p.add_argument("--reps", type=_reps, default=5)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_bench)
 

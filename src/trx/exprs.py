@@ -382,6 +382,9 @@ class Grammar:
             raise AttributeError("Grammar is immutable; %s is set" % name)
         object.__setattr__(self, name, value)
 
+    def __delattr__(self, name):
+        raise AttributeError("Grammar is immutable")
+
     def body(self, name: str) -> Expr:
         return self.productions[name]
 

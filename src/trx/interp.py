@@ -46,17 +46,18 @@ matchers, leaf scans and iteration tables append.  A rule's node
 collector takes the slice of ``kids`` from the mark its frame
 recorded, coalesces adjacent spans into leaves as trx.meta.node_action
 coalesces leaves, and replaces the slice with the node, which is also
-the rule's value and memo entry; a memo hit appends it again.  Choice,
-repetition, negation and action frames record a mark too, and truncate
-``kids`` back to it when they discard a result: a failed first
-alternative, a failed repetition step, every negation and a drop.
-Other actions appear in such grammars only under ``!`` or ``~``, so
-the VM does not run them.  The oracle runs the real collector actions,
-so the differential suites check this path.  Opcodes choose the mode
-at compile time; a value-mode program tests for it only on a leaf
-value.  Nodes are built as flat tuples in one call (see
-trx.values.TreeNode), and parse() runs a tree-mode program with the
-cyclic garbage collector suspended.
+the rule's value and memo entry; a memo hit appends it again.  A node
+that fails leaves ``kids`` as it found it: a sequence, the one node
+that can fail after its items appended, truncates ``kids`` back to the
+mark its frame recorded, as a negation and a drop do to discard what
+their inside appended.  So a choice and a repetition have nothing to
+undo, and choice, negation and repetition are one opcode each for
+both modes.  Other actions appear in such grammars only under ``!`` or
+``~``, so the VM does not run them.  The oracle runs the real
+collector actions, so the differential suites check this path.  Nodes
+are built as flat tuples in one call (see trx.values.TreeNode), and
+parse() runs a tree-mode program with the cyclic garbage collector
+suspended.
 
 Tree mode also pushes fewer frames for the same step index.  A
 right-nested chain of n Seqs' items is one node with one frame, which
@@ -109,9 +110,9 @@ MATCH1 by its ``first`` table, and never without one; a sequence in
 its first item's steps + 1; a choice in a + b + 1 where both
 alternatives fail; an action or rule node in its inside's + 1;
 repetitions (which have iteration tables, below) and negations
-never.  A rule call adds its steps to its inside's: 2 for TNT and
-TLEAF, 3 for TDLEAF and TDNT, and for NT and LEAF 1 to their rule
-body's.  In packrat mode a call moves a watermark and may count a memo
+never.  A rule call in its rule body's + 1, and a drop of one + 2 (a
+tree-mode body is its node collector, whose table is its inside's +
+1).  In packrat mode a call moves a watermark and may count a memo
 hit or miss, so there a call's entry is 0, and so is every entry whose
 failure runs through a call: the call runs, and the table of its
 inside then applies.  So each mode has its tables.  A table is built
@@ -179,7 +180,8 @@ class Certificate:
 
     Only trx.analysis.check_well_formed constructs these; they bind to
     the grammar object identity that was analyzed and carry the VM
-    program compiled from it, which is what parse() runs.
+    program compiled from it, which is what parse() runs.  Neither can
+    be reassigned or deleted afterwards.
     """
 
     __slots__ = ("grammar", "program")
@@ -187,8 +189,14 @@ class Certificate:
     def __init__(self, grammar: Grammar, key=None):
         if key is not _CERT_KEY:
             raise TypeError("certificates are issued by check_well_formed()")
-        self.grammar = grammar
-        self.program = _compile(grammar)[0]
+        object.__setattr__(self, "grammar", grammar)
+        object.__setattr__(self, "program", _compile(grammar)[0])
+
+    def __setattr__(self, name, value):
+        raise AttributeError("certificates are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("certificates are immutable")
 
     def __repr__(self):
         return "Certificate(%r)" % (self.grammar,)
@@ -263,42 +271,50 @@ def memo_stats(table: MemoTable) -> dict:
 
 # Opcodes.  A composite node's opcode is the state its frame starts in,
 # and the numbering groups composites by frame shape:
-#   [state, node, pos]                 SEQ, CHOICE, NOT, ACT
-#   [state, node, pos, items, steps]   STAR
-#   [state, node, pos, mark, steps]    TSTAR
-#   [state, node, pos, next, steps]    TSEQ (next: the item to run next)
-#   [10, node, pos, mark, key]         NODE and TNT
-#   [state, node, pos, mark]           TCHOICE, TNOT, TACT
-#   [13, node, pos, mark, add]         TDNT
-#   [0, key, pos]                      NT
-# where ``mark`` is where the node's children start in ``kids``.  The
-# states in between continue a node (2: Seq right, 4: Choice second),
-# and 0 returns from a value-mode nonterminal.  Tree-mode programs use
-# the _K_T* composites and _K_NODE in place of the value-mode ones.  A
-# tree-mode rule call (TNT) runs its rule's node collector in its own
-# frame: the frame starts in the NODE state, and its ``key`` is the
-# memo key, -1 for a call that is not memoised, or None for a bare
-# collector (a parse's start rule, or an eval_expr root).  A call of a
-# leaf rule, one whose collector's inside is a single EMPTY, MATCH1,
-# PRED, LIT or SCAN, is TLEAF, and a drop of such a call TDLEAF; a
-# drop of any other tree-mode call is TDNT, whose frame is in TACT's
-# state with ``add`` the steps it adds on return (3, or 1 when the call
-# is memoised and a NODE frame for its memo entry sits above it).  In
-# value mode a call of a rule whose body is such a primitive, or one
-# action over it, is LEAF.  The six calls are numbered next to each
-# other, after the other composites, but the leaf calls push no frame:
-# they run that primitive in place, then add the collector's or the
-# action's step, write the memo entry and add the call's step, and a
-# drop's.  Every opcode below EMPTY has a
-# failure table, and STAR and TSTAR an iteration table too (see the
-# module docstring); a repetition's frame is pushed only when its body
-# runs, and its ``pos`` and ``steps`` start where the table stopped.
+#   [state, node, pos]                     SEQ, CHOICE, ACT
+#   [state, node, pos, items, steps]       STAR
+#   [state, node, pos, next, steps, mark]  TSEQ (next: the item to run next)
+#   [8, node, pos, mark, key]              NODE and TNT
+#   [state, node, pos, mark]               NOT, TACT
+#   [10, node, pos, mark, add]             TDNT
+#   [0, key, pos]                          NT
+# where ``mark`` is where the node's children start in ``kids`` (None
+# for a value-mode NOT), and a value-mode STAR's ``items`` is the list
+# of its items' values (None in tree mode).  The states in between
+# continue a node (2: Seq right, 4: Choice second), and 0 returns from
+# a value-mode nonterminal.  A node that fails leaves ``kids`` as it
+# found it, so CHOICE, NOT and STAR serve both modes: only a tree-mode
+# sequence, which fails after earlier items may have appended, and a
+# NOT or drop, which discard what a succeeding inside appended,
+# truncate ``kids`` back to their mark.  Tree-mode programs use TSEQ,
+# NODE and TACT in place of SEQ and ACT.  A tree-mode rule call (TNT)
+# runs its rule's node collector in its own frame: the frame starts in
+# the NODE state, and its ``key`` is the memo key, -1 for a call that
+# is not memoised, or None for a bare collector (a parse's start rule,
+# or an eval_expr root).  A drop of a tree-mode call is TDNT, whose
+# frame is in TACT's state with ``add`` the steps it adds on return (3,
+# or 1 when the call is memoised and a NODE frame for its memo entry
+# sits above it).  A call of a leaf rule, one whose collector's inside
+# is a single EMPTY, MATCH1, PRED, LIT or SCAN, is TLEAF, and a drop of
+# one TDLEAF.  In value mode a call of a rule whose body is such a
+# primitive, or one action over it, is LEAF.  It stays apart from
+# TLEAF: sharing TLEAF's ``kids`` mark and drop flag costs value mode a
+# test and a compare on every leaf call (0.7 % more bytecodes run in
+# _run on the math-packrat corpus, and 1.7 % less throughput there in
+# 5 of 6 timed pairs).  The six calls are numbered next to each other,
+# after the other composites, but the leaf calls push no frame: they
+# run that primitive in place, then add the collector's or the action's
+# step, write the memo entry and add the call's step, and a drop's.
+# Every opcode below EMPTY has a failure table, and STAR an iteration
+# table too (see the module docstring); a repetition's frame is pushed
+# only when its body runs, and its ``pos`` and ``steps`` start where
+# the table stopped.
 # Terminals, ranges and any-char always compile to MATCH1; MATCH1,
 # PRED, LIT and SCAN are superinstructions.
-_K_SEQ, _K_CHOICE, _K_NOT, _K_ACT, _K_STAR = 1, 3, 5, 6, 7
-_K_TSTAR, _K_TSEQ, _K_NODE, _K_TCHOICE, _K_TNOT, _K_TACT = range(8, 14)
-_K_TNT, _K_TLEAF, _K_TDLEAF, _K_TDNT, _K_NT, _K_LEAF = range(14, 20)
-_K_EMPTY, _K_MATCH1, _K_PRED, _K_LIT, _K_SCAN = range(20, 25)
+_K_SEQ, _K_CHOICE, _K_ACT, _K_STAR = 1, 3, 5, 6
+_K_TSEQ, _K_NODE, _K_NOT, _K_TACT = range(7, 11)
+_K_TNT, _K_TLEAF, _K_TDLEAF, _K_TDNT, _K_NT, _K_LEAF = range(11, 17)
+_K_EMPTY, _K_MATCH1, _K_PRED, _K_LIT, _K_SCAN = range(17, 22)
 
 # The ``extra`` of a LEAF call whose rule body is the primitive itself.
 _NO_ACTION = object()
@@ -311,11 +327,13 @@ class _Program:
     node's or LEAF call's ActionRef (_NO_ACTION for none), a tree node's
     or tree-mode call's rule name, a tree-mode sequence's items, or
     whether a tree-mode action is a leaf.  A call's ``a`` is its
-    production; a tree-mode call's (TNT, TLEAF, TDLEAF) ``b`` is the
-    inside of the production's node collector, and a LEAF call's the
-    primitive it runs.  A tree-mode sequence's ``a`` is its first item.
-    ``tree`` is set when the program was compiled from a tree-shaped
-    grammar.
+    production; a tree-mode call's (TNT, TLEAF, TDLEAF, TDNT) ``b`` is
+    the inside of the production's node collector, and a LEAF call's
+    the primitive it runs.  A tree-mode sequence's ``a`` is its first
+    item.  Every node is reachable from ``prod_body`` (or from the roots
+    it was compiled for).  ``tree`` is set when the program was compiled
+    from a tree-shaped grammar, and its choices, negations and
+    repetitions are those of value mode.
     ``marks`` holds the watermarks a packrat parse starts from (see
     _initial_marks); it is computed on the program's first packrat
     parse.  ``fails`` holds the failure tables of plain and of packrat
@@ -642,6 +660,12 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
                 i += 1
         return tuple(items)
 
+    def production(e: NonTerminal) -> int:
+        p = prod_index.get(e.name)
+        if p is None:
+            raise KeyError("nonterminal %r is not in the grammar" % e.name)
+        return p
+
     def visit(e: Expr) -> int:
         key = id(e)
         got = index.get(key)
@@ -656,13 +680,9 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
                 if scan is not None:
                     node = emit(_K_SCAN, extra=scan)
             if node is None:
-                node = emit(_K_TSTAR if tree_mode else _K_STAR,
-                            visit(e.inner))
+                node = emit(_K_STAR, visit(e.inner))
         elif t is NonTerminal:
-            p = prod_index.get(e.name)
-            if p is None:
-                raise KeyError("nonterminal %r is not in the grammar" % e.name)
-            node = emit(_K_TNT if tree_mode else _K_NT, p)
+            node = emit(_K_TNT if tree_mode else _K_NT, production(e))
         elif t is Empty:
             node = emit(_K_EMPTY)
         else:
@@ -680,11 +700,9 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
                 elif t is Seq:
                     node = emit(_K_SEQ, visit(e.left), visit(e.right))
                 elif t is Choice:
-                    node = emit(_K_TCHOICE if tree_mode else _K_CHOICE,
-                                visit(e.first), visit(e.second))
+                    node = emit(_K_CHOICE, visit(e.first), visit(e.second))
                 elif t is Not:
-                    node = emit(_K_TNOT if tree_mode else _K_NOT,
-                                visit(e.inner))
+                    node = emit(_K_NOT, visit(e.inner))
                 elif t is Action and not tree_mode:
                     # ``x+`` and ``~x*`` are one scan each.
                     inner = e.inner
@@ -704,6 +722,9 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
                         rule = rule_names.get(label,
                                               label[len(_NODE_PREFIX):])
                         node = emit(_K_NODE, visit(e.inner), extra=rule)
+                    elif e.ref is not LEAF and type(e.inner) is NonTerminal:
+                        # A drop of a call (see the post-pass below).
+                        node = emit(_K_TDNT, production(e.inner))
                     else:
                         node = emit(_K_TACT, visit(e.inner),
                                     extra=e.ref is LEAF)
@@ -719,26 +740,17 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
     root_ids = [visit(r) for r in roots]
     kind, aa, bb, extra = prog.kind, prog.a, prog.b, prog.extra
     if tree_mode:
-        # A tree-mode call runs the inside of its rule's node collector,
-        # which every rule body of a tree-shaped grammar is.  When that
-        # inside is one primitive the call is a leaf call, and a drop of
-        # a leaf call is one too.
+        # A tree-mode call, kept or dropped, runs the inside of its
+        # rule's node collector, which every rule body of a tree-shaped
+        # grammar is.  When that inside is one primitive the call is a
+        # leaf call.
         for i, k in enumerate(kind):
-            if k == _K_TNT:
+            if k == _K_TNT or k == _K_TDNT:
                 collector = prog.prod_body[aa[i]]
                 bb[i] = aa[collector]
                 extra[i] = extra[collector]
                 if kind[bb[i]] >= _K_EMPTY:
-                    kind[i] = _K_TLEAF
-        for i, k in enumerate(kind):
-            if k == _K_TACT and not extra[i]:
-                call = aa[i]
-                if kind[call] == _K_TLEAF:
-                    kind[i] = _K_TDLEAF
-                    aa[i], bb[i], extra[i] = aa[call], bb[call], extra[call]
-                elif kind[call] == _K_TNT:
-                    kind[i] = _K_TDNT
-                    aa[i], bb[i] = aa[call], bb[call]
+                    kind[i] = _K_TLEAF if k == _K_TNT else _K_TDLEAF
     else:
         # A value-mode call of a rule whose body is one primitive, or one
         # action over one primitive, is a leaf call.
@@ -784,7 +796,6 @@ def _initial_marks(prog: _Program) -> list:
                                  prog.prod_body)
     calls = (_K_NT, _K_LEAF, _K_TNT, _K_TLEAF, _K_TDLEAF, _K_TDNT)
     seqs = (_K_SEQ, _K_TSEQ)
-    choices = (_K_CHOICE, _K_TCHOICE)
     null = [False] * len(kind)      # can succeed without consuming
     need = [1] * len(kind)          # parts yet to become nullable
     users = [[] for _ in kind]      # the nodes each node is a part of
@@ -795,7 +806,7 @@ def _initial_marks(prog: _Program) -> list:
         elif k in seqs:
             parts = _seq_parts(prog, i)
             need[i] = len(parts)
-        elif k in choices:
+        elif k == _K_CHOICE:
             parts = (aa[i], bb[i])
         elif k == _K_ACT or k == _K_TACT or k == _K_NODE:
             parts = (aa[i],)
@@ -827,14 +838,14 @@ def _initial_marks(prog: _Program) -> list:
                 if not null[x]:
                     break
             direct[i] = out
-        elif k in choices:
+        elif k == _K_CHOICE:
             direct[i] = direct[aa[i]] | direct[bb[i]]
         elif k < _K_EMPTY:
             direct[i] = direct[aa[i]]
     callees = [_bits(direct[b]) for b in body]
     pairs = [(_bits(direct[aa[i]]), _bits(direct[bb[i]]))
              for i, k in enumerate(kind)
-             if k in choices and direct[aa[i]] and direct[bb[i]]]
+             if k == _K_CHOICE and direct[aa[i]] and direct[bb[i]]]
 
     # The rules, callees first (depth first, with an explicit stack).
     order = []
@@ -911,10 +922,10 @@ def _seq_parts(prog: _Program, i: int):
 
 # The failure table of a node that never fails on its first byte alone.
 _NO_FAIL = b""
-# bytes.translate tables that add 1, 2 or 3 to every non-zero entry
-# below 256 - k (a table with a larger entry is not translated).
+# bytes.translate tables that add 1 or 2 to every non-zero entry below
+# 256 - k (a table with a larger entry is not translated).
 _PLUS = {k: bytes([0] + [v + k for v in range(1, 256 - k)] + [0] * k)
-         for k in (1, 2, 3)}
+         for k in (1, 2)}
 
 
 def _fail_table(prog: _Program, tables: list, root: int, packrat: bool):
@@ -950,11 +961,12 @@ def _fail_table(prog: _Program, tables: list, root: int, packrat: bool):
         if k == _K_SEQ or k == _K_TSEQ or k == _K_ACT or k == _K_TACT \
                 or k == _K_NODE:
             parts, add = (aa[i],), 1
-        elif k == _K_CHOICE or k == _K_TCHOICE:
+        elif k == _K_CHOICE:
             parts = (aa[i], bb[i])
         elif k >= _K_TNT and k <= _K_LEAF and not packrat:
-            parts = (body[aa[i]],) if k >= _K_NT else (bb[i],)
-            add = (1 if k >= _K_NT else 2 if k <= _K_TLEAF else 3)
+            # A call: its rule body's, and a drop's step.
+            parts = (body[aa[i]],)
+            add = 2 if k == _K_TDLEAF or k == _K_TDNT else 1
         else:
             parts = ()
         if i not in opened:
@@ -1011,7 +1023,7 @@ def _iter_table(prog: _Program, fails: list, iters: list, root: int,
     kind, aa, bb, extra = prog.kind, prog.a, prog.b, prog.extra
     alts = []
     x = aa[root]
-    while kind[x] == _K_CHOICE or kind[x] == _K_TCHOICE:
+    while kind[x] == _K_CHOICE:
         alts.append(aa[x])
         x = bb[x]
     alts.append(x)
@@ -1184,9 +1196,9 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     cur = bb[cur]
                     continue
                 elif k == _K_TSEQ:
-                    push([k, cur, cpos, 1, 0])
-                elif k >= _K_TCHOICE:
-                    push([k, cur, cpos, len(kids)])
+                    push([k, cur, cpos, 1, 0, len(kids)])
+                elif k >= _K_NOT:
+                    push([k, cur, cpos, None if kids is None else len(kids)])
                 elif k == _K_NODE:
                     push([k, cur, cpos, len(kids), None])
                 else:
@@ -1199,9 +1211,11 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     f = again
                     if f is None:
                         acc = 0
+                        items = [] if kids is None else None
                     else:
                         again = None
                         acc = f[4]
+                        items = f[3]
                     p = cpos
                     while p < n:
                         t = tab[data[p]]
@@ -1211,12 +1225,11 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                         p += 1
                     else:
                         t = tab[256]
-                    if kids is None:
-                        items = [] if f is None else f[3]
-                        if p > cpos:
+                    if p > cpos:
+                        if items is None:
+                            kids.append((cpos, p))
+                        else:
                             items += [vals[b] for b in data[cpos:p]]
-                    elif p > cpos:
-                        kids.append((cpos, p))
                     if t:
                         # The body fails at p: the repetition ends.
                         if p > farthest:
@@ -1225,18 +1238,15 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                             pop()
                         ok = True
                         rpos = p
-                        val = None if kids is not None else Lst(tuple(items))
+                        val = None if items is None else Lst(tuple(items))
                         steps = acc - t + 1
                         break
                     if p > cpos and p > farthest + 1:
                         farthest = p - 1
                     if f is None:
-                        push([k, cur, p, items if kids is None else len(kids),
-                              acc])
+                        push([k, cur, p, items, acc])
                     else:
                         f[2] = p
-                        if kids is not None:
-                            f[3] = len(kids)
                         f[4] = acc
                     cpos = p
                 cur = aa[cur]
@@ -1399,9 +1409,10 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
         # tree-mode states are interleaved, most frequent first.  In
         # tree mode values are not built: leaves, scans and memo hits
         # add to ``kids``, a rule's node takes what was added since its
-        # mark, and every frame that discards a result truncates
-        # ``kids`` back to its mark.  A frame that starts a part breaks
-        # out to descend into it.
+        # mark, and a node that fails leaves ``kids`` as it found it: a
+        # sequence whose item fails, a negation and a drop truncate
+        # ``kids`` back to their mark.  A frame that starts a part
+        # breaks out to descend into it.
         while True:
             if not stack:
                 if memo is not None:
@@ -1420,7 +1431,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     break
                 steps += 1
                 pop()
-            elif st == 9:                    # tree Seq, item next - 1 finished
+            elif st == 7:                    # tree Seq, item next - 1 finished
                 if ok:
                     if rpos < f[2] or rpos > n:
                         raise InvariantViolation("sequence moved backwards")
@@ -1436,10 +1447,12 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                         break
                     steps += f[4]
                 else:
-                    # So does a failed item, unless it is the last.
+                    # So does a failed item, unless it is the last; what
+                    # the items before it appended goes.
+                    del kids[f[5]:]
                     steps += f[4] + (f[3] < len(extra[f[1]]))
                 pop()
-            elif st == 10:                   # a rule's node, maybe a call
+            elif st == 8:                    # a rule's node, maybe a call
                 if ok:
                     m = f[3]
                     # The node's own fields, then its children.
@@ -1474,7 +1487,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     if ok and (rpos < f[2] or rpos > n):
                         raise InvariantViolation("nonterminal moved backwards")
                 pop()
-            elif st == 6:                    # Action
+            elif st == 5:                    # Action
                 if ok:
                     ref = extra[f[1]]
                     if ref.span_aware:
@@ -1498,7 +1511,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                 if ok and (rpos < f[2] or rpos > n):
                     raise InvariantViolation("nonterminal moved backwards")
                 pop()
-            elif st == 13:                   # tree drop: an action or a call
+            elif st == 10:                   # tree drop: an action or a call
                 del kids[f[3]:]
                 if len(f) == 4:              # a leaf or other action
                     if ok and extra[f[1]]:
@@ -1522,21 +1535,10 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     cur = bb[f[1]]
                     cpos = f[2]
                     break
-            elif st == 11:                   # tree Choice, first finished
-                if ok:
-                    steps += 1
-                    pop()
-                else:
-                    del kids[f[3]:]
-                    f[0] = 4
-                    f[3] = steps
-                    cur = bb[f[1]]
-                    cpos = f[2]
-                    break
             elif st == 4:                    # Choice, second finished
                 steps += f[3] + 1
                 pop()
-            elif st == 7 or st == 8:         # Star, one iteration finished
+            elif st == 6:                    # Star, one iteration finished
                 if ok:
                     if rpos == f[2]:
                         raise InvariantViolation(
@@ -1544,7 +1546,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                             "input on a certified grammar")
                     if rpos < f[2] or rpos > n:
                         raise InvariantViolation("repetition moved backwards")
-                    if st == 7:
+                    if kids is None:
                         f[3].append(val)
                     f[4] += steps + 1
                     cpos = rpos
@@ -1555,20 +1557,15 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                         break
                     # The body runs again.
                     f[2] = rpos
-                    if st == 8:
-                        f[3] = len(kids)
                     cur = aa[f[1]]
                     break
-                if st == 7:
-                    val = Lst(tuple(f[3]))
-                else:
-                    del kids[f[3]:]
+                val = None if kids is not None else Lst(tuple(f[3]))
                 ok = True
                 rpos = f[2]
                 steps += f[4] + 1
                 pop()
-            else:                            # 5 or 12: Not (12 in tree mode)
-                if st == 12:
+            else:                            # 9: Not
+                if kids is not None:
                     del kids[f[3]:]
                 if ok:
                     ok = False

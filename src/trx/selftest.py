@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .analysis import check_well_formed
 from .interp import InvariantViolation, MemoTable, parse
+from .meta import tree_wrap
 from .oracle import (EXHAUSTED, all_inputs, oracle_eval, oracle_parse,
                      random_grammar, small_grammars)
 
@@ -36,12 +37,25 @@ class SuiteResult:
         return out
 
 
+def _forms(g, report, failures) -> list:
+    """(grammar, certificate) of certified ``g`` and of its tree_wrap, the
+    tree-mode program; the oracle runs the tree's real node collectors."""
+    tree = tree_wrap(g)
+    tree_report = check_well_formed(tree)
+    if not tree_report.is_well_formed:
+        failures.append((tree, b"", "tree_wrap of a certified grammar "
+                                     "is not certified"))
+        return [(g, report.certificate)]
+    return [(g, report.certificate), (tree, tree_report.certificate)]
+
+
 def differential_suite(alphabet: str = "ab", max_productions: int = 4,
                        max_input_len: int = 6, min_cases: int = 10_000,
                        seed: int = 0, time_budget: float | None = None
                        ) -> SuiteResult:
     """Interpreter vs oracle, exact ParseOutcome equality (steps included)
-    on certified small grammars, both plain and packrat modes."""
+    on certified small grammars, both plain and packrat modes.  A case
+    is one input, run on the grammar and on its tree_wrap."""
     t0 = time.perf_counter()
     inputs = all_inputs(alphabet, max_input_len)
     cases = 0
@@ -56,24 +70,24 @@ def differential_suite(alphabet: str = "ab", max_productions: int = 4,
         if not report.is_well_formed:
             continue
         grammars += 1
-        cert = report.certificate
+        forms = _forms(g, report, failures)
         for s in inputs:
-            expected = oracle_parse(g, s, fuel=_DIFF_FUEL)
-            if expected is EXHAUSTED:
-                failures.append((g, s, "oracle exhausted on certified case"))
-                continue
-            got_plain = parse(g, cert, s)
-            got_packrat = parse(g, cert, s, mode="packrat")
-            if got_plain != expected:
-                failures.append((g, s, "plain %r != oracle %r"
-                                 % (got_plain, expected)))
-            if got_packrat != expected:
-                failures.append((g, s, "packrat %r != oracle %r"
-                                 % (got_packrat, expected)))
+            for form, cert in forms:
+                expected = oracle_parse(form, s, fuel=_DIFF_FUEL)
+                if expected is EXHAUSTED:
+                    failures.append((form, s,
+                                     "oracle exhausted on certified case"))
+                    continue
+                for mode in ("plain", "packrat"):
+                    got = parse(form, cert, s, mode=mode)
+                    if got != expected:
+                        failures.append((form, s, "%s %r != oracle %r"
+                                         % (mode, got, expected)))
             cases += 1
     return SuiteResult(
         "oracle-differential", not failures, cases,
-        "%d grammars, %.1fs" % (grammars, time.perf_counter() - t0),
+        "%d grammars, each also tree-wrapped, %.1fs"
+        % (grammars, time.perf_counter() - t0),
         failures[:5])
 
 
@@ -143,7 +157,9 @@ def completeness_suite(n_grammars: int = 40, inputs_per_grammar: int = 1000,
 
 
 def mode_equivalence_suite(n_cases: int = 1000, seed: int = 2) -> SuiteResult:
-    """Plain vs packrat outcomes byte-identical, steps included."""
+    """Plain vs packrat outcomes byte-identical, steps included, on
+    random certified grammars and their tree_wraps; a tree's outcomes
+    also equal the oracle's where it finishes within its fuel."""
     rng = random.Random(seed)
     failures = []
     cases = 0
@@ -153,16 +169,23 @@ def mode_equivalence_suite(n_cases: int = 1000, seed: int = 2) -> SuiteResult:
         report = check_well_formed(g)
         if not report.is_well_formed:
             continue
-        cert = report.certificate
+        forms = _forms(g, report, failures)
         for _ in range(20):
             if cases >= n_cases:
                 break
             n = rng.randrange(0, 40)
             s = bytes(rng.choice(b"ab") for _ in range(n))
-            a = parse(g, cert, s)
-            b = parse(g, cert, s, mode="packrat", memo=MemoTable())
-            if a != b or a.steps != b.steps:
-                failures.append((g, s, "plain %r != packrat %r" % (a, b)))
+            for form, cert in forms:
+                a = parse(form, cert, s)
+                b = parse(form, cert, s, mode="packrat", memo=MemoTable())
+                if a != b or a.steps != b.steps:
+                    failures.append((form, s,
+                                     "plain %r != packrat %r" % (a, b)))
+                if form.tree_shaped:
+                    want = oracle_parse(form, s, fuel=_DIFF_FUEL)
+                    if want is not EXHAUSTED and a != want:
+                        failures.append((form, s, "plain %r != oracle %r"
+                                         % (a, want)))
             cases += 1
     return SuiteResult("mode-equivalence", not failures, cases, "",
                        failures[:5])

@@ -5,7 +5,10 @@ import json
 import os
 import sys
 
-from trx import parse, tree_to_json
+import pytest
+
+from trx import check_well_formed, load_grammar, parse, tree_to_json
+from trx.bench import run_bench
 from trx.cli import main
 
 from conftest import certified, grammar_path
@@ -316,6 +319,24 @@ def test_bench_malformed_sizes_is_usage_error(capsys):
         assert out == "" and "--sizes" in err
 
 
+def test_bench_reps_below_one_is_usage_error(capsys):
+    for reps in ("0", "-3", "x", "1.5"):
+        code, out, err = run(capsys, "bench", grammar_path("xml-lite.peg"),
+                             "--sizes", "1K", "--reps", reps)
+        assert code == 2, reps
+        assert out == "" and "--reps" in err
+
+
+def test_run_bench_rejects_reps_below_one():
+    g = load_grammar("a <- 'x' ;")
+    cert = check_well_formed(g).certificate
+    for reps in (0, -3):
+        with pytest.raises(ValueError):
+            run_bench(g, cert, [("x", b"x")], reps=reps)
+    [row] = run_bench(g, cert, [("x", b"x")], reps=2)
+    assert row["runs"] == 2 and row["ok"]
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["parse"]) == 2
     capsys.readouterr()
@@ -350,6 +371,27 @@ def test_selftest_detects_injected_semantics_bug(monkeypatch):
     monkeypatch.setattr(st, "parse", broken_parse)
     res = st.differential_suite(min_cases=300)
     assert not res.passed
+
+
+def test_selftest_checks_tree_mode(monkeypatch):
+    # A fault only tree-mode programs show (here: a step-count
+    # perturbation of packrat parses of tree-wrapped grammars) must fail
+    # both the differential and the mode-equivalence suite.
+    import trx.selftest as st
+    from trx.interp import ParseOutcome
+
+    real_parse = st.parse
+
+    def broken_parse(g, cert, data, mode="plain", memo=None):
+        out = real_parse(g, cert, data, mode=mode, memo=memo)
+        if g.tree_shaped and mode == "packrat" and out.ok:
+            return ParseOutcome(out.ok, out.pos, out.value, out.steps + 1,
+                                farthest=out.farthest)
+        return out
+
+    monkeypatch.setattr(st, "parse", broken_parse)
+    assert not st.differential_suite(min_cases=300).passed
+    assert not st.mode_equivalence_suite(n_cases=200).passed
 
 
 def test_color_env_override(monkeypatch, capsys):

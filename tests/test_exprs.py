@@ -284,6 +284,10 @@ def test_grammar_productions_are_read_only():
         g.productions = {"A": ANY}
     with pytest.raises(AttributeError):
         g.start = "B"
+    # Deleting a field does not open it to a new value either.
+    with pytest.raises(AttributeError):
+        del g.start
+    assert g.start == "A"
     assert g.productions["A"] == EMPTY
 
 

@@ -131,6 +131,25 @@ def test_certificate_gate():
         parse(g1, object(), "")
 
 
+def test_certificate_fields_cannot_be_reassigned():
+    # A certificate bound to g cannot be rebound to h, nor its program
+    # replaced or removed, so parse(h, c, ...) still refuses it.
+    g = load_grammar("a <- 'x' ;")
+    h = load_grammar("a <- 'y' ;")
+    c = certify(g)
+    program = c.program
+    for name, value in (("grammar", h), ("program", None),
+                        ("program", certify(h).program)):
+        with pytest.raises(AttributeError):
+            setattr(c, name, value)
+        with pytest.raises(AttributeError):
+            delattr(c, name)
+    assert c.grammar is g and c.program is program
+    with pytest.raises(CertificateMismatch):
+        parse(h, c, b"x")
+    assert parse(g, c, b"x").ok
+
+
 def test_unknown_mode_rejected():
     g = build_grammar([("S", EMPTY)], "S")
     with pytest.raises(ValueError):
@@ -987,7 +1006,7 @@ def test_iteration_tables_and_dropped_calls_agree_with_oracle(g, alphabet):
     assert hits > 0
     # The parses built iteration tables, and in tree mode ~R, ~W and ~A
     # are dropped calls.
-    assert any(prog.kind[i] in (trx.interp._K_STAR, trx.interp._K_TSTAR)
+    assert any(prog.kind[i] == trx.interp._K_STAR
                for i, t in enumerate(prog.iters[0]) if t is not None)
     if g.tree_shaped:
         dropped = {g.nonterminals[prog.a[i]]
@@ -1010,7 +1029,7 @@ def test_meta_program_drops_spacing_in_one_frame():
     assert dropped == {"spacing"}
     # Every other drop is of a literal, which is a matcher.
     assert trx.interp._K_TACT not in prog.kind
-    stars = [i for i, k in enumerate(prog.kind) if k == trx.interp._K_TSTAR]
+    stars = [i for i, k in enumerate(prog.kind) if k == trx.interp._K_STAR]
     assert len(stars) >= 8
     for name in sorted(os.listdir(GRAMMAR_DIR)):
         assert parse(g, cert, grammar_text(name)).ok
@@ -1033,6 +1052,92 @@ def test_meta_program_drops_spacing_in_one_frame():
         assert steps[ord("#")] == 0
         for b in (ord("a"), ord("'"), 256):
             assert (steps[b] < 0) != packrat and steps[b] <= 0
+
+
+def _reachable(prog, roots=()):
+    """The nodes of ``prog`` reachable from its rule bodies and ``roots``."""
+    kind, aa, bb, extra = prog.kind, prog.a, prog.b, prog.extra
+    seen = set()
+    todo = [*prog.prod_body, *roots]
+    while todo:
+        i = todo.pop()
+        if i in seen:
+            continue
+        seen.add(i)
+        k = kind[i]
+        if k >= trx.interp._K_EMPTY:
+            continue
+        if k >= trx.interp._K_TNT:
+            # A call's ``a`` is its production; ``b`` is the inside it
+            # runs, or the primitive of a leaf call (-1 for NT).
+            parts = (bb[i],)
+        elif k == trx.interp._K_TSEQ:
+            parts = extra[i]
+        else:
+            parts = (aa[i], bb[i])
+        todo.extend(x for x in parts if x >= 0)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["meta", "math"]
+                         + sorted(os.listdir(GRAMMAR_DIR)))
+def test_every_program_node_is_reachable(name):
+    # A drop of a call compiles to one node, so no call node is left
+    # behind in the program that no parse can run.
+    if name == "meta":
+        prog = builtin_meta_grammar()[1].program
+    elif name == "math":
+        prog = math_grammar()[1].program
+    else:
+        prog = certified(name)[1].program
+    assert _reachable(prog) == set(range(len(prog.kind)))
+
+
+# Tree-shaped grammars in which a sequence appends a rule node or a leaf
+# span and then fails: under a choice, as a repetition body, under !,
+# under ~, and as the inside of a memoised call (M, which S calls twice
+# at its start).  B is a leaf rule, whose call pushes no frame, and C a
+# rule whose call pushes one.
+_BC = " B <- 'b' ; C <- 'c' 'd'* ;"
+_FAILING_SEQUENCES = [
+    "A <- B (C 'x' / C 'y') / B 'y' / B C 'x' / B C / 'b' ;",
+    "A <- (B C 'x' / 'b' 'c' 'y')* B ;",
+    "A <- !(B C 'x') B C 'y'? / B ;",
+    "A <- ~(B C 'x') 'y' / ~(B 'x' / 'b' C 'y') / B ;",
+    "S <- M 'z' / M ; M <- B C 'x' / B 'y' / 'b' C ;",
+]
+
+
+@pytest.mark.parametrize("text", _FAILING_SEQUENCES)
+def test_failed_sequences_leave_kids_as_found(text):
+    # A failed sequence takes back what its items appended, so a choice,
+    # a repetition, a negation and a drop over it need not.  In tree
+    # mode and with the same rules in value mode (the node collectors
+    # run as actions), plain and packrat: ok, pos, the tree, steps and
+    # farthest agree with the oracle, and full outcomes, memo
+    # statistics included, with the program run without failure and
+    # iteration tables.
+    tree = load_grammar(text + _BC)
+    oks = set()
+    for g in (tree, Grammar(dict(tree.productions), tree.start)):
+        cert = certify(g)
+        prog = cert.program
+        twin = _without_failure_tables(prog)
+        for data in all_inputs("bcdxyz", 5):
+            want, farthest = _oracle_farthest(g, data)
+            for mode in ("plain", "packrat"):
+                out = parse(g, cert, data, mode=mode)
+                assert out == want and repr(out.value) == repr(want.value)
+                assert (out.steps, out.farthest) == (want.steps, farthest)
+            for packrat in (False, True):
+                assert (_outcome(prog, data, packrat)
+                        == _outcome(twin, data, packrat)), data
+            oks.add(want.ok)
+    assert oks == {True, False}
+    if tree.start == "S":
+        memo = MemoTable()
+        parse(tree, certify(tree), b"bcdx", mode="packrat", memo=memo)
+        assert memo.hits > 0
 
 
 def _look_alikes():
