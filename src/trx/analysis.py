@@ -8,15 +8,24 @@ well-formed is complete, i.e. the interpreter terminates on every
 input.  Passing the check yields an unforgeable Certificate that gates
 the total parse entry point.
 
-Both fixpoints iterate round-robin sweeps over the expression set until
-a sweep changes nothing.  The property fixpoint visits children before
-parents, in the reverse of the set's deterministic order (production
-order, preorder within each body, first occurrence wins), so a nested
-chain closes in a few sweeps, not one per level; a least fixpoint does
-not depend on the order.  The well-formedness fixpoint sweeps in that
-order itself, and the number of its sweeps is the report's
-``iterations``.  Sets only ever grow, so each loop is bounded by the
-size of the expression set.
+Each fixpoint is one worklist pass over an index of every expression's
+users.  The property worklist evaluates every expression once, children
+first, and re-queues an expression's users whenever one of its flags
+flips; the rules are monotone, so the least fixpoint does not depend on
+the order.  The well-formedness rules live in one premise table
+(_premises): an expression enters the well-formed set when the last of
+its premises does.
+
+The report's ``iterations`` is the number of round-robin sweeps that
+the same fixpoint takes when each sweep checks the expression set in
+its deterministic order (production order, preorder within each body,
+first occurrence wins) against a set that already holds that sweep's
+earlier additions.  So each expression records its entry sweep: 1 with
+no premises, else the latest sweep of its premises, plus 1 for a
+premise that comes after it in the order.  ``iterations`` is one more
+than the latest entry sweep, the sweep that adds nothing.  An
+expression enters at most once and its flags flip at most three times,
+so both loops are bounded by the size of the set and its user index.
 """
 
 from __future__ import annotations
@@ -40,6 +49,23 @@ def expression_set(g: Grammar) -> dict:
     return out
 
 
+def _parts(e: Expr, prods) -> tuple:
+    """The expressions e's flags and well-formedness are derived from:
+    its children, and a nonterminal's production body."""
+    t = type(e)
+    if t is Seq:
+        return e.left, e.right
+    if t is Choice:
+        return e.first, e.second
+    if t is NonTerminal:
+        return (prods[e.name],)
+    if t is Star or t is Not or t is Action:
+        return (e.inner,)
+    if t is Empty or t is AnyChar or t is Terminal or t is Range:
+        return ()
+    raise TypeError("not a parsing expression: %r" % (e,))
+
+
 class Props(NamedTuple):
     can_succeed_empty: bool
     can_succeed_consuming: bool
@@ -49,14 +75,13 @@ class Props(NamedTuple):
 class PropertyTable:
     """Monotone flag table over E(G); flags only ever flip False -> True."""
 
-    __slots__ = ("exprs", "_empty", "_consume", "_fail", "sweeps", "simplified")
+    __slots__ = ("exprs", "_empty", "_consume", "_fail", "simplified")
 
     def __init__(self, exprs: dict, simplified: bool):
         self.exprs = exprs
         self._empty = dict.fromkeys(exprs, False)
         self._consume = dict.fromkeys(exprs, simplified)
         self._fail = dict.fromkeys(exprs, simplified)
-        self.sweeps = 0
         self.simplified = simplified
 
     def __getitem__(self, e: Expr) -> Props:
@@ -91,14 +116,33 @@ def infer_properties(g: Grammar, *, simplified: bool = False) -> PropertyTable:
     table = PropertyTable(exprs, simplified)
     emp, con, fai = table._empty, table._consume, table._fail
     prods = g.productions
-
-    sweeps = 0
-    changed = True
-    while changed:
-        changed = False
-        sweeps += 1
-        assert sweeps <= 3 * len(exprs) + 1, "property fixpoint failed to close"
-        for e in reversed(exprs):
+    # A depth-first walk over the parts evaluates every expression once,
+    # after its parts, and indexes the users of each.  A part is only
+    # evaluated after its user on a cycle through a rule body; a user
+    # already evaluated goes back on the stack when a part's flag flips.
+    users = {e: [] for e in exprs}
+    done = {}                       # False until evaluated
+    # Each expression is evaluated once, and again at most once per flip
+    # of its parts' flags: two parts at most, three flags each.
+    evaluations = 0
+    bound = 7 * len(exprs)
+    for root in exprs:
+        stack = [root]
+        while stack:
+            e = stack.pop()
+            if e not in done:
+                done[e] = False
+                stack.append(e)
+                for q in _parts(e, prods):
+                    users[q].append(e)
+                    if q not in done:
+                        stack.append(q)
+                continue
+            if done[e]:
+                continue
+            done[e] = True
+            evaluations += 1
+            assert evaluations <= bound, "property fixpoint failed to close"
             t = type(e)
             if t is Empty:
                 e0, e1, ef = True, False, False
@@ -119,31 +163,26 @@ def infer_properties(g: Grammar, *, simplified: bool = False) -> PropertyTable:
                 e1 = con[a] or (fai[a] and con[b])
                 ef = fai[a] and fai[b]
             elif t is Star:
-                i = e.inner
-                e0 = fai[i]
-                e1 = con[i]
-                ef = False
+                e0, e1, ef = fai[e.inner], con[e.inner], False
             elif t is Not:
                 i = e.inner
-                e0 = fai[i]
-                e1 = False
-                ef = emp[i] or con[i]
-            elif t is Action:
+                e0, e1, ef = fai[i], False, emp[i] or con[i]
+            else:  # Action
                 i = e.inner
                 e0, e1, ef = emp[i], con[i], fai[i]
-            else:
-                raise TypeError("not a parsing expression: %r" % (e,))
+            flipped = False
             if e0 and not emp[e]:
-                emp[e] = True
-                changed = True
+                emp[e] = flipped = True
             if not simplified:
                 if e1 and not con[e]:
-                    con[e] = True
-                    changed = True
+                    con[e] = flipped = True
                 if ef and not fai[e]:
-                    fai[e] = True
-                    changed = True
-    table.sweeps = sweeps
+                    fai[e] = flipped = True
+            if flipped:
+                for u in users[e]:
+                    if done[u]:
+                        done[u] = False
+                        stack.append(u)
     return table
 
 
@@ -170,7 +209,10 @@ class NotWellFormed(Exception):
 
 
 class WfReport:
-    """Outcome of the well-formedness analysis for one grammar."""
+    """Outcome of the well-formedness analysis for one grammar.
+
+    ``wf_set`` maps each well-formed expression to its entry sweep (see
+    the module docstring)."""
 
     __slots__ = ("grammar", "wf_set", "is_well_formed", "offenders",
                  "expr_count", "iterations", "simplified", "certificate",
@@ -205,31 +247,31 @@ class WfReport:
 
 
 def wf_measure(current, g: Grammar) -> int:
-    """|E(G)| - |current|; strictly decreases across productive sweeps."""
+    """|E(G)| - |current|; strictly decreases as the well-formed set grows."""
     exprs = expression_set(g)
     assert all(e in exprs for e in current), "well-formed set escaped E(G)"
     return len(exprs) - len(current)
 
 
-def _wf_derivable(e: Expr, wf: dict, props: PropertyTable,
-                  prods: dict) -> bool:
+def _premises(e: Expr, props: PropertyTable, prods) -> tuple | None:
+    """The expressions that must be well-formed for e to be, each once,
+    or None when no rule makes e well-formed.
+
+    Leaves have none; a nonterminal needs its production body; ``!``,
+    an action and a repetition their inner expression; a choice both
+    alternatives; a sequence its left part, and its right part only
+    when the left can succeed empty.  A repetition of an expression
+    that can succeed empty is never well-formed.
+    """
     t = type(e)
-    if t in (Empty, AnyChar, Terminal, Range):
-        return True
-    if t is NonTerminal:
-        return prods[e.name] in wf
-    if t is Not:
-        return e.inner in wf
-    if t is Action:
-        return e.inner in wf
-    if t is Choice:
-        return e.first in wf and e.second in wf
-    if t is Seq:
-        return (e.left in wf
-                and (not props.can_empty(e.left) or e.right in wf))
-    if t is Star:
-        return e.inner in wf and not props.can_empty(e.inner)
-    raise TypeError("not a parsing expression: %r" % (e,))
+    if t is Star and props.can_empty(e.inner):
+        return None
+    if t is Seq and not props.can_empty(e.left):
+        return (e.left,)
+    parts = _parts(e, prods)
+    if len(parts) == 2 and parts[0] is parts[1]:
+        return parts[:1]
+    return parts
 
 
 def check_well_formed(g: Grammar, *, simplified: bool = False) -> WfReport:
@@ -239,28 +281,39 @@ def check_well_formed(g: Grammar, *, simplified: bool = False) -> WfReport:
     exprs = props.exprs
     prods = g.productions
 
-    wf = {}
-    iterations = 0
-    while True:
-        iterations += 1
-        assert iterations <= len(exprs) + 1, "wf fixpoint failed to close"
-        before = len(wf)
-        new = wf.copy()
-        for e in exprs:
-            if e not in new and _wf_derivable(e, new, props, prods):
-                new[e] = None
-        # Monotonicity invariants of the iteration: the set only grows
-        # and never escapes E(G).
-        assert wf.keys() <= new.keys()
-        assert new.keys() <= exprs.keys()
-        if len(new) > before:
-            assert (len(exprs) - len(new)) < (len(exprs) - before)
-        wf = new
-        if len(wf) == before:
-            break
+    premises = {}
+    users = {e: [] for e in exprs}
+    missing = {}                    # premises not yet well-formed
+    for e in exprs:
+        ps = premises[e] = _premises(e, props, prods)
+        if ps is not None:
+            missing[e] = len(ps)
+            for q in ps:
+                users[q].append(e)
+    todo = [e for e, n in missing.items() if not n]
+    order = dict(zip(exprs, range(len(exprs))))
+    wf = {}                         # expression -> its entry sweep
+    while todo:
+        e = todo.pop()
+        # Each expression enters once, so the loop runs at most |E(G)|
+        # times.
+        assert e not in wf, "well-formed set re-entered"
+        at = order[e]
+        sweep = 1
+        for q in premises[e]:
+            s = wf[q] + (order[q] > at)
+            if s > sweep:
+                sweep = s
+        wf[e] = sweep
+        for u in users[e]:
+            missing[u] -= 1
+            if not missing[u]:
+                todo.append(u)
+    assert wf.keys() <= exprs.keys(), "well-formed set escaped E(G)"
+    iterations = 1 + max(wf.values(), default=0)
 
     is_wf = len(wf) == len(exprs)
-    offenders = [] if is_wf else _offenders(g, exprs, wf, props)
+    offenders = [] if is_wf else _offenders(g, exprs, wf, premises)
     cert = Certificate(g, _CERT_KEY) if is_wf and not simplified else None
     return WfReport(g, wf, is_wf, offenders, iterations, simplified, cert,
                     props)
@@ -274,38 +327,22 @@ def certify(g: Grammar) -> Certificate:
     return report.certificate
 
 
-def _blockers(e: Expr, wf: dict, props: PropertyTable, prods: dict):
-    """Sub-parts whose absence from wf blocks e's derivation."""
-    t = type(e)
-    if t is NonTerminal:
-        body = prods[e.name]
-        return [body] if body not in wf else []
-    if t in (Not, Action):
-        return [e.inner] if e.inner not in wf else []
-    if t is Choice:
-        return [c for c in (e.first, e.second) if c not in wf]
-    if t is Seq:
-        out = []
-        if e.left not in wf:
-            out.append(e.left)
-        elif props.can_empty(e.left) and e.right not in wf:
-            out.append(e.right)
-        return out
-    if t is Star:
-        return [e.inner] if e.inner not in wf else []
-    return []
-
-
-def _offenders(g, exprs, wf, props):
-    prods = g.productions
+def _offenders(g, exprs, wf, premises):
     ill = {e: None for e in exprs if e not in wf}
+
+    # An ill expression is blocked by its ill premises, a sequence only
+    # by the first of them, and a repetition of a nullable expression
+    # (premises None) by that expression if it is ill.  A leaf has no
+    # premises and is never ill.
+    def blockers(e):
+        out = [q for q in premises[e] or (e.inner,) if q in ill]
+        return out[:1] if type(e) is Seq else out
 
     # An ill expression sits on a dependency cycle if it can reach itself
     # through blocker edges; those are the (possibly mutual) left-recursion
     # suspects.  Stars rejected purely by their nullable inner get their
     # own reason; everything else just inherits ill-formedness.
-    block = {e: [b for b in _blockers(e, wf, props, prods) if b in ill]
-             for e in ill}
+    block = {e: blockers(e) for e in ill}
     on_cycle = set()
     for root in ill:
         seen = set()
@@ -321,18 +358,11 @@ def _offenders(g, exprs, wf, props):
             stack.extend(block[node])
 
     def reason(e):
-        if (type(e) is Star and e.inner in wf
-                and props.can_empty(e.inner)):
+        if premises[e] is None and e.inner in wf:
             return REASON_NULLABLE_STAR
         if e in on_cycle:
             return REASON_LEFT_RECURSION
         return REASON_DEPENDS
 
-    out = []
-    for name in g.nonterminals:
-        seen = set()
-        for sub in iter_subexprs(prods[name]):
-            if sub in ill and sub not in seen:
-                seen.add(sub)
-                out.append(Offender(name, sub, reason(sub)))
-    return out
+    return [Offender(name, sub, reason(sub)) for name in g.nonterminals
+            for sub in iter_subexprs(g.productions[name]) if sub in ill]

@@ -336,10 +336,18 @@ def Drop(e: Expr) -> Expr:
 
 
 def iter_subexprs(e: Expr) -> Iterator[Expr]:
-    """Preorder walk over e and its sub-expressions."""
+    """Preorder walk over e and its sub-expressions, each yielded once.
+
+    A node met again (``x+`` holds one ``x`` in two places) is skipped
+    with everything under it, which its first visit yielded already.
+    """
+    seen = set()
     stack = [e]
     while stack:
         node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
         yield node
         t = type(node)
         if t is Seq:
@@ -357,7 +365,8 @@ class Grammar:
 
     Immutable after construction; safe to share between threads.  The
     production map is total: every NonTerminal referenced anywhere
-    resolves to a rule.
+    resolves to a rule, and so does the start symbol.  The constructor
+    raises UndefinedNonterminal, then UnknownStart, otherwise.
 
     A tree-shaped grammar (``trx.meta.tree_wrap`` builds them) wraps
     every production in its node collector, and its other actions are
@@ -370,10 +379,12 @@ class Grammar:
     __slots__ = ("nonterminals", "productions", "start", "tree_shaped")
 
     def __init__(self, productions: dict, start: str, tree_shaped: bool = False):
-        if tree_shaped:
-            _check_tree_shaped(productions)
+        productions = dict(productions)
+        _check_rules(productions, tree_shaped)
+        if start not in productions:
+            raise UnknownStart(start)
         self.nonterminals = tuple(productions)
-        self.productions = MappingProxyType(dict(productions))
+        self.productions = MappingProxyType(productions)
         self.start = start
         self.tree_shaped = tree_shaped
 
@@ -400,39 +411,49 @@ class Grammar:
         return "Grammar(%d rules, start=%r)" % (len(self.nonterminals), self.start)
 
 
-def _check_tree_shaped(productions: dict):
-    """Raise ValueError unless every rule is wrapped in its own node
-    collector and every other action, outside ``!`` and ``~``, is a
-    tree shaper: tree mode would silently skip any other action."""
-    seen = set()
+def _check_rules(productions: dict, tree_shaped: bool):
+    """Raise UndefinedNonterminal for a reference to a missing rule, the
+    first in rule order and in preorder within the rule.
+
+    In a tree-shaped grammar also raise ValueError unless every rule is
+    wrapped in its own node collector and every other action, outside
+    ``!`` and ``~``, is a tree shaper: tree mode would silently skip any
+    other action.  One walk over each body does both; it goes into the
+    insides of ``!`` and ``~`` for names only.
+    """
+    seen = {}                       # node -> whether its actions were checked
     for name, body in productions.items():
         # A node named "" would read as a leaf.
-        if not (name and type(body) is Action
-                and body.ref.label == NODE_PREFIX + name):
+        if tree_shaped and not (name and type(body) is Action
+                                and body.ref.label == NODE_PREFIX + name):
             raise ValueError("rule %r of a tree-shaped grammar is not "
                              "wrapped in its node collector" % name)
-        stack = [body.inner]
+        stack = [(body, tree_shaped)]
         while stack:
-            e = stack.pop()
-            if e in seen:
+            e, shaped = stack.pop()
+            if e in seen and (seen[e] or not shaped):
                 continue
-            seen.add(e)
+            seen[e] = shaped
             t = type(e)
-            if t is Seq:
-                stack += (e.left, e.right)
+            if t is NonTerminal:
+                if e.name not in productions:
+                    raise UndefinedNonterminal(e.name, name)
+            elif t is Seq:
+                stack += ((e.right, shaped), (e.left, shaped))
             elif t is Choice:
-                stack += (e.first, e.second)
+                stack += ((e.second, shaped), (e.first, shaped))
             elif t is Star:
-                stack.append(e.inner)
+                stack.append((e.inner, shaped))
+            elif t is Not:
+                stack.append((e.inner, False))
             elif t is Action:
                 ref = e.ref
-                if ref is DROP:
-                    continue
-                if ref is not LEAF and not ref.label.startswith(NODE_PREFIX):
+                if (shaped and ref is not DROP and ref is not LEAF
+                        and not ref.label.startswith(NODE_PREFIX)):
                     raise ValueError("rule %r of a tree-shaped grammar "
                                      "holds the action %r, which tree mode "
                                      "does not run" % (name, ref.label))
-                stack.append(e.inner)
+                stack.append((e.inner, shaped and ref is not DROP))
 
 
 def build_grammar(rules: Iterable, start: str) -> Grammar:
@@ -440,6 +461,8 @@ def build_grammar(rules: Iterable, start: str) -> Grammar:
 
     ``rules`` is an iterable of (name, expression) pairs; the production
     map is keyed in rule order but compares order-independently.
+    Raises DuplicateRule or TypeError for a bad rule, then what the
+    Grammar constructor raises.
     """
     productions = {}
     for name, body in rules:
@@ -448,12 +471,6 @@ def build_grammar(rules: Iterable, start: str) -> Grammar:
         if not isinstance(body, Expr):
             raise TypeError("not a parsing expression: %r" % (body,))
         productions[name] = body
-    for name, body in productions.items():
-        for sub in iter_subexprs(body):
-            if type(sub) is NonTerminal and sub.name not in productions:
-                raise UndefinedNonterminal(sub.name, name)
-    if start not in productions:
-        raise UnknownStart(start)
     return Grammar(productions, start)
 
 
@@ -484,8 +501,10 @@ def expr_text(e: Expr, prec: int = _PREC_CHOICE) -> str:
 
     Tree-shaping wrappers print as their inner expression; drop prints
     as ``~``; the expansions of literals, ``e+`` and ``e?`` are folded
-    back into their textual forms.  Other action labels are not expressible
-    in the textual format and print as their inner expression.
+    back into their textual forms, and so is ``e e*`` with one ``e``
+    node, cons action or not, as ``e+``.  Other action labels are not
+    expressible in the textual format and print as their inner
+    expression.
     """
     t = type(e)
     if t is Empty:
@@ -503,8 +522,12 @@ def expr_text(e: Expr, prec: int = _PREC_CHOICE) -> str:
     if t is NonTerminal:
         return e.name
     if t is Seq:
-        s = "%s %s" % (expr_text(e.left, _PREC_PREFIX),
-                       expr_text(e.right, _PREC_SEQ))
+        left, right = e.left, e.right
+        if type(right) is Star and right.inner is left:
+            return _wrap("%s+" % expr_text(left, _PREC_ATOM),
+                         _PREC_POSTFIX, prec)
+        s = "%s %s" % (expr_text(left, _PREC_PREFIX),
+                       expr_text(right, _PREC_SEQ))
         return _wrap(s, _PREC_SEQ, prec)
     if t is Choice:
         first, second = e.first, e.second
@@ -530,15 +553,9 @@ def expr_text(e: Expr, prec: int = _PREC_CHOICE) -> str:
             if chain is not None:
                 return _quote_literal(chain)
             return expr_text(e.inner, prec)
-        if label == "cons":
-            inner = e.inner
-            if (type(inner) is Seq and type(inner.right) is Star
-                    and inner.right.inner is inner.left):
-                return _wrap("%s+" % expr_text(inner.left, _PREC_ATOM),
-                             _PREC_POSTFIX, prec)
-            return expr_text(inner, prec)
-        # some/none are handled at the enclosing Choice; tree shapers and
-        # embedder actions are transparent in the textual projection.
+        # some/none are handled at the enclosing Choice and cons at its
+        # Seq; tree shapers and embedder actions are transparent in the
+        # textual projection.
         return expr_text(e.inner, prec)
     raise TypeError("not a parsing expression: %r" % (e,))
 

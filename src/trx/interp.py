@@ -334,31 +334,43 @@ class _Program:
     it was compiled for).  ``tree`` is set when the program was compiled
     from a tree-shaped grammar, and its choices, negations and
     repetitions are those of value mode.
-    ``marks`` holds the watermarks a packrat parse starts from (see
-    _initial_marks); it is computed on the program's first packrat
-    parse.  ``fails`` holds the failure tables of plain and of packrat
-    mode, per node, None where not built yet (see _fail_table), and
-    ``iters`` the iteration tables of the repetitions likewise (see
-    _iter_table); ``shared`` holds one copy of each distinct failure
-    table, and by the id of each matcher step table the failure table
-    made from it.
+
+    A program is sealed when it is made: the arrays are tuples and no
+    attribute can be set or deleted, so a certificate's program stays
+    the one compiled from its grammar.  ``marks``, ``fails``, ``iters``
+    and ``shared`` are private caches, each a pure function of the
+    sealed arrays, filled as parses need them.  ``marks`` holds the
+    watermarks a packrat parse starts from (see _initial_marks); it is
+    computed on the program's first packrat parse.  ``fails`` holds the
+    failure tables of plain and of packrat mode, per node, None where
+    not built yet (see _fail_table), and ``iters`` the iteration tables
+    of the repetitions likewise (see _iter_table); ``shared`` holds one
+    copy of each distinct failure table, and by the id of each matcher
+    step table the failure table made from it.
     """
 
     __slots__ = ("kind", "a", "b", "extra", "prod_body", "start", "tree",
                  "marks", "fails", "iters", "shared")
 
-    def __init__(self):
-        self.kind = []
-        self.a = []
-        self.b = []
-        self.extra = []
-        self.prod_body = []
-        self.start = -1
-        self.tree = False
-        self.marks = None
-        self.fails = [None, None]
-        self.iters = [None, None]
-        self.shared = {}
+    def __init__(self, kind, a, b, extra, prod_body, start, tree):
+        init = object.__setattr__
+        init(self, "kind", tuple(kind))
+        init(self, "a", tuple(a))
+        init(self, "b", tuple(b))
+        init(self, "extra", tuple(extra))
+        init(self, "prod_body", tuple(prod_body))
+        init(self, "start", start)
+        init(self, "tree", tree)
+        init(self, "marks", None)
+        init(self, "fails", [None, None])
+        init(self, "iters", [None, None])
+        init(self, "shared", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a compiled program is sealed")
+
+    def __delattr__(self, name):
+        raise AttributeError("a compiled program is sealed")
 
 
 # --- Superinstruction descriptors --------------------------------------
@@ -613,8 +625,9 @@ def _as_lit(e: Expr):
 
 
 def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
-    prog = _Program()
-    tree_mode = prog.tree = bool(g is not None and g.tree_shaped)
+    kind, aa, bb, extras, prod_body = [], [], [], [], []
+    start = -1
+    tree_mode = bool(g is not None and g.tree_shaped)
     index = {}
     prod_index = {}
     rule_names = {}
@@ -622,17 +635,17 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
 
     if g is not None:
         prod_index = {name: i for i, name in enumerate(g.nonterminals)}
-        prog.prod_body = [-1] * len(g.nonterminals)
+        prod_body = [-1] * len(g.nonterminals)
         # A node carries the grammar's own rule-name string, the one its
         # collector action holds, not a new slice of the action label.
         rule_names = {_NODE_PREFIX + name: name for name in g.nonterminals}
 
-    def emit(kind, a=-1, b=-1, extra=None) -> int:
-        prog.kind.append(kind)
-        prog.a.append(a)
-        prog.b.append(b)
-        prog.extra.append(extra)
-        return len(prog.kind) - 1
+    def emit(k, a=-1, b=-1, extra=None) -> int:
+        kind.append(k)
+        aa.append(a)
+        bb.append(b)
+        extras.append(extra)
+        return len(kind) - 1
 
     def seq_items(e: Seq) -> tuple:
         """The compiled items of the right-nested chain ``e`` heads,
@@ -735,10 +748,9 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
 
     if g is not None:
         for i, name in enumerate(g.nonterminals):
-            prog.prod_body[i] = visit(g.productions[name])
-        prog.start = prog.prod_body[prod_index[g.start]]
+            prod_body[i] = visit(g.productions[name])
+        start = prod_body[prod_index[g.start]]
     root_ids = [visit(r) for r in roots]
-    kind, aa, bb, extra = prog.kind, prog.a, prog.b, prog.extra
     if tree_mode:
         # A tree-mode call, kept or dropped, runs the inside of its
         # rule's node collector, which every rule body of a tree-shaped
@@ -746,9 +758,9 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
         # leaf call.
         for i, k in enumerate(kind):
             if k == _K_TNT or k == _K_TDNT:
-                collector = prog.prod_body[aa[i]]
+                collector = prod_body[aa[i]]
                 bb[i] = aa[collector]
-                extra[i] = extra[collector]
+                extras[i] = extras[collector]
                 if kind[bb[i]] >= _K_EMPTY:
                     kind[i] = _K_TLEAF if k == _K_TNT else _K_TDLEAF
     else:
@@ -756,12 +768,13 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
         # action over one primitive, is a leaf call.
         for i, k in enumerate(kind):
             if k == _K_NT:
-                body = prog.prod_body[aa[i]]
+                body = prod_body[aa[i]]
                 if kind[body] >= _K_EMPTY:
-                    kind[i], bb[i], extra[i] = _K_LEAF, body, _NO_ACTION
+                    kind[i], bb[i], extras[i] = _K_LEAF, body, _NO_ACTION
                 elif kind[body] == _K_ACT and kind[aa[body]] >= _K_EMPTY:
-                    kind[i], bb[i], extra[i] = _K_LEAF, aa[body], extra[body]
-    return prog, root_ids
+                    kind[i], bb[i], extras[i] = _K_LEAF, aa[body], extras[body]
+    return (_Program(kind, aa, bb, extras, prod_body, start, tree_mode),
+            root_ids)
 
 
 # A watermark above every position: the rule is memoised at every call.
@@ -1078,7 +1091,8 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
         marks = prog.marks
         if marks is None:
             # Parses that overlap here compute equal lists.
-            marks = prog.marks = _initial_marks(prog)
+            marks = _initial_marks(prog)
+            object.__setattr__(prog, "marks", marks)
         # Per rule, the highest position it has been called at in this
         # parse, or _ALWAYS once it is memoised.
         mark = marks[:]

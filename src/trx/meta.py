@@ -116,48 +116,58 @@ def node_action(rule: str) -> ActionRef:
 _STRIPPED = (TUPLE2STR, CONS, SOME, NONE)
 
 
-def _tree_wrap_expr(e: Expr) -> Expr:
+def _tree_wrap_expr(e: Expr, memo: dict) -> Expr:
+    """The tree-shaped form of e, kept in ``memo`` per node, so that a
+    node in two places (``x+`` holds one ``x`` twice) is wrapped once."""
+    out = memo.get(e)
+    if out is not None:
+        return out
     t = type(e)
     if t in (Terminal, Range, AnyChar):
-        return Action(e, LEAF)
-    if t is Seq:
+        out = Action(e, LEAF)
+    elif t is Seq:
         # The right spine in a loop, so that a long sequence wraps
         # without one recursion per item.
         lefts = []
-        while type(e) is Seq:
-            lefts.append(_tree_wrap_expr(e.left))
-            e = e.right
-        out = _tree_wrap_expr(e)
+        x = e
+        while type(x) is Seq:
+            lefts.append(_tree_wrap_expr(x.left, memo))
+            x = x.right
+        out = _tree_wrap_expr(x, memo)
         for left in reversed(lefts):
             out = Seq(left, out)
-        return out
-    if t is Choice:
-        return Choice(_tree_wrap_expr(e.first), _tree_wrap_expr(e.second))
-    if t is Star:
-        return Star(_tree_wrap_expr(e.inner))
-    if t is Not:
-        # Lookahead values are discarded; leave the inside untouched.
-        return e
-    if t is Action:
+    elif t is Choice:
+        out = Choice(_tree_wrap_expr(e.first, memo),
+                     _tree_wrap_expr(e.second, memo))
+    elif t is Star:
+        out = Star(_tree_wrap_expr(e.inner, memo))
+    elif t is Action and e.ref in _STRIPPED:
+        out = _tree_wrap_expr(e.inner, memo)
+    elif t is Action:
         ref = e.ref
-        if ref in _STRIPPED:
-            return _tree_wrap_expr(e.inner)
-        if ref is DROP or ref is LEAF or ref.label.startswith(_NODE_PREFIX):
-            return e
-        raise ValueError("textual grammars carry only built-in tree-shaping "
-                         "actions, not %r" % ref.label)
-    return e  # Empty, NonTerminal
+        if not (ref is DROP or ref is LEAF
+                or ref.label.startswith(_NODE_PREFIX)):
+            raise ValueError("textual grammars carry only built-in "
+                             "tree-shaping actions, not %r" % ref.label)
+        out = e
+    else:
+        # Empty, NonTerminal, and Not: lookahead values are discarded,
+        # so the inside of a Not is left untouched.
+        out = e
+    memo[e] = out
+    return out
 
 
 def tree_wrap(g: Grammar) -> Grammar:
     """Install the built-in tree shapers on every production (idempotent)."""
     productions = {}
+    memo = {}
     for name in g.nonterminals:
         body = g.productions[name]
         if (type(body) is Action and body.ref.label == _NODE_PREFIX + name):
             productions[name] = body
         else:
-            productions[name] = Action(_tree_wrap_expr(body),
+            productions[name] = Action(_tree_wrap_expr(body, memo),
                                        node_action(name))
     return Grammar(productions, g.start, tree_shaped=True)
 

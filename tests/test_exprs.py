@@ -14,7 +14,7 @@ import pytest
 
 from trx import (ANY, Action, ActionRef, And, AnyChar, CharClass, Choice,
                  Drop, DuplicateRule, EMPTY, Empty, EmptyClass, EmptyLiteral,
-                 InvalidRange, Literal, NonTerminal, Not, Optional, Plus,
+                 Grammar, InvalidRange, Literal, NonTerminal, Not, Optional, Plus,
                  Range, Seq, Star, Terminal, UndefinedNonterminal,
                  UnknownStart, build_grammar, check_well_formed, eval_expr,
                  expr_text, iter_subexprs)
@@ -300,6 +300,21 @@ def test_build_grammar_undefined_reference():
     assert exc.value.referenced_from == "factor"
 
 
+def test_grammar_constructor_checks_totality():
+    # The constructor, not only build_grammar, keeps the production map
+    # total, so an analysis never meets a missing rule.
+    with pytest.raises(UndefinedNonterminal) as exc:
+        Grammar({"a": NonTerminal("b")}, "a")
+    assert (exc.value.name, exc.value.referenced_from) == ("b", "a")
+    with pytest.raises(UnknownStart):
+        Grammar({"a": Terminal("x")}, "zzz")
+    # Undefined references come before an unknown start, and are found
+    # under ! and ~ too.
+    for hidden in (Not(NonTerminal("b")), Drop(NonTerminal("b"))):
+        with pytest.raises(UndefinedNonterminal):
+            Grammar({"a": Seq(hidden, Terminal("x"))}, "zzz")
+
+
 def test_build_grammar_duplicate_and_bad_start():
     with pytest.raises(DuplicateRule):
         build_grammar([("A", EMPTY), ("A", ANY)], "A")
@@ -323,6 +338,25 @@ def test_expr_text_examples():
     assert expr_text(Not(Star(Terminal("a")))) == "![a]*"
     assert expr_text(Star(Not(Terminal("a")))) == "(![a])*"
     assert expr_text(Seq(Choice(EMPTY, ANY), ANY)) == "(eps / .) ."
+    # ``e e*`` with one ``e`` node is ``e+``, with the cons action or not.
+    x = Choice(Terminal("a"), NonTerminal("b"))
+    assert expr_text(Seq(x, Star(x))) == "([a] / b)+"
+    assert expr_text(Plus(x)) == "([a] / b)+"
+    assert expr_text(Star(Seq(x, Star(x)))) == "(([a] / b)+)*"
+    other = Choice(Terminal("a"), NonTerminal("c"))
+    assert expr_text(Seq(x, Star(other))) == "([a] / b) ([a] / c)*"
+
+
+def test_iter_subexprs_yields_each_node_once():
+    # Nested + holds each level twice; the walk visits it once, in the
+    # order of first occurrences.
+    e = Terminal("x")
+    for _ in range(40):
+        e = Plus(e)
+    subs = list(iter_subexprs(e))
+    assert len(subs) == len(set(subs)) == 3 * 40 + 1
+    assert list(iter_subexprs(Seq(e, Choice(e, ANY)))) == [
+        Seq(e, Choice(e, ANY)), *subs, Choice(e, ANY), ANY]
 
 
 

@@ -150,6 +150,25 @@ def test_certificate_fields_cannot_be_reassigned():
     assert parse(g, c, b"x").ok
 
 
+def test_certificate_program_is_sealed():
+    # Pointing the program's start at another rule's body would make
+    # the certificate run a parse its grammar does not describe.
+    g = load_grammar("a <- 'x' ; b <- 'y' ;")
+    c = certify(g)
+    program = c.program
+    for name in program.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(program, name, getattr(program, name))
+        with pytest.raises(AttributeError):
+            delattr(program, name)
+    with pytest.raises(AttributeError):
+        program.start = program.prod_body[1]
+    for name in ("kind", "a", "b", "extra", "prod_body"):
+        assert type(getattr(program, name)) is tuple
+    assert not parse(g, c, b"y").ok
+    assert parse(g, c, b"x").ok
+
+
 def test_unknown_mode_rejected():
     g = build_grammar([("S", EMPTY)], "S")
     with pytest.raises(ValueError):
@@ -655,15 +674,20 @@ _SPAN = ActionRef("span", lambda v, start, end: User((repr(v), start, end)),
                   span_aware=True)
 
 
+def _copy_program(prog, **fields):
+    """A copy of the sealed program ``prog`` with ``fields`` replaced."""
+    twin = object.__new__(type(prog))
+    for name in type(prog).__slots__:
+        object.__setattr__(twin, name, fields.get(name, getattr(prog, name)))
+    return twin
+
+
 def _with_call_frames(prog):
     """A copy of ``prog`` whose value-mode leaf calls push their frame."""
-    twin = copy.copy(prog)
-    twin.kind = [trx.interp._K_NT if k == trx.interp._K_LEAF else k
-                 for k in prog.kind]
-    twin.fails = [None, None]
-    twin.iters = [None, None]
-    twin.shared = {}
-    return twin
+    kind = tuple(trx.interp._K_NT if k == trx.interp._K_LEAF else k
+                 for k in prog.kind)
+    return _copy_program(prog, kind=kind, fails=[None, None],
+                         iters=[None, None], shared={})
 
 
 @pytest.mark.parametrize("e, folds", _FOLDS)
@@ -770,12 +794,10 @@ def test_deep_sequence_compiles_and_runs():
 def _without_failure_tables(prog):
     """A copy of ``prog`` whose failure and iteration tables let every
     node and every repetition's body run."""
-    twin = copy.copy(prog)
-    twin.fails = [[_NO_FAIL] * len(prog.kind) for _ in range(2)]
     run_body = ((0,) * 257, None)
-    twin.iters = [[run_body] * len(prog.kind) for _ in range(2)]
-    twin.shared = {}
-    return twin
+    return _copy_program(
+        prog, fails=[[_NO_FAIL] * len(prog.kind) for _ in range(2)],
+        iters=[[run_body] * len(prog.kind) for _ in range(2)], shared={})
 
 
 def _outcome(prog, data, packrat):
@@ -895,13 +917,10 @@ def test_failure_tables_of_a_deep_call_chain():
     # In plain mode the table of r0's body is made from those of all
     # 3 000 rules' bodies, with an explicit stack.  A packrat parse
     # first finds the static seed set, in one pass over the rules,
-    # callees first.  The chain is well-formed at any length, but the
-    # well-formedness fixpoint takes a sweep per rule on it, so the
-    # certificate is made directly.
-    assert check_well_formed(_call_chain(40)).is_well_formed
+    # callees first.
     n = 3000
     for g in (_call_chain(n), tree_wrap(_call_chain(n))):
-        cert = trx.interp.Certificate(g, trx.interp._CERT_KEY)
+        cert = certify(g)
         twin = _without_failure_tables(cert.program)
         for data in (b"z", b"a", b"a%d" % (n - 1)):
             out = parse(g, cert, data)

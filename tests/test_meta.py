@@ -1,6 +1,7 @@
 """Textual grammar format: loading, bootstrap, round-trips, precedence."""
 
 import random
+import time
 
 import pytest
 
@@ -152,6 +153,27 @@ def test_round_trip_random_grammars():
         g = random_grammar(rng, "ab", rng.randrange(1, 4),
                            rng.randrange(2, 7))
         assert load_grammar(dump_grammar(g)) == tree_wrap(g)
+
+
+def test_nested_plus_loads_checks_and_dumps_in_linear_time():
+    # x+ holds one x in two places, so a walk that does not skip a node
+    # met again doubles its work at every level of nesting.
+    depth = 40
+    text = "a <- %s'x'%s ;" % ("(" * depth, ")+" * depth)
+    start = time.perf_counter()
+    g = load_grammar(text)
+    assert check_well_formed(g).is_well_formed
+    dumped = dump_grammar(g)
+    assert load_grammar(dumped) == g
+    assert time.perf_counter() - start < 1
+    assert len(dumped) < 200
+    assert dumped == "a <- %s[x]%s+ ;\n" % ("(" * (depth - 1),
+                                             "+)" * (depth - 1))
+
+
+def test_dump_folds_plus_of_loaded_grammar():
+    g = load_grammar(grammar_text("xml-lite.peg"))
+    assert "content <- (element / text)+ ;" in dump_grammar(g).splitlines()
 
 
 def test_dump_singleton_epsilon():
