@@ -342,20 +342,7 @@ def _offenders(g, exprs, wf, premises):
     # through blocker edges; those are the (possibly mutual) left-recursion
     # suspects.  Stars rejected purely by their nullable inner get their
     # own reason; everything else just inherits ill-formedness.
-    block = {e: blockers(e) for e in ill}
-    on_cycle = set()
-    for root in ill:
-        seen = set()
-        stack = list(block[root])
-        while stack:
-            node = stack.pop()
-            if node == root:
-                on_cycle.add(root)
-                break
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(block[node])
+    on_cycle = _on_cycles({e: blockers(e) for e in ill})
 
     def reason(e):
         if premises[e] is None and e.inner in wf:
@@ -366,3 +353,48 @@ def _offenders(g, exprs, wf, premises):
 
     return [Offender(name, sub, reason(sub)) for name in g.nonterminals
             for sub in iter_subexprs(g.productions[name]) if sub in ill]
+
+
+def _on_cycles(edges: dict) -> set:
+    """The nodes of the graph ``edges`` (node -> successors) that lie on
+    a cycle: those of a strongly connected component with more than one
+    node or with an edge to itself.  Tarjan's algorithm, with explicit
+    stacks."""
+    index = {}                      # node -> its order of discovery
+    low = {}                        # lowest index reachable in the DFS
+    path = []                       # Tarjan's stack of open nodes
+    open_ = set()
+    out = set()
+    for root in edges:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        path.append(root)
+        open_.add(root)
+        walk = [(root, iter(edges[root]))]
+        while walk:
+            v, rest = walk[-1]
+            for w in rest:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    path.append(w)
+                    open_.add(w)
+                    walk.append((w, iter(edges[w])))
+                    break
+                if w in open_ and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                walk.pop()
+                if walk and low[v] < low[walk[-1][0]]:
+                    low[walk[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    # v roots a component: the nodes above it on path.
+                    at = len(path) - 1
+                    while path[at] is not v:
+                        at -= 1
+                    component = path[at:]
+                    del path[at:]
+                    open_.difference_update(component)
+                    if len(component) > 1 or v in edges[v]:
+                        out.update(component)
+    return out

@@ -12,6 +12,7 @@ at a position.  Two parts decide which.  The static seed set, computed
 on a program's first packrat parse, holds every rule that both
 alternatives of one choice can call at the choice's own position other
 than from inside another seeded rule; it is memoised from the start.
+A program whose leading calls form a cycle memoises every rule.
 Every other rule carries a per-parse watermark, the highest position
 it has been called at: a call at or below it may be a re-entry, so
 from that call on the rule is memoised.  So no rule body runs more
@@ -27,14 +28,14 @@ the semantics is represented as the next position.
 
 A byte-local expression is one whose outcome and step count depend
 only on the byte under the cursor: a terminal, range or any-char, a
-choice of one-byte matchers, the built-in tree-leaf, drop or tuple2str
-action on a matcher (known by its ActionRef's identity; an embedder's
-action with the same label runs as any other), a negation guard in
-front of a matcher, and the negation of any of these.  The compiler
-evaluates each one once per byte into a step table, and the VM runs
-it, or a repetition of it, with one table lookup per byte;
-right-nested terminal chains (literal runs) get their step arithmetic
-precomputed too.  The oracle differential suite pins their equivalence
+choice of one-byte matchers, the built-in drop or tuple2str action on a
+matcher and, in tree mode, the built-in tree-leaf (known by its
+ActionRef's identity; an embedder's action with the same label runs as
+any other), a negation guard in front of a matcher, and the negation
+of any of these.  The compiler evaluates each one once per byte into a
+step table, and the VM runs it, or a repetition of it, with one table
+lookup per byte; right-nested terminal chains (literal runs) get their
+step arithmetic precomputed too.  The oracle differential suite pins their equivalence
 with the plain rule-by-rule evaluation.
 
 Tree mode.  A program compiled from a tree-shaped grammar (one that
@@ -118,8 +119,8 @@ failure runs through a call: the call runs, and the table of its
 inside then applies.  So each mode has its tables.  A table is built
 the first time a parse descends into its node (compiling builds none,
 so certification does not pay for them), with those it is made from,
-with an explicit stack, and kept on the program; a table with every
-entry below 256 is a bytes object, and equal tables are one object.
+with an explicit stack, and kept on the program as a tuple; equal
+tables are one object.
 
 Iteration tables.  A repetition that is not a SCAN (Ford's
 ``([ \\t\\r\\n] / comment)*``, or an operator star ``(a / b / c)*`` of
@@ -129,8 +130,8 @@ alternatives, the parts of its choice chain (after LPeg's span and
 test instructions).  An entry t > 0 means the body, started on that
 byte, succeeds in t steps by consuming just that byte through a
 one-byte matcher after the alternatives before it fail there: in tree
-mode as a leaf span, in value mode with that byte's entry of the
-matcher's value table (a position-dependent value makes the entry 0).
+mode as a leaf span (any other success makes the entry 0), in value
+mode with that byte's entry of the matcher's value table.
 An entry t < 0 means the body fails there in -t steps; 0 means it must
 run.  The VM loops over the input while the entries are positive,
 adding t + 1 steps each.  On a negative entry the repetition ends
@@ -341,10 +342,11 @@ class _Program:
     and ``shared`` are private caches, each a pure function of the
     sealed arrays, filled as parses need them.  ``marks`` holds the
     watermarks a packrat parse starts from (see _initial_marks); it is
-    computed on the program's first packrat parse.  ``fails`` holds the
-    failure tables of plain and of packrat mode, per node, None where
-    not built yet (see _fail_table), and ``iters`` the iteration tables
-    of the repetitions likewise (see _iter_table); ``shared`` holds one
+    computed on the program's first packrat parse.  ``fails`` is a pair,
+    plain mode's and packrat mode's, of per-node lists of failure
+    tables, None where not built yet (see _fail_table), and ``iters``
+    the same pair for iteration tables (see _iter_table); both pairs are
+    made with the program and cannot be replaced.  ``shared`` holds one
     copy of each distinct failure table, and by the id of each matcher
     step table the failure table made from it.
     """
@@ -362,8 +364,8 @@ class _Program:
         init(self, "start", start)
         init(self, "tree", tree)
         init(self, "marks", None)
-        init(self, "fails", [None, None])
-        init(self, "iters", [None, None])
+        init(self, "fails", ([None] * len(kind), [None] * len(kind)))
+        init(self, "iters", ([None] * len(kind), [None] * len(kind)))
         init(self, "shared", {})
 
     def __setattr__(self, name, value):
@@ -378,12 +380,11 @@ class _Program:
 # MATCH1 and PRED: (steps, values).  ``steps`` has 257 entries indexed by
 #   the byte under the cursor, 256 standing for end of input: t > 0
 #   succeeds in t steps, t < 0 fails in -t steps.  A one-byte matcher
-#   consumes its byte on success and ``values`` has 256 entries, each
-#   the Value of a success on that byte or an int d: a one-byte leaf
-#   wrapped in d guard pairs, which depends on the position.  Entries
-#   of failing bytes are never read, so equal tables are common and are
-#   shared.  A predicate is zero-width, has ``values`` None and yields
-#   Unit.
+#   consumes its byte on success and ``values`` has 256 entries: in
+#   value mode the Value of a success on that byte, in tree mode _SPAN
+#   where the success is a leaf span.  Entries of failing bytes are
+#   never read, so equal tables are common and are shared.  A predicate
+#   is zero-width, has ``values`` None and yields Unit.
 # LIT: (bytes, ok_steps, fail_steps_per_prefix, value) for a fixed byte
 #   string (a right-nested terminal chain).
 # SCAN: (steps, values, leaf, find, first, base) for a repetition of a
@@ -408,15 +409,11 @@ class _Program:
 
 _FAILS = (-1,) * 257
 _UNITS = (UNIT,) * 256
-_LEAVES = (0,) * 256
 _STR1 = tuple(Str(bytes([b])) for b in range(256))
-
-
-def _leaf(pos: int, depth: int) -> Value:
-    v = TreeNode("", pos, pos + 1, ())
-    for _ in range(depth):
-        v = Tup((UNIT, v))
-    return v
+# The value table of a tree-mode leaf matcher: each entry marks a leaf
+# span, which the VM appends to ``kids``.
+_SPAN = object()
+_SPANS = (_SPAN,) * 256
 
 
 class _ByteTables:
@@ -424,19 +421,19 @@ class _ByteTables:
 
     Memoised by expression, since the compiler asks again for every
     sub-expression it visits, and kept per compile, so that every
-    compile starts cold.  Equal step tables become one object, and a
-    table derived from others (by an action, a negation, a choice or a
-    guard) is kept by the identity of those, so that it is derived once
-    per compile; value tables are shared by construction (module
-    constants, one guarded table per inner table).
+    compile starts cold.  Equal step tables become one object.  In
+    value mode a value table holds Values; a leaf is not byte-local
+    there, since its value depends on the position.  In tree mode,
+    where only leaf spans are kept, a leaf's table is _SPANS and a guard
+    keeps its matcher's value table.
     """
 
-    __slots__ = ("memo", "steps", "derived")
+    __slots__ = ("memo", "steps", "tree_mode")
 
-    def __init__(self):
+    def __init__(self, tree_mode: bool):
         self.memo = {}
         self.steps = {}
-        self.derived = {}
+        self.tree_mode = tree_mode
 
     def __call__(self, e: Expr):
         """(steps, values) of ``e``, or None if it is not byte-local."""
@@ -460,15 +457,6 @@ class _ByteTables:
         self.memo[e] = out
         return out
 
-    def _derive(self, make, *tables):
-        """``make(*tables)``, kept by ``make`` and the tables' ids (the
-        memo keeps the tables alive for the compile)."""
-        key = (make, *map(id, tables))
-        out = self.derived.get(key)
-        if out is None:
-            out = self.derived[key] = make(*tables)
-        return out
-
     def _build(self, e: Expr):
         t = type(e)
         if t is Terminal or t is Range or t is AnyChar:
@@ -484,9 +472,8 @@ class _ByteTables:
             if b is None or b[1] is None:
                 return None
             (sa, va), (sb, vb) = a, b
-            return (self._derive(_choice_steps, sa, sb),
-                    va if va is vb else
-                    self._derive(_choice_values, sa, va, vb))
+            return (_choice_steps(sa, sb),
+                    va if va is vb else _choice_values(sa, va, vb))
         if t is Seq:
             g = self(e.left)
             if g is None or g[1] is not None:
@@ -494,27 +481,27 @@ class _ByteTables:
             m = self(e.right)
             if m is None or m[1] is None:
                 return None
-            return (self._derive(_guarded_steps, g[0], m[0]),
-                    self._derive(_guarded_values, m[1]))
+            return (_guarded_steps(g[0], m[0]),
+                    m[1] if self.tree_mode else _guarded_values(m[1]))
         if t is Not:
             i = self(e.inner)
             if i is None:
                 return None
-            return self._derive(_not_steps, i[0]), None
+            return _not_steps(i[0]), None
         if t is Action:
             i = self(e.inner)
             if i is None or i[1] is None:
                 return None
             ref = e.ref
-            if ref is LEAF:
-                values = _LEAVES
+            if ref is LEAF and self.tree_mode:
+                values = _SPANS
             elif ref is DROP:
                 values = _UNITS
             elif ref is TUPLE2STR and i[1] is CHAR:
                 values = _STR1
             else:
                 return None
-            return self._derive(_action_steps, i[0]), values
+            return _action_steps(i[0]), values
         return None
 
 
@@ -536,7 +523,7 @@ def _guarded_steps(sg, sm):
 
 
 def _guarded_values(vm):
-    return tuple([v + 1 if type(v) is int else Tup((UNIT, v)) for v in vm])
+    return tuple([Tup((UNIT, v)) for v in vm])
 
 
 def _not_steps(s):
@@ -548,17 +535,16 @@ def _action_steps(s):
 
 
 def _scan_descriptor(steps, values, tree_mode: bool, base: int = 1):
-    """SCAN descriptor for a repetition of a matcher, or None when its
-    items need their positions (leaves kept as a list).  ``values`` is
-    None for a repetition under a drop."""
+    """SCAN descriptor for a repetition of a matcher, or None when it is
+    a tree-mode matcher that makes a leaf span on some bytes only.
+    ``values`` is None for a value-mode repetition under a drop."""
     ok = [b for b in range(256) if steps[b] > 0]
     leaf = False
-    if values is not None:
-        leaves = sum(type(values[b]) is int for b in ok)
-        if tree_mode and leaves in (0, len(ok)):
-            values, leaf = None, leaves > 0
-        elif leaves:
+    if tree_mode:
+        leaves = sum(values[b] is _SPAN for b in ok)
+        if 0 < leaves < len(ok):
             return None
+        values, leaf = None, leaves > 0
     find = None
     if len(ok) == 255 and len({steps[b] for b in ok}) == 1:
         c = next(b for b in range(256) if steps[b] < 0)
@@ -585,7 +571,7 @@ def _plus_descriptor(m: Expr, rep: Expr, tables: _ByteTables,
     if tree_mode:
         # One span covers both parts, so m's successes must be leaves
         # exactly when the scan's are.
-        if any((type(values[b]) is int) != scan[2]
+        if any((values[b] is _SPAN) != scan[2]
                for b in range(256) if steps[b] > 0):
             return None
     elif values is not xt[1]:
@@ -631,7 +617,7 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
     index = {}
     prod_index = {}
     rule_names = {}
-    tables = _ByteTables()
+    tables = _ByteTables(tree_mode)
 
     if g is not None:
         prod_index = {name: i for i, name in enumerate(g.nonterminals)}
@@ -796,14 +782,15 @@ def _initial_marks(prog: _Program) -> list:
 
     Nullability is a least fixpoint, found with a worklist.  A node's
     direct leads (not through a called rule's body) take one pass in
-    index order, and the rules' leads for a seed set one pass over the
-    rules, callees first: a certified grammar has no cycle of leading
-    rules (that is left recursion).  An uncertified program (eval_expr)
-    may have one; then that pass repeats until nothing changes.  The
-    seed set is iterated from the empty set to a fixpoint.  Each rule's
-    membership depends only on the rules that lead to it, so this takes
-    at most one round per rule plus one; should it not settle, the union
-    of the last two sets is used.
+    index order.  Then one pass over the rules, callers first, decides
+    the seed set: a rule's membership depends only on the rules that
+    lead to it, which come before it.  A rule is seeded when the first
+    and the second alternative of some choice both lead to it;
+    otherwise it passes the choices that lead to it on to the rules it
+    leads.  A program whose leading calls form a cycle memoises every
+    rule.  That is left recursion, which only an uncertified program
+    (eval_expr) has, or a cycle through a negation, which the VM takes
+    as nullable also where it cannot succeed (``A <- !eps A / 'a'``).
     """
     kind, aa, bb, extra, body = (prog.kind, prog.a, prog.b, prog.extra,
                                  prog.prod_body)
@@ -856,14 +843,10 @@ def _initial_marks(prog: _Program) -> list:
         elif k < _K_EMPTY:
             direct[i] = direct[aa[i]]
     callees = [_bits(direct[b]) for b in body]
-    pairs = [(_bits(direct[aa[i]]), _bits(direct[bb[i]]))
-             for i, k in enumerate(kind)
-             if k == _K_CHOICE and direct[aa[i]] and direct[bb[i]]]
 
     # The rules, callees first (depth first, with an explicit stack).
     order = []
     state = [0] * len(body)         # 1: on the stack, 2: ordered
-    cyclic = False
     for root in range(len(body)):
         if state[root]:
             continue
@@ -876,44 +859,35 @@ def _initial_marks(prog: _Program) -> list:
                     state[q] = 1
                     stack.append((q, iter(callees[q])))
                     break
-                cyclic |= state[q] == 1
+                if state[q] == 1:
+                    # A cycle of leading calls.
+                    return [_ALWAYS] * len(body)
             else:
                 stack.pop()
                 state[p] = 2
                 order.append(p)
 
-    def seed_of(seeded: int) -> int:
-        rule_lead = [1 << p for p in range(len(body))]
-        changed = True
-        while changed:
-            changed = False
-            for p in order:
-                if not seeded >> p & 1:
-                    out = rule_lead[p]
-                    for q in callees[p]:
-                        out |= rule_lead[q]
-                    if out != rule_lead[p]:
-                        rule_lead[p] = out
-                        changed = cyclic
-        out = 0
-        for first, second in pairs:
-            a = b = 0
-            for q in first:
-                a |= rule_lead[q]
-            for q in second:
-                b |= rule_lead[q]
-            out |= a & b
-        return out
-
-    seed = 0
-    for _ in range(len(body) + 1):
-        now = seed_of(seed)
-        if now == seed:
-            break
-        seed = now
-    else:
-        seed |= seed_of(seed)
-    return [_ALWAYS if seed >> p & 1 else -1 for p in range(len(body))]
+    # Per rule, bit masks of the choices whose first and whose second
+    # alternative lead to it; callers first, each rule then decides.
+    first = [0] * len(body)
+    second = [0] * len(body)
+    bit = 1
+    for i, k in enumerate(kind):
+        if k == _K_CHOICE and direct[aa[i]] and direct[bb[i]]:
+            for p in _bits(direct[aa[i]]):
+                first[p] |= bit
+            for p in _bits(direct[bb[i]]):
+                second[p] |= bit
+            bit <<= 1
+    marks = [-1] * len(body)
+    for p in reversed(order):
+        if first[p] & second[p]:
+            marks[p] = _ALWAYS
+        else:
+            for q in callees[p]:
+                first[q] |= first[p]
+                second[q] |= second[p]
+    return marks
 
 
 def _bits(mask: int) -> list:
@@ -934,11 +908,7 @@ def _seq_parts(prog: _Program, i: int):
 
 
 # The failure table of a node that never fails on its first byte alone.
-_NO_FAIL = b""
-# bytes.translate tables that add 1 or 2 to every non-zero entry below
-# 256 - k (a table with a larger entry is not translated).
-_PLUS = {k: bytes([0] + [v + k for v in range(1, 256 - k)] + [0] * k)
-         for k in (1, 2)}
+_NO_FAIL = ()
 
 
 def _fail_table(prog: _Program, tables: list, root: int, packrat: bool):
@@ -958,7 +928,7 @@ def _fail_table(prog: _Program, tables: list, root: int, packrat: bool):
     def pack(out: list):
         if not any(out):
             return _NO_FAIL
-        out = bytes(out) if max(out) < 256 else tuple(out)
+        out = tuple(out)
         return shared.setdefault(out, out)
 
     opened = set()
@@ -1006,12 +976,7 @@ def _fail_table(prog: _Program, tables: list, root: int, packrat: bool):
         elif not parts or not all(sub):
             out = _NO_FAIL
         elif len(sub) == 1:
-            s = sub[0]
-            if type(s) is bytes and max(s) + add < 256:
-                out = s.translate(_PLUS[add])
-                out = shared.setdefault(out, out)
-            else:
-                out = pack([x + add if x else 0 for x in s])
+            out = pack([x + add if x else 0 for x in sub[0]])
         else:
             out = pack([x + y + 1 if x and y else 0 for x, y in zip(*sub)])
         tables[i] = out
@@ -1027,11 +992,11 @@ def _iter_table(prog: _Program, fails: list, iters: list, root: int,
     The alternatives are the parts of the body's right-nested choice
     chain, or the body alone.  An entry is (steps, values): on byte b,
     steps[b] > 0 when the alternatives before a one-byte matcher fail
-    there by their failure tables, and the matcher then consumes b with
-    a value that does not depend on the position (in tree mode, a leaf
-    span): the body succeeds in that many steps with values[b] (None in
-    tree mode).  steps[b] < 0 when every alternative fails by its table,
-    in -steps[b] steps; otherwise it is 0 and the body runs.
+    there by their failure tables, and the matcher then consumes b (in
+    tree mode as a leaf span): the body succeeds in that many steps
+    with values[b] (None in tree mode).  steps[b] < 0 when every
+    alternative fails by its table, in -steps[b] steps; otherwise it is
+    0 and the body runs.
     """
     kind, aa, bb, extra = prog.kind, prog.a, prog.b, prog.extra
     alts = []
@@ -1057,7 +1022,7 @@ def _iter_table(prog: _Program, fails: list, iters: list, root: int,
                 if t < 0:
                     acc -= t
                     continue
-                if (type(vals[b]) is int) == tree:
+                if (vals[b] is _SPAN) == tree:
                     steps[b] = acc + t
                     if values is not None:
                         values[b] = vals[b]
@@ -1102,11 +1067,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
         memo_entries = None
     packrat = memo is not None
     fail = prog.fails[packrat]
-    if fail is None:
-        fail = prog.fails[packrat] = [None] * len(kind)
     iters = prog.iters[packrat]
-    if iters is None:
-        iters = prog.iters[packrat] = [None] * len(kind)
     # Tree mode: the rule nodes and leaf spans made so far, in order.
     kids = [] if prog.tree else None
     new_tuple = tuple.__new__
@@ -1275,11 +1236,8 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     ok = True
                     rpos = cpos + 1
                     val = vals[b]
-                    if type(val) is int:
-                        if kids is None:
-                            val = _leaf(cpos, val)
-                        else:
-                            kids.append((cpos, rpos))
+                    if val is _SPAN:
+                        kids.append((cpos, rpos))
                     steps = t
                 else:
                     ok = False

@@ -17,15 +17,12 @@ from __future__ import annotations
 from .analysis import Certificate, certify
 from .exprs import (Action, ActionRef, Choice, Drop, Expr, Grammar,
                     NonTerminal, Plus, Range, Seq, Star, Terminal,
-                    build_grammar)
+                    _right_nested, build_grammar)
 from .values import User, tuple_items
 
 
 def _seq(*parts: Expr) -> Expr:
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = Seq(p, out)
-    return out
+    return _right_nested(parts, Seq)
 
 
 def _digits_to_int(v):

@@ -33,7 +33,8 @@ from .exprs import (ANY, CONS, DROP, INTERN_LOCK, LEAF, NONE,
                     NODE_PREFIX as _NODE_PREFIX, SOME, TUPLE2STR, Action,
                     ActionRef, And, AnyChar, CharClass, Choice, Drop, EMPTY,
                     Expr, Grammar, Literal, NonTerminal, Not, Optional, Plus,
-                    Range, Seq, Star, Terminal, build_grammar, expr_text)
+                    Range, Seq, Star, Terminal, _right_nested, build_grammar,
+                    expr_text)
 from .interp import parse
 from .values import Lst, TreeNode, Tup
 
@@ -176,29 +177,11 @@ def tree_wrap(g: Grammar) -> Grammar:
 # The built-in meta-grammar (hand-built mirror of grammars/peg.peg).
 
 def _seq(*parts: Expr) -> Expr:
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = Seq(p, out)
-    return out
+    return _right_nested(parts, Seq)
 
 
 def _ch(*alts: Expr) -> Expr:
-    out = alts[-1]
-    for a in reversed(alts[:-1]):
-        out = Choice(a, out)
-    return out
-
-
-def _nt(name: str) -> Expr:
-    return NonTerminal(name)
-
-
-def _d(e: Expr) -> Expr:
-    return Drop(e)
-
-
-def _lit(s: str) -> Expr:
-    return Literal(s)
+    return _right_nested(alts, Choice)
 
 
 _IDENT_START = CharClass([("a", "z"), ("A", "Z"), "_"])
@@ -209,60 +192,68 @@ _WS_CHARS = CharClass([" ", "\t", "\r", "\n"])
 
 
 def _meta_rules():
+    spacing = Drop(NonTerminal("spacing"))
+
     def quoted(q: str) -> Expr:
-        return _seq(_d(_lit(q)),
-                    Star(_ch(_nt("escape"),
-                             _seq(Not(_lit(q)), Not(_lit("\\")), ANY))),
-                    _d(_lit(q)), _d(_nt("spacing")))
+        return _seq(Drop(Literal(q)),
+                    Star(_ch(NonTerminal("escape"),
+                             _seq(Not(Literal(q)), Not(Literal("\\")),
+                                  ANY))),
+                    Drop(Literal(q)), spacing)
 
     return [
-        ("grammar", _seq(_d(_nt("spacing")), Plus(_nt("definition")),
+        ("grammar", _seq(spacing, Plus(NonTerminal("definition")),
                          Not(ANY))),
-        ("definition", _ch(_nt("pragma"), _nt("rule"))),
-        ("pragma", _seq(_d(_lit("@start")), _d(_nt("spacing")),
-                        _nt("identifier"), _d(_lit(";")), _d(_nt("spacing")))),
-        ("rule", _seq(_nt("identifier"), _d(_lit("<-")), _d(_nt("spacing")),
-                      _nt("expression"), _d(_lit(";")), _d(_nt("spacing")))),
-        ("expression", _seq(_nt("sequence"),
-                            Star(_seq(_d(_lit("/")), _d(_nt("spacing")),
-                                      _nt("sequence"))))),
-        ("sequence", Plus(_nt("prefixed"))),
-        ("prefixed", _seq(Star(_ch(_nt("notop"), _nt("andop"),
-                                   _nt("dropop"))),
-                          _nt("suffixed"))),
-        ("suffixed", _seq(_nt("primary"),
-                          Star(_ch(_nt("starop"), _nt("plusop"),
-                                   _nt("questionop"))))),
-        ("primary", _ch(_nt("epsilon"),
-                        _seq(_nt("identifier"), Not(_lit("<-"))),
-                        _seq(_d(_lit("(")), _d(_nt("spacing")),
-                             _nt("expression"),
-                             _d(_lit(")")), _d(_nt("spacing"))),
-                        _nt("literal"), _nt("charclass"), _nt("anychar"))),
-        ("notop", _seq(_d(_lit("!")), _d(_nt("spacing")))),
-        ("andop", _seq(_d(_lit("&")), _d(_nt("spacing")))),
-        ("dropop", _seq(_d(_lit("~")), _d(_nt("spacing")))),
-        ("starop", _seq(_d(_lit("*")), _d(_nt("spacing")))),
-        ("plusop", _seq(_d(_lit("+")), _d(_nt("spacing")))),
-        ("questionop", _seq(_d(_lit("?")), _d(_nt("spacing")))),
-        ("epsilon", _seq(_d(_lit("eps")), Not(_IDENT_CONT),
-                         _d(_nt("spacing")))),
-        ("anychar", _seq(_d(_lit(".")), _d(_nt("spacing")))),
-        ("identifier", _seq(_IDENT_START, Star(_IDENT_CONT),
-                            _d(_nt("spacing")))),
+        ("definition", _ch(NonTerminal("pragma"), NonTerminal("rule"))),
+        ("pragma", _seq(Drop(Literal("@start")), spacing,
+                        NonTerminal("identifier"), Drop(Literal(";")),
+                        spacing)),
+        ("rule", _seq(NonTerminal("identifier"), Drop(Literal("<-")),
+                      spacing, NonTerminal("expression"),
+                      Drop(Literal(";")), spacing)),
+        ("expression", _seq(NonTerminal("sequence"),
+                            Star(_seq(Drop(Literal("/")), spacing,
+                                      NonTerminal("sequence"))))),
+        ("sequence", Plus(NonTerminal("prefixed"))),
+        ("prefixed", _seq(Star(_ch(NonTerminal("notop"),
+                                   NonTerminal("andop"),
+                                   NonTerminal("dropop"))),
+                          NonTerminal("suffixed"))),
+        ("suffixed", _seq(NonTerminal("primary"),
+                          Star(_ch(NonTerminal("starop"),
+                                   NonTerminal("plusop"),
+                                   NonTerminal("questionop"))))),
+        ("primary", _ch(NonTerminal("epsilon"),
+                        _seq(NonTerminal("identifier"), Not(Literal("<-"))),
+                        _seq(Drop(Literal("(")), spacing,
+                             NonTerminal("expression"),
+                             Drop(Literal(")")), spacing),
+                        NonTerminal("literal"), NonTerminal("charclass"),
+                        NonTerminal("anychar"))),
+        ("notop", _seq(Drop(Literal("!")), spacing)),
+        ("andop", _seq(Drop(Literal("&")), spacing)),
+        ("dropop", _seq(Drop(Literal("~")), spacing)),
+        ("starop", _seq(Drop(Literal("*")), spacing)),
+        ("plusop", _seq(Drop(Literal("+")), spacing)),
+        ("questionop", _seq(Drop(Literal("?")), spacing)),
+        ("epsilon", _seq(Drop(Literal("eps")), Not(_IDENT_CONT), spacing)),
+        ("anychar", _seq(Drop(Literal(".")), spacing)),
+        ("identifier", _seq(_IDENT_START, Star(_IDENT_CONT), spacing)),
         ("literal", _ch(quoted("'"), quoted('"'))),
-        ("charclass", _seq(_d(_lit("[")),
-                           Plus(_seq(Not(_lit("]")), _nt("classitem"))),
-                           _d(_lit("]")), _d(_nt("spacing")))),
-        ("classitem", _ch(_seq(_nt("classchar"), _d(_lit("-")),
-                               _nt("classchar")),
-                          _nt("classchar"))),
-        ("classchar", _ch(_nt("escape"),
-                          _seq(Not(_lit("]")), Not(_lit("\\")), ANY))),
-        ("escape", _seq(_lit("\\"), _ch(_seq(_lit("x"), _HEX, _HEX),
-                                        _ESC_CODES))),
-        ("spacing", Star(_ch(_WS_CHARS, _nt("comment")))),
-        ("comment", _seq(_lit("#"), Star(_seq(Not(_lit("\n")), ANY)))),
+        ("charclass", _seq(Drop(Literal("[")),
+                           Plus(_seq(Not(Literal("]")),
+                                     NonTerminal("classitem"))),
+                           Drop(Literal("]")), spacing)),
+        ("classitem", _ch(_seq(NonTerminal("classchar"), Drop(Literal("-")),
+                               NonTerminal("classchar")),
+                          NonTerminal("classchar"))),
+        ("classchar", _ch(NonTerminal("escape"),
+                          _seq(Not(Literal("]")), Not(Literal("\\")),
+                               ANY))),
+        ("escape", _seq(Literal("\\"), _ch(_seq(Literal("x"), _HEX, _HEX),
+                                           _ESC_CODES))),
+        ("spacing", Star(_ch(_WS_CHARS, NonTerminal("comment")))),
+        ("comment", _seq(Literal("#"), Star(_seq(Not(Literal("\n")), ANY)))),
     ]
 
 
@@ -367,19 +358,13 @@ def _lower_prefixed(node: TreeNode, data: bytes) -> Expr:
 
 
 def _lower_sequence(node: TreeNode, data: bytes) -> Expr:
-    parts = [_lower_prefixed(c, data) for c in node.children]
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = Seq(p, out)
-    return out
+    return _right_nested([_lower_prefixed(c, data) for c in node.children],
+                         Seq)
 
 
 def _lower_expression(node: TreeNode, data: bytes) -> Expr:
-    alts = [_lower_sequence(c, data) for c in node.children]
-    out = alts[-1]
-    for a in reversed(alts[:-1]):
-        out = Choice(a, out)
-    return out
+    return _right_nested([_lower_sequence(c, data) for c in node.children],
+                         Choice)
 
 
 @dataclass

@@ -22,12 +22,12 @@ from trx import (Action, ActionRef, AnyChar, CertificateMismatch, CharClass,
                  expr_text, expression_set, Literal, load_grammar,
                  memo_stats, parse, parse_to_tree, tree_to_json, tree_wrap)
 from trx.bench import xmark_lite
-from trx.exprs import CONS
+from trx.exprs import CONS, LEAF
 from trx.interp import _ALWAYS, _NO_FAIL, _compile, _initial_marks, _run
 from trx.mathdemo import evaluate, math_grammar
 from trx.oracle import (EXHAUSTED, all_inputs, oracle_eval, oracle_parse,
                         small_grammars)
-from trx.values import (Char, Lst, Tup, UNIT, gc_suspended,
+from trx.values import (Char, Lst, Tup, UNIT, Value, gc_suspended,
                         tree_json_text)
 
 from conftest import GRAMMAR_DIR, certified, grammar_text
@@ -169,6 +169,20 @@ def test_certificate_program_is_sealed():
     assert parse(g, c, b"x").ok
 
 
+def test_certificate_program_caches_are_fixed():
+    # The program's per-mode caches are made with it: neither mode's
+    # failure or iteration tables can be swapped for forged ones.
+    g = load_grammar("a <- 'x' ;")
+    c = certify(g)
+    assert type(c.program.fails) is tuple and len(c.program.fails) == 2
+    assert type(c.program.iters) is tuple and len(c.program.iters) == 2
+    with pytest.raises(TypeError):
+        c.program.fails[0] = [bytes([1]) * 257] * len(c.program.kind)
+    with pytest.raises(TypeError):
+        c.program.iters[0] = [((1,) * 257, None)] * len(c.program.kind)
+    assert parse(g, c, b"x").ok
+
+
 def test_unknown_mode_rejected():
     g = build_grammar([("S", EMPTY)], "S")
     with pytest.raises(ValueError):
@@ -250,19 +264,24 @@ def test_static_seed_sets(name, seed):
 def test_seed_sets_follow_leading_calls():
     # C leads both alternatives of S's choice, through A (after the
     # nullable W) and through B, neither of them seeded; W leads only
-    # the first.  In the left-recursive (uncertified) program the
-    # leading calls of A and B form a cycle, so B's leads take a second
-    # pass over the rules to take in D; the seed set then does not
-    # settle, and is the union of the last two.
+    # the first.
     g = load_grammar("S <- A 'x' / B 'y' ; A <- W C 'a' ; B <- C 'b' ;"
                      "C <- 'c' ; W <- ' '* ;")
     assert _seed_set(g, certify(g)) == {"C"}
+    # A program whose leading calls form a cycle memoises every rule:
+    # a left-recursive (uncertified) one, and a certified one whose
+    # cycle runs through a negation that never succeeds, which the VM
+    # takes as nullable.
     g = load_grammar("S <- A 'x' / B 'y' ; A <- B 'a' / D ;"
-                     "B <- A 'b' / C ; C <- 'c' ; D <- 'd' ;")
+                     "B <- A 'b' / C ; C <- 'c' ; D <- 'd' ; E <- 'e' ;")
     assert not check_well_formed(g).is_well_formed
-    marks = _initial_marks(_compile(g)[0])
-    assert {name for name, m in zip(g.nonterminals, marks)
-            if m == _ALWAYS} == {"A", "B", "C", "D"}
+    assert _initial_marks(_compile(g)[0]) == [_ALWAYS] * 6
+    g = load_grammar("S <- A / 'b' ; A <- !eps S 'x' / 'a' ; C <- 'c' ;")
+    cert = certify(g)
+    assert _seed_set(g, cert) == {"S", "A", "C"}
+    for data in (b"a", b"b", b"c"):
+        assert (parse(g, cert, data, mode="packrat")
+                == parse(g, cert, data) == oracle_parse(g, data))
 
 
 def _memo_run(g, cert, data, plain=True):
@@ -682,12 +701,23 @@ def _copy_program(prog, **fields):
     return twin
 
 
+def _per_mode(prog, table):
+    """A cache of ``table`` at every node of ``prog``, in each mode."""
+    return tuple([table] * len(prog.kind) for _ in range(2))
+
+
+def _no_tables_built(prog):
+    """Whether no failure or iteration table of ``prog`` is built yet."""
+    return all(t is None for cache in (prog.fails, prog.iters)
+               for tables in cache for t in tables)
+
+
 def _with_call_frames(prog):
     """A copy of ``prog`` whose value-mode leaf calls push their frame."""
     kind = tuple(trx.interp._K_NT if k == trx.interp._K_LEAF else k
                  for k in prog.kind)
-    return _copy_program(prog, kind=kind, fails=[None, None],
-                         iters=[None, None], shared={})
+    return _copy_program(prog, kind=kind, fails=_per_mode(prog, None),
+                         iters=_per_mode(prog, None), shared={})
 
 
 @pytest.mark.parametrize("e, folds", _FOLDS)
@@ -699,6 +729,34 @@ def test_value_mode_scans_agree_with_oracle(e, folds):
         want, farthest = _oracle_farthest(None, data, e)
         for mode in ("plain", "packrat"):
             out = eval_expr(e, data, mode=mode)
+            assert out == want and repr(out.value) == repr(want.value)
+            assert (out.steps, out.farthest) == (want.steps, farthest)
+
+
+@pytest.mark.parametrize("e", [
+    Action(Terminal("a"), LEAF),
+    Seq(Not(Terminal("b")), Action(AnyChar(), LEAF)),
+    Star(Action(Range("a", "b"), LEAF)),
+])
+def test_value_mode_tree_leaf_agrees_with_oracle(e):
+    # In value mode a tree.leaf action's value is a span, so it runs as
+    # an action over its matcher: bare, guarded by !, under *, and as
+    # the body of a called rule, at the start of the input and after a
+    # byte.  Every value table of the program holds Values.
+    g = build_grammar([
+        ("S", Choice(Seq(Terminal("#"), Seq(e, Terminal("#"))),
+                     Choice(Seq(e, Terminal("%")), NonTerminal("L")))),
+        ("L", e),
+    ], "S")
+    cert = certify(g)
+    prog = cert.program
+    for i, k in enumerate(prog.kind):
+        if k == trx.interp._K_MATCH1:
+            assert all(isinstance(v, Value) for v in prog.extra[i][1])
+    for data in all_inputs("ab#%", 4):
+        want, farthest = _oracle_farthest(g, data)
+        for mode in ("plain", "packrat"):
+            out = parse(g, cert, data, mode=mode)
             assert out == want and repr(out.value) == repr(want.value)
             assert (out.steps, out.farthest) == (want.steps, farthest)
 
@@ -795,9 +853,8 @@ def _without_failure_tables(prog):
     """A copy of ``prog`` whose failure and iteration tables let every
     node and every repetition's body run."""
     run_body = ((0,) * 257, None)
-    return _copy_program(
-        prog, fails=[[_NO_FAIL] * len(prog.kind) for _ in range(2)],
-        iters=[[run_body] * len(prog.kind) for _ in range(2)], shared={})
+    return _copy_program(prog, fails=_per_mode(prog, _NO_FAIL),
+                         iters=_per_mode(prog, run_body), shared={})
 
 
 def _outcome(prog, data, packrat):
@@ -841,6 +898,21 @@ def test_failure_tables_change_no_outcome(packrat):
     assert guarded > 100
 
 
+def test_failure_tables_are_tuples():
+    # Every failure table a parse builds is a tuple of 257 entries, or
+    # the empty tuple of a node that never fails on its first byte.
+    cases = ((builtin_meta_grammar(), grammar_text("peg.peg")),
+             (math_grammar(), b"1+(2*3)"),
+             (certified("xml-lite.peg"), b"<a x=\"1\"><b/>t</a>"))
+    for (g, cert), data in cases:
+        prog = cert.program
+        for mode in ("plain", "packrat"):
+            assert parse(g, cert, data, mode=mode).ok
+        built = [t for cache in prog.fails for t in cache if t is not None]
+        assert any(built) and () in built
+        assert all(type(t) is tuple and len(t) in (0, 257) for t in built)
+
+
 def test_packrat_call_through_nested_call_still_runs():
     # ``b`` fails on "z" without consuming, through the call of ``c``.
     # Plain mode skips the call; packrat runs it, since the call counts
@@ -867,7 +939,7 @@ def test_failure_tables_at_end_of_input():
     g = load_grammar("a <- b / c 'x' ; b <- 'y' 'z' ; c <- [0-9]+ ;")
     cert = certify(g)
     # Certification builds no tables; parses build them.
-    assert cert.program.fails == [None, None]
+    assert _no_tables_built(cert.program)
     twin = _without_failure_tables(cert.program)
     for data in (b"", b"1", b"y"):
         want, farthest = _oracle_farthest(g, data)
@@ -1042,7 +1114,7 @@ def test_meta_program_drops_spacing_in_one_frame():
     g = tree_wrap(build_grammar(trx.meta._meta_rules(), "grammar"))
     cert = certify(g)
     prog = cert.program
-    assert prog.fails == [None, None] and prog.iters == [None, None]
+    assert _no_tables_built(prog)
     dropped = {g.nonterminals[prog.a[i]] for i, k in enumerate(prog.kind)
                if k == trx.interp._K_TDNT}
     assert dropped == {"spacing"}
@@ -1054,7 +1126,7 @@ def test_meta_program_drops_spacing_in_one_frame():
         assert parse(g, cert, grammar_text(name)).ok
     assert parse(g, cert, b'a <- "x" ;').ok
     assert all(prog.iters[0][i] is not None for i in stars)
-    assert prog.iters[1] is None
+    assert all(t is None for t in prog.iters[1])
     # Spacing's table: a space costs its matcher's steps and the
     # choice's, '#' runs the comment, and any other byte and end of
     # input end the repetition in plain mode; in packrat mode the call
