@@ -314,7 +314,8 @@ def check_well_formed(g: Grammar, *, simplified: bool = False) -> WfReport:
 
     is_wf = len(wf) == len(exprs)
     offenders = [] if is_wf else _offenders(g, exprs, wf, premises)
-    cert = Certificate(g, _CERT_KEY) if is_wf and not simplified else None
+    cert = (Certificate(g, _CERT_KEY, props) if is_wf and not simplified
+            else None)
     return WfReport(g, wf, is_wf, offenders, iterations, simplified, cert,
                     props)
 

@@ -32,7 +32,7 @@ from .interp import MemoTable, memo_stats, parse_to_tree
 from .mathdemo import evaluate, math_grammar
 from .meta import PegSyntaxError, line_col, load_grammar_source
 from .selftest import run_selftest
-from .values import tree_json_text, tree_to_json
+from .values import tree_json_text
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -156,26 +156,29 @@ def cmd_parse(args) -> int:
     if args.json:
         print(tree_json_text(out.value, data))
     else:
-        _print_tree(tree_to_json(out.value, data))
+        _print_tree(out.value, data)
     if args.mode == "packrat":
         print("memo: %r" % (memo_stats(memo),), file=sys.stderr)
     return EXIT_OK
 
 
-def _print_tree(doc: dict, indent: int = 0):
-    # Depth first with an explicit stack, so trees of any depth print.
-    todo = [(doc, indent)]
+def _print_tree(root, data: bytes):
+    # Depth first with an explicit stack over the nodes themselves, as
+    # values.tree_json_text walks them, so trees of any depth print.
+    text = data.decode("ascii") if data.isascii() else None
+    todo = [(root, 0)]
     while todo:
-        doc, indent = todo.pop()
+        node, indent = todo.pop()
         pad = "  " * indent
-        if "rule" in doc:
-            print("%s%s [%d:%d]" % (pad, doc["rule"], doc["start"],
-                                    doc["end"]))
+        start, end = node.start, node.end
+        if node.rule:
+            print("%s%s [%d:%d]" % (pad, node.rule, start, end))
             todo.extend([(child, indent + 1)
-                         for child in reversed(doc["children"])])
+                         for child in reversed(node.children)])
         else:
-            print("%s%r [%d:%d]" % (pad, doc["text"], doc["start"],
-                                    doc["end"]))
+            leaf = (text[start:end] if text is not None else
+                    data[start:end].decode("utf-8", "replace"))
+            print("%s%r [%d:%d]" % (pad, leaf, start, end))
 
 
 def cmd_bench(args) -> int:
@@ -317,8 +320,8 @@ def main(argv=None) -> int:
     except RecursionError:
         if not hasattr(args, "grammar"):
             raise
-        # Loading, tree-wrapping, compiling and printing expressions
-        # recurse once per nesting level of the grammar.
+        # Loading, tree-wrapping and compiling recurse once per nesting
+        # level of the grammar.
         _err("%s: grammar nested too deeply to process (Python recursion "
              "limit)" % args.grammar)
         return EXIT_USAGE

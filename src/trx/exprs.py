@@ -502,63 +502,72 @@ def expr_text(e: Expr, prec: int = _PREC_CHOICE) -> str:
     Tree-shaping wrappers print as their inner expression; drop prints
     as ``~``; the expansions of literals, ``e+`` and ``e?`` are folded
     back into their textual forms, and so is ``e e*`` with one ``e``
-    node, cons action or not, as ``e+``.  Other action labels are not
-    expressible in the textual format and print as their inner
-    expression.
+    node, cons action or not, as ``e+``.  The built-in actions are
+    recognised by identity; other actions, embedders' ones with the
+    same labels included, are not expressible in the textual format
+    and print as their inner expression.  Expressions of any depth
+    print: pieces of text and (expression, precedence) pairs still to
+    print wait on an explicit stack.
     """
+    out = []
+    todo = [(e, prec)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        e, prec = item
+        parts, here = _text_parts(e, prec)
+        if here < prec:
+            parts = ["(", *parts, ")"]
+        todo.extend(reversed(parts))
+    return "".join(out)
+
+
+def _text_parts(e: Expr, prec: int) -> tuple:
+    """The pieces of e's text, strings and (expression, precedence)
+    pairs, and e's own precedence; ``prec`` is the context's, which a
+    transparent action passes on."""
     t = type(e)
     if t is Empty:
-        return "eps"
+        return ["eps"], _PREC_ATOM
     if t is AnyChar:
-        return "."
+        return ["."], _PREC_ATOM
     if t is Terminal:
         # A one-character class reparses to a bare Terminal in every
         # context; a quoted literal would pick up the string-collecting
         # action.
-        return "[%s]" % _quote_char(e.code, _CLASS_ESCAPES)
+        return ["[%s]" % _quote_char(e.code, _CLASS_ESCAPES)], _PREC_ATOM
     if t is Range:
-        return "[%s-%s]" % (_quote_char(e.lo, _CLASS_ESCAPES),
-                            _quote_char(e.hi, _CLASS_ESCAPES))
+        return ["[%s-%s]" % (_quote_char(e.lo, _CLASS_ESCAPES),
+                             _quote_char(e.hi, _CLASS_ESCAPES))], _PREC_ATOM
     if t is NonTerminal:
-        return e.name
+        return [e.name], _PREC_ATOM
     if t is Seq:
         left, right = e.left, e.right
         if type(right) is Star and right.inner is left:
-            return _wrap("%s+" % expr_text(left, _PREC_ATOM),
-                         _PREC_POSTFIX, prec)
-        s = "%s %s" % (expr_text(left, _PREC_PREFIX),
-                       expr_text(right, _PREC_SEQ))
-        return _wrap(s, _PREC_SEQ, prec)
+            return [(left, _PREC_ATOM), "+"], _PREC_POSTFIX
+        return [(left, _PREC_PREFIX), " ", (right, _PREC_SEQ)], _PREC_SEQ
     if t is Choice:
         first, second = e.first, e.second
         if (type(first) is Action and type(second) is Action
-                and first.ref.label == "some"
-                and second.ref.label == "none"):
-            return _wrap("%s?" % expr_text(first.inner, _PREC_ATOM),
-                         _PREC_POSTFIX, prec)
-        s = "%s / %s" % (expr_text(first, _PREC_SEQ),
-                         expr_text(second, _PREC_CHOICE))
-        return _wrap(s, _PREC_CHOICE, prec)
+                and first.ref is SOME and second.ref is NONE):
+            return [(first.inner, _PREC_ATOM), "?"], _PREC_POSTFIX
+        return ([(first, _PREC_SEQ), " / ", (second, _PREC_CHOICE)],
+                _PREC_CHOICE)
     if t is Star:
-        return _wrap("%s*" % expr_text(e.inner, _PREC_ATOM), _PREC_POSTFIX, prec)
+        return [(e.inner, _PREC_ATOM), "*"], _PREC_POSTFIX
     if t is Not:
-        return _wrap("!%s" % expr_text(e.inner, _PREC_PREFIX), _PREC_PREFIX, prec)
+        return ["!", (e.inner, _PREC_PREFIX)], _PREC_PREFIX
     if t is Action:
-        label = e.ref.label
-        if label == "drop":
-            return _wrap("~%s" % expr_text(e.inner, _PREC_PREFIX),
-                         _PREC_PREFIX, prec)
-        if label == "tuple2str":
+        if e.ref is DROP:
+            return ["~", (e.inner, _PREC_PREFIX)], _PREC_PREFIX
+        if e.ref is TUPLE2STR:
             chain = terminal_chain(e.inner)
             if chain is not None:
-                return _quote_literal(chain)
-            return expr_text(e.inner, prec)
+                return [_quote_literal(chain)], _PREC_ATOM
         # some/none are handled at the enclosing Choice and cons at its
         # Seq; tree shapers and embedder actions are transparent in the
         # textual projection.
-        return expr_text(e.inner, prec)
+        return [(e.inner, prec)], prec
     raise TypeError("not a parsing expression: %r" % (e,))
-
-
-def _wrap(s: str, here: int, outer: int) -> str:
-    return "(%s)" % s if here < outer else s

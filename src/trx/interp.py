@@ -9,16 +9,17 @@ byte-identical outcomes, steps included.
 Packrat mode memoises the outcomes of rule applications, keyed by
 (production, position), but only of the rules a parse can call again
 at a position.  Two parts decide which.  The static seed set, computed
-on a program's first packrat parse, holds every rule that both
-alternatives of one choice can call at the choice's own position other
-than from inside another seeded rule; it is memoised from the start.
-A program whose leading calls form a cycle memoises every rule.
-Every other rule carries a per-parse watermark, the highest position
-it has been called at: a call at or below it may be a re-entry, so
-from that call on the rule is memoised.  So no rule body runs more
-than twice at one position, and packrat stays linear within a factor
-of two also on re-entries no choice shows, while a grammar that never
-re-enters a rule (xml-lite) makes no memo entries at all.
+on a program's first packrat parse from the nullability flags of the
+certificate's analysis, holds every rule that both alternatives of one
+choice can call at the choice's own position other than from inside
+another seeded rule; it is memoised from the start.  A program
+compiled without a certificate (eval_expr) memoises every rule.  Every
+other rule carries a per-parse watermark, the highest position it has
+been called at: a call at or below it may be a re-entry, so from that
+call on the rule is memoised.  So no rule body runs more than twice at
+one position, and packrat stays linear within a factor of two also on
+re-entries no choice shows, while a grammar that never re-enters a
+rule (xml-lite) makes no memo entries at all.
 
 Evaluation runs on an explicit heap-allocated frame stack, so input
 nesting depth is bounded by memory, not the Python recursion limit;
@@ -125,23 +126,23 @@ tables are one object.
 Iteration tables.  A repetition that is not a SCAN (Ford's
 ``([ \\t\\r\\n] / comment)*``, or an operator star ``(a / b / c)*`` of
 calls) has an iteration table per mode, of 257 entries indexed like a
-failure table and built from the failure tables of its body's
-alternatives, the parts of its choice chain (after LPeg's span and
-test instructions).  An entry t > 0 means the body, started on that
-byte, succeeds in t steps by consuming just that byte through a
-one-byte matcher after the alternatives before it fail there: in tree
-mode as a leaf span (any other success makes the entry 0), in value
-mode with that byte's entry of the matcher's value table.
-An entry t < 0 means the body fails there in -t steps; 0 means it must
-run.  The VM loops over the input while the entries are positive,
-adding t + 1 steps each.  On a negative entry the repetition ends
-without a frame, adding -t + 1, with ``farthest`` at least the
-position; on 0 it pushes the repetition's frame with the steps and the
-span so far and runs the body, and comes back to the table after each
-iteration that ran it.  In packrat mode a call's failure table is 0, so
-no entry skips a call and memo statistics do not change.  Iteration
-tables, like failure tables, are built the first time a parse reaches
-their repetition.
+failure table: the byte tables' choice rule folded over the tables of
+its body's alternatives, the parts of its choice chain (after LPeg's
+span and test instructions).  An entry t > 0 means the body, started
+on that byte, succeeds in t steps by consuming just that byte through
+a one-byte matcher after the alternatives before it fail there by
+their failure tables: in tree mode as a leaf span (any other success
+makes the entry 0), in value mode with that byte's entry of the
+matcher's value table.  An entry t < 0 means the body fails there in
+-t steps; 0 means it must run.  The VM loops over the input while the
+entries are positive, adding t + 1 steps each.  On a negative entry
+the repetition ends without a frame, adding -t + 1, with ``farthest``
+at least the position; on 0 it pushes the repetition's frame with the
+steps and the span so far and runs the body, and comes back to the
+table after each iteration that ran it.  In packrat mode a call's
+failure table is 0, so no entry skips a call and memo statistics do
+not change.  Iteration tables, like failure tables, are built the
+first time a parse reaches their repetition.
 
 Certification compiles the program once and the Certificate carries
 it, so parse() runs exactly the grammar that was certified.
@@ -181,17 +182,18 @@ class Certificate:
 
     Only trx.analysis.check_well_formed constructs these; they bind to
     the grammar object identity that was analyzed and carry the VM
-    program compiled from it, which is what parse() runs.  Neither can
-    be reassigned or deleted afterwards.
+    program compiled from it, with the analysis's nullability flags,
+    which is what parse() runs.  Neither can be reassigned or deleted
+    afterwards.
     """
 
     __slots__ = ("grammar", "program")
 
-    def __init__(self, grammar: Grammar, key=None):
+    def __init__(self, grammar: Grammar, key=None, props=None):
         if key is not _CERT_KEY:
             raise TypeError("certificates are issued by check_well_formed()")
         object.__setattr__(self, "grammar", grammar)
-        object.__setattr__(self, "program", _compile(grammar)[0])
+        object.__setattr__(self, "program", _compile(grammar, props=props)[0])
 
     def __setattr__(self, name, value):
         raise AttributeError("certificates are immutable")
@@ -334,7 +336,10 @@ class _Program:
     item.  Every node is reachable from ``prod_body`` (or from the roots
     it was compiled for).  ``tree`` is set when the program was compiled
     from a tree-shaped grammar, and its choices, negations and
-    repetitions are those of value mode.
+    repetitions are those of value mode.  ``null`` holds, per node, the
+    analysis's "can succeed without consuming" flag of the expression
+    the node was compiled from (an ``m x*`` scan item has m's), or is
+    None for a program compiled without a certificate.
 
     A program is sealed when it is made: the arrays are tuples and no
     attribute can be set or deleted, so a certificate's program stays
@@ -352,9 +357,9 @@ class _Program:
     """
 
     __slots__ = ("kind", "a", "b", "extra", "prod_body", "start", "tree",
-                 "marks", "fails", "iters", "shared")
+                 "null", "marks", "fails", "iters", "shared")
 
-    def __init__(self, kind, a, b, extra, prod_body, start, tree):
+    def __init__(self, kind, a, b, extra, prod_body, start, tree, null):
         init = object.__setattr__
         init(self, "kind", tuple(kind))
         init(self, "a", tuple(a))
@@ -363,6 +368,7 @@ class _Program:
         init(self, "prod_body", tuple(prod_body))
         init(self, "start", start)
         init(self, "tree", tree)
+        init(self, "null", null)
         init(self, "marks", None)
         init(self, "fails", ([None] * len(kind), [None] * len(kind)))
         init(self, "iters", ([None] * len(kind), [None] * len(kind)))
@@ -506,10 +512,13 @@ class _ByteTables:
 
 
 # The tables _ByteTables derives: of a choice of two matchers, of a
-# guard in front of a matcher, of a negation and of an action.
+# guard in front of a matcher, of a negation and of an action.  A choice
+# also folds an iteration table (see _iter_table), whose 0 entries,
+# which no byte-local table has, mean "must run".
 
 def _choice_steps(sa, sb):
-    return tuple([x + 1 if x > 0 else y - x + 1 if y > 0 else x + y - 1
+    return tuple([x + 1 if x > 0 else 0 if not (x and y)
+                  else y - x + 1 if y > 0 else x + y - 1
                   for x, y in zip(sa, sb)])
 
 
@@ -610,8 +619,12 @@ def _as_lit(e: Expr):
     return (data, 2 * k - 1, fails, _spine_value(data))
 
 
-def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
+def _compile(g: Grammar | None, roots=(),
+             props=None) -> tuple[_Program, list[int]]:
+    """The program of ``g`` and the nodes of ``roots``.  ``props``, the
+    PropertyTable of a certified ``g``, gives the program its ``null``."""
     kind, aa, bb, extras, prod_body = [], [], [], [], []
+    sources = []                    # the expression each node runs
     start = -1
     tree_mode = bool(g is not None and g.tree_shaped)
     index = {}
@@ -626,7 +639,8 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
         # collector action holds, not a new slice of the action label.
         rule_names = {_NODE_PREFIX + name: name for name in g.nonterminals}
 
-    def emit(k, a=-1, b=-1, extra=None) -> int:
+    def emit(e, k, a=-1, b=-1, extra=None) -> int:
+        sources.append(e)
         kind.append(k)
         aa.append(a)
         bb.append(b)
@@ -652,7 +666,7 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
                                      1, i + 2 == len(parts))
                     if i + 1 < len(parts) else None)
             if plus is not None:
-                items.append(emit(_K_SCAN, extra=plus))
+                items.append(emit(parts[i], _K_SCAN, extra=plus))
                 i += 2
             else:
                 items.append(visit(parts[i]))
@@ -677,31 +691,31 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
             if m is not None and m[1] is not None:
                 scan = _scan_descriptor(m[0], m[1], tree_mode)
                 if scan is not None:
-                    node = emit(_K_SCAN, extra=scan)
+                    node = emit(e, _K_SCAN, extra=scan)
             if node is None:
-                node = emit(_K_STAR, visit(e.inner))
+                node = emit(e, _K_STAR, visit(e.inner))
         elif t is NonTerminal:
-            node = emit(_K_TNT if tree_mode else _K_NT, production(e))
+            node = emit(e, _K_TNT if tree_mode else _K_NT, production(e))
         elif t is Empty:
-            node = emit(_K_EMPTY)
+            node = emit(e, _K_EMPTY)
         else:
             m = tables(e)
             if m is not None:
-                node = emit(_K_PRED if m[1] is None else _K_MATCH1, extra=m)
+                node = emit(e, _K_PRED if m[1] is None else _K_MATCH1, extra=m)
             else:
                 lit = _as_lit(e)
                 if lit is not None:
-                    node = emit(_K_LIT, extra=lit)
+                    node = emit(e, _K_LIT, extra=lit)
                 elif t is Seq and tree_mode:
                     items = seq_items(e)
                     node = (items[0] if len(items) == 1
-                            else emit(_K_TSEQ, items[0], extra=items))
+                            else emit(e, _K_TSEQ, items[0], extra=items))
                 elif t is Seq:
-                    node = emit(_K_SEQ, visit(e.left), visit(e.right))
+                    node = emit(e, _K_SEQ, visit(e.left), visit(e.right))
                 elif t is Choice:
-                    node = emit(_K_CHOICE, visit(e.first), visit(e.second))
+                    node = emit(e, _K_CHOICE, visit(e.first), visit(e.second))
                 elif t is Not:
-                    node = emit(_K_NOT, visit(e.inner))
+                    node = emit(e, _K_NOT, visit(e.inner))
                 elif t is Action and not tree_mode:
                     # ``x+`` and ``~x*`` are one scan each.
                     inner = e.inner
@@ -713,19 +727,19 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
                         x = tables(inner.inner)
                         if x is not None and x[1] is not None:
                             scan = _scan_descriptor(x[0], None, False, 2)
-                    node = (emit(_K_SCAN, extra=scan) if scan is not None
-                            else emit(_K_ACT, visit(inner), extra=e.ref))
+                    node = (emit(e, _K_SCAN, extra=scan) if scan is not None
+                            else emit(e, _K_ACT, visit(inner), extra=e.ref))
                 elif t is Action:
                     label = e.ref.label
                     if label.startswith(_NODE_PREFIX):
                         rule = rule_names.get(label,
                                               label[len(_NODE_PREFIX):])
-                        node = emit(_K_NODE, visit(e.inner), extra=rule)
+                        node = emit(e, _K_NODE, visit(e.inner), extra=rule)
                     elif e.ref is not LEAF and type(e.inner) is NonTerminal:
                         # A drop of a call (see the post-pass below).
-                        node = emit(_K_TDNT, production(e.inner))
+                        node = emit(e, _K_TDNT, production(e.inner))
                     else:
-                        node = emit(_K_TACT, visit(e.inner),
+                        node = emit(e, _K_TACT, visit(e.inner),
                                     extra=e.ref is LEAF)
                 else:
                     raise TypeError("not a parsing expression: %r" % (e,))
@@ -759,7 +773,8 @@ def _compile(g: Grammar | None, roots=()) -> tuple[_Program, list[int]]:
                     kind[i], bb[i], extras[i] = _K_LEAF, body, _NO_ACTION
                 elif kind[body] == _K_ACT and kind[aa[body]] >= _K_EMPTY:
                     kind[i], bb[i], extras[i] = _K_LEAF, aa[body], extras[body]
-    return (_Program(kind, aa, bb, extras, prod_body, start, tree_mode),
+    null = None if props is None else tuple(map(props.can_empty, sources))
+    return (_Program(kind, aa, bb, extras, prod_body, start, tree_mode, null),
             root_ids)
 
 
@@ -774,66 +789,34 @@ def _initial_marks(prog: _Program) -> list:
     The seed set holds every rule that both alternatives of one choice
     can call at the choice's own position, so that the second
     alternative may call it where the first already did.  A rule leads
-    an expression through nullable prefixes, negations, repetitions,
+    an expression through prefixes that can succeed empty (the
+    certificate's flags, ``prog.null``), negations, repetitions,
     actions and the bodies of leading rules, but not through the body
     of a seeded rule: a seeded rule's second call there is a memo hit,
     which runs no body.  Rule sets are bit masks over production
     indices, and a node's children have lower indices than the node.
 
-    Nullability is a least fixpoint, found with a worklist.  A node's
-    direct leads (not through a called rule's body) take one pass in
-    index order.  Then one pass over the rules, callers first, decides
-    the seed set: a rule's membership depends only on the rules that
-    lead to it, which come before it.  A rule is seeded when the first
-    and the second alternative of some choice both lead to it;
+    A node's direct leads (not through a called rule's body) take one
+    pass in index order.  Then one pass over the rules, callers first,
+    decides the seed set: a rule's membership depends only on the rules
+    that lead to it, which come before it.  A rule is seeded when the
+    first and the second alternative of some choice both lead to it;
     otherwise it passes the choices that lead to it on to the rules it
-    leads.  A program whose leading calls form a cycle memoises every
-    rule.  That is left recursion, which only an uncertified program
-    (eval_expr) has, or a cycle through a negation, which the VM takes
-    as nullable also where it cannot succeed (``A <- !eps A / 'a'``).
+    leads.  Every lead is a well-formedness premise, so a certified
+    program's leading calls form no cycle.  A program compiled without
+    a certificate (eval_expr) has no flags and memoises every rule.
     """
-    kind, aa, bb, extra, body = (prog.kind, prog.a, prog.b, prog.extra,
-                                 prog.prod_body)
-    calls = (_K_NT, _K_LEAF, _K_TNT, _K_TLEAF, _K_TDLEAF, _K_TDNT)
-    seqs = (_K_SEQ, _K_TSEQ)
-    null = [False] * len(kind)      # can succeed without consuming
-    need = [1] * len(kind)          # parts yet to become nullable
-    users = [[] for _ in kind]      # the nodes each node is a part of
-    todo = []
-    for i, k in enumerate(kind):
-        if k in calls:
-            parts = (body[aa[i]],)
-        elif k in seqs:
-            parts = _seq_parts(prog, i)
-            need[i] = len(parts)
-        elif k == _K_CHOICE:
-            parts = (aa[i], bb[i])
-        elif k == _K_ACT or k == _K_TACT or k == _K_NODE:
-            parts = (aa[i],)
-        else:
-            # Repetitions and negations always are; of the
-            # superinstructions, these never are.
-            parts = ()
-            if not (k == _K_MATCH1 or k == _K_LIT
-                    or k == _K_SCAN and extra[i][4] is not None):
-                todo.append(i)
-        for x in parts:
-            users[x].append(i)
-    while todo:
-        i = todo.pop()
-        null[i] = True
-        for u in users[i]:
-            need[u] -= 1
-            if need[u] == 0:
-                todo.append(u)
-
+    kind, aa, bb, extra, body, null = (prog.kind, prog.a, prog.b, prog.extra,
+                                       prog.prod_body, prog.null)
+    if null is None:
+        return [_ALWAYS] * len(body)
     direct = [0] * len(kind)        # rules called at the node's position
     for i, k in enumerate(kind):
-        if k in calls:
+        if _K_TNT <= k <= _K_LEAF:  # a call
             direct[i] = 1 << aa[i]
-        elif k in seqs:
+        elif k == _K_SEQ or k == _K_TSEQ:
             out = 0
-            for x in _seq_parts(prog, i):
+            for x in extra[i] if k == _K_TSEQ else (aa[i], bb[i]):
                 out |= direct[x]
                 if not null[x]:
                     break
@@ -860,8 +843,8 @@ def _initial_marks(prog: _Program) -> list:
                     stack.append((q, iter(callees[q])))
                     break
                 if state[q] == 1:
-                    # A cycle of leading calls.
-                    return [_ALWAYS] * len(body)
+                    raise InvariantViolation(
+                        "leading calls form a cycle in a certified program")
             else:
                 stack.pop()
                 state[p] = 2
@@ -900,15 +883,10 @@ def _bits(mask: int) -> list:
     return out
 
 
-def _seq_parts(prog: _Program, i: int):
-    """The parts of sequence node ``i``, in order."""
-    if prog.kind[i] == _K_TSEQ:
-        return prog.extra[i]
-    return prog.a[i], prog.b[i]
-
-
-# The failure table of a node that never fails on its first byte alone.
+# The failure table of a node that never fails on its first byte alone,
+# and that table written out (see _iter_table).
 _NO_FAIL = ()
+_MUST_RUN = (0,) * 257
 
 
 def _fail_table(prog: _Program, tables: list, root: int, packrat: bool):
@@ -986,17 +964,14 @@ def _fail_table(prog: _Program, tables: list, root: int, packrat: bool):
 def _iter_table(prog: _Program, fails: list, iters: list, root: int,
                 packrat: bool):
     """The iteration table of repetition ``root`` for one mode, built now
-    from its body's alternatives and their failure tables (built too,
-    into ``fails``), and stored in ``iters`` (see the module docstring).
-
-    The alternatives are the parts of the body's right-nested choice
-    chain, or the body alone.  An entry is (steps, values): on byte b,
-    steps[b] > 0 when the alternatives before a one-byte matcher fail
-    there by their failure tables, and the matcher then consumes b (in
-    tree mode as a leaf span): the body succeeds in that many steps
-    with values[b] (None in tree mode).  steps[b] < 0 when every
-    alternative fails by its table, in -steps[b] steps; otherwise it is
-    0 and the body runs.
+    and stored in ``iters`` (see the module docstring): the choice rule
+    (_choice_steps and _choice_values) folded from the right over the
+    body's alternatives, the parts of its right-nested choice chain or
+    the body alone.  An alternative's table has 0 for "must run": a
+    one-byte matcher's is its step table, where in tree mode a success
+    that is not a leaf span is 0, and any other node's is its failure
+    table, built into ``fails``, negated.  In tree mode there is no
+    value table (None).
     """
     kind, aa, bb, extra = prog.kind, prog.a, prog.b, prog.extra
     alts = []
@@ -1005,36 +980,23 @@ def _iter_table(prog: _Program, fails: list, iters: list, root: int,
         alts.append(aa[x])
         x = bb[x]
     alts.append(x)
-    last = len(alts) - 1
-    tables = [extra[x] if kind[x] == _K_MATCH1
-              else _fail_table(prog, fails, x, packrat) for x in alts]
     tree = prog.tree
-    steps = [0] * 257
-    values = None if tree else [None] * 256
-    for b in range(257):
-        acc = 0
-        for j, x in enumerate(alts):
-            if j < last:
-                acc += 1                 # the choice's step
-            if kind[x] == _K_MATCH1:
-                tab, vals = tables[j]
-                t = tab[b]
-                if t < 0:
-                    acc -= t
-                    continue
-                if (vals[b] is _SPAN) == tree:
-                    steps[b] = acc + t
-                    if values is not None:
-                        values[b] = vals[b]
-                break
-            t = tables[j][b] if tables[j] else 0
-            if not t:
-                break
-            acc += t
+    steps = values = None
+    for x in reversed(alts):
+        if kind[x] != _K_MATCH1:
+            s = tuple([-t for t in _fail_table(prog, fails, x, packrat)
+                       or _MUST_RUN])
         else:
-            steps[b] = -acc
-    out = iters[root] = (tuple(steps),
-                         None if values is None else tuple(values))
+            s, v = extra[x]
+            if tree:
+                s = tuple([0 if t > 0 and v[b] is not _SPAN else t
+                           for b, t in enumerate(s)])
+            elif values is None or v is values:
+                values = v
+            else:
+                values = _choice_values(s, v, values)
+        steps = s if steps is None else _choice_steps(s, steps)
+    out = iters[root] = (steps, values)
     return out
 
 

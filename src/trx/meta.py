@@ -29,7 +29,7 @@ import weakref
 from dataclasses import dataclass
 
 from .analysis import Certificate, certify
-from .exprs import (ANY, CONS, DROP, INTERN_LOCK, LEAF, NONE,
+from .exprs import (ANY, CONS, INTERN_LOCK, LEAF, NONE,
                     NODE_PREFIX as _NODE_PREFIX, SOME, TUPLE2STR, Action,
                     ActionRef, And, AnyChar, CharClass, Choice, Drop, EMPTY,
                     Expr, Grammar, Literal, NonTerminal, Not, Optional, Plus,
@@ -144,23 +144,22 @@ def _tree_wrap_expr(e: Expr, memo: dict) -> Expr:
         out = Star(_tree_wrap_expr(e.inner, memo))
     elif t is Action and e.ref in _STRIPPED:
         out = _tree_wrap_expr(e.inner, memo)
-    elif t is Action:
-        ref = e.ref
-        if not (ref is DROP or ref is LEAF
-                or ref.label.startswith(_NODE_PREFIX)):
-            raise ValueError("textual grammars carry only built-in "
-                             "tree-shaping actions, not %r" % ref.label)
-        out = e
     else:
-        # Empty, NonTerminal, and Not: lookahead values are discarded,
-        # so the inside of a Not is left untouched.
+        # Empty, NonTerminal, Not (lookahead values are discarded, so
+        # the inside of a Not is left untouched) and the other actions,
+        # which Grammar(tree_shaped=True) accepts only when they are
+        # tree shapers or drops.
         out = e
     memo[e] = out
     return out
 
 
 def tree_wrap(g: Grammar) -> Grammar:
-    """Install the built-in tree shapers on every production (idempotent)."""
+    """Install the built-in tree shapers on every production (idempotent).
+
+    Raises ValueError, as Grammar(tree_shaped=True) does, when ``g``
+    holds an action other than a built-in one outside ``!`` and ``~``.
+    """
     productions = {}
     memo = {}
     for name in g.nonterminals:

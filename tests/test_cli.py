@@ -64,6 +64,21 @@ def test_check_left_recursive_variant(capsys, tmp_path):
     assert all("line" in o for o in doc["offenders"])
 
 
+def test_check_reports_long_ill_formed_sequence(capsys, tmp_path):
+    # The offender's text is printed without recursion per item, so the
+    # verdict is reported (exit 1), not "nested too deeply" (exit 2).
+    items = " ".join("'%s'" % chr(97 + i % 26) for i in range(3000))
+    path = tmp_path / "long.peg"
+    path.write_text("a <- eps* %s ;" % items)
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 1 and "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["wellFormed"] is False
+    texts = [o["expression"] for o in doc["offenders"]]
+    assert "eps*" in texts
+    assert any(t.startswith("eps* [a] [b]") for t in texts)
+
+
 def test_check_simplified_mode_diverges_on_guarded_recursion(capsys, tmp_path):
     path = tmp_path / "guard.peg"
     path.write_text("A <- !eps A ;")

@@ -347,6 +347,36 @@ def test_expr_text_examples():
     assert expr_text(Seq(x, Star(other))) == "([a] / b) ([a] / c)*"
 
 
+def test_expr_text_knows_built_in_actions_by_identity():
+    # Only the built-in drop, tuple2str, some and none print as ``~``, a
+    # literal and ``?``; an embedder's action with one of their labels
+    # is transparent, as every other embedder action is.
+    ab = Seq(Terminal("a"), Terminal("b"))
+    assert expr_text(Drop(ab)) == "~([a] [b])"
+    assert expr_text(Literal("ab")) == "'ab'"
+    assert expr_text(Optional(ab)) == "([a] [b])?"
+    f = ActionRef("probe", lambda v: v).fn
+    like = {label: ActionRef(label, f)
+            for label in ("drop", "tuple2str", "some", "none")}
+    assert expr_text(Action(ab, like["drop"])) == "[a] [b]"
+    assert expr_text(Seq(Action(ab, like["drop"]), ANY)) == "([a] [b]) ."
+    assert expr_text(Action(ab, like["tuple2str"])) == "[a] [b]"
+    assert expr_text(Choice(Action(ab, like["some"]),
+                            Action(EMPTY, like["none"]))) == "[a] [b] / eps"
+
+
+def test_expr_text_of_deep_expressions():
+    # An explicit stack: no recursion per level of nesting.
+    e = Terminal("x")
+    for _ in range(3 * sys.getrecursionlimit()):
+        e = Not(e)
+    assert expr_text(e) == "!" * (3 * sys.getrecursionlimit()) + "[x]"
+    e, want = Terminal("x"), "[x]"
+    for _ in range(3 * sys.getrecursionlimit()):
+        e, want = Seq(Terminal("a"), Choice(e, EMPTY)), "[a] (%s / eps)" % want
+    assert expr_text(e) == want
+
+
 def test_iter_subexprs_yields_each_node_once():
     # Nested + holds each level twice; the walk visits it once, in the
     # order of first occurrences.

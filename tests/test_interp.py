@@ -268,20 +268,31 @@ def test_seed_sets_follow_leading_calls():
     g = load_grammar("S <- A 'x' / B 'y' ; A <- W C 'a' ; B <- C 'b' ;"
                      "C <- 'c' ; W <- ' '* ;")
     assert _seed_set(g, certify(g)) == {"C"}
-    # A program whose leading calls form a cycle memoises every rule:
-    # a left-recursive (uncertified) one, and a certified one whose
-    # cycle runs through a negation that never succeeds, which the VM
-    # takes as nullable.
+    # A program compiled without a certificate has no nullability flags
+    # and memoises every rule, left-recursive or not.
+    assert _compile(g)[0].null is None
+    assert _initial_marks(_compile(g)[0]) == [_ALWAYS] * 5
     g = load_grammar("S <- A 'x' / B 'y' ; A <- B 'a' / D ;"
                      "B <- A 'b' / C ; C <- 'c' ; D <- 'd' ; E <- 'e' ;")
     assert not check_well_formed(g).is_well_formed
     assert _initial_marks(_compile(g)[0]) == [_ALWAYS] * 6
+    # `!eps` never succeeds, so the analysis's flag says it cannot
+    # succeed empty: the leads of `!eps S 'x'` stop there, S is not led
+    # by A, and the seed set is empty.
     g = load_grammar("S <- A / 'b' ; A <- !eps S 'x' / 'a' ; C <- 'c' ;")
     cert = certify(g)
-    assert _seed_set(g, cert) == {"S", "A", "C"}
-    for data in (b"a", b"b", b"c"):
+    assert _seed_set(g, cert) == set()
+    for data in (b"a", b"b", b"c", b"ax", b""):
         assert (parse(g, cert, data, mode="packrat")
                 == parse(g, cert, data) == oracle_parse(g, data))
+    # Every lead is a well-formedness premise, so with the certificate's
+    # flags leading calls form no cycle; flags that take `!eps` as
+    # nullable close one, which the seed-set pass reports as a broken
+    # invariant.
+    forged = _copy_program(cert.program, marks=None,
+                           null=(True,) * len(cert.program.kind))
+    with pytest.raises(InvariantViolation):
+        _initial_marks(forged)
 
 
 def _memo_run(g, cert, data, plain=True):
@@ -694,7 +705,11 @@ _SPAN = ActionRef("span", lambda v, start, end: User((repr(v), start, end)),
 
 
 def _copy_program(prog, **fields):
-    """A copy of the sealed program ``prog`` with ``fields`` replaced."""
+    """A copy of the sealed program ``prog`` with ``fields`` replaced.
+
+    The twins below carry the program's nullability flags (``null``)
+    but not its seed set (``marks``): a packrat run of a twin computes
+    its own, which the memo statistics compared below depend on."""
     twin = object.__new__(type(prog))
     for name in type(prog).__slots__:
         object.__setattr__(twin, name, fields.get(name, getattr(prog, name)))
@@ -716,7 +731,8 @@ def _with_call_frames(prog):
     """A copy of ``prog`` whose value-mode leaf calls push their frame."""
     kind = tuple(trx.interp._K_NT if k == trx.interp._K_LEAF else k
                  for k in prog.kind)
-    return _copy_program(prog, kind=kind, fails=_per_mode(prog, None),
+    return _copy_program(prog, kind=kind, marks=None, null=prog.null,
+                         fails=_per_mode(prog, None),
                          iters=_per_mode(prog, None), shared={})
 
 
@@ -853,7 +869,8 @@ def _without_failure_tables(prog):
     """A copy of ``prog`` whose failure and iteration tables let every
     node and every repetition's body run."""
     run_body = ((0,) * 257, None)
-    return _copy_program(prog, fails=_per_mode(prog, _NO_FAIL),
+    return _copy_program(prog, marks=None, null=prog.null,
+                         fails=_per_mode(prog, _NO_FAIL),
                          iters=_per_mode(prog, run_body), shared={})
 
 

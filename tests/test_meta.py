@@ -400,3 +400,17 @@ def test_long_sequences_load():
     items = spine(load_grammar("a <- '%s' ;" % ("x" * 3000))
                   .productions["a"].inner)
     assert items == [x_leaf] * 3000
+
+
+def test_long_sequences_dump_and_reload():
+    # Printing an expression walks it with an explicit stack, so a
+    # sequence of any length dumps, and the dump loads to the same
+    # grammar.
+    for body in (" ".join("'%s'" % chr(97 + i % 26) for i in range(1000)),
+                 " ".join("!'%s'" % chr(97 + i % 26) for i in range(3000))
+                 + " 'x'"):
+        g = load_grammar("a <- %s ;" % body)
+        dumped = dump_grammar(g)
+        assert load_grammar(dumped) == g
+    assert dump_grammar(load_grammar("a <- 'a' 'b' 'c' ;")) == \
+        "a <- [a] [b] [c] ;\n"
