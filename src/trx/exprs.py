@@ -17,9 +17,10 @@ encoded as UTF-8 and matched byte by byte.
 from __future__ import annotations
 
 import threading
-import weakref
+from _weakref import _remove_dead_weakref
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator
+from weakref import KeyedRef
 
 from .values import Lst, Opt as OptV, Str, TreeNode, UNIT, Value, tuple_items
 
@@ -109,29 +110,42 @@ class ActionRef:
         return "ActionRef(%r)" % self.label
 
 
-#: Every live expression node, by its class and fields.  Held weakly, so
-#: a node goes when the last grammar or expression holding it goes.
-#: Nodes are made and entered under INTERN_LOCK, which trx.meta's
-#: collector cache shares; a lookup takes no lock, since the table is
-#: never iterated and a dead node's entry is dropped atomically.
-_NODES = weakref.WeakValueDictionary()
+#: Every live expression node, by its class and fields: a plain dict of
+#: weak references that carry their key, so a node goes when the last
+#: grammar or expression holding it goes, and its reference's callback
+#: then drops the entry.  A lookup takes no lock.  A new node is made
+#: outside the lock and entered under INTERN_LOCK, which trx.meta's
+#: collector cache shares, only if no live node of its key has appeared
+#: meanwhile.  The callback removes an entry atomically and only while
+#: it still holds a dead reference, so it never drops a node entered in
+#: its place.
+_NODES = {}
 INTERN_LOCK = threading.Lock()
+
+
+def _drop_dead(ref, nodes=_NODES, remove=_remove_dead_weakref):
+    remove(nodes, ref.key)
 
 
 def _intern(cls, fields: tuple, key: tuple):
     """The live node of ``key``, made of ``fields`` if there is none."""
-    node = _NODES.get(key)
-    if node is None:
-        with INTERN_LOCK:
-            node = _NODES.get(key)
-            if node is None:
-                if (len(fields) != len(cls.__slots__)
-                        or not all(map(isinstance, fields, cls._kinds))):
-                    raise TypeError("bad %s%r" % (cls.__name__, fields))
-                node = object.__new__(cls)
-                for name, value in zip(cls.__slots__, fields):
-                    object.__setattr__(node, name, value)
-                _NODES[key] = node
+    ref = _NODES.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    if (len(fields) != len(cls.__slots__)
+            or not all(map(isinstance, fields, cls._kinds))):
+        raise TypeError("bad %s%r" % (cls.__name__, fields))
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(node, name, value)
+    with INTERN_LOCK:
+        ref = _NODES.get(key)
+        live = None if ref is None else ref()
+        if live is not None:
+            return live
+        _NODES[key] = KeyedRef(node, _drop_dead, key)
     return node
 
 
@@ -368,10 +382,11 @@ class Grammar:
     resolves to a rule, and so does the start symbol.  The constructor
     raises UndefinedNonterminal, then UnknownStart, otherwise.
 
-    A tree-shaped grammar (``trx.meta.tree_wrap`` builds them) wraps
-    every production in its node collector, and its other actions are
-    the built-in tree shapers, or sit under ``!`` or ``~`` where their
-    values are discarded; the constructor raises ValueError otherwise.
+    A tree-shaped grammar (``trx.meta.tree_wrap`` and the .peg loader
+    build them) wraps every production in its node collector, and its
+    other actions are the built-in tree shapers, or sit under ``!`` or
+    ``~`` where their values are discarded; the constructor raises
+    ValueError otherwise.
     The interpreter builds its trees directly and runs no other action
     of such a grammar.
     """
@@ -456,13 +471,15 @@ def _check_rules(productions: dict, tree_shaped: bool):
                 stack.append((e.inner, shaped and ref is not DROP))
 
 
-def build_grammar(rules: Iterable, start: str) -> Grammar:
+def build_grammar(rules: Iterable, start: str,
+                  tree_shaped: bool = False) -> Grammar:
     """Assemble rules into a Grammar, checking totality.
 
     ``rules`` is an iterable of (name, expression) pairs; the production
     map is keyed in rule order but compares order-independently.
-    Raises DuplicateRule or TypeError for a bad rule, then what the
-    Grammar constructor raises.
+    ``tree_shaped`` is passed on to the Grammar.  Raises DuplicateRule
+    or TypeError for a bad rule, then what the Grammar constructor
+    raises.
     """
     productions = {}
     for name, body in rules:
@@ -471,7 +488,7 @@ def build_grammar(rules: Iterable, start: str) -> Grammar:
         if not isinstance(body, Expr):
             raise TypeError("not a parsing expression: %r" % (body,))
         productions[name] = body
-    return Grammar(productions, start)
+    return Grammar(productions, start, tree_shaped)
 
 
 # ---------------------------------------------------------------------------

@@ -774,6 +774,11 @@ def _compile(g: Grammar | None, roots=(),
                 elif kind[body] == _K_ACT and kind[aa[body]] >= _K_EMPTY:
                     kind[i], bb[i], extras[i] = _K_LEAF, aa[body], extras[body]
     null = None if props is None else tuple(map(props.can_empty, sources))
+    # visit and seq_items reach themselves through their closures; unbind
+    # them, so that the compile's working set (the byte tables, the
+    # index, the sources) goes when the compile returns, not at the
+    # cyclic collector's next pass.
+    visit = seq_items = None
     return (_Program(kind, aa, bb, extras, prod_body, start, tree_mode, null),
             root_ids)
 

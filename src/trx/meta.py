@@ -1,18 +1,22 @@
 r"""The textual .peg grammar format, bootstrapped through the engine.
 
 The loader is the interpreter itself: a built-in grammar for the .peg
-syntax parses grammar text into a tree, and the tree is lowered to
-expressions and rebuilt into a Grammar.  The bundled peg.peg file is
-the same grammar written in its own notation; loading it must
-reproduce the built-in grammar exactly.
+syntax parses grammar text into a tree, and the tree is lowered
+straight to tree-shaped expressions, each node built once, which are
+assembled into a tree-shaped Grammar.  The bundled peg.peg file is the
+same grammar written in its own notation; loading it must reproduce
+the built-in grammar exactly, node for node.
 
 Grammars loaded from text carry only the built-in tree shapers: every
 nonterminal produces a TreeNode, terminals/classes/literals contribute
 leaf spans (adjacent leaves coalesce), and ``~`` drops a subtree.  The
-value-shaping actions that the derived operators install (tuple2str,
-cons, some/none) are removed by the tree transform since the tree
-collector subsumes them; arbitrary semantic actions are available only
-through the embedded API.
+lowering gives what tree_wrap gives for the value-mode form of the
+rules: the value-shaping actions of the derived operators (tuple2str,
+cons, some/none) are left out, since the tree collector subsumes
+them, except inside ``!``, ``&`` and ``~``, whose values are
+discarded and which stay in value mode.  Arbitrary semantic actions
+are available only through the embedded API, and tree_wrap shapes
+their grammars.
 
 Format summary (see the bundled peg.peg for the authoritative version):
 rules ``name <- expr ;``; choice ``/``; sequence by juxtaposition;
@@ -27,14 +31,16 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 from .analysis import Certificate, certify
 from .exprs import (ANY, CONS, INTERN_LOCK, LEAF, NONE,
                     NODE_PREFIX as _NODE_PREFIX, SOME, TUPLE2STR, Action,
                     ActionRef, And, AnyChar, CharClass, Choice, Drop, EMPTY,
-                    Expr, Grammar, Literal, NonTerminal, Not, Optional, Plus,
-                    Range, Seq, Star, Terminal, _right_nested, build_grammar,
-                    expr_text)
+                    EmptyLiteral, Expr, Grammar, Literal, NonTerminal, Not,
+                    Optional, Plus, Range, Seq, Star, Terminal,
+                    _right_nested, build_grammar, expr_text)
 from .interp import parse
 from .values import Lst, TreeNode, Tup
 
@@ -117,6 +123,11 @@ def node_action(rule: str) -> ActionRef:
 _STRIPPED = (TUPLE2STR, CONS, SOME, NONE)
 
 
+# The (head, tail) of a sequence or choice.
+_SPINE = {Seq: attrgetter("left", "right"),
+          Choice: attrgetter("first", "second")}
+
+
 def _tree_wrap_expr(e: Expr, memo: dict) -> Expr:
     """The tree-shaped form of e, kept in ``memo`` per node, so that a
     node in two places (``x+`` holds one ``x`` twice) is wrapped once."""
@@ -126,20 +137,17 @@ def _tree_wrap_expr(e: Expr, memo: dict) -> Expr:
     t = type(e)
     if t in (Terminal, Range, AnyChar):
         out = Action(e, LEAF)
-    elif t is Seq:
-        # The right spine in a loop, so that a long sequence wraps
-        # without one recursion per item.
-        lefts = []
+    elif t is Seq or t is Choice:
+        # The right spine in a loop, so that a long sequence or choice
+        # wraps without one recursion per item.
+        heads = []
         x = e
-        while type(x) is Seq:
-            lefts.append(_tree_wrap_expr(x.left, memo))
-            x = x.right
+        while type(x) is t:
+            head, x = _SPINE[t](x)
+            heads.append(_tree_wrap_expr(head, memo))
         out = _tree_wrap_expr(x, memo)
-        for left in reversed(lefts):
-            out = Seq(left, out)
-    elif t is Choice:
-        out = Choice(_tree_wrap_expr(e.first, memo),
-                     _tree_wrap_expr(e.second, memo))
+        for head in reversed(heads):
+            out = t(head, out)
     elif t is Star:
         out = Star(_tree_wrap_expr(e.inner, memo))
     elif t is Action and e.ref in _STRIPPED:
@@ -292,14 +300,18 @@ def _ident_text(node: TreeNode, data: bytes) -> str:
     return _leaf_bytes(node, data).decode("ascii")
 
 
-def _lower_literal(node: TreeNode, data: bytes) -> Expr:
+def _lower_literal(node: TreeNode, data: bytes, tree: bool) -> Expr:
     out = bytearray()
     for child in node.children:
         if child.is_leaf():
             out.extend(data[child.start:child.end])
         else:  # escape
             out.append(_decode_escape(data[child.start:child.end]))
-    return Literal(bytes(out))
+    if not tree:
+        return Literal(out)
+    if not out:
+        raise EmptyLiteral()
+    return _right_nested([Action(Terminal(b), LEAF) for b in out], Seq)
 
 
 def _classchar_byte(node: TreeNode, data: bytes) -> int:
@@ -309,7 +321,7 @@ def _classchar_byte(node: TreeNode, data: bytes) -> int:
     return _decode_escape(data[child.start:child.end])
 
 
-def _lower_charclass(node: TreeNode, data: bytes) -> Expr:
+def _lower_charclass(node: TreeNode, data: bytes, tree: bool) -> Expr:
     items = []
     for item in node.children:  # classitem nodes
         chars = [_classchar_byte(c, data) for c in item.children]
@@ -317,10 +329,14 @@ def _lower_charclass(node: TreeNode, data: bytes) -> Expr:
             items.append(chars[0])
         else:
             items.append((chars[0], chars[1]))
-    return CharClass(items)
+    if not tree:
+        return CharClass(items)
+    return _right_nested([Action(Range(*item) if type(item) is tuple
+                                 else Terminal(item), LEAF)
+                          for item in items], Choice)
 
 
-def _lower_primary(node: TreeNode, data: bytes) -> Expr:
+def _lower_primary(node: TreeNode, data: bytes, tree: bool) -> Expr:
     child = node.children[0]
     rule = child.rule
     if rule == "epsilon":
@@ -328,42 +344,67 @@ def _lower_primary(node: TreeNode, data: bytes) -> Expr:
     if rule == "identifier":
         return NonTerminal(_ident_text(child, data))
     if rule == "expression":
-        return _lower_expression(child, data)
+        return _lower_expression(child, data, tree)
     if rule == "literal":
-        return _lower_literal(child, data)
+        return _lower_literal(child, data, tree)
     if rule == "charclass":
-        return _lower_charclass(child, data)
+        return _lower_charclass(child, data, tree)
     if rule == "anychar":
-        return ANY
+        return Action(ANY, LEAF) if tree else ANY
     raise AssertionError("unexpected primary %r" % rule)
 
 
+# The postfix operators in value mode and in tree shape, where the
+# value shapers are left out: ``e+`` is ``e e*`` (one ``e`` object in
+# both places) and ``e?`` is ``e / eps``.  The prefix operators are one
+# table, since ``!``, ``&`` and ``~`` keep their value-mode insides.
 _POSTFIX = {"starop": Star, "plusop": Plus, "questionop": Optional}
+_TREE_POSTFIX = {"starop": Star,
+                 "plusop": lambda e: Seq(e, Star(e)),
+                 "questionop": lambda e: Choice(e, EMPTY)}
 _PREFIX = {"notop": Not, "andop": And, "dropop": Drop}
 
 
-def _lower_suffixed(node: TreeNode, data: bytes) -> Expr:
-    e = _lower_primary(node.children[0], data)
-    for op in node.children[1:]:
-        e = _POSTFIX[op.rule](e)
+def _lower_suffixed(node: TreeNode, data: bytes, tree: bool) -> Expr:
+    children = node.children
+    e = _lower_primary(children[0], data, tree)
+    postfix = _TREE_POSTFIX if tree else _POSTFIX
+    for op in children[1:]:
+        e = postfix[op.rule](e)
     return e
 
 
-def _lower_prefixed(node: TreeNode, data: bytes) -> Expr:
-    e = _lower_suffixed(node.children[-1], data)
-    for op in reversed(node.children[:-1]):
+def _lower_prefixed(node: TreeNode, data: bytes, tree: bool) -> Expr:
+    children = node.children
+    # Under a prefix operator the value-mode form, as tree_wrap leaves it.
+    e = _lower_suffixed(children[-1], data, tree and len(children) == 1)
+    for op in reversed(children[:-1]):
         e = _PREFIX[op.rule](e)
     return e
 
 
-def _lower_sequence(node: TreeNode, data: bytes) -> Expr:
-    return _right_nested([_lower_prefixed(c, data) for c in node.children],
-                         Seq)
+def _lower_sequence(node: TreeNode, data: bytes, tree: bool) -> Expr:
+    return _right_nested([_lower_prefixed(c, data, tree)
+                          for c in node.children], Seq)
 
 
-def _lower_expression(node: TreeNode, data: bytes) -> Expr:
-    return _right_nested([_lower_sequence(c, data) for c in node.children],
-                         Choice)
+def _lower_expression(node: TreeNode, data: bytes, tree: bool) -> Expr:
+    """The expression of a parse-tree node: the tree-shaped form, which
+    tree_wrap gives, when ``tree`` is set, else the value-mode form.
+    Five calls per parenthesis level."""
+    return _right_nested([_lower_sequence(c, data, tree)
+                          for c in node.children], Choice)
+
+
+def _line_cols(data: bytes,
+               offsets: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """line_col of each of ascending byte offsets, in one forward pass."""
+    line, nl, done = 1, -1, 0
+    for pos in offsets:
+        line += data.count(b"\n", done, pos)
+        nl = max(nl, data.rfind(b"\n", done, pos))
+        done = pos
+        yield line, pos - nl
 
 
 @dataclass
@@ -383,7 +424,7 @@ def load_grammar_source(text, path: str | None = None) -> GrammarSource:
     if not out.ok:
         raise PegSyntaxError(data, out.farthest, path)
     rules = []
-    positions = {}
+    starts = []
     start = None
     for definition in out.value.children:
         node = definition.children[0]
@@ -391,11 +432,15 @@ def load_grammar_source(text, path: str | None = None) -> GrammarSource:
             start = _ident_text(node.children[0], data)
         else:
             name = _ident_text(node.children[0], data)
-            rules.append((name, _lower_expression(node.children[1], data)))
-            positions.setdefault(name, line_col(data, node.start))
+            body = _lower_expression(node.children[1], data, True)
+            rules.append((name, Action(body, node_action(name))))
+            starts.append(node.start)
     if not rules:
         raise PegSyntaxError(data, 0, path)
-    grammar = tree_wrap(build_grammar(rules, start or rules[0][0]))
+    grammar = build_grammar(rules, start or rules[0][0], tree_shaped=True)
+    # The names are distinct now: build_grammar raises DuplicateRule.
+    positions = dict(zip([name for name, _ in rules],
+                         _line_cols(data, starts)))
     return GrammarSource(data, path, grammar, positions)
 
 

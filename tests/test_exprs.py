@@ -18,6 +18,7 @@ from trx import (ANY, Action, ActionRef, And, AnyChar, CharClass, Choice,
                  Range, Seq, Star, Terminal, UndefinedNonterminal,
                  UnknownStart, build_grammar, check_well_formed, eval_expr,
                  expr_text, iter_subexprs)
+from trx import exprs
 from trx.exprs import CONS, DROP, NONE, SOME, TUPLE2STR
 from trx.oracle import EXHAUSTED, oracle_eval
 from trx.mathdemo import math_rules
@@ -224,6 +225,22 @@ def test_unheld_node_is_freed():
     ref = weakref.ref(Seq(Terminal("q"), NonTerminal("unheld_node")))
     gc.collect()
     assert ref() is None
+
+
+def test_intern_table_drops_dead_and_rejected_nodes():
+    start = len(exprs._NODES)
+    for i in range(10_000):
+        Seq(NonTerminal("gone%d" % i), Star(Terminal(i % 256)))
+    assert len(exprs._NODES) == start
+    held = [Seq(NonTerminal("held%d" % i), ANY) for i in range(100)]
+    assert len(exprs._NODES) == start + 200
+    del held
+    assert len(exprs._NODES) == start
+    # A node whose fields are rejected is never entered.
+    name = NonTerminal("rejected")
+    with pytest.raises(TypeError):
+        Seq(name, "b")
+    assert len(exprs._NODES) == start + 1
 
 
 def test_nodes_are_immutable():

@@ -183,6 +183,23 @@ def test_certificate_program_caches_are_fixed():
     assert parse(g, c, b"x").ok
 
 
+def test_loading_and_certifying_leave_no_cyclic_garbage():
+    # The compile's working set goes when it returns: left in a cycle,
+    # it would wait for the cyclic collector and raise peak memory.
+    text = grammar_text("synth200.peg")
+    gc.collect()
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        g = load_grammar(text)
+        report = check_well_formed(g)
+        found = gc.collect()
+    finally:
+        if was:
+            gc.enable()
+    assert report.is_well_formed and found == 0
+
+
 def test_unknown_mode_rejected():
     g = build_grammar([("S", EMPTY)], "S")
     with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from trx import (ANY, Action, ActionRef, Choice, Drop, DuplicateRule, EmptyLiter
                  UndefinedNonterminal, UnknownStart, build_grammar,
                  builtin_meta_grammar, check_well_formed, dump_grammar,
                  load_grammar, parse, parse_to_tree, tree_wrap)
-from trx.meta import LEAF, line_col, node_action
+from trx.meta import LEAF, line_col, load_grammar_source, node_action
 from trx.oracle import EXHAUSTED, all_inputs, oracle_parse, random_grammar
 
 from conftest import certified, grammar_text
@@ -54,6 +54,44 @@ def test_grammar_construction_errors_surface():
         load_grammar("A <- '' ;")
     with pytest.raises(InvalidRange):
         load_grammar("A <- [z-a] ;")
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("A <- 'a' ;\nB <- @ ;\n", PegSyntaxError,
+     "<grammar>:2:6: syntax error\n  B <- @ ;\n       ^"),
+    # Errors of the rules' expressions come first, in rule order and
+    # left to right, in and out of ! and ~ alike.
+    ("A <- 'a' [b-c] ;\nB <- [z-a] '' ;\nA <- C ;\n@start Z ;\n",
+     InvalidRange, "empty range 'z'-'a'"),
+    ("A <- 'a' / !'' ;\nB <- [z-a] ;\n", EmptyLiteral,
+     "empty literal (write eps for the empty expression)"),
+    ("A <- '' ~[z-a] ;\n", EmptyLiteral,
+     "empty literal (write eps for the empty expression)"),
+    ("A <- ~([b-a] '') ;\n", InvalidRange, "empty range 'b'-'a'"),
+    # Then the duplicate, undefined-name and start checks.
+    ("A <- 'x' ;\nB <- C ;\nA <- 'y' ;\n@start Z ;\n", DuplicateRule,
+     "duplicate rule 'A'"),
+    ("A <- 'x' B ;\nB <- !(C / D) ;\n@start Z ;\n", UndefinedNonterminal,
+     "rule 'B' references undefined nonterminal 'C'"),
+    ("@start Z ;\nA <- 'x'+ / ~'y'? ;\n", UnknownStart,
+     "start symbol 'Z' is not a rule"),
+])
+def test_load_errors_keep_their_order_and_messages(text, error, message):
+    with pytest.raises(error) as caught:
+        load_grammar(text)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_rule_positions_are_each_rules_line_and_column():
+    text = ("# head\n@start b ;\n  a <- 'x'\n   / b ;\r\n\n"
+            "b <- [a-z]+ ; c <- a\n;\n\td <- eps ;")
+    data = text.encode()
+    src = load_grammar_source(text)
+    assert src.rule_positions == {
+        name: line_col(data, data.index(b"%s <-" % name.encode()))
+        for name in "abcd"}
+    assert src.rule_positions == {"a": (3, 3), "b": (6, 1), "c": (6, 15),
+                                  "d": (8, 2)}
 
 
 def _loads_as(text, rules, start=None):
@@ -400,6 +438,21 @@ def test_long_sequences_load():
     items = spine(load_grammar("a <- '%s' ;" % ("x" * 3000))
                   .productions["a"].inner)
     assert items == [x_leaf] * 3000
+
+
+def test_long_choices_load_and_wrap():
+    # Tree wrapping walks a choice's right spine in a loop too, so a
+    # flat choice of 3 000 alternatives loads, and wraps from the
+    # embedded API to the same productions.
+    n = 3000
+    g = load_grammar("a <- %s ;" % " / ".join("'a%d' 'x'" % i
+                                               for i in range(n)))
+    alts = [Seq(Literal("a%d" % i), Literal("x")) for i in range(n)]
+    body = alts[-1]
+    for alt in reversed(alts[:-1]):
+        body = Choice(alt, body)
+    wrapped = tree_wrap(build_grammar([("a", body)], "a"))
+    assert wrapped.productions["a"] is g.productions["a"]
 
 
 def test_long_sequences_dump_and_reload():

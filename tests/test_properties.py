@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from trx import (EMPTY, Action, ActionRef, AnyChar, Choice, Drop, Literal,
                  MemoTable, NonTerminal, Not, Plus, Range, Seq, Star,
-                 Terminal, User, build_grammar, check_well_formed, parse,
-                 tree_wrap)
+                 Terminal, User, build_grammar, check_well_formed,
+                 dump_grammar, load_grammar, parse, tree_wrap)
+from trx.exprs import CONS
 from trx.oracle import EXHAUSTED, oracle_parse
 
 # One-byte matchers, each with its own value table, and two primitives
@@ -105,3 +106,45 @@ def test_embedded_grammars_agree_with_oracle(start, other, leaf, inputs):
                 assert out == want and repr(out.value) == repr(want.value)
                 assert out.steps == want.steps
                 assert out.farthest == _farthest(trace)
+
+
+def _has_own_action_or_bare_plus(e):
+    """Whether e holds an action that is not built in, or ``x x*`` with
+    one ``x`` that is not under cons: its text reads back as ``x+``,
+    which is under cons where values are kept (in ``!`` and ``~``)."""
+    stack = [(e, False)]
+    while stack:
+        x, consed = stack.pop()
+        t = type(x)
+        if t is Seq:
+            if (type(x.right) is Star and x.right.inner is x.left
+                    and not consed):
+                return True
+            stack += [(x.left, False), (x.right, False)]
+        elif t is Choice:
+            stack += [(x.first, False), (x.second, False)]
+        elif t in (Star, Not):
+            stack.append((x.inner, False))
+        elif t is Action:
+            if x.ref is _WRAP:
+                return True
+            stack.append((x.inner, x.ref is CONS))
+    return False
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(start=_EXPRS, other=_EXPRS,
+       leaf=st.one_of(st.sampled_from(_PRIMITIVES), _FOLDED))
+def test_loaded_text_is_the_tree_wrap(start, other, leaf):
+    # The loader lowers .peg text straight to the tree-shaped form: the
+    # dump of an embedded grammar with only built-in actions loads to
+    # tree_wrap's productions, node for node.
+    assume(not any(map(_has_own_action_or_bare_plus, (start, other))))
+    g = build_grammar([("S", start), ("A", other), ("L", leaf)], "S")
+    loaded, wrapped = load_grammar(dump_grammar(g)), tree_wrap(g)
+    assert loaded.start == wrapped.start
+    assert loaded.nonterminals == wrapped.nonterminals
+    for name in g.nonterminals:
+        assert loaded.productions[name] is wrapped.productions[name]
