@@ -2,8 +2,8 @@
 
 Exit codes are stable: 0 success, 1 reject or not-well-formed verdict,
 2 usage and I/O problems (including grammar syntax errors, which leave
-no verdict to report, and a grammar nested too deeply to load, check or
-compile), 3 refusal to parse with an uncertified grammar.
+no verdict to report, and a grammar nested too deeply to load), 3
+refusal to parse with an uncertified grammar.
 
 Tree JSON schema: nodes are {"rule", "start", "end", "children"},
 leaves {"text", "start", "end"}; offsets are byte offsets into the
@@ -320,8 +320,8 @@ def main(argv=None) -> int:
     except RecursionError:
         if not hasattr(args, "grammar"):
             raise
-        # Loading, tree-wrapping and compiling recurse once per nesting
-        # level of the grammar.
+        # Only loading recurses: lowering a parse tree to expressions
+        # takes a few calls per parenthesis level.
         _err("%s: grammar nested too deeply to process (Python recursion "
              "limit)" % args.grammar)
         return EXIT_USAGE

@@ -374,6 +374,37 @@ def iter_subexprs(e: Expr) -> Iterator[Expr]:
             stack.append(node.inner)
 
 
+def _walk(step, root: Expr, memo: dict):
+    """The result of ``step`` for ``root``, each expression's result kept
+    in ``memo``.
+
+    ``step(e)`` is a generator: it yields each sub-expression whose
+    result it needs, is sent that result, and returns e's own.  Steps
+    wait on an explicit stack, so an expression of any depth is walked,
+    and a node met again (``x+`` holds one ``x`` twice) is looked up in
+    ``memo``, not walked again.
+    """
+    if root in memo:
+        return memo[root]
+    gen = step(root)
+    stack = []
+    out = None
+    while True:
+        try:
+            sub = gen.send(out)
+        except StopIteration as done:
+            memo[root] = out = done.value
+            if not stack:
+                return out
+            root, gen = stack.pop()
+            continue
+        if sub in memo:
+            out = memo[sub]
+        else:
+            stack.append((root, gen))
+            root, gen, out = sub, step(sub), None
+
+
 class Grammar:
     """A finite nonterminal table with a designated start symbol.
 

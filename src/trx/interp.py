@@ -145,7 +145,11 @@ not change.  Iteration tables, like failure tables, are built the
 first time a parse reaches their repetition.
 
 Certification compiles the program once and the Certificate carries
-it, so parse() runs exactly the grammar that was certified.
+it, so parse() runs exactly the grammar that was certified.  The
+compiler's walks over an expression, the emitting one and the byte
+tables', are steps of trx.exprs._walk, which keeps them on an explicit
+stack: a grammar of any depth compiles, so every grammar that loads
+gets a verdict.
 """
 
 from __future__ import annotations
@@ -156,7 +160,7 @@ from dataclasses import dataclass, field
 
 from .exprs import (CONS, DROP, LEAF, NODE_PREFIX as _NODE_PREFIX,
                     TUPLE2STR, Action, AnyChar, Choice, Empty, Expr, Grammar,
-                    NonTerminal, Not, Range, Seq, Star, Terminal,
+                    NonTerminal, Not, Range, Seq, Star, Terminal, _walk,
                     terminal_chain)
 from .values import (CHAR, Char, Lst, Str, TreeNode, Tup, UNIT, Value,
                      gc_suspended)
@@ -422,96 +426,65 @@ _SPAN = object()
 _SPANS = (_SPAN,) * 256
 
 
-class _ByteTables:
-    """Byte tables of the byte-local expressions of one compile.
-
-    Memoised by expression, since the compiler asks again for every
-    sub-expression it visits, and kept per compile, so that every
-    compile starts cold.  Equal step tables become one object.  In
-    value mode a value table holds Values; a leaf is not byte-local
-    there, since its value depends on the position.  In tree mode,
-    where only leaf spans are kept, a leaf's table is _SPANS and a guard
-    keeps its matcher's value table.
+def _byte_table(e: Expr, tree_mode: bool, pool: dict):
+    """(steps, values) of ``e``, or None if it is not byte-local: a step
+    of trx.exprs._walk, whose memo keeps the tables of one compile, so
+    that every compile starts cold.  ``pool`` keeps equal step tables as
+    one object.  In value mode a value table holds Values; a leaf is not
+    byte-local there, since its value depends on the position.  In tree
+    mode, where only leaf spans are kept, a leaf's table is _SPANS and a
+    guard keeps its matcher's value table.
     """
-
-    __slots__ = ("memo", "steps", "tree_mode")
-
-    def __init__(self, tree_mode: bool):
-        self.memo = {}
-        self.steps = {}
-        self.tree_mode = tree_mode
-
-    def __call__(self, e: Expr):
-        """(steps, values) of ``e``, or None if it is not byte-local."""
-        try:
-            return self.memo[e]
-        except KeyError:
-            pass
-        if type(e) is Seq:
-            # The right spine first, bottom up, so that a long chain of
-            # guards is built in a loop, not one recursion per item.
-            spine = []
-            x = e.right
-            while type(x) is Seq and x not in self.memo:
-                spine.append(x)
-                x = x.right
-            for x in reversed(spine):
-                self(x)
-        out = self._build(e)
-        if out is not None:
-            out = (self.steps.setdefault(out[0], out[0]), out[1])
-        self.memo[e] = out
-        return out
-
-    def _build(self, e: Expr):
-        t = type(e)
-        if t is Terminal or t is Range or t is AnyChar:
-            lo, hi = ((e.code, e.code) if t is Terminal
-                      else (e.lo, e.hi) if t is Range else (0, 255))
-            return (_FAILS[:lo] + (1,) * (hi - lo + 1) + _FAILS[hi + 1:],
-                    CHAR)
-        if t is Choice:
-            a = self(e.first)
-            if a is None or a[1] is None:
-                return None
-            b = self(e.second)
-            if b is None or b[1] is None:
-                return None
-            (sa, va), (sb, vb) = a, b
-            return (_choice_steps(sa, sb),
-                    va if va is vb else _choice_values(sa, va, vb))
-        if t is Seq:
-            g = self(e.left)
-            if g is None or g[1] is not None:
-                return None
-            m = self(e.right)
-            if m is None or m[1] is None:
-                return None
-            return (_guarded_steps(g[0], m[0]),
-                    m[1] if self.tree_mode else _guarded_values(m[1]))
-        if t is Not:
-            i = self(e.inner)
-            if i is None:
-                return None
-            return _not_steps(i[0]), None
-        if t is Action:
-            i = self(e.inner)
-            if i is None or i[1] is None:
-                return None
-            ref = e.ref
-            if ref is LEAF and self.tree_mode:
-                values = _SPANS
-            elif ref is DROP:
-                values = _UNITS
-            elif ref is TUPLE2STR and i[1] is CHAR:
-                values = _STR1
-            else:
-                return None
-            return _action_steps(i[0]), values
+    t = type(e)
+    if t is Terminal or t is Range or t is AnyChar:
+        lo, hi = ((e.code, e.code) if t is Terminal
+                  else (e.lo, e.hi) if t is Range else (0, 255))
+        steps, values = (_FAILS[:lo] + (1,) * (hi - lo + 1) + _FAILS[hi + 1:],
+                         CHAR)
+    elif t is Choice:
+        a = yield e.first
+        if a is None or a[1] is None:
+            return None
+        b = yield e.second
+        if b is None or b[1] is None:
+            return None
+        (sa, va), (sb, vb) = a, b
+        steps = _choice_steps(sa, sb)
+        values = va if va is vb else _choice_values(sa, va, vb)
+    elif t is Seq:
+        g = yield e.left
+        if g is None or g[1] is not None:
+            return None
+        m = yield e.right
+        if m is None or m[1] is None:
+            return None
+        steps = _guarded_steps(g[0], m[0])
+        values = m[1] if tree_mode else _guarded_values(m[1])
+    elif t is Not:
+        i = yield e.inner
+        if i is None:
+            return None
+        steps, values = _not_steps(i[0]), None
+    elif t is Action:
+        i = yield e.inner
+        if i is None or i[1] is None:
+            return None
+        ref = e.ref
+        if ref is LEAF and tree_mode:
+            values = _SPANS
+        elif ref is DROP:
+            values = _UNITS
+        elif ref is TUPLE2STR and i[1] is CHAR:
+            values = _STR1
+        else:
+            return None
+        steps = _action_steps(i[0])
+    else:
         return None
+    return pool.setdefault(steps, steps), values
 
 
-# The tables _ByteTables derives: of a choice of two matchers, of a
+# The tables _byte_table derives: of a choice of two matchers, of a
 # guard in front of a matcher, of a negation and of an action.  A choice
 # also folds an iteration table (see _iter_table), whose 0 entries,
 # which no byte-local table has, mean "must run".
@@ -561,12 +534,14 @@ def _scan_descriptor(steps, values, tree_mode: bool, base: int = 1):
     return steps, values, leaf, find, None, base
 
 
-def _plus_descriptor(m: Expr, rep: Expr, tables: _ByteTables,
+def _plus_descriptor(m: Expr, rep: Expr, tables, pool: dict,
                      tree_mode: bool, ok_add: int, fail_add: int):
     """SCAN descriptor of ``m rep`` (see SCAN above), or None when it is
-    not an ``m x*`` whose items the scan can make.  ``ok_add`` and
-    ``fail_add`` are the steps the scan adds to m's success and to its
-    failure: the Seq's, and in value mode the cons's."""
+    not an ``m x*`` whose items the scan can make.  ``tables`` gives an
+    expression's byte tables and ``pool`` holds their step tables.
+    ``ok_add`` and ``fail_add`` are the steps the scan adds to m's
+    success and to its failure: the Seq's, and in value mode the
+    cons's."""
     if type(rep) is not Star:
         return None
     mt = tables(m)
@@ -587,7 +562,7 @@ def _plus_descriptor(m: Expr, rep: Expr, tables: _ByteTables,
         # The list is made from x's value table, m's byte included.
         return None
     first = tuple([t + ok_add if t > 0 else t - fail_add for t in steps])
-    return scan[:4] + (tables.steps.setdefault(first, first), 1)
+    return scan[:4] + (pool.setdefault(first, first), 1)
 
 
 def _spine_value(data: bytes):
@@ -598,39 +573,43 @@ def _spine_value(data: bytes):
 
 
 def _as_lit(e: Expr):
-    if type(e) is Action:
-        inner = _as_lit(e.inner)
-        if inner is None:
-            return None
-        data, ok, fails, value = inner
-        ref = e.ref
+    refs = []
+    while type(e) is Action:
+        refs.append(e.ref)
+        e = e.inner
+    data = terminal_chain(e)
+    if data is None:
+        return None
+    value = _spine_value(data)
+    for ref in reversed(refs):
         if ref is DROP:
             value = UNIT
         elif ref is TUPLE2STR and type(value) in (Tup, Char):
             value = Str(data)
         else:
             return None
-        return (data, ok + 1, tuple(f + 1 for f in fails), value)
-    data = terminal_chain(e)
-    if data is None:
-        return None
-    k = len(data)
-    fails = tuple((1 if j == k - 1 else 2) + 2 * j for j in range(k))
-    return (data, 2 * k - 1, fails, _spine_value(data))
+    k, n = len(data), len(refs)
+    fails = tuple((1 if j == k - 1 else 2) + 2 * j + n for j in range(k))
+    return (data, 2 * k - 1 + n, fails, value)
 
 
 def _compile(g: Grammar | None, roots=(),
              props=None) -> tuple[_Program, list[int]]:
     """The program of ``g`` and the nodes of ``roots``.  ``props``, the
-    PropertyTable of a certified ``g``, gives the program its ``null``."""
+    PropertyTable of a certified ``g``, gives the program its ``null``.
+
+    Both walks, the emitting one (visit) and the byte tables'
+    (_byte_table, with a memo of its own), are steps of trx.exprs._walk,
+    so a grammar of any depth compiles.  A node is emitted after the
+    nodes it runs."""
     kind, aa, bb, extras, prod_body = [], [], [], [], []
     sources = []                    # the expression each node runs
     start = -1
     tree_mode = bool(g is not None and g.tree_shaped)
-    index = {}
+    index = {}                      # expression -> its node
     prod_index = {}
     rule_names = {}
-    tables = _ByteTables(tree_mode)
+    byte_tables, pool = {}, {}
 
     if g is not None:
         prod_index = {name: i for i, name in enumerate(g.nonterminals)}
@@ -638,6 +617,12 @@ def _compile(g: Grammar | None, roots=(),
         # A node carries the grammar's own rule-name string, the one its
         # collector action holds, not a new slice of the action label.
         rule_names = {_NODE_PREFIX + name: name for name in g.nonterminals}
+
+    def table_step(e: Expr):
+        return _byte_table(e, tree_mode, pool)
+
+    def tables(e: Expr):
+        return _walk(table_step, e, byte_tables)
 
     def emit(e, k, a=-1, b=-1, extra=None) -> int:
         sources.append(e)
@@ -647,12 +632,13 @@ def _compile(g: Grammar | None, roots=(),
         extras.append(extra)
         return len(kind) - 1
 
-    def seq_items(e: Seq) -> tuple:
-        """The compiled items of the right-nested chain ``e`` heads,
-        walked in a loop: the chain goes on while the right part is a
-        Seq that is not byte-local or a literal.  Items cost what they
-        would cost as parts of binary Seqs, so only the Seqs' own steps
-        need counting (see _run).  An ``m x*`` pair becomes one SCAN."""
+    def seq_items(e: Seq):
+        """The compiled items of the right-nested chain ``e`` heads, a
+        sub-generator of visit: the chain goes on while the right part
+        is a Seq that is not byte-local or a literal.  Items cost what
+        they would cost as parts of binary Seqs, so only the Seqs' own
+        steps need counting (see _run).  An ``m x*`` pair becomes one
+        SCAN."""
         parts = [e.left]
         e = e.right
         while type(e) is Seq and tables(e) is None and _as_lit(e) is None:
@@ -662,14 +648,14 @@ def _compile(g: Grammar | None, roots=(),
         items = []
         i = 0
         while i < len(parts):
-            plus = (_plus_descriptor(parts[i], parts[i + 1], tables, True,
-                                     1, i + 2 == len(parts))
+            plus = (_plus_descriptor(parts[i], parts[i + 1], tables, pool,
+                                     True, 1, i + 2 == len(parts))
                     if i + 1 < len(parts) else None)
             if plus is not None:
                 items.append(emit(parts[i], _K_SCAN, extra=plus))
                 i += 2
             else:
-                items.append(visit(parts[i]))
+                items.append((yield parts[i]))
                 i += 1
         return tuple(items)
 
@@ -679,78 +665,66 @@ def _compile(g: Grammar | None, roots=(),
             raise KeyError("nonterminal %r is not in the grammar" % e.name)
         return p
 
-    def visit(e: Expr) -> int:
-        key = id(e)
-        got = index.get(key)
-        if got is not None:
-            return got
+    def visit(e: Expr):
+        """The node of ``e``: a step of trx.exprs._walk over ``index``."""
         t = type(e)
-        node = None
         if t is Star:
             m = tables(e.inner)
             if m is not None and m[1] is not None:
                 scan = _scan_descriptor(m[0], m[1], tree_mode)
                 if scan is not None:
-                    node = emit(e, _K_SCAN, extra=scan)
-            if node is None:
-                node = emit(e, _K_STAR, visit(e.inner))
-        elif t is NonTerminal:
-            node = emit(e, _K_TNT if tree_mode else _K_NT, production(e))
-        elif t is Empty:
-            node = emit(e, _K_EMPTY)
-        else:
-            m = tables(e)
-            if m is not None:
-                node = emit(e, _K_PRED if m[1] is None else _K_MATCH1, extra=m)
-            else:
-                lit = _as_lit(e)
-                if lit is not None:
-                    node = emit(e, _K_LIT, extra=lit)
-                elif t is Seq and tree_mode:
-                    items = seq_items(e)
-                    node = (items[0] if len(items) == 1
-                            else emit(e, _K_TSEQ, items[0], extra=items))
-                elif t is Seq:
-                    node = emit(e, _K_SEQ, visit(e.left), visit(e.right))
-                elif t is Choice:
-                    node = emit(e, _K_CHOICE, visit(e.first), visit(e.second))
-                elif t is Not:
-                    node = emit(e, _K_NOT, visit(e.inner))
-                elif t is Action and not tree_mode:
-                    # ``x+`` and ``~x*`` are one scan each.
-                    inner = e.inner
-                    scan = None
-                    if e.ref is CONS and type(inner) is Seq:
-                        scan = _plus_descriptor(inner.left, inner.right,
-                                                tables, False, 2, 2)
-                    elif e.ref is DROP and type(inner) is Star:
-                        x = tables(inner.inner)
-                        if x is not None and x[1] is not None:
-                            scan = _scan_descriptor(x[0], None, False, 2)
-                    node = (emit(e, _K_SCAN, extra=scan) if scan is not None
-                            else emit(e, _K_ACT, visit(inner), extra=e.ref))
-                elif t is Action:
-                    label = e.ref.label
-                    if label.startswith(_NODE_PREFIX):
-                        rule = rule_names.get(label,
-                                              label[len(_NODE_PREFIX):])
-                        node = emit(e, _K_NODE, visit(e.inner), extra=rule)
-                    elif e.ref is not LEAF and type(e.inner) is NonTerminal:
-                        # A drop of a call (see the post-pass below).
-                        node = emit(e, _K_TDNT, production(e.inner))
-                    else:
-                        node = emit(e, _K_TACT, visit(e.inner),
-                                    extra=e.ref is LEAF)
-                else:
-                    raise TypeError("not a parsing expression: %r" % (e,))
-        index[key] = node
-        return node
+                    return emit(e, _K_SCAN, extra=scan)
+            return emit(e, _K_STAR, (yield e.inner))
+        if t is NonTerminal:
+            return emit(e, _K_TNT if tree_mode else _K_NT, production(e))
+        if t is Empty:
+            return emit(e, _K_EMPTY)
+        m = tables(e)
+        if m is not None:
+            return emit(e, _K_PRED if m[1] is None else _K_MATCH1, extra=m)
+        lit = _as_lit(e)
+        if lit is not None:
+            return emit(e, _K_LIT, extra=lit)
+        if t is Seq and tree_mode:
+            items = yield from seq_items(e)
+            return (items[0] if len(items) == 1
+                    else emit(e, _K_TSEQ, items[0], extra=items))
+        if t is Seq:
+            return emit(e, _K_SEQ, (yield e.left), (yield e.right))
+        if t is Choice:
+            return emit(e, _K_CHOICE, (yield e.first), (yield e.second))
+        if t is Not:
+            return emit(e, _K_NOT, (yield e.inner))
+        if t is not Action:
+            raise TypeError("not a parsing expression: %r" % (e,))
+        inner = e.inner
+        if not tree_mode:
+            # ``x+`` and ``~x*`` are one scan each.
+            scan = None
+            if e.ref is CONS and type(inner) is Seq:
+                scan = _plus_descriptor(inner.left, inner.right, tables, pool,
+                                        False, 2, 2)
+            elif e.ref is DROP and type(inner) is Star:
+                x = tables(inner.inner)
+                if x is not None and x[1] is not None:
+                    scan = _scan_descriptor(x[0], None, False, 2)
+            if scan is not None:
+                return emit(e, _K_SCAN, extra=scan)
+            return emit(e, _K_ACT, (yield inner), extra=e.ref)
+        label = e.ref.label
+        if label.startswith(_NODE_PREFIX):
+            rule = rule_names.get(label, label[len(_NODE_PREFIX):])
+            return emit(e, _K_NODE, (yield inner), extra=rule)
+        if e.ref is not LEAF and type(inner) is NonTerminal:
+            # A drop of a call (see the post-pass below).
+            return emit(e, _K_TDNT, production(inner))
+        return emit(e, _K_TACT, (yield inner), extra=e.ref is LEAF)
 
     if g is not None:
         for i, name in enumerate(g.nonterminals):
-            prod_body[i] = visit(g.productions[name])
+            prod_body[i] = _walk(visit, g.productions[name], index)
         start = prod_body[prod_index[g.start]]
-    root_ids = [visit(r) for r in roots]
+    root_ids = [_walk(visit, r, index) for r in roots]
     if tree_mode:
         # A tree-mode call, kept or dropped, runs the inside of its
         # rule's node collector, which every rule body of a tree-shaped
@@ -774,11 +748,6 @@ def _compile(g: Grammar | None, roots=(),
                 elif kind[body] == _K_ACT and kind[aa[body]] >= _K_EMPTY:
                     kind[i], bb[i], extras[i] = _K_LEAF, aa[body], extras[body]
     null = None if props is None else tuple(map(props.can_empty, sources))
-    # visit and seq_items reach themselves through their closures; unbind
-    # them, so that the compile's working set (the byte tables, the
-    # index, the sources) goes when the compile returns, not at the
-    # cyclic collector's next pass.
-    visit = seq_items = None
     return (_Program(kind, aa, bb, extras, prod_body, start, tree_mode, null),
             root_ids)
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .analysis import Certificate, certify
@@ -40,7 +39,7 @@ from .exprs import (ANY, CONS, INTERN_LOCK, LEAF, NONE,
                     ActionRef, And, AnyChar, CharClass, Choice, Drop, EMPTY,
                     EmptyLiteral, Expr, Grammar, Literal, NonTerminal, Not,
                     Optional, Plus, Range, Seq, Star, Terminal,
-                    _right_nested, build_grammar, expr_text)
+                    _right_nested, _walk, build_grammar, expr_text)
 from .interp import parse
 from .values import Lst, TreeNode, Tup
 
@@ -123,43 +122,24 @@ def node_action(rule: str) -> ActionRef:
 _STRIPPED = (TUPLE2STR, CONS, SOME, NONE)
 
 
-# The (head, tail) of a sequence or choice.
-_SPINE = {Seq: attrgetter("left", "right"),
-          Choice: attrgetter("first", "second")}
-
-
-def _tree_wrap_expr(e: Expr, memo: dict) -> Expr:
-    """The tree-shaped form of e, kept in ``memo`` per node, so that a
-    node in two places (``x+`` holds one ``x`` twice) is wrapped once."""
-    out = memo.get(e)
-    if out is not None:
-        return out
+def _tree_wrap_step(e: Expr):
+    """The tree-shaped form of e: a step of trx.exprs._walk."""
     t = type(e)
     if t in (Terminal, Range, AnyChar):
-        out = Action(e, LEAF)
-    elif t is Seq or t is Choice:
-        # The right spine in a loop, so that a long sequence or choice
-        # wraps without one recursion per item.
-        heads = []
-        x = e
-        while type(x) is t:
-            head, x = _SPINE[t](x)
-            heads.append(_tree_wrap_expr(head, memo))
-        out = _tree_wrap_expr(x, memo)
-        for head in reversed(heads):
-            out = t(head, out)
-    elif t is Star:
-        out = Star(_tree_wrap_expr(e.inner, memo))
-    elif t is Action and e.ref in _STRIPPED:
-        out = _tree_wrap_expr(e.inner, memo)
-    else:
-        # Empty, NonTerminal, Not (lookahead values are discarded, so
-        # the inside of a Not is left untouched) and the other actions,
-        # which Grammar(tree_shaped=True) accepts only when they are
-        # tree shapers or drops.
-        out = e
-    memo[e] = out
-    return out
+        return Action(e, LEAF)
+    if t is Seq:
+        return Seq((yield e.left), (yield e.right))
+    if t is Choice:
+        return Choice((yield e.first), (yield e.second))
+    if t is Star:
+        return Star((yield e.inner))
+    if t is Action and e.ref in _STRIPPED:
+        return (yield e.inner)
+    # Empty, NonTerminal, Not (lookahead values are discarded, so the
+    # inside of a Not is left untouched) and the other actions, which
+    # Grammar(tree_shaped=True) accepts only when they are tree shapers
+    # or drops.
+    return e
 
 
 def tree_wrap(g: Grammar) -> Grammar:
@@ -175,7 +155,7 @@ def tree_wrap(g: Grammar) -> Grammar:
         if (type(body) is Action and body.ref.label == _NODE_PREFIX + name):
             productions[name] = body
         else:
-            productions[name] = Action(_tree_wrap_expr(body, memo),
+            productions[name] = Action(_walk(_tree_wrap_step, body, memo),
                                        node_action(name))
     return Grammar(productions, g.start, tree_shaped=True)
 

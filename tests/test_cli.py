@@ -326,6 +326,35 @@ def test_deep_sequence_grammar_checks_and_parses(capsys, tmp_path):
     assert code == 0 and "Traceback" not in err
 
 
+_LETTERS = [chr(97 + i % 26) for i in range(3000)]
+
+
+@pytest.mark.parametrize("text,data,flags", [
+    (" / ".join("'a%d' 'x'" % i for i in range(3000)), b"a2999x", ()),
+    ("[%s]" % "".join(_LETTERS), b"z", ()),
+    (" / ".join("'%s'" % c for c in _LETTERS), b"z", ()),
+    ("~" * 3000 + "'x'", b"x", ()),
+    # A lookahead consumes nothing, so it matches a prefix only.
+    ("&" * 3000 + "'x'", b"x", ("--prefix",)),
+], ids=["choice", "class", "one-byte-choice", "drops", "ands"])
+def test_flat_grammar_checks_and_parses(capsys, tmp_path, text, data, flags):
+    # 3 000 alternatives, class items or prefixes: no nesting in the
+    # text, and the compiler walks the expression with an explicit stack.
+    path = tmp_path / "flat.peg"
+    path.write_text("a <- %s ;\n" % text)
+    inp = tmp_path / "input.txt"
+    inp.write_bytes(data)
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 0 and json.loads(out)["wellFormed"] is True
+    outs = []
+    for mode in ("plain", "packrat"):
+        code, out, err = run(capsys, "parse", str(path), str(inp), "--json",
+                             "--mode", mode, *flags)
+        assert code == 0
+        outs.append(json.loads(out))
+    assert outs[0] == outs[1]
+
+
 def test_bench_malformed_sizes_is_usage_error(capsys):
     for sizes in ("1X", "1K,", "-1K", "inf", "nanK"):
         code, out, err = run(capsys, "bench", grammar_path("xml-lite.peg"),

@@ -7,7 +7,7 @@ import pytest
 
 from trx import (ANY, Action, ActionRef, Choice, Drop, DuplicateRule, EmptyLiteral,
                  Grammar, InvalidRange, Literal, MemoTable, NonTerminal, Not,
-                 Optional, PegSyntaxError, Seq, Star, Terminal,
+                 Optional, PegSyntaxError, Plus, Seq, Star, Terminal,
                  UndefinedNonterminal, UnknownStart, build_grammar,
                  builtin_meta_grammar, check_well_formed, dump_grammar,
                  load_grammar, parse, parse_to_tree, tree_wrap)
@@ -441,18 +441,32 @@ def test_long_sequences_load():
 
 
 def test_long_choices_load_and_wrap():
-    # Tree wrapping walks a choice's right spine in a loop too, so a
-    # flat choice of 3 000 alternatives loads, and wraps from the
-    # embedded API to the same productions.
+    # Tree wrapping and the compiler walk with an explicit stack, so a
+    # flat choice of 3 000 alternatives loads, certifies, and wraps
+    # from the embedded API to the same productions.
     n = 3000
     g = load_grammar("a <- %s ;" % " / ".join("'a%d' 'x'" % i
                                                for i in range(n)))
+    assert check_well_formed(g).is_well_formed
     alts = [Seq(Literal("a%d" % i), Literal("x")) for i in range(n)]
     body = alts[-1]
     for alt in reversed(alts[:-1]):
         body = Choice(alt, body)
     wrapped = tree_wrap(build_grammar([("a", body)], "a"))
     assert wrapped.productions["a"] is g.productions["a"]
+
+
+@pytest.mark.parametrize("op,shaped", [
+    (Star, Star),
+    (Plus, lambda e: Seq(e, Star(e))),
+], ids=["star", "plus"])
+def test_deep_nesting_wraps(op, shaped):
+    # 3 000 levels built through the API: tree wrapping recurses on none.
+    body, want = Terminal("a"), Action(Terminal("a"), LEAF)
+    for _ in range(3000):
+        body, want = op(body), shaped(want)
+    wrapped = tree_wrap(build_grammar([("a", body)], "a"))
+    assert wrapped.productions["a"] is Action(want, node_action("a"))
 
 
 def test_long_sequences_dump_and_reload():
