@@ -64,21 +64,21 @@ suspended.
 Tree mode also pushes fewer frames for the same step index.  A
 right-nested chain of n Seqs' items is one node with one frame, which
 adds the n - 1 Seq steps itself: all of them on success, j + 1 on a
-failure at item j, and n - 1 on a failure at the last item.  Every
-rule body is its node collector, so a rule call pushes one frame that
-runs the collector's inside and, on return, builds the node, writes
-the memo entry (the body's steps, the collector's included) and adds
-the call's step.  And ``m x*``, m a one-byte matcher (``x+`` among
-them), is one scan, also as the inside of a longer chain.  A call of a
-leaf rule, whose collector's inside is one primitive (an EMPTY,
-MATCH1, PRED, LIT or SCAN: xml-lite's name, text, attrvalue, ws and
-ws1), pushes no frame, and nor does a drop of one (``~ws``): the call
-runs the primitive in place and then adds, as the frame would, 1 step
-for the collector, writes the memo entry, and adds 1 for the call and,
-for a drop, 1 more.  The node is (rule, start, end) with at most the
-primitive's one leaf, built directly; a drop builds it only when the
-call is memoised, since a kept call at that position may hit the
-entry.  A memo hit adds 1 step, or 2 for a drop, which appends
+failure at item j, and n - 1 on a failure at the last item.  ``m x*``,
+m a one-byte matcher (``x+`` among them), is one scan, also inside a
+longer chain.  Every rule body is its node collector, and a rule call
+pushes one frame, that of the collector's inside where it is a chain
+or a choice, else the collector's: when the inside finishes, the frame
+builds the node, writes the memo entry (the body's steps, the
+collector's included) and adds the call's step.  A call of a leaf
+rule, whose collector's inside is one primitive (EMPTY, MATCH1, PRED,
+LIT or SCAN: xml-lite's name, text, attrvalue, ws and ws1), pushes no
+frame, nor does a drop of one (``~ws``): the call runs the primitive
+in place, then adds 1 step for the collector, writes the memo entry,
+and adds 1 for the call and 1 more for a drop.  The node is (rule,
+start, end) with at most the primitive's one leaf; a drop builds it
+only when the call is memoised, since a kept call at that position may
+hit the entry.  A memo hit adds 1 step, or 2 for a drop, which appends
 nothing.  A drop of a call of any other rule (the meta-grammar's
 ``~spacing``) is one frame too, which adds the collector's, the call's
 and the drop's steps on return, truncates ``kids`` and builds no node;
@@ -92,8 +92,9 @@ adding the drop's, or the Seq's and the cons's, steps itself.  A call
 of a rule whose body is one primitive, or one action over one
 (mathdemo's ws and number), is a leaf call like TLEAF: no frame, and
 the action's step and the call's added in place.  Sequences stay
-binary, and other calls keep their frame apart from their body's (an
-n-ary value-mode Seq measured slower).
+binary (n-ary measured slower); an action over one is the sequence's
+node, and a call of a rule whose body is a choice runs in the choice's
+frame.
 
 Failure tables.  Most probes of a parse fail on the byte under the
 cursor (the meta-grammar tries every operator rule at every token), so
@@ -109,19 +110,20 @@ step index exact).  The entries follow the step arithmetic: MATCH1 and
 PRED fail in -t steps where their step table has t < 0; LIT in its
 first prefix's failure steps on every byte but its first; SCAN like
 MATCH1 by its ``first`` table, and never without one; a sequence in
-its first item's steps + 1; a choice in a + b + 1 where both
-alternatives fail; an action or rule node in its inside's + 1;
-repetitions (which have iteration tables, below) and negations
-never.  A rule call in its rule body's + 1, and a drop of one + 2 (a
-tree-mode body is its node collector, whose table is its inside's +
-1).  In packrat mode a call moves a watermark and may count a memo
-hit or miss, so there a call's entry is 0, and so is every entry whose
-failure runs through a call: the call runs, and the table of its
-inside then applies.  So each mode has its tables.  A table is built
-the first time a parse descends into its node (compiling builds none,
-so certification does not pay for them), with those it is made from,
-with an explicit stack, and kept on the program as a tuple; equal
-tables are one object.
+its first item's steps + 1, or + 2 with an action; a choice in
+a + b + 1 where both alternatives fail; an action or rule node in its
+inside's + 1; repetitions (which have iteration tables, below) and
+negations never.  A rule call in its rule body's + 1, and a drop of
+one + 2 (a tree-mode body is its node collector, whose table is its
+inside's + 1).  In packrat mode a call moves a watermark and may count
+a memo hit or miss, so there a call's entry is 0, and so is every
+entry whose failure runs through a call; the call reads its rule
+body's table, built with its own, instead, and where that settles it,
+does its bookkeeping in place.  So each mode has its tables.  A table
+is built the first time a parse descends into its node (compiling
+builds none, so certification does not pay for them), with those it
+is made from, with an explicit stack, and kept on the program as a
+tuple; equal tables are one object.
 
 Iteration tables.  A repetition that is not a SCAN (Ford's
 ``([ \\t\\r\\n] / comment)*``, or an operator star ``(a / b / c)*`` of
@@ -284,40 +286,55 @@ def memo_stats(table: MemoTable) -> dict:
 #   [8, node, pos, mark, key]              NODE and TNT
 #   [state, node, pos, mark]               NOT, TACT
 #   [10, node, pos, mark, add]             TDNT
-#   [0, key, pos]                          NT
+#   [0, body, pos, key]                    NT
+#   [3, node, pos, key]                    CHOICE, run by an NT call
+#   [state, node, pos, ..., call, pos, mark, key]
+#                                          TSEQ or CHOICE, run by a TNT call
 # where ``mark`` is where the node's children start in ``kids`` (None
 # for a value-mode NOT), and a value-mode STAR's ``items`` is the list
 # of its items' values (None in tree mode).  The states in between
-# continue a node (2: Seq right, 4: Choice second), and 0 returns from
-# a value-mode nonterminal.  A node that fails leaves ``kids`` as it
-# found it, so CHOICE, NOT and STAR serve both modes: only a tree-mode
-# sequence, which fails after earlier items may have appended, and a
-# NOT or drop, which discard what a succeeding inside appended,
-# truncate ``kids`` back to their mark.  Tree-mode programs use TSEQ,
-# NODE and TACT in place of SEQ and ACT.  A tree-mode rule call (TNT)
-# runs its rule's node collector in its own frame: the frame starts in
-# the NODE state, and its ``key`` is the memo key, -1 for a call that
-# is not memoised, or None for a bare collector (a parse's start rule,
-# or an eval_expr root).  A drop of a tree-mode call is TDNT, whose
-# frame is in TACT's state with ``add`` the steps it adds on return (3,
-# or 1 when the call is memoised and a NODE frame for its memo entry
-# sits above it).  A call of a leaf rule, one whose collector's inside
-# is a single EMPTY, MATCH1, PRED, LIT or SCAN, is TLEAF, and a drop of
-# one TDLEAF.  In value mode a call of a rule whose body is such a
-# primitive, or one action over it, is LEAF.  It stays apart from
-# TLEAF: sharing TLEAF's ``kids`` mark and drop flag costs value mode a
-# test and a compare on every leaf call (0.7 % more bytecodes run in
-# _run on the math-packrat corpus, and 1.7 % less throughput there in
-# 5 of 6 timed pairs).  The six calls are numbered next to each other,
-# after the other composites, but the leaf calls push no frame: they
-# run that primitive in place, then add the collector's or the action's
-# step, write the memo entry and add the call's step, and a drop's.
-# Every opcode below EMPTY has a failure table, and STAR an iteration
-# table too (see the module docstring); a repetition's frame is pushed
-# only when its body runs, and its ``pos`` and ``steps`` start where
-# the table stopped.
-# Terminals, ranges and any-char always compile to MATCH1; MATCH1,
-# PRED, LIT and SCAN are superinstructions.
+# continue a node (2: Seq right, 4: Choice second), and 0 returns from a
+# value-mode call.  A SEQ or CHOICE frame grows by what it keeps while
+# its second part runs (the left value and steps, the first
+# alternative's steps); ``len(f)`` tells a call's frame from the node's
+# own.  A node that fails leaves ``kids`` as it found it, so CHOICE, NOT
+# and STAR serve both modes: only a tree-mode sequence, which fails
+# after earlier items may have appended, and a NOT or drop, which
+# discard what a succeeding inside appended, truncate ``kids`` back to
+# their mark.  Tree-mode programs use TSEQ, NODE and TACT in place of
+# SEQ and ACT.  A value-mode SEQ whose ``extra`` is an ActionRef is an
+# action over the sequence, which SEQ's states apply and count.  A
+# value-mode call (NT) of a rule whose body is a CHOICE pushes the
+# choice's frame with the memo key, and the choice makes the call's
+# return when it finishes, as state 0 does for other bodies.  A
+# tree-mode rule call (TNT) pushes the frame of its collector's inside
+# where that is a TSEQ or CHOICE, with the call's node, start, mark and
+# key after the node's own slots; when the inside finishes, the frame
+# turns into the NODE state in place (NODE reads its slots from the
+# end), and the unwind loop goes round again.  Otherwise TNT runs the
+# collector in its own frame, in the NODE state.  ``key`` is the memo
+# key, -1 for a call that is not memoised, or None for a bare collector
+# (a parse's start rule, or an eval_expr root).  A drop of a tree-mode
+# call is TDNT, whose frame is in TACT's state with ``add`` the steps it
+# adds on return (3, or 1 when the call is memoised and a NODE frame for
+# its memo entry sits above it).  A call of a leaf rule, one whose
+# collector's inside is a single EMPTY, MATCH1, PRED, LIT or SCAN, is
+# TLEAF, and a drop of one TDLEAF.  In value mode a call of a rule whose
+# body is such a primitive, or one action over it, is LEAF.  It stays
+# apart from TLEAF: sharing TLEAF's ``kids`` mark and drop flag costs
+# value mode a test and a compare on every leaf call (0.7 % more
+# bytecodes run in _run on the math-packrat corpus, and 1.7 % less
+# throughput there in 5 of 6 timed pairs).  The six calls are numbered
+# next to each other, after the other composites, but the leaf calls
+# push no frame: they run that primitive in place, then add the
+# collector's or the action's step, write the memo entry and add the
+# call's step, and a drop's.  In packrat mode every call first reads its
+# rule body's failure table (see _run).  Every opcode below EMPTY has a
+# failure table, and STAR an iteration table too (see the module
+# docstring); a repetition's frame is pushed only when its body runs,
+# and its ``pos`` and ``steps`` start where the table stopped.
+# Terminals, ranges and any-char always compile to MATCH1; MATCH1, PRED,
+# LIT and SCAN are superinstructions.
 _K_SEQ, _K_CHOICE, _K_ACT, _K_STAR = 1, 3, 5, 6
 _K_TSEQ, _K_NODE, _K_NOT, _K_TACT = range(7, 11)
 _K_TNT, _K_TLEAF, _K_TDLEAF, _K_TDNT, _K_NT, _K_LEAF = range(11, 17)
@@ -331,7 +348,8 @@ class _Program:
     """Grammar flattened into parallel per-node arrays for the VM.
 
     ``extra`` holds a superinstruction's descriptor, a value-mode action
-    node's or LEAF call's ActionRef (_NO_ACTION for none), a tree node's
+    node's or LEAF call's ActionRef (_NO_ACTION for none), the action a
+    value-mode sequence carries (None for none), a tree node's
     or tree-mode call's rule name, a tree-mode sequence's items, or
     whether a tree-mode action is a leaf.  A call's ``a`` is its
     production; a tree-mode call's (TNT, TLEAF, TDLEAF, TDNT) ``b`` is
@@ -710,6 +728,11 @@ def _compile(g: Grammar | None, roots=(),
                     scan = _scan_descriptor(x[0], None, False, 2)
             if scan is not None:
                 return emit(e, _K_SCAN, extra=scan)
+            if type(inner) is Seq and tables(inner) is None \
+                    and _as_lit(inner) is None:
+                # An action over a sequence is the sequence's node.
+                return emit(e, _K_SEQ, (yield inner.left), (yield inner.right),
+                            extra=e.ref)
             return emit(e, _K_ACT, (yield inner), extra=e.ref)
         label = e.ref.label
         if label.startswith(_NODE_PREFIX):
@@ -895,13 +918,16 @@ def _fail_table(prog: _Program, tables: list, root: int, packrat: bool):
         # to a failure of the first of them at its own position.
         if k == _K_SEQ or k == _K_TSEQ or k == _K_ACT or k == _K_TACT \
                 or k == _K_NODE:
-            parts, add = (aa[i],), 1
+            # A value-mode sequence that carries an action adds its step.
+            parts, add = (aa[i],), 1 + (k == _K_SEQ and extra[i] is not None)
         elif k == _K_CHOICE:
-            parts = (aa[i], bb[i])
-        elif k >= _K_TNT and k <= _K_LEAF and not packrat:
-            # A call: its rule body's, and a drop's step.
+            parts, add = (aa[i], bb[i]), 1
+        elif k >= _K_TNT and k <= _K_LEAF:
+            # A call: its rule body's, and a drop's step.  In packrat
+            # mode (add 0) its own is empty, and its rule body's is
+            # built with it for the call to read (see _run).
             parts = (body[aa[i]],)
-            add = 2 if k == _K_TDLEAF or k == _K_TDNT else 1
+            add = 0 if packrat else 2 if k == _K_TDLEAF or k == _K_TDNT else 1
         else:
             parts = ()
         if i not in opened:
@@ -925,7 +951,7 @@ def _fail_table(prog: _Program, tables: list, root: int, packrat: bool):
             out = [fails[0]] * 257
             out[lbytes[0]] = 0
             out = pack(out)
-        elif not parts or not all(sub):
+        elif not parts or not add or not all(sub):
             out = _NO_FAIL
         elif len(sub) == 1:
             out = pack([x + add if x else 0 for x in sub[0]])
@@ -1054,7 +1080,8 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                 if k <= _K_ACT:
                     push([k, cur, cpos])
                 elif k >= _K_TNT:
-                    # A rule call: in tree mode one frame, the node's,
+                    # A rule call: one frame, its body's where that is a
+                    # choice or (in tree mode) a sequence, else its own,
                     # and none for a leaf call in either mode.
                     p = aa[cur]
                     key = -1
@@ -1078,16 +1105,46 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                             # now on.  (A hit means it is memoised.)
                             mark[p] = _ALWAYS
                             misses += 1
+                        # The call's failure table is empty, but its rule
+                        # body's, built with it, may settle it here.
+                        g = fail[prod_body[p]]
+                        if g:
+                            s = g[data[cpos] if cpos < n else 256]
+                            if s:
+                                if cpos > farthest:
+                                    farthest = cpos
+                                ok, rpos, val = False, -1, None
+                                if key >= 0:
+                                    memo_entries[key] = (ok, rpos, val, s)
+                                # The call's step, and a drop's.
+                                steps = s + 1 + (_K_TDLEAF <= k <= _K_TDNT)
+                                break
                     if k >= _K_NT:
                         if k == _K_NT:
-                            push([0, key, cpos])
-                            cur = prod_body[p]
+                            q = prod_body[p]
+                            if kind[q] == _K_CHOICE:
+                                push([_K_CHOICE, q, cpos, key])
+                                cur = aa[q]
+                            else:
+                                push([0, q, cpos, key])
+                                cur = q
                             continue
                         leaf_rule = extra[cur]
                         leaf_key = key
                         leaf_drop = False
                     elif k == _K_TNT:
-                        push([_K_NODE, cur, cpos, len(kids), key])
+                        q = bb[cur]
+                        m = len(kids)
+                        if kind[q] == _K_TSEQ:
+                            push([_K_TSEQ, q, cpos, 1, 0, m,
+                                  cur, cpos, m, key])
+                            cur = aa[q]
+                            continue
+                        if kind[q] == _K_CHOICE:
+                            push([_K_CHOICE, q, cpos, cur, cpos, m, key])
+                            cur = aa[q]
+                            continue
+                        push([_K_NODE, cur, cpos, m, key])
                     elif k == _K_TDNT:
                         # A dropped call is one frame, which builds no
                         # node, unless it is memoised: then the node
@@ -1288,10 +1345,8 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
             if kids is None:
                 if leaf_rule is not _NO_ACTION:
                     if ok:
-                        if leaf_rule.span_aware:
-                            val = leaf_rule.fn(val, cpos, rpos)
-                        else:
-                            val = leaf_rule.fn(val)
+                        val = (leaf_rule.fn(val, cpos, rpos)
+                               if leaf_rule.span_aware else leaf_rule.fn(val))
                     steps += 1
             else:
                 if ok:
@@ -1320,7 +1375,10 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
         # mark, and a node that fails leaves ``kids`` as it found it: a
         # sequence whose item fails, a negation and a drop truncate
         # ``kids`` back to their mark.  A frame that starts a part
-        # breaks out to descend into it.
+        # breaks out to descend into it.  A CHOICE or TSEQ frame that a
+        # call pushed makes the call's return when it finishes: in
+        # place in value mode, by turning into the NODE state in tree
+        # mode, which the loop then meets again.
         while True:
             if not stack:
                 if memo is not None:
@@ -1337,7 +1395,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     cur = bb[f[1]]
                     cpos = rpos
                     break
-                steps += 1
+                steps += 1 if extra[f[1]] is None else 2  # an action's too
                 pop()
             elif st == 7:                    # tree Seq, item next - 1 finished
                 if ok:
@@ -1359,12 +1417,17 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     # the items before it appended goes.
                     del kids[f[5]:]
                     steps += f[4] + (f[3] < len(extra[f[1]]))
+                if len(f) > 6:               # a call's: its node next
+                    f[0] = 8
+                    continue
                 pop()
             elif st == 8:                    # a rule's node, maybe a call
+                # Read from the end, as a call's TSEQ or CHOICE frame
+                # carries it after its own slots.
                 if ok:
-                    m = f[3]
+                    m = f[-2]
                     # The node's own fields, then its children.
-                    children = [extra[f[1]], f[2], rpos]
+                    children = [extra[f[-4]], f[-3], rpos]
                     start = end = -1         # the leaf run being coalesced
                     for x in kids[m:]:
                         if type(x) is tuple:
@@ -1387,22 +1450,13 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     val = new_tuple(TreeNode, children)
                     kids.append(val)
                 steps += 1
-                key = f[4]
+                key = f[-1]
                 if key is not None:          # the return of a rule call
                     if key >= 0:
                         memo_entries[key] = (ok, rpos, val, steps)
                     steps += 1
-                    if ok and (rpos < f[2] or rpos > n):
+                    if ok and (rpos < f[-3] or rpos > n):
                         raise InvariantViolation("nonterminal moved backwards")
-                pop()
-            elif st == 5:                    # Action
-                if ok:
-                    ref = extra[f[1]]
-                    if ref.span_aware:
-                        val = ref.fn(val, f[2], rpos)
-                    else:
-                        val = ref.fn(val)
-                steps += 1
                 pop()
             elif st == 2:                    # Seq, right finished
                 steps += f[3] + 1
@@ -1410,14 +1464,34 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     if rpos < f[2] or rpos > n:
                         raise InvariantViolation("sequence moved backwards")
                     val = Tup((f[4], val))
+                ref = extra[f[1]]
+                if ref is not None:          # its action, as ACT applies one
+                    if ok:
+                        val = (ref.fn(val, f[2], rpos) if ref.span_aware
+                               else ref.fn(val))
+                    steps += 1
                 pop()
-            elif st == 0:                    # NonTerminal return
-                if f[1] >= 0:
-                    # A memo miss, and f[1] its key.
-                    memo_entries[f[1]] = (ok, rpos, val, steps)
-                steps += 1
-                if ok and (rpos < f[2] or rpos > n):
-                    raise InvariantViolation("nonterminal moved backwards")
+            elif st <= 4:                    # Choice, or 0: a call returns
+                if st == 3:                  # the first alternative
+                    if not ok:
+                        f[0] = 4
+                        f.append(steps)
+                        cur = bb[f[1]]
+                        cpos = f[2]
+                        break
+                    steps += 1
+                elif st:                     # the second
+                    steps += f.pop() + 1
+                if len(f) > 3:               # a call's frame
+                    if kids is not None:
+                        f[0] = 8             # its node next
+                        continue
+                    # A value-mode return; f[3] is the memo key.
+                    if f[3] >= 0:
+                        memo_entries[f[3]] = (ok, rpos, val, steps)
+                    steps += 1
+                    if ok and (rpos < f[2] or rpos > n):
+                        raise InvariantViolation("nonterminal moved backwards")
                 pop()
             elif st == 10:                   # tree drop: an action or a call
                 del kids[f[3]:]
@@ -1432,19 +1506,6 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     steps += f[4]
                     if ok and (rpos < f[2] or rpos > n):
                         raise InvariantViolation("nonterminal moved backwards")
-                pop()
-            elif st == 3:                    # Choice, first finished
-                if ok:
-                    steps += 1
-                    pop()
-                else:
-                    f[0] = 4
-                    f.append(steps)
-                    cur = bb[f[1]]
-                    cpos = f[2]
-                    break
-            elif st == 4:                    # Choice, second finished
-                steps += f[3] + 1
                 pop()
             elif st == 6:                    # Star, one iteration finished
                 if ok:
@@ -1471,6 +1532,13 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                 ok = True
                 rpos = f[2]
                 steps += f[4] + 1
+                pop()
+            elif st == 5:                    # Action
+                if ok:
+                    ref = extra[f[1]]
+                    val = (ref.fn(val, f[2], rpos) if ref.span_aware
+                           else ref.fn(val))
+                steps += 1
                 pop()
             else:                            # 9: Not
                 if kids is not None:

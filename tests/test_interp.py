@@ -24,7 +24,7 @@ from trx import (Action, ActionRef, AnyChar, CertificateMismatch, CharClass,
 from trx.bench import xmark_lite
 from trx.exprs import CONS, LEAF
 from trx.interp import _ALWAYS, _NO_FAIL, _compile, _initial_marks, _run
-from trx.mathdemo import evaluate, math_grammar
+from trx.mathdemo import ADD, MUL, PICK1, evaluate, math_grammar
 from trx.oracle import (EXHAUSTED, all_inputs, oracle_eval, oracle_parse,
                         small_grammars)
 from trx.values import (Char, Lst, Tup, UNIT, Value, gc_suspended,
@@ -599,7 +599,7 @@ def test_xml_lite_program_is_flat(xml_lite):
     # No tree sequence ends in another (the chain is one node), the
     # leaf rules name, text, attrvalue, ws and ws1 are one scan each,
     # and every call of a leaf rule, kept or dropped, is a leaf call
-    # that pushes no frame; element, attribute and content keep theirs.
+    # that pushes no frame; element, attribute and content have one.
     g, cert = xml_lite
     prog = cert.program
     kinds = prog.kind
@@ -625,6 +625,10 @@ def test_xml_lite_program_is_flat(xml_lite):
     assert trx.interp._K_TDLEAF in calls["ws1"]
     for name in ("element", "attribute", "content"):
         assert calls[name] == {trx.interp._K_TNT}
+    # Their calls run in the frame of the collector's inside, a sequence.
+    for i, k in enumerate(kinds):
+        if k == trx.interp._K_TNT:
+            assert kinds[prog.b[i]] == trx.interp._K_TSEQ
 
 
 # Leaf rule bodies, one per kind of primitive that can be a collector's
@@ -836,7 +840,8 @@ def test_value_mode_leaf_calls_agree_with_oracle(m):
 def test_math_leaf_rules_push_no_frame():
     # ws and number are called without a frame: ws is one scan that
     # builds no list, number one action over a scan that builds its
-    # list once.  term, factor and expr keep their frames.
+    # list once.  term, factor and expr run in their body's frame, a
+    # choice of sequences that carry their actions.
     g, cert = math_grammar()
     prog = cert.program
     calls = {}
@@ -856,6 +861,77 @@ def test_math_leaf_rules_push_no_frame():
     scan = prog.a[number]
     assert prog.kind[scan] == trx.interp._K_SCAN
     assert prog.extra[scan][1] is not None and prog.extra[scan][4] is not None
+    for name in ("term", "factor", "expr"):
+        body = prog.prod_body[g.nonterminals.index(name)]
+        assert prog.kind[body] == trx.interp._K_CHOICE
+        first = prog.a[body]
+        assert prog.kind[first] == trx.interp._K_SEQ
+        assert prog.extra[first] in (PICK1, MUL, ADD)
+    assert trx.interp._K_ACT not in prog.kind[:number] + prog.kind[number + 1:]
+
+
+def _seq(items):
+    out = items[-1]
+    for x in reversed(items[:-1]):
+        out = Seq(x, out)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("ref", [_WRAP, _SPAN], ids=["plain", "span"])
+def test_actions_over_sequences_agree_with_oracle(n, ref):
+    # An action over a sequence is the sequence's node, and a call of a
+    # rule whose body is a choice runs in the choice's frame.  R and B
+    # are such rules, called after the first byte too; the value (by
+    # repr, spans included), steps and farthest are the oracle's in
+    # both modes.
+    R, B = NonTerminal("R"), NonTerminal("B")
+    items = [B, Terminal("a"), B, Terminal("b")][:n]
+    g = build_grammar([
+        ("S", Choice(Seq(Terminal("#"), Seq(R, Terminal("#"))),
+                     Choice(Seq(B, R), R))),
+        ("R", Choice(Action(_seq(items), ref),
+                     Choice(Action(_seq(items[1:] + items[:1]), ref),
+                            Terminal("b")))),
+        ("B", Choice(Terminal("a"), Seq(Terminal("b"), Terminal("b")))),
+    ], "S")
+    cert = certify(g)
+    prog = cert.program
+    assert trx.interp._K_ACT not in prog.kind
+    assert sum(k == trx.interp._K_SEQ and prog.extra[i] is ref
+               for i, k in enumerate(prog.kind)) == 2
+    assert {prog.kind[prog.prod_body[prog.a[i]]]
+            for i, k in enumerate(prog.kind)
+            if k == trx.interp._K_NT} == {trx.interp._K_CHOICE}
+    for data in all_inputs("ab#", 6):
+        want, farthest = _oracle_farthest(g, data)
+        for mode in ("plain", "packrat"):
+            out = parse(g, cert, data, mode=mode)
+            assert out == want and repr(out.value) == repr(want.value)
+            assert (out.steps, out.farthest) == (want.steps, farthest)
+
+
+def test_memo_stats_of_math_and_xml_lite_are_pinned():
+    # (entries, hits, misses) per input: which frame a call runs in, and
+    # whether its body's failure table settles it, changes none of them.
+    g, cert = math_grammar()
+    want = [("1+2", 8, 3, 8), ("(1+2) * (3 * 4)", 24, 9, 24),
+            (" 7 * 8 + ( 9 )", 16, 6, 16), ("((((1+2*3))))*4+5", 36, 16, 36),
+            ("2*(3+4)*5+6*(7)", 32, 10, 32), ("(1+2", 11, 6, 11),
+            ("1+*2", 7, 5, 7)]
+    for text, entries, hits, misses in want:
+        _, stats = _memo_run(g, cert, text)
+        assert stats == {"entries": entries, "hits": hits,
+                         "misses": misses}, text
+    g, cert = certified("xml-lite.peg")
+    out, stats = _memo_run(g, cert, xmark_lite(16 * 1024, seed=1))
+    assert out.ok and out.steps == 150076
+    assert stats == {"entries": 0, "hits": 0, "misses": 0}
+
+
+def test_evaluate_deep_parentheses():
+    # 20 000 levels, each a call of expr, factor and term in packrat mode.
+    assert evaluate("(" * 20000 + "1+2" + ")" * 20000) == 3
 
 
 def _deep_sequence(n):
@@ -966,6 +1042,31 @@ def test_packrat_call_through_nested_call_still_runs():
     assert g.nonterminals[prog.a[call]] == "b"
     assert prog.fails[0][call][ord("z")] > 0
     assert prog.fails[1][call] == _NO_FAIL
+
+
+def test_packrat_call_settled_by_its_body_table():
+    # b's body fails on "z" at its first byte.  In packrat mode b's call
+    # (whose own table is 0) reads that table, counts its miss and
+    # stores the failure without running the body, and a's second
+    # alternative hits the entry.
+    g = load_grammar("a <- b 'x' / b 'y' / 'z' ; b <- '!' c ; c <- 'c' ;")
+    prog = certify(g).program
+    twin = _without_failure_tables(prog)
+    for packrat in (False, True):
+        assert _outcome(prog, b"z", packrat) == _outcome(twin, b"z", packrat)
+    assert _outcome(prog, b"z", True)[6] == {"entries": 1, "hits": 1,
+                                               "misses": 1}
+    # The call reads that table: raise its entry for "z", and both
+    # calls of b, the settled miss and the hit on its entry, cost more.
+    body = prog.prod_body[g.nonterminals.index("b")]
+    fails = list(prog.fails[1])
+    table = list(fails[body])
+    table[ord("z")] += 10
+    fails[body] = tuple(table)
+    twin = _copy_program(prog, marks=None, fails=(prog.fails[0], fails),
+                         iters=_per_mode(prog, None), shared={})
+    assert (_outcome(twin, b"z", True)[4]
+            == _outcome(prog, b"z", True)[4] + 20)
 
 
 def test_failure_tables_at_end_of_input():
