@@ -10,6 +10,8 @@ through the embedded API (with arbitrary semantic actions) or loaded
 from the bootstrapped .peg textual format (tree-shaping actions only).
 """
 
+from importlib import import_module as _import_module
+
 from .analysis import (Certificate, NotWellFormed, Offender, Props,
                        PropertyTable, WfReport, certify, check_well_formed,
                        expression_set, infer_properties, wf_measure)
@@ -24,12 +26,23 @@ from .interp import (CertificateMismatch, InvariantViolation, MemoTable,
                      parse_to_tree)
 from .meta import (GrammarSource, PegSyntaxError, builtin_meta_grammar,
                    dump_grammar, load_grammar, load_grammar_source, tree_wrap)
-from .oracle import (EXHAUSTED, FuelExhausted, all_inputs,
-                     enumerate_small_cases, oracle_eval, oracle_parse,
-                     random_grammar, small_grammars)
 from .values import (CHAR, Char, Lst, Opt, Str, TreeNode, Tup, UNIT, Unit,
                      User, Value, tree_to_json, tuple_items)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The oracle is a test reference that no parse runs, so it loads on
+# first use of one of its names (PEP 562).
+_ORACLE_NAMES = frozenset((
+    "EXHAUSTED", "FuelExhausted", "all_inputs", "enumerate_small_cases",
+    "oracle_eval", "oracle_parse", "random_grammar", "small_grammars"))
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + ["oracle", *_ORACLE_NAMES])
+
+
+def __getattr__(name):
+    if name == "oracle" or name in _ORACLE_NAMES:
+        oracle = _import_module(__name__ + ".oracle")
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

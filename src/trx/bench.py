@@ -96,27 +96,36 @@ def run_bench(g: Grammar, cert: Certificate, corpora, mode: str = "plain",
     that a slow stretch of a shared machine slows every corpus alike
     rather than all the repetitions of one; each row's time is the
     median of its ``reps`` parses, and its outcome and memo statistics
-    are those of its last parse.  ``reps`` below 1 raises ValueError.
+    are those of its last parse.  A row reports the median wall time,
+    ``medianSeconds``, and the median processor time of this process,
+    ``cpuMedianSeconds``, which time spent waiting for a shared
+    machine's processor does not inflate.  ``reps`` below 1 raises
+    ValueError.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1, got %r" % (reps,))
     times = [[] for _ in corpora]
+    cpu_times = [[] for _ in corpora]
     last = [None] * len(corpora)
     for _ in range(reps):
         for i, (_, data) in enumerate(corpora):
             memo = MemoTable()
+            c0 = time.process_time()
             t0 = time.perf_counter()
             outcome = parse(g, cert, data, mode=mode, memo=memo)
             times[i].append(time.perf_counter() - t0)
+            cpu_times[i].append(time.process_time() - c0)
             last[i] = outcome, memo
     rows = []
     prev = None
-    for (label, data), runs, (outcome, memo) in zip(corpora, times, last):
+    for (label, data), runs, cpu_runs, (outcome, memo) in zip(
+            corpora, times, cpu_times, last):
         median = statistics.median(runs)
         row = {
             "label": label,
             "bytes": len(data),
             "medianSeconds": median,
+            "cpuMedianSeconds": statistics.median(cpu_runs),
             "runs": reps,
             "mbPerSecond": (len(data) / (1024 * 1024) / median)
             if median > 0 else None,

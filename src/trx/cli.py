@@ -22,17 +22,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from .analysis import check_well_formed
-from .bench import parse_size, run_bench, xmark_lite
 from .exprs import GrammarError
 from .interp import MemoTable, memo_stats, parse_to_tree
-from .mathdemo import evaluate, math_grammar
 from .meta import PegSyntaxError, line_col, load_grammar_source
-from .selftest import run_selftest
 from .values import tree_json_text
+
+# The selftest, bench and mathdemo modules are imported by the commands
+# that use them, so that `trx check` and `trx parse` do not load them.
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -120,6 +121,7 @@ def cmd_parse(args) -> int:
             _err("--eval is the arithmetic demo; it needs the math grammar "
                  "(rules ws/number/term/factor/expr)")
             return EXIT_USAGE
+        from .mathdemo import evaluate, math_grammar
         math_grammar()  # build and certify the embedded demo grammar
         value = evaluate(data)
         if value is None:
@@ -182,6 +184,8 @@ def _print_tree(root, data: bytes):
 
 
 def cmd_bench(args) -> int:
+    from .bench import run_bench, xmark_lite
+
     src = _load_source(args.grammar)
     if src is None:
         return EXIT_USAGE
@@ -224,6 +228,8 @@ def cmd_bench(args) -> int:
 
 def _sizes(text: str) -> list:
     """``--sizes``: comma-separated byte counts with an optional K or M."""
+    from .bench import parse_size
+
     out = []
     for spec in text.split(","):
         try:
@@ -247,7 +253,21 @@ def _reps(text: str) -> int:
     return reps
 
 
+def _budget(text: str) -> float:
+    """``--budget``: a finite number of seconds above 0."""
+    try:
+        budget = float(text)
+    except ValueError:
+        budget = 0.0
+    if not 0 < budget < math.inf:
+        raise argparse.ArgumentTypeError(
+            "bad budget %r: a finite number of seconds above 0" % text)
+    return budget
+
+
 def cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     results = run_selftest(seed=args.seed, budget=args.budget)
     ok = True
     for res in results:
@@ -303,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest",
                        help="oracle differential and property suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=float, default=60.0,
+    p.add_argument("--budget", type=_budget, default=60.0,
                    help="approximate time budget in seconds")
     p.set_defaults(fn=cmd_selftest)
     return ap

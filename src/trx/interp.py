@@ -158,13 +158,12 @@ from __future__ import annotations
 
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 
 from .exprs import (CONS, DROP, LEAF, NODE_PREFIX as _NODE_PREFIX,
                     TUPLE2STR, Action, AnyChar, Choice, Empty, Expr, Grammar,
                     NonTerminal, Not, Range, Seq, Star, Terminal, _walk,
                     terminal_chain)
-from .values import (CHAR, Char, Lst, Str, TreeNode, Tup, UNIT, Value,
+from .values import (CHAR, Char, Lst, Record, Str, TreeNode, Tup, UNIT, Value,
                      gc_suspended)
 
 
@@ -216,20 +215,27 @@ class CertificateMismatch(Exception):
         super().__init__("certificate was not issued for this grammar")
 
 
-@dataclass(frozen=True)
-class ParseOutcome:
+class ParseOutcome(Record):
     """Fail or Ok(next position, value), plus the exact step count.
 
     ``farthest`` is diagnostic metadata (the rightmost input position at
     which any terminal, range or any-char match was attempted, -1 if
-    none) and does not participate in equality.
+    none) and does not participate in equality or hashing.
     """
 
-    ok: bool
-    pos: int
-    value: Value | None
-    steps: int
-    farthest: int = field(default=-1, compare=False)
+    __slots__ = __match_args__ = ("ok", "pos", "value", "steps", "farthest")
+
+    def __init__(self, ok: bool, pos: int, value: Value | None, steps: int,
+                 farthest: int = -1):
+        put = object.__setattr__
+        put(self, "ok", ok)
+        put(self, "pos", pos)
+        put(self, "value", value)
+        put(self, "steps", steps)
+        put(self, "farthest", farthest)
+
+    def _key(self) -> tuple:
+        return self.ok, self.pos, self.value, self.steps
 
     def __repr__(self):
         if self.ok:

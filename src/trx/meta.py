@@ -30,7 +30,6 @@ comment; the first rule is the start unless ``@start name ;`` appears.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .analysis import Certificate, certify
@@ -41,7 +40,7 @@ from .exprs import (ANY, CONS, INTERN_LOCK, LEAF, NONE,
                     Optional, Plus, Range, Seq, Star, Terminal,
                     _right_nested, _walk, build_grammar, expr_text)
 from .interp import parse
-from .values import Lst, TreeNode, Tup
+from .values import Lst, Record, TreeNode, Tup
 
 
 class PegSyntaxError(Exception):
@@ -387,14 +386,24 @@ def _line_cols(data: bytes,
         yield line, pos - nl
 
 
-@dataclass
-class GrammarSource:
-    """A grammar resolved from text, with source spans for diagnostics."""
+class GrammarSource(Record):
+    """A grammar resolved from text, with source spans for diagnostics.
 
-    text: bytes
-    path: str | None
-    grammar: Grammar
-    rule_positions: dict  # name -> (line, col) of the defining rule
+    ``rule_positions`` maps each rule name to the (line, column) of its
+    definition.  It is a dict, so a source has no hash.
+    """
+
+    __slots__ = __match_args__ = ("text", "path", "grammar",
+                                  "rule_positions")
+    __hash__ = None
+
+    def __init__(self, text: bytes, path: str | None, grammar: Grammar,
+                 rule_positions: dict):
+        put = object.__setattr__
+        put(self, "text", text)
+        put(self, "path", path)
+        put(self, "grammar", grammar)
+        put(self, "rule_positions", rule_positions)
 
 
 def load_grammar_source(text, path: str | None = None) -> GrammarSource:

@@ -14,10 +14,52 @@ from __future__ import annotations
 import gc
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Any
+
+
+class Record:
+    """Base of the immutable field records: the values below,
+    ``interp.ParseOutcome`` and ``meta.GrammarSource``.
+
+    A subclass names its fields in ``__match_args__``, keeps them in
+    ``__slots__`` and sets them in ``__init__`` through
+    ``object.__setattr__``; assignment and deletion raise
+    AttributeError.  Two records are equal when their classes are the
+    same and their ``_key`` tuples, by default every field, are equal;
+    a record hashes as its key, prints as ``Name(field=value, ...)``,
+    and pickles and copies through its fields in order.
+    """
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name))
+            for name in self.__match_args__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        # Every field, whatever a subclass's _key leaves out.
+        return type(self), Record._key(self)
 
 
 class Value:
@@ -38,13 +80,19 @@ class Unit(Value):
     def __repr__(self):
         return "Unit"
 
+    def __reduce__(self):
+        # By name, so that every protocol unpickles the one instance.
+        return "UNIT"
+
 
 UNIT = Unit()
 
 
-@dataclass(frozen=True, slots=True)
-class Char(Value):
-    code: int
+class Char(Record, Value):
+    __slots__ = __match_args__ = ("code",)
+
+    def __init__(self, code: int):
+        object.__setattr__(self, "code", code)
 
     def __repr__(self):
         return "Char(%r)" % chr(self.code)
@@ -54,33 +102,41 @@ class Char(Value):
 CHAR = tuple(Char(i) for i in range(256))
 
 
-@dataclass(frozen=True, slots=True)
-class Str(Value):
-    data: bytes
+class Str(Record, Value):
+    __slots__ = __match_args__ = ("data",)
+
+    def __init__(self, data: bytes):
+        object.__setattr__(self, "data", data)
 
     def __repr__(self):
         return "Str(%r)" % self.data
 
 
-@dataclass(frozen=True, slots=True)
-class Tup(Value):
-    items: tuple
+class Tup(Record, Value):
+    __slots__ = __match_args__ = ("items",)
+
+    def __init__(self, items: tuple):
+        object.__setattr__(self, "items", items)
 
     def __repr__(self):
         return "Tup%r" % (self.items,)
 
 
-@dataclass(frozen=True, slots=True)
-class Lst(Value):
-    items: tuple
+class Lst(Record, Value):
+    __slots__ = __match_args__ = ("items",)
+
+    def __init__(self, items: tuple):
+        object.__setattr__(self, "items", items)
 
     def __repr__(self):
         return "Lst%r" % (list(self.items),)
 
 
-@dataclass(frozen=True, slots=True)
-class Opt(Value):
-    item: Value | None
+class Opt(Record, Value):
+    __slots__ = __match_args__ = ("item",)
+
+    def __init__(self, item: Value | None):
+        object.__setattr__(self, "item", item)
 
     def __repr__(self):
         return "Opt(%r)" % (self.item,)
@@ -222,11 +278,13 @@ def gc_suspended():
                 gc.enable()
 
 
-@dataclass(frozen=True, slots=True)
-class User(Value):
+class User(Record, Value):
     """Opaque payload produced by an embedded semantic action."""
 
-    payload: Any
+    __slots__ = __match_args__ = ("payload",)
+
+    def __init__(self, payload: Any):
+        object.__setattr__(self, "payload", payload)
 
 
 def tuple_items(v: Value) -> list:

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -369,6 +370,39 @@ def test_bench_reps_below_one_is_usage_error(capsys):
                              "--sizes", "1K", "--reps", reps)
         assert code == 2, reps
         assert out == "" and "--reps" in err
+
+
+def test_selftest_bad_budget_is_usage_error(capsys):
+    # A budget that is not a finite number of seconds above 0 ran the
+    # suites and passed.
+    for budget in ("-1", "0", "-0.5", "nan", "inf", "1e400", "x"):
+        code, out, err = run(capsys, "selftest", "--budget", budget)
+        assert code == 2, budget
+        assert out == "" and "--budget" in err
+
+
+def test_imports_load_only_the_engine():
+    # `import trx` loads neither the oracle nor dataclasses, and the
+    # command line defers the selftest, bench and mathdemo modules to
+    # the commands that use them, as CI checks on the installed package.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    script = (
+        "import sys, importlib\n"
+        "mod, banned = sys.argv[1], sys.argv[2].split(',')\n"
+        "importlib.import_module(mod)\n"
+        "loaded = [m for m in banned if m in sys.modules]\n"
+        "assert not loaded, (mod, loaded)\n")
+    for mod, banned in (
+            ("trx", "trx.oracle,dataclasses"),
+            ("trx.cli", "trx.selftest,trx.bench,trx.oracle,trx.mathdemo,"
+                        "dataclasses")):
+        proc = subprocess.run([sys.executable, "-c", script, mod, banned],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_run_bench_rejects_reps_below_one():
