@@ -33,11 +33,17 @@ choice of one-byte matchers, the built-in drop or tuple2str action on a
 matcher and, in tree mode, the built-in tree-leaf (known by its
 ActionRef's identity; an embedder's action with the same label runs as
 any other), a negation guard in front of a matcher, and the negation
-of any of these.  The compiler evaluates each one once per byte into a
-step table, and the VM runs it, or a repetition of it, with one table
-lookup per byte; right-nested terminal chains (literal runs) get their
-step arithmetic precomputed too.  The oracle differential suite pins their equivalence
-with the plain rule-by-rule evaluation.
+of any of these.  The compiler derives a step table for each one, the
+steps of its outcome on each byte, and the VM runs it, or a repetition
+of it, with one table lookup per byte; right-nested terminal chains
+(literal runs) get their step arithmetic precomputed too.  Like the
+failure and iteration tables below, a step table is derived from its
+parts' on a default and its exceptions, so in time proportional to
+the bytes that differ from the default, and the VM still reads each
+table as a tuple of 257 entries, written out only for the nodes that
+hold one, with equal tables kept as one object.
+The oracle differential suite pins their equivalence with the plain
+rule-by-rule evaluation.
 
 Tree mode.  A program compiled from a tree-shaped grammar (one that
 trx.meta.tree_wrap built) builds no value spines: sequences make no
@@ -379,15 +385,17 @@ class _Program:
     plain mode's and packrat mode's, of per-node lists of failure
     tables, None where not built yet (see _fail_table), and ``iters``
     the same pair for iteration tables (see _iter_table); both pairs are
-    made with the program and cannot be replaced.  ``shared`` holds one
-    copy of each distinct failure table, and by the id of each matcher
-    step table the failure table made from it.
+    made with the program and cannot be replaced.  ``shared`` is the
+    pool of tables written out as tuples (see _dense), one copy of each
+    distinct table, which the compiler starts with the step tables and
+    parses add the failure and iteration tables to.
     """
 
     __slots__ = ("kind", "a", "b", "extra", "prod_body", "start", "tree",
                  "null", "marks", "fails", "iters", "shared")
 
-    def __init__(self, kind, a, b, extra, prod_body, start, tree, null):
+    def __init__(self, kind, a, b, extra, prod_body, start, tree, null,
+                 shared):
         init = object.__setattr__
         init(self, "kind", tuple(kind))
         init(self, "a", tuple(a))
@@ -400,7 +408,7 @@ class _Program:
         init(self, "marks", None)
         init(self, "fails", ([None] * len(kind), [None] * len(kind)))
         init(self, "iters", ([None] * len(kind), [None] * len(kind)))
-        init(self, "shared", {})
+        init(self, "shared", shared)
 
     def __setattr__(self, name, value):
         raise AttributeError("a compiled program is sealed")
@@ -440,8 +448,16 @@ class _Program:
 #   added, on success and on failure, and the list holds m's value too.
 #   ``base`` is the steps a scan adds to its items': 1 for the
 #   repetition, 2 under a drop.
+#
+# The VM reads every step, failure and iteration table as a tuple of
+# 257 entries.  The compiler, _fail_table and _iter_table derive tables
+# from tables entry by entry, and they do so on a default and its
+# exceptions, ``(d, {index: entry})`` with every entry not listed equal
+# to d: a terminal's table has one exception, and so has ``.``'s (end
+# of input).  So a derivation costs time in proportion to the entries
+# that differ from the default, and a table is written out as a tuple
+# only where a node holds it for the VM (see _dense).
 
-_FAILS = (-1,) * 257
 _UNITS = (UNIT,) * 256
 _STR1 = tuple(Str(bytes([b])) for b in range(256))
 # The value table of a tree-mode leaf matcher: each entry marks a leaf
@@ -450,45 +466,84 @@ _SPAN = object()
 _SPANS = (_SPAN,) * 256
 
 
+def _dense(table, pool: dict) -> tuple:
+    # The tuple of ``table``: ``pool`` keeps equal tuples as one object,
+    # and maps the id of each tuple it keeps to the default and
+    # exceptions it was written from.  Equal tables that two nodes hold
+    # are written twice and kept once: a cache keyed by the default and
+    # exceptions saved 4 of 1 187 writes in a grammar-check round and
+    # held more memory than the tuples.
+    d, exc = table
+    out = [d] * 257
+    for i, t in exc.items():
+        out[i] = t
+    out = tuple(out)
+    out = pool.setdefault(out, out)
+    pool.setdefault(id(out), table)
+    return out
+
+
+def _sparse(t: tuple, pool: dict):
+    # The default and exceptions of a tuple _dense wrote out into
+    # ``pool``, else (a program copied with a fresh pool) read off it.
+    return pool.get(id(t)) or (t[0], {i: x for i, x in enumerate(t)
+                                      if x != t[0]})
+
+
+def _map(f, table):
+    # The table of f(x) for every entry x of ``table``.
+    d, exc = table
+    nd = f(d)
+    return nd, {i: y for i, x in exc.items() if (y := f(x)) != nd}
+
+
+def _zip(f, a, b):
+    # The table of f(x, y) for the entries x of ``a`` and y of ``b`` at
+    # each index.
+    (da, ea), (db, eb) = a, b
+    d = f(da, db)
+    return d, {i: t for i in ea.keys() | eb.keys()
+               if (t := f(ea.get(i, da), eb.get(i, db))) != d}
+
+
 def _byte_table(e: Expr, tree_mode: bool, pool: dict):
     """(steps, values) of ``e``, or None if it is not byte-local: a step
     of trx.exprs._walk, whose memo keeps the tables of one compile, so
-    that every compile starts cold.  ``pool`` keeps equal step tables as
-    one object.  In value mode a value table holds Values; a leaf is not
-    byte-local there, since its value depends on the position.  In tree
-    mode, where only leaf spans are kept, a leaf's table is _SPANS and a
-    guard keeps its matcher's value table.
+    that every compile starts cold.  ``steps`` is a default and its
+    exceptions, which _dense writes out into ``pool`` where the program
+    holds it (a mixed choice's value table is made from it too).  In
+    value mode a value table holds Values; a leaf is not byte-local
+    there, since its value depends on the position.  In tree mode,
+    where only leaf spans are kept, a leaf's table is _SPANS and a guard
+    keeps its matcher's value table.
     """
     t = type(e)
-    if t is Terminal or t is Range or t is AnyChar:
-        lo, hi = ((e.code, e.code) if t is Terminal
-                  else (e.lo, e.hi) if t is Range else (0, 255))
-        steps, values = (_FAILS[:lo] + (1,) * (hi - lo + 1) + _FAILS[hi + 1:],
-                         CHAR)
+    if t is AnyChar:
+        steps, values = (1, {256: -1}), CHAR
+    elif t is Terminal or t is Range:
+        lo, hi = (e.code, e.code) if t is Terminal else (e.lo, e.hi)
+        steps, values = (-1, dict.fromkeys(range(lo, hi + 1), 1)), CHAR
     elif t is Choice:
         a = yield e.first
-        if a is None or a[1] is None:
-            return None
-        b = yield e.second
-        if b is None or b[1] is None:
+        b = a and a[1] is not None and (yield e.second)
+        if not b or b[1] is None:
             return None
         (sa, va), (sb, vb) = a, b
-        steps = _choice_steps(sa, sb)
-        values = va if va is vb else _choice_values(sa, va, vb)
+        steps = _zip(_choice_steps, sa, sb)
+        values = (va if va is vb
+                  else _choice_values(_dense(sa, pool), va, vb))
     elif t is Seq:
         g = yield e.left
-        if g is None or g[1] is not None:
+        m = g and g[1] is None and (yield e.right)
+        if not m or m[1] is None:
             return None
-        m = yield e.right
-        if m is None or m[1] is None:
-            return None
-        steps = _guarded_steps(g[0], m[0])
+        steps = _zip(_guarded_steps, g[0], m[0])
         values = m[1] if tree_mode else _guarded_values(m[1])
     elif t is Not:
         i = yield e.inner
         if i is None:
             return None
-        steps, values = _not_steps(i[0]), None
+        steps, values = _map(_not_steps, i[0]), None
     elif t is Action:
         i = yield e.inner
         if i is None or i[1] is None:
@@ -502,59 +557,72 @@ def _byte_table(e: Expr, tree_mode: bool, pool: dict):
             values = _STR1
         else:
             return None
-        steps = _action_steps(i[0])
+        steps = _map(_action_steps, i[0])
     else:
         return None
-    return pool.setdefault(steps, steps), values
+    return steps, values
 
 
-# The tables _byte_table derives: of a choice of two matchers, of a
-# guard in front of a matcher, of a negation and of an action.  A choice
-# also folds an iteration table (see _iter_table), whose 0 entries,
-# which no byte-local table has, mean "must run".
+# The entries of the tables _byte_table derives: of a choice of two
+# matchers, of a guard in front of a matcher, of a negation and of an
+# action.  A choice also folds an iteration table (see _iter_table),
+# whose 0 entries, which no byte-local table has, mean "must run".
 
-def _choice_steps(sa, sb):
-    return tuple([x + 1 if x > 0 else 0 if not (x and y)
-                  else y - x + 1 if y > 0 else x + y - 1
-                  for x, y in zip(sa, sb)])
+def _choice_steps(x, y):
+    return (x + 1 if x > 0 else 0 if not (x and y)
+            else y - x + 1 if y > 0 else x + y - 1)
 
 
 def _choice_values(sa, va, vb):
     return tuple([u if x > 0 else w for x, u, w in zip(sa, va, vb)])
 
 
-def _guarded_steps(sg, sm):
-    return tuple([x - 1 if x < 0 else x + y + 1 if y > 0 else y - x - 1
-                  for x, y in zip(sg, sm)])
+def _guarded_steps(x, y):
+    return x - 1 if x < 0 else x + y + 1 if y > 0 else y - x - 1
 
 
 def _guarded_values(vm):
     return tuple([Tup((UNIT, v)) for v in vm])
 
 
-def _not_steps(s):
-    return tuple([-x - 1 if x > 0 else 1 - x for x in s])
+def _not_steps(x):
+    return -x - 1 if x > 0 else 1 - x
 
 
-def _action_steps(s):
-    return tuple([x + 1 if x > 0 else x - 1 for x in s])
+def _action_steps(x):
+    return x + 1 if x > 0 else x - 1
 
 
-def _scan_descriptor(steps, values, tree_mode: bool, base: int = 1):
-    """SCAN descriptor for a repetition of a matcher, or None when it is
-    a tree-mode matcher that makes a leaf span on some bytes only.
-    ``values`` is None for a value-mode repetition under a drop."""
-    ok = [b for b in range(256) if steps[b] > 0]
+def _successes(table, values) -> tuple:
+    # How many bytes (not end of input) a tree-mode matcher with the
+    # step table ``table`` succeeds on, and on how many of them its value
+    # table ``values`` makes a leaf span.
+    d, exc = table
+    flips = sum([(t > 0) != (d > 0) for i, t in exc.items() if i < 256])
+    n = 256 - flips if d > 0 else flips
+    return n, (n if values is _SPANS else sum(
+        [values[i] is _SPAN for i in range(256) if exc.get(i, d) > 0]))
+
+
+def _scan_descriptor(table, values, tree_mode: bool, pool: dict,
+                     base: int = 1):
+    """SCAN descriptor for a repetition of a matcher with the step table
+    ``table``, or None when it is a tree-mode matcher that makes a leaf
+    span on some bytes only.  ``values`` is None for a value-mode
+    repetition under a drop.  ``pool`` is _dense's."""
     leaf = False
     if tree_mode:
-        leaves = sum(values[b] is _SPAN for b in ok)
-        if 0 < leaves < len(ok):
+        n, leaves = _successes(table, values)
+        if 0 < leaves < n:
             return None
         values, leaf = None, leaves > 0
+    steps = _dense(table, pool)
     find = None
-    if len(ok) == 255 and len({steps[b] for b in ok}) == 1:
-        c = next(b for b in range(256) if steps[b] < 0)
-        find = (c, steps[ok[0]] + 1)
+    # One byte fails, and the others succeed in equal steps.
+    head = steps[:256]
+    lo, hi = min(head), max(head)
+    if lo < 0 < hi and head.count(lo) == 1 and head.count(hi) == 255:
+        find = (head.index(lo), hi + 1)
     return steps, values, leaf, find, None, base
 
 
@@ -562,31 +630,30 @@ def _plus_descriptor(m: Expr, rep: Expr, tables, pool: dict,
                      tree_mode: bool, ok_add: int, fail_add: int):
     """SCAN descriptor of ``m rep`` (see SCAN above), or None when it is
     not an ``m x*`` whose items the scan can make.  ``tables`` gives an
-    expression's byte tables and ``pool`` holds their step tables.
-    ``ok_add`` and ``fail_add`` are the steps the scan adds to m's
-    success and to its failure: the Seq's, and in value mode the
-    cons's."""
+    expression's byte tables and ``pool`` is _dense's.  ``ok_add`` and
+    ``fail_add`` are the steps the scan adds to m's success and to its
+    failure: the Seq's, and in value mode the cons's."""
     if type(rep) is not Star:
         return None
     mt = tables(m)
     xt = tables(rep.inner)
     if mt is None or mt[1] is None or xt is None or xt[1] is None:
         return None
-    scan = _scan_descriptor(xt[0], xt[1], tree_mode)
+    scan = _scan_descriptor(xt[0], xt[1], tree_mode, pool)
     if scan is None:
         return None
     steps, values = mt
     if tree_mode:
         # One span covers both parts, so m's successes must be leaves
         # exactly when the scan's are.
-        if any((values[b] is _SPAN) != scan[2]
-               for b in range(256) if steps[b] > 0):
+        n, leaves = _successes(steps, values)
+        if leaves != (n if scan[2] else 0):
             return None
     elif values is not xt[1]:
         # The list is made from x's value table, m's byte included.
         return None
-    first = tuple([t + ok_add if t > 0 else t - fail_add for t in steps])
-    return scan[:4] + (pool.setdefault(first, first), 1)
+    first = _map(lambda t: t + ok_add if t > 0 else t - fail_add, steps)
+    return scan[:4] + (_dense(first, pool), 1)
 
 
 def _spine_value(data: bytes):
@@ -633,7 +700,7 @@ def _compile(g: Grammar | None, roots=(),
     index = {}                      # expression -> its node
     prod_index = {}
     rule_names = {}
-    byte_tables, pool = {}, {}
+    byte_tables, pool = {}, {}      # pool: the tables written out (_dense)
 
     if g is not None:
         prod_index = {name: i for i, name in enumerate(g.nonterminals)}
@@ -695,7 +762,7 @@ def _compile(g: Grammar | None, roots=(),
         if t is Star:
             m = tables(e.inner)
             if m is not None and m[1] is not None:
-                scan = _scan_descriptor(m[0], m[1], tree_mode)
+                scan = _scan_descriptor(m[0], m[1], tree_mode, pool)
                 if scan is not None:
                     return emit(e, _K_SCAN, extra=scan)
             return emit(e, _K_STAR, (yield e.inner))
@@ -705,7 +772,8 @@ def _compile(g: Grammar | None, roots=(),
             return emit(e, _K_EMPTY)
         m = tables(e)
         if m is not None:
-            return emit(e, _K_PRED if m[1] is None else _K_MATCH1, extra=m)
+            return emit(e, _K_PRED if m[1] is None else _K_MATCH1,
+                        extra=(_dense(m[0], pool), m[1]))
         lit = _as_lit(e)
         if lit is not None:
             return emit(e, _K_LIT, extra=lit)
@@ -731,7 +799,7 @@ def _compile(g: Grammar | None, roots=(),
             elif e.ref is DROP and type(inner) is Star:
                 x = tables(inner.inner)
                 if x is not None and x[1] is not None:
-                    scan = _scan_descriptor(x[0], None, False, 2)
+                    scan = _scan_descriptor(x[0], None, False, pool, 2)
             if scan is not None:
                 return emit(e, _K_SCAN, extra=scan)
             if type(inner) is Seq and tables(inner) is None \
@@ -777,8 +845,8 @@ def _compile(g: Grammar | None, roots=(),
                 elif kind[body] == _K_ACT and kind[aa[body]] >= _K_EMPTY:
                     kind[i], bb[i], extras[i] = _K_LEAF, aa[body], extras[body]
     null = None if props is None else tuple(map(props.can_empty, sources))
-    return (_Program(kind, aa, bb, extras, prod_body, start, tree_mode, null),
-            root_ids)
+    return (_Program(kind, aa, bb, extras, prod_body, start, tree_mode, null,
+                     pool), root_ids)
 
 
 # A watermark above every position: the rule is memoised at every call.
@@ -886,31 +954,28 @@ def _bits(mask: int) -> list:
     return out
 
 
-# The failure table of a node that never fails on its first byte alone,
-# and that table written out (see _iter_table).
+# The failure table of a node that never fails on its first byte alone.
 _NO_FAIL = ()
-_MUST_RUN = (0,) * 257
 
 
 def _fail_table(prog: _Program, tables: list, root: int, packrat: bool):
     """The failure table of node ``root`` for one mode, built now
     together with the tables it is made from that ``tables`` does not
-    hold yet, and stored there (see the module docstring).
+    hold yet, and stored there (see the module docstring).  Each is
+    derived on a default and its exceptions, and written out into the
+    program's pool (see _dense).
 
     Depth first with an explicit stack.  A table made from one that is
     still being built (a cycle of leading calls, which only an
     uncertified program has) takes that one as _NO_FAIL, which is
     always exact: the node then runs.
     """
-    kind, aa, bb, extra, body = (prog.kind, prog.a, prog.b, prog.extra,
-                                 prog.prod_body)
-    shared = prog.shared
+    kind, aa, bb, extra, body, shared = (prog.kind, prog.a, prog.b,
+                                         prog.extra, prog.prod_body,
+                                         prog.shared)
 
-    def pack(out: list):
-        if not any(out):
-            return _NO_FAIL
-        out = tuple(out)
-        return shared.setdefault(out, out)
+    def pack(table):
+        return _dense(table, shared) if table[0] or table[1] else _NO_FAIL
 
     opened = set()
     todo = [root]
@@ -943,26 +1008,21 @@ def _fail_table(prog: _Program, tables: list, root: int, packrat: bool):
                 todo.extend(more)
                 continue
         todo.pop()
-        sub = [tables[x] or _NO_FAIL for x in parts]
+        sub = [_sparse(tables[x], shared) for x in parts if tables[x]]
         if k == _K_MATCH1 or k == _K_PRED or k == _K_SCAN:
             steps = extra[i][4 if k == _K_SCAN else 0]
-            # Matchers share step tables, so their failure tables are
-            # kept by the step table's identity too.
-            out = _NO_FAIL if steps is None else shared.get(id(steps))
-            if out is None:
-                out = shared[id(steps)] = pack(
-                    [-t if t < 0 else 0 for t in steps])
+            out = _NO_FAIL if steps is None else pack(_map(
+                lambda t: -t if t < 0 else 0, _sparse(steps, shared)))
         elif k == _K_LIT:
-            lbytes, _, fails, _ = extra[i]
-            out = [fails[0]] * 257
-            out[lbytes[0]] = 0
-            out = pack(out)
-        elif not parts or not add or not all(sub):
+            # Every byte but the literal's first fails with its first
+            # prefix.
+            out = pack((extra[i][2][0], {extra[i][0][0]: 0}))
+        elif not parts or not add or len(sub) < len(parts):
             out = _NO_FAIL
         elif len(sub) == 1:
-            out = pack([x + add if x else 0 for x in sub[0]])
+            out = pack(_map(lambda x: x + add if x else 0, sub[0]))
         else:
-            out = pack([x + y + 1 if x and y else 0 for x, y in zip(*sub)])
+            out = pack(_zip(lambda x, y: x + y + 1 if x and y else 0, *sub))
         tables[i] = out
     return tables[root]
 
@@ -973,36 +1033,36 @@ def _iter_table(prog: _Program, fails: list, iters: list, root: int,
     and stored in ``iters`` (see the module docstring): the choice rule
     (_choice_steps and _choice_values) folded from the right over the
     body's alternatives, the parts of its right-nested choice chain or
-    the body alone.  An alternative's table has 0 for "must run": a
-    one-byte matcher's is its step table, where in tree mode a success
-    that is not a leaf span is 0, and any other node's is its failure
-    table, built into ``fails``, negated.  In tree mode there is no
-    value table (None).
+    the body alone, on defaults and exceptions like the byte tables.
+    An alternative's table has 0 for "must run": a one-byte matcher's is
+    its step table, where in tree mode a success that is not a leaf
+    span is 0, and any other node's is its failure table, built into
+    ``fails``, negated.  In tree mode there is no value table (None).
     """
-    kind, aa, bb, extra = prog.kind, prog.a, prog.b, prog.extra
+    kind, aa, bb, extra, shared = (prog.kind, prog.a, prog.b, prog.extra,
+                                   prog.shared)
     alts = []
     x = aa[root]
     while kind[x] == _K_CHOICE:
         alts.append(aa[x])
         x = bb[x]
     alts.append(x)
-    tree = prog.tree
     steps = values = None
     for x in reversed(alts):
         if kind[x] != _K_MATCH1:
-            s = tuple([-t for t in _fail_table(prog, fails, x, packrat)
-                       or _MUST_RUN])
+            s = _fail_table(prog, fails, x, packrat)
+            s = _map(lambda t: -t, _sparse(s, shared)) if s else (0, {})
         else:
             s, v = extra[x]
-            if tree:
+            if not prog.tree:
+                values = (v if values is None or v is values
+                          else _choice_values(s, v, values))
+            elif v is not _SPANS:
                 s = tuple([0 if t > 0 and v[b] is not _SPAN else t
                            for b, t in enumerate(s)])
-            elif values is None or v is values:
-                values = v
-            else:
-                values = _choice_values(s, v, values)
-        steps = s if steps is None else _choice_steps(s, steps)
-    out = iters[root] = (steps, values)
+            s = _sparse(s, shared)
+        steps = s if steps is None else _zip(_choice_steps, s, steps)
+    out = iters[root] = (_dense(steps, shared), values)
     return out
 
 

@@ -58,10 +58,7 @@ class PegSyntaxError(Exception):
 
 def line_col(data: bytes, pos: int) -> tuple[int, int]:
     """1-based line and byte column of a byte offset."""
-    pos = min(pos, len(data))
-    line = data.count(b"\n", 0, pos) + 1
-    nl = data.rfind(b"\n", 0, pos)
-    return line, pos - nl
+    return next(_line_cols(data, (min(pos, len(data)),)))
 
 
 def _context_line(data: bytes, pos: int) -> str:
@@ -271,53 +268,61 @@ def _decode_escape(raw: bytes) -> int:
     return _ESCAPE_DECODE[raw[1]]
 
 
-def _leaf_bytes(node: TreeNode, data: bytes) -> bytes:
-    return b"".join(data[c.start:c.end] for c in node.children if c.is_leaf())
-
+# The lowering reads parse-tree nodes by their tuple layout, (rule,
+# start, end, *children), which trx.values.TreeNode keeps internal to the
+# package: ``children`` builds a fresh tuple on every access, and a leaf
+# is a node whose rule is "".  Its recursion shape, five functions and
+# two list comprehensions per parenthesis level, is kept on purpose: the
+# benchmark's 150-parenthesis grammar and the CI step at 300 pin the
+# RecursionError it raises, until the lowering walks on an explicit
+# stack and those pins flip to must-succeed together.
 
 def _ident_text(node: TreeNode, data: bytes) -> str:
-    return _leaf_bytes(node, data).decode("ascii")
+    # An identifier's one child is the leaf of its name; its spacing is
+    # dropped.
+    return data[node[3][1]:node[3][2]].decode("ascii")
+
+
+#: The tree-shaped leaf of each byte, ``Action(Terminal(b), LEAF)``, made
+#: the first time a literal or class holds the byte: most of the nodes a
+#: load builds are these.
+_LEAVES = {}
+
+
+def _leaf(b: int) -> Expr:
+    return _LEAVES.get(b) or _LEAVES.setdefault(b, Action(Terminal(b), LEAF))
 
 
 def _lower_literal(node: TreeNode, data: bytes, tree: bool) -> Expr:
-    out = bytearray()
-    for child in node.children:
-        if child.is_leaf():
-            out.extend(data[child.start:child.end])
-        else:  # escape
-            out.append(_decode_escape(data[child.start:child.end]))
+    # The children are leaves and escape nodes.
+    out = b"".join([bytes([_decode_escape(data[c[1]:c[2]])]) if c[0]
+                    else data[c[1]:c[2]] for c in node[3:]])
     if not tree:
         return Literal(out)
     if not out:
         raise EmptyLiteral()
-    return _right_nested([Action(Terminal(b), LEAF) for b in out], Seq)
+    return _right_nested([_leaf(b) for b in out], Seq)
 
 
 def _classchar_byte(node: TreeNode, data: bytes) -> int:
-    child = node.children[0]
-    if child.is_leaf():
-        return data[child.start]
-    return _decode_escape(data[child.start:child.end])
+    c = node[3]  # an escape node or a leaf
+    return _decode_escape(data[c[1]:c[2]]) if c[0] else data[c[1]]
 
 
 def _lower_charclass(node: TreeNode, data: bytes, tree: bool) -> Expr:
-    items = []
-    for item in node.children:  # classitem nodes
-        chars = [_classchar_byte(c, data) for c in item.children]
-        if len(chars) == 1:
-            items.append(chars[0])
-        else:
-            items.append((chars[0], chars[1]))
+    # A classitem node holds one classchar node, or two for a range.
+    items = [_classchar_byte(item[3], data) if len(item) == 4
+             else (_classchar_byte(item[3], data),
+                   _classchar_byte(item[4], data)) for item in node[3:]]
     if not tree:
         return CharClass(items)
-    return _right_nested([Action(Range(*item) if type(item) is tuple
-                                 else Terminal(item), LEAF)
-                          for item in items], Choice)
+    return _right_nested([Action(Range(*item), LEAF) if type(item) is tuple
+                          else _leaf(item) for item in items], Choice)
 
 
 def _lower_primary(node: TreeNode, data: bytes, tree: bool) -> Expr:
-    child = node.children[0]
-    rule = child.rule
+    child = node[3]
+    rule = child[0]
     if rule == "epsilon":
         return EMPTY
     if rule == "identifier":
@@ -345,34 +350,32 @@ _PREFIX = {"notop": Not, "andop": And, "dropop": Drop}
 
 
 def _lower_suffixed(node: TreeNode, data: bytes, tree: bool) -> Expr:
-    children = node.children
-    e = _lower_primary(children[0], data, tree)
+    e = _lower_primary(node[3], data, tree)
     postfix = _TREE_POSTFIX if tree else _POSTFIX
-    for op in children[1:]:
-        e = postfix[op.rule](e)
+    for op in node[4:]:
+        e = postfix[op[0]](e)
     return e
 
 
 def _lower_prefixed(node: TreeNode, data: bytes, tree: bool) -> Expr:
-    children = node.children
     # Under a prefix operator the value-mode form, as tree_wrap leaves it.
-    e = _lower_suffixed(children[-1], data, tree and len(children) == 1)
-    for op in reversed(children[:-1]):
-        e = _PREFIX[op.rule](e)
+    e = _lower_suffixed(node[-1], data, tree and len(node) == 4)
+    for op in reversed(node[3:-1]):
+        e = _PREFIX[op[0]](e)
     return e
 
 
 def _lower_sequence(node: TreeNode, data: bytes, tree: bool) -> Expr:
-    return _right_nested([_lower_prefixed(c, data, tree)
-                          for c in node.children], Seq)
+    return _right_nested([_lower_prefixed(c, data, tree) for c in node[3:]],
+                         Seq)
 
 
 def _lower_expression(node: TreeNode, data: bytes, tree: bool) -> Expr:
     """The expression of a parse-tree node: the tree-shaped form, which
     tree_wrap gives, when ``tree`` is set, else the value-mode form.
     Five calls per parenthesis level."""
-    return _right_nested([_lower_sequence(c, data, tree)
-                          for c in node.children], Choice)
+    return _right_nested([_lower_sequence(c, data, tree) for c in node[3:]],
+                         Choice)
 
 
 def _line_cols(data: bytes,
@@ -415,15 +418,15 @@ def load_grammar_source(text, path: str | None = None) -> GrammarSource:
     rules = []
     starts = []
     start = None
-    for definition in out.value.children:
-        node = definition.children[0]
-        if node.rule == "pragma":
-            start = _ident_text(node.children[0], data)
+    for definition in out.value[3:]:
+        node = definition[3]
+        if node[0] == "pragma":
+            start = _ident_text(node[3], data)
         else:
-            name = _ident_text(node.children[0], data)
-            body = _lower_expression(node.children[1], data, True)
-            rules.append((name, Action(body, node_action(name))))
-            starts.append(node.start)
+            name = _ident_text(node[3], data)
+            rules.append((name, Action(_lower_expression(node[4], data, True),
+                                       node_action(name))))
+            starts.append(node[1])
     if not rules:
         raise PegSyntaxError(data, 0, path)
     grammar = build_grammar(rules, start or rules[0][0], tree_shaped=True)

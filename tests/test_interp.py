@@ -22,7 +22,7 @@ from trx import (Action, ActionRef, AnyChar, CertificateMismatch, CharClass,
                  expr_text, expression_set, Literal, load_grammar,
                  memo_stats, parse, parse_to_tree, tree_to_json, tree_wrap)
 from trx.bench import xmark_lite
-from trx.exprs import CONS, LEAF
+from trx.exprs import CONS, DROP, LEAF, TUPLE2STR
 from trx.interp import _ALWAYS, _NO_FAIL, _compile, _initial_marks, _run
 from trx.mathdemo import ADD, MUL, PICK1, evaluate, math_grammar
 from trx.oracle import (EXHAUSTED, all_inputs, oracle_eval, oracle_parse,
@@ -1021,6 +1021,247 @@ def test_failure_tables_are_tuples():
         built = [t for cache in prog.fails for t in cache if t is not None]
         assert any(built) and () in built
         assert all(type(t) is tuple and len(t) in (0, 257) for t in built)
+
+
+# --- The table algebra against dense tables -----------------------------
+#
+# The compiler, _fail_table and _iter_table derive tables on a default
+# and its exceptions.  The reference below derives the same tables entry
+# by entry over all 257 (or 256) entries, with the formulas the module
+# docstring states.
+
+def _ref_choice_steps(sa, sb):
+    return tuple([x + 1 if x > 0 else 0 if not (x and y)
+                  else y - x + 1 if y > 0 else x + y - 1
+                  for x, y in zip(sa, sb)])
+
+
+def _ref_choice_values(sa, va, vb):
+    return tuple([u if x > 0 else w for x, u, w in zip(sa, va, vb)])
+
+
+def _ref_byte_table(e, tree_mode, memo):
+    """(steps, values) of ``e`` as tuples, or None if it is not
+    byte-local.  ``memo`` keeps each expression's tables, as the
+    compiler's walk does, so that a value table met twice is one
+    object."""
+    if e not in memo:
+        memo[e] = _ref_byte_table_of(e, tree_mode, memo)
+    return memo[e]
+
+
+def _ref_byte_table_of(e, tree_mode, memo):
+    interp = trx.interp
+    t = type(e)
+    if t in (Terminal, Range, AnyChar):
+        lo, hi = ((e.code, e.code) if t is Terminal
+                  else (e.lo, e.hi) if t is Range else (0, 255))
+        return (tuple(1 if lo <= b <= hi else -1 for b in range(257)),
+                trx.values.CHAR)
+    if t is Choice:
+        a = _ref_byte_table(e.first, tree_mode, memo)
+        b = (a and a[1] is not None
+             and _ref_byte_table(e.second, tree_mode, memo))
+        if not b or b[1] is None:
+            return None
+        (sa, va), (sb, vb) = a, b
+        return (_ref_choice_steps(sa, sb),
+                va if va is vb else _ref_choice_values(sa, va, vb))
+    if t is Seq:
+        g = _ref_byte_table(e.left, tree_mode, memo)
+        m = g and g[1] is None and _ref_byte_table(e.right, tree_mode, memo)
+        if not m or m[1] is None:
+            return None
+        steps = tuple([x - 1 if x < 0 else x + y + 1 if y > 0 else y - x - 1
+                       for x, y in zip(g[0], m[0])])
+        return steps, (m[1] if tree_mode
+                       else tuple([Tup((UNIT, v)) for v in m[1]]))
+    if t is Not:
+        i = _ref_byte_table(e.inner, tree_mode, memo)
+        return i and (tuple([-x - 1 if x > 0 else 1 - x for x in i[0]]),
+                      None)
+    if t is Action:
+        i = _ref_byte_table(e.inner, tree_mode, memo)
+        if i is None or i[1] is None:
+            return None
+        if e.ref is LEAF and tree_mode:
+            values = interp._SPANS
+        elif e.ref is DROP:
+            values = interp._UNITS
+        elif e.ref is TUPLE2STR and i[1] is trx.values.CHAR:
+            values = interp._STR1
+        else:
+            return None
+        return tuple([x + 1 if x > 0 else x - 1 for x in i[0]]), values
+    return None
+
+
+def _ref_scan(steps, values, tree_mode, base=1):
+    ok = [b for b in range(256) if steps[b] > 0]
+    leaf = False
+    if tree_mode:
+        leaves = sum(values[b] is trx.interp._SPAN for b in ok)
+        if 0 < leaves < len(ok):
+            return None
+        values, leaf = None, leaves > 0
+    find = None
+    if len(ok) == 255 and len({steps[b] for b in ok}) == 1:
+        c = next(b for b in range(256) if steps[b] < 0)
+        find = (c, steps[ok[0]] + 1)
+    return steps, values, leaf, find, None, base
+
+
+def _ref_plus(mt, xt, tree_mode, ok_add, fail_add):
+    if mt is None or mt[1] is None or xt is None or xt[1] is None:
+        return None
+    scan = _ref_scan(xt[0], xt[1], tree_mode)
+    if scan is None:
+        return None
+    steps, values = mt
+    if tree_mode:
+        if any((values[b] is trx.interp._SPAN) != scan[2]
+               for b in range(256) if steps[b] > 0):
+            return None
+    elif values is not xt[1]:
+        return None
+    first = tuple([t + ok_add if t > 0 else t - fail_add for t in steps])
+    return scan[:4] + (first, 1)
+
+
+def _ref_iter_table(prog, fails, root, packrat):
+    interp = trx.interp
+    kind, aa, bb = prog.kind, prog.a, prog.b
+    alts = []
+    x = aa[root]
+    while kind[x] == interp._K_CHOICE:
+        alts.append(aa[x])
+        x = bb[x]
+    alts.append(x)
+    steps = values = None
+    for x in reversed(alts):
+        if kind[x] != interp._K_MATCH1:
+            f = interp._fail_table(prog, fails, x, packrat) or (0,) * 257
+            s = tuple([-t for t in f])
+        else:
+            s, v = prog.extra[x]
+            if prog.tree:
+                s = tuple([0 if t > 0 and v[b] is not interp._SPAN else t
+                           for b, t in enumerate(s)])
+            elif values is None or v is values:
+                values = v
+            else:
+                values = _ref_choice_values(s, v, values)
+        steps = s if steps is None else _ref_choice_steps(s, steps)
+    return steps, values
+
+
+def _ref_fail_table(prog, i):
+    """The failure table of a matcher, predicate or literal node."""
+    k, extra = prog.kind[i], prog.extra[i]
+    if k == trx.interp._K_LIT:
+        lbytes, _, fails, _ = extra
+        out = [fails[0]] * 257
+        out[lbytes[0]] = 0
+    else:
+        out = [-t if t < 0 else 0 for t in extra[0]]
+    return tuple(out) if any(out) else _NO_FAIL
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property below needs hypothesis
+    st = None
+
+if st is not None:
+    # Bytes at both ends of the range and next to each other are
+    # over-represented, so that tables share defaults and exceptions.
+    _TABLE_BYTES = st.one_of(st.sampled_from([0, 1, 97, 98, 254, 255]),
+                             st.integers(0, 255))
+    # ``(!'c' .)``, a common body of scans that end on one byte, is a
+    # leaf too.
+    _LOCAL_LEAVES = st.one_of(
+        _TABLE_BYTES.map(Terminal),
+        st.tuples(_TABLE_BYTES, _TABLE_BYTES).map(
+            lambda p: Range(min(p), max(p))),
+        st.just(AnyChar()),
+        _TABLE_BYTES.map(lambda b: Seq(Not(Terminal(b)), AnyChar())))
+    # Byte-local expressions, and some that are not (a choice of a
+    # negation, an action over one), which both sides must refuse.
+    _LOCAL = st.recursive(_LOCAL_LEAVES, lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda p: Choice(*p)),
+        st.tuples(inner, inner).map(lambda p: Seq(Not(p[0]), p[1])),
+        inner.map(Not),
+        st.tuples(inner, st.sampled_from([LEAF, DROP, TUPLE2STR])).map(
+            lambda p: Action(*p))), max_leaves=6)
+    # The alternatives of a repetition's body: byte-local expressions,
+    # literals and sequences, which have failure tables.
+    _ALT = st.one_of(
+        _LOCAL,
+        st.binary(min_size=1, max_size=3).map(Literal),
+        st.tuples(_LOCAL, _LOCAL).map(lambda p: Seq(*p)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(e=_LOCAL, x=_LOCAL, adds=st.sampled_from([(1, 1), (1, 0),
+                                                     (2, 2)]))
+    def test_byte_tables_and_descriptors_match_dense_reference(e, x, adds):
+        interp = trx.interp
+        for tree_mode in (False, True):
+            pool = {}
+            memo = {}
+
+            def tables(y):
+                return trx.exprs._walk(
+                    lambda z: interp._byte_table(z, tree_mode, pool), y, memo)
+
+            ref = {}
+            want = _ref_byte_table(e, tree_mode, ref)
+            got = tables(e)
+            assert (got is None) == (want is None)
+            if got is None:
+                continue
+            assert interp._dense(got[0], pool) == want[0]
+            assert got[1] == want[1]
+            if got[1] is None:
+                continue
+            assert (interp._scan_descriptor(got[0], got[1], tree_mode, pool)
+                    == _ref_scan(*want, tree_mode))
+            if not tree_mode:
+                assert (interp._scan_descriptor(got[0], None, False, pool, 2)
+                        == _ref_scan(want[0], None, False, 2))
+            for m, rep in ((e, x), (x, e), (e, e)):
+                assert (interp._plus_descriptor(m, Star(rep), tables, pool,
+                                                tree_mode, *adds)
+                        == _ref_plus(_ref_byte_table(m, tree_mode, ref),
+                                     _ref_byte_table(rep, tree_mode, ref),
+                                     tree_mode, *adds))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(alts=st.lists(_ALT, min_size=1, max_size=4))
+    def test_failure_and_iteration_tables_match_dense_reference(alts):
+        interp = trx.interp
+        body = alts[-1]
+        for alt in reversed(alts[:-1]):
+            body = Choice(alt, body)
+        # Roots compile in value mode with a value-mode grammar, and in
+        # tree mode with a tree-shaped one.
+        host = build_grammar([("S", EMPTY)], "S")
+        for tree_mode, g in ((False, host), (True, tree_wrap(host))):
+            if tree_mode:
+                body = trx.exprs._walk(trx.meta._tree_wrap_step, body, {})
+            prog, _ = _compile(g, roots=(Star(body),) + tuple(alts))
+            for packrat in (False, True):
+                fails, iters = prog.fails[packrat], prog.iters[packrat]
+                for i, k in enumerate(prog.kind):
+                    if k in (interp._K_MATCH1, interp._K_PRED,
+                             interp._K_LIT):
+                        assert (interp._fail_table(prog, fails, i, packrat)
+                                == _ref_fail_table(prog, i))
+                for i, k in enumerate(prog.kind):
+                    if k == interp._K_STAR:
+                        assert (interp._iter_table(prog, fails, iters, i,
+                                                   packrat)
+                                == _ref_iter_table(prog, fails, i, packrat))
 
 
 def test_packrat_call_through_nested_call_still_runs():

@@ -5,8 +5,8 @@ import time
 
 import pytest
 
-from trx import (ANY, Action, ActionRef, Choice, Drop, DuplicateRule, EmptyLiteral,
-                 Grammar, InvalidRange, Literal, MemoTable, NonTerminal, Not,
+from trx import (ANY, EMPTY, Action, ActionRef, And, CharClass, Choice, Drop,
+                 DuplicateRule, EmptyLiteral, Grammar, InvalidRange, Literal, MemoTable, NonTerminal, Not,
                  Optional, PegSyntaxError, Plus, Seq, Star, Terminal,
                  UndefinedNonterminal, UnknownStart, build_grammar,
                  builtin_meta_grammar, check_well_formed, dump_grammar,
@@ -161,6 +161,51 @@ def test_pragma_selects_start_and_last_wins():
     assert g.start == "B"
     g2 = load_grammar("@start A ;\n@start B ;\nA <- 'a' ;\nB <- 'b' ;")
     assert g2.start == "B"
+
+
+# Texts heavy in escapes, ranges, ``.`` and ``eps``, stacked prefix and
+# postfix operators and comments, each with the same rules written
+# through the embedded API, and its start rule.
+_LOADER_CASES = [
+    (r"""# Escapes in literals and in classes.
+S <- '\x41\n\t' "\"\\" T ;   # hex, control, quote and backslash
+T <- [\]\\\-\x41] / '\'' ;
+""", [("S", Seq(Literal(b"A\n\t"), Seq(Literal(b'"\\'), NonTerminal("T")))),
+      ("T", Choice(CharClass(["]", "\\", "-", "A"]), Literal("'")))], "S"),
+    (r"S <- [a-z0-9_] . eps / [\x00-\x1f] [A-A] ;",
+     [("S", Choice(Seq(CharClass([("a", "z"), ("0", "9"), "_"]),
+                       Seq(ANY, EMPTY)),
+                   Seq(CharClass([(0, 0x1F)]), CharClass([("A", "A")]))))],
+     "S"),
+    ("S <- !&~'a'*+? 'b'+* ~[xy]? &. ;",
+     [("S", Seq(Not(And(Drop(Optional(Plus(Star(Literal("a"))))))),
+                Seq(Star(Plus(Literal("b"))),
+                    Seq(Drop(Optional(CharClass(["x", "y"]))), And(ANY)))))],
+     "S"),
+    ("# leading comment\r\n@start B ; # pragma\nA <- ( 'x' / eps ) # after\n"
+     "     'y'?+ ;\nB <- A* !A ~( . [\\x30-\\x39] )* ;\n# trailing, no newline",
+     [("A", Seq(Choice(Literal("x"), EMPTY), Plus(Optional(Literal("y"))))),
+      ("B", Seq(Star(NonTerminal("A")),
+                Seq(Not(NonTerminal("A")),
+                    Drop(Star(Seq(ANY, CharClass([("0", "9")]))))))),
+      ], "B"),
+]
+
+
+@pytest.mark.parametrize("text, rules, start", _LOADER_CASES)
+def test_loader_builds_the_embedded_rules_nodes(text, rules, start):
+    # The loader lowers straight to the tree-shaped form: each production
+    # is the very object that tree wrapping the same rules gives, and a
+    # dump reloads to the same objects.
+    want = tree_wrap(build_grammar(rules, start))
+    got = load_grammar(text)
+    assert got.nonterminals == want.nonterminals and got.start == start
+    assert all(got.productions[n] is want.productions[n]
+               for n in want.nonterminals)
+    again = load_grammar(dump_grammar(got))
+    assert again.start == start
+    assert all(again.productions[n] is got.productions[n]
+               for n in got.nonterminals)
 
 
 def test_bootstrap_fixpoint():
