@@ -18,8 +18,8 @@ from .analysis import (Certificate, NotWellFormed, Offender, Props,
 from .exprs import (ANY, Action, ActionRef, And, AnyChar, CharClass, Choice,
                     Drop, DuplicateRule, EMPTY, Empty, EmptyClass,
                     EmptyLiteral, Expr, Grammar, GrammarError, InvalidRange,
-                    Literal, NonTerminal, Not, Optional, Plus, Range, Seq,
-                    Star, Terminal, UndefinedNonterminal, UnknownStart,
+                    Literal, NodeRef, NonTerminal, Not, Optional, Plus, Range,
+                    Seq, Star, Terminal, UndefinedNonterminal, UnknownStart,
                     build_grammar, expr_text, iter_subexprs)
 from .interp import (CertificateMismatch, InvariantViolation, MemoTable,
                      ParseOutcome, eval_expr, memo_stats, parse,

@@ -8,7 +8,8 @@ CharClass, Drop) are functions that return their core expansion.
 Expressions are immutable and hash-consed: building a node equal in
 structure to a live one returns that node, so equality is identity and
 takes constant time at any depth.  An Action node is keyed by its inner
-expression and by its ref's label, function and ``span_aware`` flag.
+expression and by its ref's label, function and ``span_aware`` flag, or
+by its rule for a node collector (NodeRef).
 
 The terminal alphabet is 8-bit bytes; grammar text and parser input are
 encoded as UTF-8 and matched byte by byte.
@@ -22,7 +23,8 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Iterator
 from weakref import KeyedRef
 
-from .values import Lst, Opt as OptV, Str, TreeNode, UNIT, Value, tuple_items
+from .values import (Lst, Opt as OptV, Str, TreeNode, Tup, UNIT, Value,
+                     tuple_items)
 
 
 class GrammarError(Exception):
@@ -84,11 +86,6 @@ def _byte(c) -> int:
     raise TypeError("not a character: %r" % (c,))
 
 
-#: Label prefix of the tree shapers' node collectors: the collector of
-#: rule ``r`` is labelled ``NODE_PREFIX + r``.
-NODE_PREFIX = "tree.node:"
-
-
 class ActionRef:
     """Named value transformer attached to an expression.
 
@@ -97,6 +94,7 @@ class ActionRef:
     that differ in any of them never share a node.  ``span_aware``
     marks the built-in tree shapers, which receive ``fn(value, start,
     end)``; embedder actions are total ``Value -> Value`` functions.
+    A built-in ref pickles by its name here, so it unpickles as itself.
     """
 
     __slots__ = ("label", "fn", "span_aware", "__weakref__")
@@ -106,19 +104,72 @@ class ActionRef:
         self.fn = fn
         self.span_aware = span_aware
 
+    def __reduce__(self):
+        return _BUILTIN_NAMES.get(self) or (
+            ActionRef, (self.label, self.fn, self.span_aware))
+
     def __repr__(self):
         return "ActionRef(%r)" % self.label
+
+
+class NodeRef(ActionRef):
+    """The node collector of rule ``rule``, a tree shaper.
+
+    Collectors are known by this type and their rule, never by their
+    label, which is for display: an Action node over a collector is
+    keyed by its rule, so the collectors of one rule over one body are
+    one node.  A collector pickles as its rule.  Raises ValueError for
+    the rule "", since a node of that name would read as a leaf.
+    """
+
+    __slots__ = ("rule",)
+
+    def __init__(self, rule: str):
+        if not rule:
+            raise ValueError("a node collector needs a rule name")
+        self.label = "tree.node:" + rule
+        self.span_aware = True
+        self.rule = rule
+
+    # The collector is a method, which shadows ActionRef's ``fn`` slot:
+    # a collector holds no function object of its own.
+    def fn(self, v, start, end):
+        """Collect the TreeNode children out of a production's raw value.
+
+        Walks pairs and lists in parse order, keeps nodes, and coalesces
+        adjacent leaves; Unit and other scalars carry no tree content.
+        One iterative pass.  The oracle runs it, and so does a value-mode
+        parse; a tree-mode parse builds the same nodes itself (see
+        trx.interp).
+        """
+        children = []
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            t = type(x)
+            if t is Tup or t is Lst:
+                stack += reversed(x.items)
+            elif t is TreeNode:
+                if (x.rule == "" and children
+                        and (last := children[-1]).rule == ""
+                        and last.end == x.start):
+                    children[-1] = TreeNode("", last.start, x.end, ())
+                else:
+                    children.append(x)
+        return TreeNode(self.rule, start, end, tuple(children))
+
+    def __reduce__(self):
+        return NodeRef, (self.rule,)
 
 
 #: Every live expression node, by its class and fields: a plain dict of
 #: weak references that carry their key, so a node goes when the last
 #: grammar or expression holding it goes, and its reference's callback
 #: then drops the entry.  A lookup takes no lock.  A new node is made
-#: outside the lock and entered under INTERN_LOCK, which trx.meta's
-#: collector cache shares, only if no live node of its key has appeared
-#: meanwhile.  The callback removes an entry atomically and only while
-#: it still holds a dead reference, so it never drops a node entered in
-#: its place.
+#: outside the lock and entered under INTERN_LOCK only if no live node
+#: of its key has appeared meanwhile.  The callback removes an entry
+#: atomically and only while it still holds a dead reference, so it
+#: never drops a node entered in its place.
 _NODES = {}
 INTERN_LOCK = threading.Lock()
 
@@ -239,14 +290,19 @@ class Action(Expr):
     _kinds = (Expr, ActionRef)
 
     def __new__(cls, inner: Expr, ref: ActionRef):
-        # The function by identity, so that any callable serves; the
-        # node holds it, so its id is not reused while the node lives.
-        return _intern(cls, (inner, ref),
+        # A collector by its rule.  Any other ref by its function's
+        # identity, so that any callable serves; the node holds it, so
+        # its id is not reused while the node lives.
+        return _intern(cls, (inner, ref), (cls, inner, NodeRef, ref.rule)
+                       if type(ref) is NodeRef else
                        (cls, inner, ref.label, id(ref.fn), ref.span_aware))
 
 
 EMPTY = Empty()
 ANY = AnyChar()
+
+#: What a tree-shaped grammar's leaves stand directly over.
+LEAF_MATCHERS = (Terminal, Range, AnyChar)
 
 
 # ---------------------------------------------------------------------------
@@ -261,22 +317,35 @@ def _cons(v: Value) -> Value:
     return Lst((head, *tail.items))
 
 
-TUPLE2STR = ActionRef("tuple2str", _tuple2str)
-CONS = ActionRef("cons", _cons)
-SOME = ActionRef("some", lambda v: OptV(v))
-NONE = ActionRef("none", lambda v: OptV(None))
-DROP = ActionRef("drop", lambda v: UNIT)
+def _some(v: Value) -> Value:
+    return OptV(v)
+
+
+def _none(v: Value) -> Value:
+    return OptV(None)
+
+
+def _drop(v: Value) -> Value:
+    return UNIT
 
 
 def _leaf_fn(v, start, end):
     return TreeNode("", start, end, ())
 
 
+TUPLE2STR = ActionRef("tuple2str", _tuple2str)
+CONS = ActionRef("cons", _cons)
+SOME = ActionRef("some", _some)
+NONE = ActionRef("none", _none)
+DROP = ActionRef("drop", _drop)
 #: The tree shaper of a terminal, range or any-char: a leaf span.
 LEAF = ActionRef("tree.leaf", _leaf_fn, span_aware=True)
 
-# The built-in actions above are recognised by identity, never by label:
-# an embedder's ActionRef with one of their labels is an ordinary action.
+# The built-in actions above are recognised by identity, and node
+# collectors by type, never by label: an embedder's ActionRef with one
+# of their labels is an ordinary action.
+_BUILTIN_NAMES = {TUPLE2STR: "TUPLE2STR", CONS: "CONS", SOME: "SOME",
+                  NONE: "NONE", DROP: "DROP", LEAF: "LEAF"}
 
 
 def _right_nested(parts: list, node) -> Expr:
@@ -409,24 +478,29 @@ class Grammar:
     """A finite nonterminal table with a designated start symbol.
 
     Immutable after construction; safe to share between threads.  The
-    production map is total: every NonTerminal referenced anywhere
-    resolves to a rule, and so does the start symbol.  The constructor
-    raises UndefinedNonterminal, then UnknownStart, otherwise.
+    production map is total: every body is an expression, and every
+    NonTerminal referenced anywhere resolves to a rule, and so does the
+    start symbol.  The constructor raises TypeError or
+    UndefinedNonterminal, in rule order, then UnknownStart, otherwise.
 
-    A tree-shaped grammar (``trx.meta.tree_wrap`` and the .peg loader
-    build them) wraps every production in its node collector, and its
-    other actions are the built-in tree shapers, or sit under ``!`` or
-    ``~`` where their values are discarded; the constructor raises
-    ValueError otherwise.
-    The interpreter builds its trees directly and runs no other action
-    of such a grammar.
+    ``tree_shaped`` is derived from the productions: it is set when
+    every rule body is the rule's own node collector (see is_collector)
+    and every other action, outside ``!`` and ``~`` where values are
+    discarded, is a drop, a collector, or a leaf directly over a
+    terminal, range or any-char.  ``trx.meta.tree_wrap`` and the .peg
+    loader build such grammars.  The interpreter builds their trees
+    directly, and runs no action of theirs; it runs any other grammar
+    in value mode, its collectors and leaves as ordinary actions.
+
+    A grammar pickles as its productions and start, and copies as
+    itself, as its expressions do.
     """
 
     __slots__ = ("nonterminals", "productions", "start", "tree_shaped")
 
-    def __init__(self, productions: dict, start: str, tree_shaped: bool = False):
+    def __init__(self, productions: dict, start: str):
         productions = dict(productions)
-        _check_rules(productions, tree_shaped)
+        tree_shaped = _check_rules(productions)
         if start not in productions:
             raise UnknownStart(start)
         self.nonterminals = tuple(productions)
@@ -445,6 +519,15 @@ class Grammar:
     def body(self, name: str) -> Expr:
         return self.productions[name]
 
+    def __reduce__(self):
+        return Grammar, (dict(self.productions), self.start)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     def __eq__(self, other):
         return (isinstance(other, Grammar)
                 and other.start == self.start
@@ -457,23 +540,27 @@ class Grammar:
         return "Grammar(%d rules, start=%r)" % (len(self.nonterminals), self.start)
 
 
-def _check_rules(productions: dict, tree_shaped: bool):
-    """Raise UndefinedNonterminal for a reference to a missing rule, the
-    first in rule order and in preorder within the rule.
+def is_collector(body: Expr, name: str) -> bool:
+    """Whether ``body`` is rule ``name``'s own node collector."""
+    return (type(body) is Action and type(body.ref) is NodeRef
+            and body.ref.rule == name)
 
-    In a tree-shaped grammar also raise ValueError unless every rule is
-    wrapped in its own node collector and every other action, outside
-    ``!`` and ``~``, is a tree shaper: tree mode would silently skip any
-    other action.  One walk over each body does both; it goes into the
-    insides of ``!`` and ``~`` for names only.
+
+def _check_rules(productions: dict) -> bool:
+    """Whether the grammar is tree-shaped (see Grammar).
+
+    Raise TypeError for a body that is not an expression, and
+    UndefinedNonterminal for a reference to a missing rule, the first in
+    rule order and in preorder within the rule.  One walk over each body
+    does all three; it goes into the insides of ``!`` and ``~``, and
+    into everything once the grammar is not tree-shaped, for names only.
     """
+    tree_shaped = True
     seen = {}                       # node -> whether its actions were checked
     for name, body in productions.items():
-        # A node named "" would read as a leaf.
-        if tree_shaped and not (name and type(body) is Action
-                                and body.ref.label == NODE_PREFIX + name):
-            raise ValueError("rule %r of a tree-shaped grammar is not "
-                             "wrapped in its node collector" % name)
+        if not isinstance(body, Expr):
+            raise TypeError("not a parsing expression: %r" % (body,))
+        tree_shaped = tree_shaped and is_collector(body, name)
         stack = [(body, tree_shaped)]
         while stack:
             e, shaped = stack.pop()
@@ -494,32 +581,28 @@ def _check_rules(productions: dict, tree_shaped: bool):
                 stack.append((e.inner, False))
             elif t is Action:
                 ref = e.ref
-                if (shaped and ref is not DROP and ref is not LEAF
-                        and not ref.label.startswith(NODE_PREFIX)):
-                    raise ValueError("rule %r of a tree-shaped grammar "
-                                     "holds the action %r, which tree mode "
-                                     "does not run" % (name, ref.label))
+                if shaped and not (ref is DROP or type(ref) is NodeRef
+                                   or (ref is LEAF and
+                                       type(e.inner) in LEAF_MATCHERS)):
+                    tree_shaped = shaped = False
                 stack.append((e.inner, shaped and ref is not DROP))
+    return tree_shaped
 
 
-def build_grammar(rules: Iterable, start: str,
-                  tree_shaped: bool = False) -> Grammar:
+def build_grammar(rules: Iterable, start: str) -> Grammar:
     """Assemble rules into a Grammar, checking totality.
 
     ``rules`` is an iterable of (name, expression) pairs; the production
-    map is keyed in rule order but compares order-independently.
-    ``tree_shaped`` is passed on to the Grammar.  Raises DuplicateRule
-    or TypeError for a bad rule, then what the Grammar constructor
-    raises.
+    map is keyed in rule order but compares order-independently.  Raises
+    DuplicateRule for a name met again, then what the Grammar
+    constructor raises.
     """
     productions = {}
     for name, body in rules:
         if name in productions:
             raise DuplicateRule(name)
-        if not isinstance(body, Expr):
-            raise TypeError("not a parsing expression: %r" % (body,))
         productions[name] = body
-    return Grammar(productions, start, tree_shaped)
+    return Grammar(productions, start)
 
 
 # ---------------------------------------------------------------------------

@@ -45,14 +45,15 @@ hold one, with equal tables kept as one object.
 The oracle differential suite pins their equivalence with the plain
 rule-by-rule evaluation.
 
-Tree mode.  A program compiled from a tree-shaped grammar (one that
-trx.meta.tree_wrap built) builds no value spines: sequences make no
-pairs and repetitions no lists.  Like LPeg's capture list, the VM
+Tree mode.  A program compiled from a tree-shaped grammar (see
+trx.exprs.Grammar; trx.meta.tree_wrap and the .peg loader build them)
+builds no value spines: sequences make no pairs and repetitions no
+lists.  Like LPeg's capture list, the VM
 keeps one flat ``kids`` list of what the tree will hold, in parse
 order: rule nodes, and the (start, end) spans of leaves, which leaf
 matchers, leaf scans and iteration tables append.  A rule's node
 collector takes the slice of ``kids`` from the mark its frame
-recorded, coalesces adjacent spans into leaves as trx.meta.node_action
+recorded, coalesces adjacent spans into leaves as a trx.exprs.NodeRef
 coalesces leaves, and replaces the slice with the node, which is also
 the rule's value and memo entry; a memo hit appends it again.  A node
 that fails leaves ``kids`` as it found it: a sequence, the one node
@@ -165,10 +166,9 @@ from __future__ import annotations
 import sys
 from contextlib import nullcontext
 
-from .exprs import (CONS, DROP, LEAF, NODE_PREFIX as _NODE_PREFIX,
-                    TUPLE2STR, Action, AnyChar, Choice, Empty, Expr, Grammar,
-                    NonTerminal, Not, Range, Seq, Star, Terminal, _walk,
-                    terminal_chain)
+from .exprs import (CONS, DROP, LEAF, TUPLE2STR, Action, AnyChar, Choice,
+                    Empty, Expr, Grammar, NodeRef, NonTerminal, Not, Range,
+                    Seq, Star, Terminal, _walk, terminal_chain)
 from .values import (CHAR, Char, Lst, Record, Str, TreeNode, Tup, UNIT, Value,
                      gc_suspended)
 
@@ -362,8 +362,8 @@ class _Program:
     ``extra`` holds a superinstruction's descriptor, a value-mode action
     node's or LEAF call's ActionRef (_NO_ACTION for none), the action a
     value-mode sequence carries (None for none), a tree node's
-    or tree-mode call's rule name, a tree-mode sequence's items, or
-    whether a tree-mode action is a leaf.  A call's ``a`` is its
+    or tree-mode call's rule name (its NodeRef's), or a tree-mode
+    sequence's items; a tree-mode action's is None.  A call's ``a`` is its
     production; a tree-mode call's (TNT, TLEAF, TDLEAF, TDNT) ``b`` is
     the inside of the production's node collector, and a LEAF call's
     the primitive it runs.  A tree-mode sequence's ``a`` is its first
@@ -699,15 +699,11 @@ def _compile(g: Grammar | None, roots=(),
     tree_mode = bool(g is not None and g.tree_shaped)
     index = {}                      # expression -> its node
     prod_index = {}
-    rule_names = {}
     byte_tables, pool = {}, {}      # pool: the tables written out (_dense)
 
     if g is not None:
         prod_index = {name: i for i, name in enumerate(g.nonterminals)}
         prod_body = [-1] * len(g.nonterminals)
-        # A node carries the grammar's own rule-name string, the one its
-        # collector action holds, not a new slice of the action label.
-        rule_names = {_NODE_PREFIX + name: name for name in g.nonterminals}
 
     def table_step(e: Expr):
         return _byte_table(e, tree_mode, pool)
@@ -808,14 +804,15 @@ def _compile(g: Grammar | None, roots=(),
                 return emit(e, _K_SEQ, (yield inner.left), (yield inner.right),
                             extra=e.ref)
             return emit(e, _K_ACT, (yield inner), extra=e.ref)
-        label = e.ref.label
-        if label.startswith(_NODE_PREFIX):
-            rule = rule_names.get(label, label[len(_NODE_PREFIX):])
-            return emit(e, _K_NODE, (yield inner), extra=rule)
-        if e.ref is not LEAF and type(inner) is NonTerminal:
+        if type(e.ref) is NodeRef:
+            return emit(e, _K_NODE, (yield inner), extra=e.ref.rule)
+        # In a tree-shaped grammar a drop, or any action inside ! or ~,
+        # which discard its value and leaves (a leaf outside them is
+        # over one byte, so a MATCH1).
+        if type(inner) is NonTerminal:
             # A drop of a call (see the post-pass below).
             return emit(e, _K_TDNT, production(inner))
-        return emit(e, _K_TACT, (yield inner), extra=e.ref is LEAF)
+        return emit(e, _K_TACT, (yield inner))
 
     if g is not None:
         for i, name in enumerate(g.nonterminals):
@@ -1561,9 +1558,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                 pop()
             elif st == 10:                   # tree drop: an action or a call
                 del kids[f[3]:]
-                if len(f) == 4:              # a leaf or other action
-                    if ok and extra[f[1]]:
-                        kids.append((f[2], rpos))
+                if len(f) == 4:              # an action
                     steps += 1
                 else:
                     # A dropped call, and in f[4] the steps it adds: the

@@ -29,18 +29,17 @@ comment; the first rule is the start unless ``@start name ;`` appears.
 
 from __future__ import annotations
 
-import weakref
 from typing import Iterable, Iterator
 
 from .analysis import Certificate, certify
-from .exprs import (ANY, CONS, INTERN_LOCK, LEAF, NONE,
-                    NODE_PREFIX as _NODE_PREFIX, SOME, TUPLE2STR, Action,
-                    ActionRef, And, AnyChar, CharClass, Choice, Drop, EMPTY,
-                    EmptyLiteral, Expr, Grammar, Literal, NonTerminal, Not,
-                    Optional, Plus, Range, Seq, Star, Terminal,
-                    _right_nested, _walk, build_grammar, expr_text)
+from .exprs import (ANY, CONS, LEAF, LEAF_MATCHERS, NONE, SOME, TUPLE2STR,
+                    Action, And, CharClass, Choice, Drop, EMPTY,
+                    EmptyLiteral, Expr, Grammar, Literal, NodeRef,
+                    NonTerminal, Not, Optional, Plus, Range, Seq, Star,
+                    Terminal, _right_nested, _walk, build_grammar, expr_text,
+                    is_collector)
 from .interp import parse
-from .values import Lst, Record, TreeNode, Tup
+from .values import Record, TreeNode
 
 
 class PegSyntaxError(Exception):
@@ -74,43 +73,9 @@ def _context_line(data: bytes, pos: int) -> str:
 # ---------------------------------------------------------------------------
 # Tree shaping.
 
-#: The live collector of each rule name, so that every grammar with a
-#: rule of that name shares one ref and equal bodies stay one node.
-_NODE_ACTIONS = weakref.WeakValueDictionary()
-
-
-def node_action(rule: str) -> ActionRef:
-    """Collect the TreeNode children out of a production's raw value.
-
-    Walks pairs and lists in parse order, keeps nodes, and coalesces
-    adjacent leaves; Unit and other scalars carry no tree content.  One
-    iterative pass.  The oracle runs it, and so does a value-mode
-    evaluation of these expressions; a certified tree-shaped parse
-    does not call it, since the interpreter's tree mode builds the same
-    nodes from its children list (see trx.interp).
-    """
-    def fn(v, start, end):
-        children = []
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            t = type(x)
-            if t is Tup or t is Lst:
-                items = x.items
-                for i in range(len(items) - 1, -1, -1):
-                    stack.append(items[i])
-            elif t is TreeNode:
-                if (x.rule == "" and children
-                        and (last := children[-1]).rule == ""
-                        and last.end == x.start):
-                    children[-1] = TreeNode("", last.start, x.end, ())
-                else:
-                    children.append(x)
-        return TreeNode(rule, start, end, tuple(children))
-
-    with INTERN_LOCK:
-        return _NODE_ACTIONS.setdefault(
-            rule, ActionRef(_NODE_PREFIX + rule, fn, span_aware=True))
+#: The node collector of a rule: ``node_action(rule)`` is
+#: trx.exprs.NodeRef(rule).
+node_action = NodeRef
 
 
 # The value shapers of the derived operators, which the tree collector
@@ -121,7 +86,7 @@ _STRIPPED = (TUPLE2STR, CONS, SOME, NONE)
 def _tree_wrap_step(e: Expr):
     """The tree-shaped form of e: a step of trx.exprs._walk."""
     t = type(e)
-    if t in (Terminal, Range, AnyChar):
+    if t in LEAF_MATCHERS:
         return Action(e, LEAF)
     if t is Seq:
         return Seq((yield e.left), (yield e.right))
@@ -133,27 +98,31 @@ def _tree_wrap_step(e: Expr):
         return (yield e.inner)
     # Empty, NonTerminal, Not (lookahead values are discarded, so the
     # inside of a Not is left untouched) and the other actions, which
-    # Grammar(tree_shaped=True) accepts only when they are tree shapers
-    # or drops.
+    # leave the result tree-shaped only when they are tree shapers or
+    # drops.
     return e
 
 
 def tree_wrap(g: Grammar) -> Grammar:
-    """Install the built-in tree shapers on every production (idempotent).
+    """Install the built-in tree shapers on every production (idempotent):
+    wrap each rule body that is not already the rule's own collector in
+    it, with the value shapers of the derived operators left out and
+    each terminal, range and any-char under a leaf.
 
-    Raises ValueError, as Grammar(tree_shaped=True) does, when ``g``
-    holds an action other than a built-in one outside ``!`` and ``~``.
+    The result is tree-shaped (see Grammar).  Raises ValueError when it
+    would not be: when ``g`` holds an action other than a built-in one
+    or a node collector outside ``!`` and ``~``, or a rule named "".
     """
     productions = {}
     memo = {}
     for name in g.nonterminals:
         body = g.productions[name]
-        if (type(body) is Action and body.ref.label == _NODE_PREFIX + name):
-            productions[name] = body
-        else:
-            productions[name] = Action(_walk(_tree_wrap_step, body, memo),
-                                       node_action(name))
-    return Grammar(productions, g.start, tree_shaped=True)
+        productions[name] = (body if is_collector(body, name) else Action(
+            _walk(_tree_wrap_step, body, memo), node_action(name)))
+    out = Grammar(productions, g.start)
+    if not out.tree_shaped:
+        raise ValueError("an action tree mode does not run, outside ! and ~")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +398,7 @@ def load_grammar_source(text, path: str | None = None) -> GrammarSource:
             starts.append(node[1])
     if not rules:
         raise PegSyntaxError(data, 0, path)
-    grammar = build_grammar(rules, start or rules[0][0], tree_shaped=True)
+    grammar = build_grammar(rules, start or rules[0][0])
     # The names are distinct now: build_grammar raises DuplicateRule.
     positions = dict(zip([name for name, _ in rules],
                          _line_cols(data, starts)))
@@ -455,7 +424,7 @@ def dump_grammar(g: Grammar) -> str:
         lines.append("@start %s ;" % g.start)
     for name in g.nonterminals:
         body = g.productions[name]
-        if (type(body) is Action and body.ref.label == _NODE_PREFIX + name):
+        if is_collector(body, name):
             body = body.inner
         lines.append("%s <- %s ;" % (name, expr_text(body)))
     return "\n".join(lines) + "\n"

@@ -20,7 +20,7 @@ from trx import (ANY, Action, ActionRef, And, AnyChar, CharClass, Choice,
                  UnknownStart, build_grammar, check_well_formed, eval_expr,
                  expr_text, iter_subexprs)
 from trx import exprs
-from trx.exprs import CONS, DROP, NONE, SOME, TUPLE2STR
+from trx.exprs import CONS, DROP, NONE, NodeRef, SOME, TUPLE2STR
 from trx.oracle import EXHAUSTED, oracle_eval
 from trx.mathdemo import math_rules
 
@@ -340,6 +340,61 @@ def test_build_grammar_duplicate_and_bad_start():
         build_grammar([("A", EMPTY)], "B")
     with pytest.raises(TypeError):
         build_grammar([("A", "x")], "A")
+
+
+def test_grammar_constructor_rejects_non_expressions():
+    # The constructor's walk checks each body's type, in rule order with
+    # the references, so no analysis meets a body that is not an
+    # expression; build_grammar adds only the duplicate check.
+    with pytest.raises(TypeError):
+        Grammar({"a": "x"}, "a")
+    with pytest.raises(TypeError):
+        Grammar({"a": Terminal("x"), "b": None}, "a")
+    with pytest.raises(TypeError):
+        Grammar({"a": "x", "b": NonTerminal("zz")}, "a")
+    with pytest.raises(UndefinedNonterminal):
+        Grammar({"a": NonTerminal("zz"), "b": "x"}, "a")
+    with pytest.raises(DuplicateRule):
+        build_grammar([("A", "x"), ("A", EMPTY)], "A")
+
+
+def _module_level_fn(v):
+    return v
+
+
+def test_action_refs_pickle_and_copy():
+    # The built-in refs are known by identity, so each unpickles and
+    # copies as itself; an embedder's ref unpickles as a ref of its
+    # label, function and flag, whose nodes are the original's.
+    for ref in (exprs.TUPLE2STR, exprs.CONS, exprs.SOME, exprs.NONE,
+                exprs.DROP, exprs.LEAF):
+        assert pickle.loads(pickle.dumps(ref)) is ref
+        assert copy.copy(ref) is ref and copy.deepcopy(ref) is ref
+    ref = ActionRef("mine", _module_level_fn, span_aware=True)
+    again = pickle.loads(pickle.dumps(ref))
+    assert (again.label, again.fn, again.span_aware) == (
+        "mine", _module_level_fn, True)
+    node = Action(Terminal("a"), ref)
+    assert pickle.loads(pickle.dumps(node)) is node
+
+
+def test_node_collectors_are_keyed_by_rule():
+    # A node collector is a NodeRef: an Action over one is keyed by its
+    # rule, so two collectors of one rule make one node, and one
+    # pickles as its rule.
+    body = Seq(Terminal("a"), NonTerminal("b"))
+    node = Action(body, NodeRef("r"))
+    assert Action(body, NodeRef("r")) is node
+    assert Action(body, NodeRef("s")) is not node
+    assert node.ref.label == "tree.node:r" and node.ref.span_aware
+    look_alike = ActionRef("tree.node:r", node.ref.fn, span_aware=True)
+    assert Action(body, look_alike) is not node
+    again = pickle.loads(pickle.dumps(node.ref))
+    assert type(again) is NodeRef and again.rule == "r"
+    assert pickle.loads(pickle.dumps(node)) is node
+    assert copy.deepcopy(node) is node
+    with pytest.raises(ValueError):
+        NodeRef("")
 
 
 def test_grammar_order_independence():

@@ -26,11 +26,11 @@ from trx.exprs import CONS, DROP, LEAF, TUPLE2STR
 from trx.interp import _ALWAYS, _NO_FAIL, _compile, _initial_marks, _run
 from trx.mathdemo import ADD, MUL, PICK1, evaluate, math_grammar
 from trx.oracle import (EXHAUSTED, all_inputs, oracle_eval, oracle_parse,
-                        small_grammars)
+                        random_grammar, small_grammars)
 from trx.values import (Char, Lst, Tup, UNIT, Value, gc_suspended,
                         tree_json_text)
 
-from conftest import GRAMMAR_DIR, certified, grammar_text
+from conftest import GRAMMAR_DIR, certified, grammar_text, value_twin
 
 
 def test_terminal_step_counts():
@@ -560,7 +560,7 @@ def test_sequence_chain_steps_at_every_failing_item(n):
                 assert memo.hits == (mode == "packrat")
     # ``farthest`` as when the same rules run in value mode.
     tree, embedded = grammars
-    twin = Grammar(dict(tree.productions), tree.start)
+    twin = value_twin(tree)
     for data in inputs:
         out = parse(tree, certify(tree), data)
         assert out.farthest == parse(twin, certify(twin), data).farthest
@@ -583,7 +583,7 @@ def test_one_or_more_scan_steps(text):
     # Seq is a node of its own.
     g = load_grammar(text)
     cert = certify(g)
-    twin = Grammar(dict(g.productions), g.start)
+    twin = value_twin(g)
     twin_cert = certify(twin)
     for data in (b"", b"!", b";", b"a", b"a;", b"abz", b"abz;", b"az;c",
                  b"az;c!", b"a;;", b"zz"):
@@ -680,7 +680,7 @@ def test_leaf_rule_calls_agree_with_oracle(text, alphabet):
     cert = certify(g)
     kinds = cert.program.kind
     assert trx.interp._K_TLEAF in kinds and trx.interp._K_TDLEAF in kinds
-    twin = Grammar(dict(g.productions), g.start)
+    twin = value_twin(g)
     twin_cert = certify(twin)
     inputs = [b""]
     for n in range(4):
@@ -1452,7 +1452,7 @@ def test_iteration_tables_and_dropped_calls_agree_with_oracle(g, alphabet):
     prog = cert.program
     twin = _without_failure_tables(prog)
     if g.tree_shaped:
-        value = Grammar(dict(g.productions), g.start)
+        value = value_twin(g)
         value_cert = certify(value)
     hits = 0
     for data in all_inputs(alphabet, 5):
@@ -1586,7 +1586,7 @@ def test_failed_sequences_leave_kids_as_found(text):
     # iteration tables.
     tree = load_grammar(text + _BC)
     oks = set()
-    for g in (tree, Grammar(dict(tree.productions), tree.start)):
+    for g in (tree, value_twin(tree)):
         cert = certify(g)
         prog = cert.program
         twin = _without_failure_tables(prog)
@@ -1631,6 +1631,95 @@ def test_look_alike_actions_run_as_actions(e):
         oracle_parse(build_grammar([("S", e.inner)], "S"), b"ab").value)))
     with pytest.raises(ValueError):
         tree_wrap(g)
+
+
+def _probe(v):
+    return User(("probe", repr(v)))
+
+
+def _span_probe(v, start, end):
+    return User(("span", repr(v), start, end))
+
+
+# Every label a built-in action or a node collector of rule S has, on
+# an embedder's ActionRef, span-aware and not.
+_LOOK_ALIKES = [ActionRef(label, fn, span_aware=fn is _span_probe)
+                for label in ("tree.node:S", "tree.leaf", "drop", "tuple2str",
+                              "cons", "some", "none")
+                for fn in (_probe, _span_probe)]
+
+# Where the built-in meanings would change how a node compiles: a byte,
+# a literal run, ``x+``, a scan, a call, and a call of a leaf rule.
+_LOOK_ALIKE_SHAPES = [Terminal("a"), Seq(Terminal("a"), Terminal("b")),
+                      Seq(Terminal("a"), Star(Terminal("a"))),
+                      Star(Terminal("a")), NonTerminal("T")]
+
+
+def _agrees_with_oracle_on(g, alphabet, n):
+    """ok, pos, the value (by repr), steps and farthest of both modes
+    equal the oracle's on every input up to length ``n``."""
+    cert = certify(g)
+    for data in all_inputs(alphabet, n):
+        want, farthest = _oracle_farthest(g, data)
+        for mode in ("plain", "packrat"):
+            out = parse(g, cert, data, mode=mode)
+            assert (out.ok, out.pos, repr(out.value), out.steps,
+                    out.farthest) == (want.ok, want.pos, repr(want.value),
+                                      want.steps, farthest), (data, mode)
+
+
+@pytest.mark.parametrize("ref", _LOOK_ALIKES,
+                         ids=["%s-%s" % (r.label, r.fn.__name__)
+                              for r in _LOOK_ALIKES])
+def test_look_alike_labels_agree_with_oracle(ref):
+    # An embedder's action labelled like a built-in one or a collector
+    # is an ordinary action: a grammar that holds it outside ! and ~ is
+    # not tree-shaped, so it runs in value mode, and tree_wrap raises
+    # ValueError for it; under ! and ~ tree_wrap keeps it.  Built
+    # through the API, as the whole rule body over the shape and in
+    # place of a tree-wrapped rule's own collector, and through
+    # tree_wrap, all agree with the oracle in both modes.
+    t_rule = ("T", Action(Terminal("a"), ref))
+    for x in _LOOK_ALIKE_SHAPES:
+        api = build_grammar([("S", Action(x, ref)), t_rule], "S")
+        wrapped = tree_wrap(build_grammar([("S", x), ("T", Terminal("a"))],
+                                          "S"))
+        posing = Grammar({"S": Action(wrapped.productions["S"].inner, ref),
+                          "T": wrapped.productions["T"]}, "S")
+        hidden = tree_wrap(build_grammar([
+            ("S", Choice(Seq(Drop(Action(x, ref)), Terminal("b")),
+                         Seq(Not(Action(x, ref)), AnyChar()))),
+            ("T", Terminal("a"))], "S"))
+        assert hidden.tree_shaped
+        for g in (api, posing):
+            assert not g.tree_shaped
+            with pytest.raises(ValueError):
+                tree_wrap(g)
+        for g in (api, posing, hidden):
+            _agrees_with_oracle_on(g, "ab", 3)
+
+
+def _tree_shape_cases():
+    for name in sorted(os.listdir(GRAMMAR_DIR)):
+        yield load_grammar(grammar_text(name))
+    rng = random.Random(11)
+    for _ in range(200):
+        g = random_grammar(rng, "ab", rng.randrange(1, 4),
+                           body_size=rng.randrange(2, 8))
+        yield g
+        yield tree_wrap(g)
+    for g in small_grammars("ab", 3, seed=1, limit=100):
+        yield g
+        yield tree_wrap(g)
+
+
+def test_tree_shape_is_a_property_of_the_productions():
+    # Grammars with one production map and start have one mode.
+    seen = {True: 0, False: 0}
+    for g in _tree_shape_cases():
+        assert Grammar(g.productions, g.start).tree_shaped == g.tree_shaped
+        seen[g.tree_shaped] += 1
+    assert min(seen.values()) > 100
 
 
 def test_memo_table_serves_one_program_and_one_input():

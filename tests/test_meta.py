@@ -1,6 +1,11 @@
 """Textual grammar format: loading, bootstrap, round-trips, precedence."""
 
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -14,7 +19,7 @@ from trx import (ANY, EMPTY, Action, ActionRef, And, CharClass, Choice, Drop,
 from trx.meta import LEAF, line_col, load_grammar_source, node_action
 from trx.oracle import EXHAUSTED, all_inputs, oracle_parse, random_grammar
 
-from conftest import certified, grammar_text
+from conftest import GRAMMAR_DIR, certified, grammar_text, value_twin
 
 
 def test_load_math_peg(math_peg):
@@ -360,8 +365,8 @@ def test_tree_mode_backtracking_matches_oracle_on_random_grammars():
     # children, which backtracking truncates; the oracle runs the real
     # collector actions on the value spines.  Random grammars use every
     # core constructor and ~ (the only action random_grammar draws).
-    # The same rules in a grammar not marked tree-shaped run the
-    # collector actions in the VM's value mode.
+    # The same rules in their value twin, which is not tree-shaped, run
+    # the collector actions in the VM's value mode.
     rng = random.Random(5)
     inputs = all_inputs("ab", 4)
     certified_grammars = 0
@@ -373,7 +378,7 @@ def test_tree_mode_backtracking_matches_oracle_on_random_grammars():
         if not report.is_well_formed:
             continue
         certified_grammars += 1
-        plain = Grammar(dict(g.productions), g.start)
+        plain = value_twin(g)
         plain_cert = check_well_formed(plain).certificate
         for s in inputs:
             _agrees_with_oracle_in_both_modes(g, report.certificate, s)
@@ -415,13 +420,16 @@ def test_tree_mode_memo_hit_appends_the_stored_node():
 
 
 def test_tree_mode_leaf_action_over_a_sequence():
-    # tree_wrap puts leaves on single bytes only; a hand-built leaf over
-    # a longer match spans all of it and discards what is inside.
+    # tree_wrap puts leaves on single bytes only.  A hand-built leaf over
+    # a longer match leaves the grammar not tree-shaped, so it runs in
+    # value mode, where the leaf spans all of its match and the
+    # collectors run as actions.
     g = Grammar({"A": Action(Seq(Action(Seq(NonTerminal("B"), ANY), LEAF),
                                  NonTerminal("B")), node_action("A")),
-                 "B": Action(Terminal("b"), node_action("B"))},
-                "A", tree_shaped=True)
+                 "B": Action(Terminal("b"), node_action("B"))}, "A")
+    assert not g.tree_shaped
     cert = check_well_formed(g).certificate
+    assert not cert.program.tree
     for s in (b"bxb", b"bx", b"b"):
         _agrees_with_oracle_in_both_modes(g, cert, s)
     out = parse(g, cert, b"bxb")
@@ -429,39 +437,112 @@ def test_tree_mode_leaf_action_over_a_sequence():
         ("", 0, 2), ("B", 2, 3)]
 
 
+def _not_tree_shaped(g, inputs, wraps):
+    """``g`` is not tree-shaped and agrees with the oracle in value mode;
+    tree_wrap raises ValueError for it unless ``wraps``, and otherwise
+    gives a tree-shaped grammar that agrees with the oracle too."""
+    assert not g.tree_shaped
+    forms = [g]
+    if wraps:
+        forms.append(tree_wrap(g))
+        assert forms[-1].tree_shaped
+    else:
+        with pytest.raises(ValueError):
+            tree_wrap(g)
+    for form in forms:
+        cert = check_well_formed(form).certificate
+        assert cert.program.tree == form.tree_shaped
+        for s in inputs:
+            _agrees_with_oracle_in_both_modes(form, cert, s)
+
+
 def test_tree_shaped_grammar_wraps_every_rule():
+    # A grammar is tree-shaped only when every rule is its own node
+    # collector; any other grammar runs in value mode, collectors and
+    # leaves as ordinary actions.
+    _not_tree_shaped(Grammar({"A": Terminal("a")}, "A"), [b"a", b"b"], True)
+    _not_tree_shaped(Grammar({"A": Action(Terminal("a"), node_action("B"))},
+                             "A"), [b"a", b"b"], True)
+    # A node named "" would read as a leaf: no rule "" has a collector.
     with pytest.raises(ValueError):
-        Grammar({"A": Terminal("a")}, "A", tree_shaped=True)
-    with pytest.raises(ValueError):
-        Grammar({"A": Action(Terminal("a"), node_action("B"))}, "A",
-                tree_shaped=True)
-    with pytest.raises(ValueError):
-        Grammar({"": Action(Terminal("a"), node_action(""))}, "",
-                tree_shaped=True)
+        node_action("")
+    _not_tree_shaped(Grammar({"": Terminal("a")}, ""), [b"a", b""], False)
     # Tree mode runs no action but the tree shapers, so a user action
-    # anywhere but under ! or ~ would be skipped.
+    # anywhere but under ! or ~ makes a grammar run in value mode.
     ident = ActionRef("id", lambda v: v)
     b_rule = Action(Action(Terminal("b"), LEAF), node_action("B"))
     a_leaf = Action(Terminal("a"), LEAF)
-    with pytest.raises(ValueError):
-        Grammar({"A": Action(Seq(Action(NonTerminal("B"), ident), a_leaf),
-                             node_action("A")),
-                 "B": b_rule}, "A", tree_shaped=True)
-    with pytest.raises(ValueError):
-        Grammar({"A": Action(Literal("ab"), node_action("A"))}, "A",
-                tree_shaped=True)
+    inputs = [b"ba", b"bb", b"b", b"a", b"baa"]
+    _not_tree_shaped(Grammar({"A": Action(Seq(Action(NonTerminal("B"), ident),
+                                              a_leaf), node_action("A")),
+                              "B": b_rule}, "A"), inputs, False)
+    _not_tree_shaped(Grammar({"A": Action(Literal("ab"), node_action("A"))},
+                             "A"), [b"ab", b"a", b"abc"], False)
     # The built-in shapers are known by their refs, not their labels.
     for label in ("drop", "tree.leaf"):
         fake = Action(Terminal("b"), ActionRef(label, lambda v: v))
-        with pytest.raises(ValueError):
-            Grammar({"A": Action(Seq(fake, a_leaf), node_action("A"))}, "A",
-                    tree_shaped=True)
+        _not_tree_shaped(Grammar({"A": Action(Seq(fake, a_leaf),
+                                              node_action("A"))}, "A"),
+                         inputs, False)
     for hidden in (Not(Action(NonTerminal("B"), ident)),
                    Drop(Action(NonTerminal("B"), ident))):
         g = Grammar({"A": Action(Seq(hidden, Seq(NonTerminal("B"), a_leaf)),
                                  node_action("A")),
-                     "B": b_rule}, "A", tree_shaped=True)
-        assert check_well_formed(g).is_well_formed
+                     "B": b_rule}, "A")
+        assert g.tree_shaped and tree_wrap(g) == g
+        report = check_well_formed(g)
+        assert report.is_well_formed
+        for s in inputs:
+            _agrees_with_oracle_in_both_modes(g, report.certificate, s)
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(GRAMMAR_DIR)))
+def test_bundled_grammars_pickle_and_copy(name):
+    # A grammar pickles as its productions and start, each node as
+    # itself, and copies as itself; a fresh certificate of the copy
+    # parses as the original's does.
+    g, cert = certified(name)
+    again = pickle.loads(pickle.dumps(g))
+    assert again == g and again.tree_shaped
+    assert again.nonterminals == g.nonterminals
+    assert all(again.productions[n] is g.productions[n]
+               for n in g.nonterminals)
+    assert copy.copy(g) is g and copy.deepcopy(g) is g
+    fresh = check_well_formed(again).certificate
+    for data in (b"", grammar_text(name), b"<a x='1'>t<b/></a>",
+                 b"(1 + 2) * 3", b"if x then y else z"):
+        for mode in ("plain", "packrat"):
+            want = parse(g, cert, data, mode=mode)
+            out = parse(again, fresh, data, mode=mode)
+            assert (out, out.steps, out.farthest, repr(out.value)) == (
+                want, want.steps, want.farthest, repr(want.value))
+
+
+def test_grammars_unpickle_in_a_fresh_interpreter():
+    # Where no node of the grammar is live, the built-in refs still
+    # unpickle as themselves and each collector as a NodeRef, so the
+    # grammar is tree-shaped there and dumps to the same text.
+    g = load_grammar(grammar_text("xml-lite.peg"))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    script = (
+        "import pickle, sys, trx\n"
+        "from trx import exprs\n"
+        "g = pickle.loads(sys.stdin.buffer.read())\n"
+        "refs = {type(e.ref) if type(e.ref) is exprs.NodeRef else e.ref\n"
+        "        for body in g.productions.values()\n"
+        "        for e in trx.iter_subexprs(body) if type(e) is trx.Action}\n"
+        "assert g.tree_shaped and refs <= {exprs.NodeRef, exprs.DROP,\n"
+        "    exprs.LEAF, exprs.TUPLE2STR, exprs.CONS, exprs.SOME,\n"
+        "    exprs.NONE}, refs\n"
+        "sys.stdout.write(trx.dump_grammar(g))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          input=pickle.dumps(g), env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == dump_grammar(g)
 
 
 def test_long_sequences_load():
