@@ -1128,7 +1128,7 @@ def _ref_plus(mt, xt, tree_mode, ok_add, fail_add):
     return scan[:4] + (first, 1)
 
 
-def _ref_iter_table(prog, fails, root, packrat):
+def _ref_iter_table(prog, root, packrat):
     interp = trx.interp
     kind, aa, bb = prog.kind, prog.a, prog.b
     alts = []
@@ -1140,7 +1140,7 @@ def _ref_iter_table(prog, fails, root, packrat):
     steps = values = None
     for x in reversed(alts):
         if kind[x] != interp._K_MATCH1:
-            f = interp._fail_table(prog, fails, x, packrat) or (0,) * 257
+            f = _ref_fail_table(prog, x, packrat) or (0,) * 257
             s = tuple([-t for t in f])
         else:
             s, v = prog.extra[x]
@@ -1155,15 +1155,47 @@ def _ref_iter_table(prog, fails, root, packrat):
     return steps, values
 
 
-def _ref_fail_table(prog, i):
-    """The failure table of a matcher, predicate or literal node."""
-    k, extra = prog.kind[i], prog.extra[i]
-    if k == trx.interp._K_LIT:
+def _ref_fail_table(prog, i, packrat=False, open_=()):
+    """The failure table of node ``i`` in one mode, entry by entry from
+    the module docstring's formulas: a matcher or predicate fails in -t
+    steps where its step table has t < 0, a scan likewise by its
+    ``first`` table, a literal in its first prefix's steps on every byte
+    but its first; a sequence in its first item's steps + 1 (+ 2 with an
+    action), an action or rule node in its inside's + 1, a choice in
+    a + b + 1 where both alternatives fail; a call in its rule body's
+    + 1 (+ 2 for a drop) in plain mode, and never in packrat mode;
+    repetitions, negations and the empty expression never.  A table made
+    from one still being derived (``open_``, a cycle of leading calls)
+    takes it as never failing."""
+    interp = trx.interp
+    k, a, extra = prog.kind[i], prog.a[i], prog.extra[i]
+
+    def sub(x):
+        if x in open_:
+            return (0,) * 257
+        return (_ref_fail_table(prog, x, packrat, open_ + (i,))
+                or (0,) * 257)
+
+    if k in (interp._K_MATCH1, interp._K_PRED, interp._K_SCAN):
+        steps = extra[4] if k == interp._K_SCAN else extra[0]
+        out = ([0] * 257 if steps is None
+               else [-t if t < 0 else 0 for t in steps])
+    elif k == interp._K_LIT:
         lbytes, _, fails, _ = extra
         out = [fails[0]] * 257
         out[lbytes[0]] = 0
+    elif k in (interp._K_SEQ, interp._K_TSEQ, interp._K_ACT,
+               interp._K_TACT, interp._K_NODE):
+        add = 2 if k == interp._K_SEQ and extra is not None else 1
+        out = [t + add if t else 0 for t in sub(a)]
+    elif k == interp._K_CHOICE:
+        out = [x + y + 1 if x and y else 0
+               for x, y in zip(sub(a), sub(prog.b[i]))]
+    elif interp._K_TNT <= k <= interp._K_LEAF and not packrat:
+        add = 2 if k in (interp._K_TDLEAF, interp._K_TDNT) else 1
+        out = [t + add if t else 0 for t in sub(prog.prod_body[a])]
     else:
-        out = [-t if t < 0 else 0 for t in extra[0]]
+        out = [0] * 257
     return tuple(out) if any(out) else _NO_FAIL
 
 
@@ -1194,12 +1226,24 @@ if st is not None:
         inner.map(Not),
         st.tuples(inner, st.sampled_from([LEAF, DROP, TUPLE2STR])).map(
             lambda p: Action(*p))), max_leaves=6)
+    # Kept and dropped calls of the host rules below.
+    _CALLS = st.sampled_from([f(NonTerminal(name)) for name in "ABCE"
+                              for f in (lambda e: e, Drop)])
     # The alternatives of a repetition's body: byte-local expressions,
-    # literals and sequences, which have failure tables.
+    # literals, calls and sequences, which have failure tables.
     _ALT = st.one_of(
         _LOCAL,
         st.binary(min_size=1, max_size=3).map(Literal),
-        st.tuples(_LOCAL, _LOCAL).map(lambda p: Seq(*p)))
+        st.tuples(_LOCAL, _LOCAL).map(lambda p: Seq(*p)),
+        _CALLS,
+        st.tuples(_CALLS, _LOCAL).map(lambda p: Seq(*p)))
+    # Rules that fail at their first byte: a literal, a leaf rule and a
+    # choice; and B, which fails there through its call of A.
+    _HOST = [("S", EMPTY),
+             ("A", Seq(Terminal("a"), Terminal("b"))),
+             ("B", Seq(NonTerminal("A"), Terminal("c"))),
+             ("C", Range("x", "z")),
+             ("E", Choice(Terminal("e"), NonTerminal("A")))]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(e=_LOCAL, x=_LOCAL, adds=st.sampled_from([(1, 1), (1, 0),
@@ -1245,23 +1289,21 @@ if st is not None:
             body = Choice(alt, body)
         # Roots compile in value mode with a value-mode grammar, and in
         # tree mode with a tree-shaped one.
-        host = build_grammar([("S", EMPTY)], "S")
+        host = build_grammar(_HOST, "S")
         for tree_mode, g in ((False, host), (True, tree_wrap(host))):
             if tree_mode:
                 body = trx.exprs._walk(trx.meta._tree_wrap_step, body, {})
             prog, _ = _compile(g, roots=(Star(body),) + tuple(alts))
             for packrat in (False, True):
                 fails, iters = prog.fails[packrat], prog.iters[packrat]
-                for i, k in enumerate(prog.kind):
-                    if k in (interp._K_MATCH1, interp._K_PRED,
-                             interp._K_LIT):
-                        assert (interp._fail_table(prog, fails, i, packrat)
-                                == _ref_fail_table(prog, i))
+                for i in range(len(prog.kind)):
+                    assert (interp._fail_table(prog, fails, i, packrat)
+                            == _ref_fail_table(prog, i, packrat))
                 for i, k in enumerate(prog.kind):
                     if k == interp._K_STAR:
                         assert (interp._iter_table(prog, fails, iters, i,
                                                    packrat)
-                                == _ref_iter_table(prog, fails, i, packrat))
+                                == _ref_iter_table(prog, i, packrat))
 
 
 def test_packrat_call_through_nested_call_still_runs():
