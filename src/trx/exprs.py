@@ -222,15 +222,57 @@ class Expr:
         raise AttributeError("expressions are immutable")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+        return _expr_from_table, (_node_table((self,))[0],)
+
+    def __copy__(self):
+        return self
 
     def __deepcopy__(self, memo):
-        # The node is its own copy; rebuilding through __reduce__ would
-        # recurse once per level.
+        # The node is its own copy.
         return self
 
     def __repr__(self):
         return expr_text(self)
+
+
+def _node_table(roots) -> tuple:
+    """A flat post-order table of the nodes under ``roots``, and the index
+    of each root in it, so that pickle handles expressions of any depth.
+    A record is a node's class and fields, with each child expression
+    given by its index in the table; a node held twice is one record."""
+    index = {}
+    table = []
+    stack = list(roots)
+    while stack:
+        e = stack[-1]
+        if e in index:
+            stack.pop()
+            continue
+        fields = [getattr(e, f) for f in e.__slots__]
+        kids = [x for x in fields if isinstance(x, Expr) and x not in index]
+        if kids:
+            stack += kids
+            continue
+        stack.pop()
+        index[e] = len(table)
+        table.append((type(e), *[index[x] if isinstance(x, Expr) else x
+                                 for x in fields]))
+    return table, [index[r] for r in roots]
+
+
+def _nodes_from_table(table: list) -> list:
+    """The nodes of a _node_table, rebuilt bottom up through the intern
+    table, so that each is the live node if there is one."""
+    nodes = []
+    for cls, *fields in table:
+        nodes.append(cls(*[nodes[x] if kind is Expr else x
+                           for kind, x in zip(cls._kinds, fields)]))
+    return nodes
+
+
+def _expr_from_table(table: list) -> Expr:
+    """The expression Expr.__reduce__ wrote: the last node, in post-order."""
+    return _nodes_from_table(table)[-1]
 
 
 class Empty(Expr):
@@ -520,7 +562,11 @@ class Grammar:
         return self.productions[name]
 
     def __reduce__(self):
-        return Grammar, (dict(self.productions), self.start)
+        # One node table for all the rule bodies, so that a node several
+        # rules hold is written once.
+        table, roots = _node_table(self.productions.values())
+        return _grammar_from_table, (table, self.nonterminals, roots,
+                                     self.start)
 
     def __copy__(self):
         return self
@@ -587,6 +633,13 @@ def _check_rules(productions: dict) -> bool:
                     tree_shaped = shaped = False
                 stack.append((e.inner, shaped and ref is not DROP))
     return tree_shaped
+
+
+def _grammar_from_table(table: list, names: tuple, roots: list,
+                        start: str) -> Grammar:
+    """The grammar Grammar.__reduce__ wrote."""
+    nodes = _nodes_from_table(table)
+    return Grammar({name: nodes[i] for name, i in zip(names, roots)}, start)
 
 
 def build_grammar(rules: Iterable, start: str) -> Grammar:

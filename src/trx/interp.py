@@ -37,11 +37,11 @@ of any of these.  The compiler derives a step table for each one, the
 steps of its outcome on each byte, and the VM runs it, or a repetition
 of it, with one table lookup per byte; right-nested terminal chains
 (literal runs) get their step arithmetic precomputed too.  Like the
-failure and iteration tables below, a step table is derived from its
-parts' on a default and its exceptions, so in time proportional to
-the bytes that differ from the default, and the VM still reads each
-table as a tuple of 257 entries, written out only for the nodes that
-hold one, with equal tables kept as one object.
+head tables below, a step table is derived from its parts' on a
+default and its exceptions, so in time proportional to the bytes that
+differ from the default, and the VM still reads each table as a tuple
+of 257 entries, written out only for the nodes that hold one, with
+equal tables kept as one object.
 The oracle differential suite pins their equivalence with the plain
 rule-by-rule evaluation.
 
@@ -103,55 +103,48 @@ binary (n-ary measured slower); an action over one is the sequence's
 node, and a call of a rule whose body is a choice runs in the choice's
 frame.
 
-Failure tables.  Most probes of a parse fail on the byte under the
-cursor (the meta-grammar tries every operator rule at every token), so
-every composite node, calls included, has a failure table of 257
-entries indexed like a step table: entry b > 0 is the number of steps
-after which the node, started on byte b (256: end of input), fails,
-having tried matchers only at that position and added nothing to
-``kids``; 0 means it must run.  The VM reads the table when it
-descends into a composite, and on a non-zero entry sets ``farthest``
+Head tables.  Most probes of a parse fail on the byte under the cursor
+(the meta-grammar tries every operator rule at every token), so every
+node has, per mode, a head: 257 entries indexed like a step table, with
+its sign convention, of what the node does when started on that byte
+(256: end of input) without running.  Entry t > 0 means it succeeds in
+t steps by consuming the byte through a one-byte matcher (in tree mode
+as a leaf span, in value mode with the byte's entry of the head's value
+table); t < 0 that it fails in -t steps, having tried matchers only at
+that position and added nothing to ``kids``; 0 that it must run.  The
+entries follow the step arithmetic.  A matcher's head is its step
+table; a predicate's, and a SCAN's by its ``first`` table, are its
+failures; a literal fails in its first prefix's steps on every byte but
+its first.  A sequence fails in its first item's steps + 1, or + 2 with
+an action, and an action or rule node in its inside's + 1.  A choice
+folds its alternatives' heads with the step tables' choice rule, where
+a first alternative that is a choice gives only its failures, so that
+a choice succeeds only through the matchers of its right-nested chain
+(and its value table is theirs).  Repetitions, negations and EMPTY must
+run.  A rule call fails in its rule body's steps + 1, and a drop of one
++ 2 (a tree-mode body is its node collector, whose head is its
+inside's + 1).  In packrat mode a call moves a watermark and may count
+a memo hit or miss, so there a call must run, and so must every node
+whose failure runs through a call; the call reads its rule body's head,
+built with its own, instead, and where that settles it, does its
+bookkeeping in place.  The VM reads heads in two ways.  Descending into
+a composite, it reads the head's failure view, a tuple with -t at each
+entry t < 0 and 0 elsewhere, and on a non-zero entry sets ``farthest``
 to at least the position and unwinds a failure of that many steps
 without pushing a frame (after LPeg's head-fail tests, but keeping the
-step index exact).  The entries follow the step arithmetic: MATCH1 and
-PRED fail in -t steps where their step table has t < 0; LIT in its
-first prefix's failure steps on every byte but its first; SCAN like
-MATCH1 by its ``first`` table, and never without one; a sequence in
-its first item's steps + 1, or + 2 with an action; a choice in
-a + b + 1 where both alternatives fail; an action or rule node in its
-inside's + 1; repetitions (which have iteration tables, below) and
-negations never.  A rule call in its rule body's + 1, and a drop of
-one + 2 (a tree-mode body is its node collector, whose table is its
-inside's + 1).  In packrat mode a call moves a watermark and may count
-a memo hit or miss, so there a call's entry is 0, and so is every
-entry whose failure runs through a call; the call reads its rule
-body's table, built with its own, instead, and where that settles it,
-does its bookkeeping in place.  So each mode has its tables.  A table
-is built the first time a parse descends into its node (compiling
-builds none, so certification does not pay for them), with those it
-is made from, with an explicit stack, and kept on the program as a
-tuple; equal tables are one object.
-
-Iteration tables.  A repetition that is not a SCAN (Ford's
+step index exact).  A repetition that is not a SCAN (Ford's
 ``([ \\t\\r\\n] / comment)*``, or an operator star ``(a / b / c)*`` of
-calls) has an iteration table per mode, of 257 entries indexed like a
-failure table: the byte tables' choice rule folded over the tables of
-its body's alternatives, the parts of its choice chain (after LPeg's
-span and test instructions).  An entry t > 0 means the body, started
-on that byte, succeeds in t steps by consuming just that byte through
-a one-byte matcher after the alternatives before it fail there by
-their failure tables: in tree mode as a leaf span (any other success
-makes the entry 0), in value mode with that byte's entry of the
-matcher's value table.  An entry t < 0 means the body fails there in
--t steps; 0 means it must run.  The VM loops over the input while the
-entries are positive, adding t + 1 steps each.  On a negative entry
-the repetition ends without a frame, adding -t + 1, with ``farthest``
-at least the position; on 0 it pushes the repetition's frame with the
+calls) reads its body's head, written out, as its iteration table
+(after LPeg's span and test instructions): it loops over the input
+while the entries are positive, adding t + 1 steps each.  On a negative
+entry the repetition ends without a frame, adding -t + 1, with
+``farthest`` at least the position; on 0 it pushes its frame with the
 steps and the span so far and runs the body, and comes back to the
-table after each iteration that ran it.  In packrat mode a call's
-failure table is 0, so no entry skips a call and memo statistics do
-not change.  Iteration tables, like failure tables, are built the
-first time a parse reaches their repetition.
+table after each iteration that ran it.  A head is built the first
+time a parse descends into its node (compiling builds none, so
+certification does not pay for them), with those it is made from, with
+an explicit stack, and kept on the program with its views; equal
+tuples are one object.
 
 Certification compiles the program once and the Certificate carries
 it, so parse() runs exactly the grammar that was certified.  The
@@ -293,7 +286,7 @@ def memo_stats(table: MemoTable) -> dict:
 # Opcodes.  A composite node's opcode is the state its frame starts in,
 # and the numbering groups composites by frame shape:
 #   [state, node, pos]                     SEQ, CHOICE, ACT
-#   [state, node, pos, items, steps]       STAR
+#   [state, node, pos, items, steps, tab]  STAR (tab: its iteration table)
 #   [state, node, pos, next, steps, mark]  TSEQ (next: the item to run next)
 #   [8, node, pos, mark, key]              NODE and TNT
 #   [state, node, pos, mark]               NOT, TACT
@@ -341,10 +334,10 @@ def memo_stats(table: MemoTable) -> dict:
 # push no frame: they run that primitive in place, then add the
 # collector's or the action's step, write the memo entry and add the
 # call's step, and a drop's.  In packrat mode every call first reads its
-# rule body's failure table (see _run).  Every opcode below EMPTY has a
-# failure table, and STAR an iteration table too (see the module
-# docstring); a repetition's frame is pushed only when its body runs,
-# and its ``pos`` and ``steps`` start where the table stopped.
+# rule body's failure view (see _run).  The VM reads the failure view of
+# every opcode below EMPTY, and STAR's iteration table too (see the
+# module docstring); a repetition's frame is pushed only when its body
+# runs, and its ``pos`` and ``steps`` start where the table stopped.
 # Terminals, ranges and any-char always compile to MATCH1; MATCH1, PRED,
 # LIT and SCAN are superinstructions.
 _K_SEQ, _K_CHOICE, _K_ACT, _K_STAR = 1, 3, 5, 6
@@ -377,22 +370,25 @@ class _Program:
 
     A program is sealed when it is made: the arrays are tuples and no
     attribute can be set or deleted, so a certificate's program stays
-    the one compiled from its grammar.  ``marks``, ``fails``, ``iters``
-    and ``shared`` are private caches, each a pure function of the
-    sealed arrays, filled as parses need them.  ``marks`` holds the
-    watermarks a packrat parse starts from (see _initial_marks); it is
-    computed on the program's first packrat parse.  ``fails`` is a pair,
-    plain mode's and packrat mode's, of per-node lists of failure
-    tables, None where not built yet (see _fail_table), and ``iters``
-    the same pair for iteration tables (see _iter_table); both pairs are
-    made with the program and cannot be replaced.  ``shared`` is the
-    pool of tables written out as tuples (see _dense), one copy of each
-    distinct table, which the compiler starts with the step tables and
-    parses add the failure and iteration tables to.
+    the one compiled from its grammar.  ``marks``, ``heads`` and
+    ``shared`` are private caches, each a pure function of the sealed
+    arrays, filled as parses need them.  ``marks`` holds the watermarks
+    a packrat parse starts from (see _initial_marks); it is computed on
+    the program's first packrat parse.  ``heads`` is a pair, plain
+    mode's and packrat mode's, of lists of 2n entries for n nodes, made
+    with the program and not replaceable; all are None until
+    _head_table builds them.  Entry n + i is node i's head, a default
+    and its exceptions with its value table, and entry i the failure
+    view the VM reads on descending into node i, a tuple or _NO_FAIL.
+    A repetition's own head settles nothing, so its entry n + i holds
+    its iteration table instead, its body's head written out with the
+    value table.  ``shared`` is the pool of tables written out as tuples
+    (see _dense), one copy of each distinct table, which the compiler
+    starts with the step tables and parses add the heads' to.
     """
 
     __slots__ = ("kind", "a", "b", "extra", "prod_body", "start", "tree",
-                 "null", "marks", "fails", "iters", "shared")
+                 "null", "marks", "heads", "shared")
 
     def __init__(self, kind, a, b, extra, prod_body, start, tree, null,
                  shared):
@@ -406,8 +402,8 @@ class _Program:
         init(self, "tree", tree)
         init(self, "null", null)
         init(self, "marks", None)
-        init(self, "fails", ([None] * len(kind), [None] * len(kind)))
-        init(self, "iters", ([None] * len(kind), [None] * len(kind)))
+        init(self, "heads", ([None] * (2 * len(kind)),
+                             [None] * (2 * len(kind))))
         init(self, "shared", shared)
 
     def __setattr__(self, name, value):
@@ -449,9 +445,9 @@ class _Program:
 #   ``base`` is the steps a scan adds to its items': 1 for the
 #   repetition, 2 under a drop.
 #
-# The VM reads every step, failure and iteration table as a tuple of
-# 257 entries.  The compiler, _fail_table and _iter_table derive tables
-# from tables entry by entry, and they do so on a default and its
+# The VM reads every step table, failure view and iteration table as a
+# tuple of 257 entries.  The compiler and _head_table derive tables from
+# tables entry by entry, and they do so on a default and its
 # exceptions, ``(d, {index: entry})`` with every entry not listed equal
 # to d: a terminal's table has one exception, and so has ``.``'s (end
 # of input).  So a derivation costs time in proportion to the entries
@@ -467,27 +463,21 @@ _SPANS = (_SPAN,) * 256
 
 
 def _dense(table, pool: dict) -> tuple:
-    # The tuple of ``table``: ``pool`` keeps equal tuples as one object,
-    # and maps the id of each tuple it keeps to the default and
-    # exceptions it was written from.  Equal tables that two nodes hold
-    # are written twice and kept once: a cache keyed by the default and
-    # exceptions saved 4 of 1 187 writes in a grammar-check round and
-    # held more memory than the tuples.
+    # The tuple of ``table``: ``pool`` keeps equal tuples as one object.
+    # Equal tables that two nodes hold are written twice and kept once:
+    # a cache keyed by the default and exceptions saved 4 of 1 187 writes
+    # in a grammar-check round and held more memory than the tuples.
     d, exc = table
     out = [d] * 257
     for i, t in exc.items():
         out[i] = t
     out = tuple(out)
-    out = pool.setdefault(out, out)
-    pool.setdefault(id(out), table)
-    return out
+    return pool.setdefault(out, out)
 
 
-def _sparse(t: tuple, pool: dict):
-    # The default and exceptions of a tuple _dense wrote out into
-    # ``pool``, else (a program copied with a fresh pool) read off it.
-    return pool.get(id(t)) or (t[0], {i: x for i, x in enumerate(t)
-                                      if x != t[0]})
+def _sparse(t) -> tuple:
+    # The default and exceptions of a table written out as a sequence.
+    return t[0], {i: x for i, x in enumerate(t) if x != t[0]}
 
 
 def _map(f, table):
@@ -565,8 +555,8 @@ def _byte_table(e: Expr, tree_mode: bool, pool: dict):
 
 # The entries of the tables _byte_table derives: of a choice of two
 # matchers, of a guard in front of a matcher, of a negation and of an
-# action.  A choice also folds an iteration table (see _iter_table),
-# whose 0 entries, which no byte-local table has, mean "must run".
+# action.  A choice also folds heads (see _head_table), whose 0
+# entries, which no byte-local table has, mean "must run".
 
 def _choice_steps(x, y):
     return (x + 1 if x > 0 else 0 if not (x and y)
@@ -951,116 +941,108 @@ def _bits(mask: int) -> list:
     return out
 
 
-# The failure table of a node that never fails on its first byte alone.
+# The failure view of a node that never fails on its first byte alone.
 _NO_FAIL = ()
+# The head of a node that settles no byte without running.
+_RUNS = (0, {})
 
 
-def _fail_table(prog: _Program, tables: list, root: int, packrat: bool):
-    """The failure table of node ``root`` for one mode, built now
-    together with the tables it is made from that ``tables`` does not
-    hold yet, and stored there (see the module docstring).  Each is
-    derived on a default and its exceptions, and written out into the
-    program's pool (see _dense).
+def _failures(x):
+    return x if x < 0 else 0
 
-    Depth first with an explicit stack.  A table made from one that is
+
+def _head_table(prog: _Program, heads: list, root: int, packrat: bool):
+    """Build the head of node ``root`` for one mode, and its views, with
+    the heads it is made from that ``heads`` does not hold yet (see the
+    module docstring and _Program).  A head is a default and its
+    exceptions, with the value table of its successes (None in tree
+    mode).  Only a matcher and a choice succeed, a choice only through
+    the matchers of its right-nested chain, so that its value table is
+    made of theirs.
+
+    Depth first with an explicit stack.  A head made from one that is
     still being built (a cycle of leading calls, which only an
-    uncertified program has) takes that one as _NO_FAIL, which is
-    always exact: the node then runs.
+    uncertified program has) takes that one as _RUNS, which is always
+    exact: the node then runs.
     """
-    kind, aa, bb, extra, body, shared = (prog.kind, prog.a, prog.b,
-                                         prog.extra, prog.prod_body,
-                                         prog.shared)
-
-    def pack(table):
-        return _dense(table, shared) if table[0] or table[1] else _NO_FAIL
-
+    kind, aa, bb, extra, body = (prog.kind, prog.a, prog.b, prog.extra,
+                                 prog.prod_body)
+    n = len(kind)
     opened = set()
     todo = [root]
     while todo:
         i = todo[-1]
-        if tables[i] is not None:
+        if heads[n + i] is not None:
             todo.pop()
             continue
         k = kind[i]
-        # The tables this one is made from, and the steps a node adds
-        # to a failure of the first of them at its own position.
+        # The heads this one is made from, and the steps a node adds to
+        # a failure of the first of them at its own position.
         if k == _K_SEQ or k == _K_TSEQ or k == _K_ACT or k == _K_TACT \
                 or k == _K_NODE:
             # A value-mode sequence that carries an action adds its step.
             parts, add = (aa[i],), 1 + (k == _K_SEQ and extra[i] is not None)
         elif k == _K_CHOICE:
-            parts, add = (aa[i], bb[i]), 1
+            parts = (aa[i], bb[i])
+        elif k == _K_STAR:
+            parts = (aa[i],)
         elif k >= _K_TNT and k <= _K_LEAF:
             # A call: its rule body's, and a drop's step.  In packrat
-            # mode (add 0) its own is empty, and its rule body's is
-            # built with it for the call to read (see _run).
+            # mode (add 0) it must run, and its rule body's is built
+            # with it for the call to read (see _run).
             parts = (body[aa[i]],)
             add = 0 if packrat else 2 if k == _K_TDLEAF or k == _K_TDNT else 1
         else:
             parts = ()
         if i not in opened:
             opened.add(i)
-            more = [x for x in parts if tables[x] is None and x not in opened]
+            more = [x for x in parts if heads[n + x] is None and x not in opened]
             if more:
                 todo.extend(more)
                 continue
         todo.pop()
-        sub = [_sparse(tables[x], shared) for x in parts if tables[x]]
-        if k == _K_MATCH1 or k == _K_PRED or k == _K_SCAN:
-            steps = extra[i][4 if k == _K_SCAN else 0]
-            out = _NO_FAIL if steps is None else pack(_map(
-                lambda t: -t if t < 0 else 0, _sparse(steps, shared)))
+        # A repetition's own head is _RUNS: its slot holds its iteration
+        # table.
+        sub = [(_RUNS, None) if heads[n + x] is None or kind[x] == _K_STAR
+               else heads[n + x] for x in parts]
+        if k == _K_STAR:
+            heads[i] = _NO_FAIL
+            heads[n + i] = (_dense(sub[0][0], prog.shared), sub[0][1])
+            continue
+        values = None
+        if k == _K_MATCH1 or k == _K_PRED:
+            t, v = extra[i]
+            if k == _K_PRED:
+                steps = _map(_failures, _sparse(t))
+            elif not prog.tree:
+                steps, values = _sparse(t), v
+            else:
+                # In tree mode only a leaf span is a success here.
+                steps = _sparse(t if v is _SPANS else [
+                    0 if x > 0 and v[b] is not _SPAN else x
+                    for b, x in enumerate(t)])
+        elif k == _K_SCAN:
+            t = extra[i][4]
+            steps = _RUNS if t is None else _map(_failures, _sparse(t))
         elif k == _K_LIT:
             # Every byte but the literal's first fails with its first
             # prefix.
-            out = pack((extra[i][2][0], {extra[i][0][0]: 0}))
-        elif not parts or not add or len(sub) < len(parts):
-            out = _NO_FAIL
-        elif len(sub) == 1:
-            out = pack(_map(lambda x: x + add if x else 0, sub[0]))
+            steps = (-extra[i][2][0], {extra[i][0][0]: 0})
+        elif k == _K_CHOICE:
+            (sa, va), (sb, vb) = sub
+            if kind[parts[0]] == _K_CHOICE:
+                sa, va = _map(_failures, sa), None
+            steps = _zip(_choice_steps, sa, sb)
+            values = (vb if va is None else va if vb is None or va is vb
+                      else _choice_values(extra[parts[0]][0], va, vb))
+        elif not parts or not add:
+            steps = _RUNS
         else:
-            out = pack(_zip(lambda x, y: x + y + 1 if x and y else 0, *sub))
-        tables[i] = out
-    return tables[root]
-
-
-def _iter_table(prog: _Program, fails: list, iters: list, root: int,
-                packrat: bool):
-    """The iteration table of repetition ``root`` for one mode, built now
-    and stored in ``iters`` (see the module docstring): the choice rule
-    (_choice_steps and _choice_values) folded from the right over the
-    body's alternatives, the parts of its right-nested choice chain or
-    the body alone, on defaults and exceptions like the byte tables.
-    An alternative's table has 0 for "must run": a one-byte matcher's is
-    its step table, where in tree mode a success that is not a leaf
-    span is 0, and any other node's is its failure table, built into
-    ``fails``, negated.  In tree mode there is no value table (None).
-    """
-    kind, aa, bb, extra, shared = (prog.kind, prog.a, prog.b, prog.extra,
-                                   prog.shared)
-    alts = []
-    x = aa[root]
-    while kind[x] == _K_CHOICE:
-        alts.append(aa[x])
-        x = bb[x]
-    alts.append(x)
-    steps = values = None
-    for x in reversed(alts):
-        if kind[x] != _K_MATCH1:
-            s = _fail_table(prog, fails, x, packrat)
-            s = _map(lambda t: -t, _sparse(s, shared)) if s else (0, {})
-        else:
-            s, v = extra[x]
-            if not prog.tree:
-                values = (v if values is None or v is values
-                          else _choice_values(s, v, values))
-            elif v is not _SPANS:
-                s = tuple([0 if t > 0 and v[b] is not _SPAN else t
-                           for b, t in enumerate(s)])
-            s = _sparse(s, shared)
-        steps = s if steps is None else _zip(_choice_steps, s, steps)
-    out = iters[root] = (_dense(steps, shared), values)
-    return out
+            steps = _map(lambda x: x - add if x < 0 else 0, sub[0][0])
+        # The failure view the VM reads at a descent.
+        fail = _map(lambda x: -x if x < 0 else 0, steps)
+        heads[i] = _dense(fail, prog.shared) if fail != _RUNS else _NO_FAIL
+        heads[n + i] = (steps, values)
 
 
 def _run(prog: _Program, data: bytes, root: int, pos0: int,
@@ -1091,8 +1073,8 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
     else:
         memo_entries = None
     packrat = memo is not None
-    fail = prog.fails[packrat]
-    iters = prog.iters[packrat]
+    head = prog.heads[packrat]
+    n_nodes = len(kind)              # where the heads start in ``head``
     # Tree mode: the rule nodes and leaf spans made so far, in order.
     kids = [] if prog.tree else None
     new_tuple = tuple.__new__
@@ -1122,8 +1104,8 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
             k = kind[cur]
             if k < _K_EMPTY:
                 # A composite or a call.  If it cannot start on the byte
-                # under the cursor, its failure table has the steps.
-                g = fail[cur]
+                # under the cursor, its head's failure view has the steps.
+                g = head[cur]
                 if g:
                     s = g[data[cpos] if cpos < n else 256]
                     if s:
@@ -1136,7 +1118,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                         break
                 elif g is None:
                     # Not built yet: build it, then read it.
-                    _fail_table(prog, fail, cur, packrat)
+                    _head_table(prog, head, cur, packrat)
                     continue
                 # Push its frame in its first state (a leaf call pushes
                 # none).
@@ -1168,9 +1150,9 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                             # now on.  (A hit means it is memoised.)
                             mark[p] = _ALWAYS
                             misses += 1
-                        # The call's failure table is empty, but its rule
+                        # The call's failure view is empty, but its rule
                         # body's, built with it, may settle it here.
-                        g = fail[prod_body[p]]
+                        g = head[prod_body[p]]
                         if g:
                             s = g[data[cpos] if cpos < n else 256]
                             if s:
@@ -1226,19 +1208,12 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                         leaf_drop = k == _K_TDLEAF
                     cur = bb[cur]
                     continue
-                elif k == _K_TSEQ:
-                    push([k, cur, cpos, 1, 0, len(kids)])
-                elif k >= _K_NOT:
-                    push([k, cur, cpos, None if kids is None else len(kids)])
-                elif k == _K_NODE:
-                    push([k, cur, cpos, len(kids), None])
-                else:
+                elif k == _K_STAR:
                     # A repetition, new or back from a body that
                     # succeeded (``again``, its frame).  The iteration
                     # table settles what it can, and the frame runs the
                     # body where the entry is 0.
-                    tab, vals = iters[cur] or _iter_table(
-                        prog, fail, iters, cur, packrat)
+                    tab, vals = head[n_nodes + cur]
                     f = again
                     if f is None:
                         acc = 0
@@ -1275,11 +1250,17 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     if p > cpos and p > farthest + 1:
                         farthest = p - 1
                     if f is None:
-                        push([k, cur, p, items, acc])
+                        push([k, cur, p, items, acc, tab])
                     else:
                         f[2] = p
                         f[4] = acc
                     cpos = p
+                elif k == _K_TSEQ:
+                    push([k, cur, cpos, 1, 0, len(kids)])
+                elif k >= _K_NOT:
+                    push([k, cur, cpos, None if kids is None else len(kids)])
+                else:                        # NODE
+                    push([k, cur, cpos, len(kids), None])
                 cur = aa[cur]
                 continue
             if k == _K_MATCH1:
@@ -1580,7 +1561,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                         f[3].append(val)
                     f[4] += steps + 1
                     cpos = rpos
-                    if iters[f[1]][0][data[rpos] if rpos < n else 256]:
+                    if f[5][data[rpos] if rpos < n else 256]:
                         # Back to the iteration table.
                         again = f
                         cur = f[1]

@@ -18,7 +18,7 @@ from trx import (ANY, Action, ActionRef, And, AnyChar, CharClass, Choice,
                  Grammar, InvalidRange, Literal, NonTerminal, Not, Optional, Plus,
                  Range, Seq, Star, Terminal, UndefinedNonterminal,
                  UnknownStart, build_grammar, check_well_formed, eval_expr,
-                 expr_text, iter_subexprs)
+                 expr_text, iter_subexprs, load_grammar)
 from trx import exprs
 from trx.exprs import CONS, DROP, NONE, NodeRef, SOME, TUPLE2STR
 from trx.oracle import EXHAUSTED, oracle_eval
@@ -262,6 +262,30 @@ def test_pickle_and_copy_return_the_interned_node():
         assert copy.deepcopy(e) is e
     for e in (Literal("if"), Choice(Plus(Range("0", "9")), EMPTY)):
         assert pickle.loads(pickle.dumps(e)) is e
+
+
+def test_deep_expressions_pickle_to_the_interned_nodes():
+    # Pickling writes a flat table of nodes, not one call per level: a
+    # loaded choice of 3 000 alternatives and a 3 000-deep expression
+    # built through the API round-trip to the live nodes.
+    g = load_grammar("a <- " + " / ".join("'a%d' 'x'" % i for i in range(3000))
+                     + " ;")
+    again = pickle.loads(pickle.dumps(g))
+    assert again == g and again.productions["a"] is g.productions["a"]
+    e = Terminal("x")
+    for i in range(3000):
+        e = (Seq(Terminal(97 + i % 26), e), Choice(Range(i % 256, 255), e),
+             Not(e), Drop(e))[i % 4]
+    assert pickle.loads(pickle.dumps(e)) is e
+    # A node held twice, also by two rules, is one record of the table.
+    shared = Seq(Literal("ab"), NonTerminal("A"))
+    e = Choice(Seq(shared, Terminal("c")), shared)
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert len(e.__reduce__()[1][0]) == len(set(iter_subexprs(e))) == 9
+    g = build_grammar([("A", e), ("B", shared)], "A")
+    assert len(g.__reduce__()[1][0]) == 9
+    again = pickle.loads(pickle.dumps(g))
+    assert again == g and again.productions["B"] is shared
 
 
 def test_children_must_be_expressions():

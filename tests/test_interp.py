@@ -170,16 +170,15 @@ def test_certificate_program_is_sealed():
 
 
 def test_certificate_program_caches_are_fixed():
-    # The program's per-mode caches are made with it: neither mode's
-    # failure or iteration tables can be swapped for forged ones.
+    # The program's per-mode cache is made with it: neither mode's
+    # heads (failure views and iteration tables) can be swapped for
+    # forged ones.
     g = load_grammar("a <- 'x' ;")
     c = certify(g)
-    assert type(c.program.fails) is tuple and len(c.program.fails) == 2
-    assert type(c.program.iters) is tuple and len(c.program.iters) == 2
+    assert type(c.program.heads) is tuple and len(c.program.heads) == 2
+    n = len(c.program.kind)
     with pytest.raises(TypeError):
-        c.program.fails[0] = [bytes([1]) * 257] * len(c.program.kind)
-    with pytest.raises(TypeError):
-        c.program.iters[0] = [((1,) * 257, None)] * len(c.program.kind)
+        c.program.heads[0] = [bytes([1]) * 257] * n + [((1,) * 257, None)] * n
     assert parse(g, c, b"x").ok
 
 
@@ -737,15 +736,27 @@ def _copy_program(prog, **fields):
     return twin
 
 
-def _per_mode(prog, table):
-    """A cache of ``table`` at every node of ``prog``, in each mode."""
-    return tuple([table] * len(prog.kind) for _ in range(2))
+def _per_mode(prog, view=None, head=None):
+    """A head cache of ``prog`` in each mode, holding ``view`` as every
+    node's failure view and ``head`` in every node's head slot."""
+    n = len(prog.kind)
+    return tuple([view] * n + [head] * n for _ in range(2))
+
+
+def _fails(prog, packrat):
+    """The failure views of ``prog``'s heads in one mode, per node."""
+    return prog.heads[packrat][:len(prog.kind)]
+
+
+def _iters(prog, packrat):
+    """The head slots of ``prog`` in one mode, per node: a repetition's
+    holds its iteration table."""
+    return prog.heads[packrat][len(prog.kind):]
 
 
 def _no_tables_built(prog):
-    """Whether no failure or iteration table of ``prog`` is built yet."""
-    return all(t is None for cache in (prog.fails, prog.iters)
-               for tables in cache for t in tables)
+    """Whether no head of ``prog`` is built yet in either mode."""
+    return all(t is None for cache in prog.heads for t in cache)
 
 
 def _with_call_frames(prog):
@@ -753,8 +764,7 @@ def _with_call_frames(prog):
     kind = tuple(trx.interp._K_NT if k == trx.interp._K_LEAF else k
                  for k in prog.kind)
     return _copy_program(prog, kind=kind, marks=None, null=prog.null,
-                         fails=_per_mode(prog, None),
-                         iters=_per_mode(prog, None), shared={})
+                         heads=_per_mode(prog), shared={})
 
 
 @pytest.mark.parametrize("e, folds", _FOLDS)
@@ -950,8 +960,8 @@ def test_deep_sequence_compiles_and_runs():
     for packrat, mode in enumerate(("plain", "packrat")):
         assert parse(g, cert, b"x", mode=mode).ok
         assert not parse(g, cert, b"ab" * 1500 + b"x", mode=mode).ok
-        # The failure tables of every node the parses ran are built.
-        assert any(cert.program.fails[packrat])
+        # The failure views of every node the parses ran are built.
+        assert any(_fails(cert.program, packrat))
     guards = " ".join("!'%s'" % chr(97 + i % 20) for i in range(1500))
     g = load_grammar("a <- !(%s 'x') 'y' ;" % guards)
     cert = certify(g)
@@ -959,12 +969,12 @@ def test_deep_sequence_compiles_and_runs():
 
 
 def _without_failure_tables(prog):
-    """A copy of ``prog`` whose failure and iteration tables let every
-    node and every repetition's body run."""
+    """A copy of ``prog`` whose failure views and iteration tables let
+    every node and every repetition's body run."""
     run_body = ((0,) * 257, None)
     return _copy_program(prog, marks=None, null=prog.null,
-                         fails=_per_mode(prog, _NO_FAIL),
-                         iters=_per_mode(prog, run_body), shared={})
+                         heads=_per_mode(prog, _NO_FAIL, run_body),
+                         shared={})
 
 
 def _outcome(prog, data, packrat):
@@ -1004,12 +1014,12 @@ def test_failure_tables_change_no_outcome(packrat):
         for data in inputs:
             assert (_outcome(prog, data, packrat)
                     == _outcome(twin, data, packrat)), data
-        guarded += any(prog.fails[packrat])
+        guarded += any(_fails(prog, packrat))
     assert guarded > 100
 
 
 def test_failure_tables_are_tuples():
-    # Every failure table a parse builds is a tuple of 257 entries, or
+    # Every failure view a parse builds is a tuple of 257 entries, or
     # the empty tuple of a node that never fails on its first byte.
     cases = ((builtin_meta_grammar(), grammar_text("peg.peg")),
              (math_grammar(), b"1+(2*3)"),
@@ -1018,17 +1028,19 @@ def test_failure_tables_are_tuples():
         prog = cert.program
         for mode in ("plain", "packrat"):
             assert parse(g, cert, data, mode=mode).ok
-        built = [t for cache in prog.fails for t in cache if t is not None]
+        built = [t for packrat in (0, 1) for t in _fails(prog, packrat)
+                 if t is not None]
         assert any(built) and () in built
         assert all(type(t) is tuple and len(t) in (0, 257) for t in built)
 
 
 # --- The table algebra against dense tables -----------------------------
 #
-# The compiler, _fail_table and _iter_table derive tables on a default
-# and its exceptions.  The reference below derives the same tables entry
+# The compiler and _head_table derive tables on a default and its
+# exceptions.  The reference below derives the tables the VM reads (step
+# tables, and the failure views and iteration tables of the heads) entry
 # by entry over all 257 (or 256) entries, with the formulas the module
-# docstring states.
+# docstring states.  A failure view's entry t > 0 fails in t steps.
 
 def _ref_choice_steps(sa, sb):
     return tuple([x + 1 if x > 0 else 0 if not (x and y)
@@ -1294,15 +1306,15 @@ if st is not None:
             if tree_mode:
                 body = trx.exprs._walk(trx.meta._tree_wrap_step, body, {})
             prog, _ = _compile(g, roots=(Star(body),) + tuple(alts))
+            n = len(prog.kind)
             for packrat in (False, True):
-                fails, iters = prog.fails[packrat], prog.iters[packrat]
-                for i in range(len(prog.kind)):
-                    assert (interp._fail_table(prog, fails, i, packrat)
-                            == _ref_fail_table(prog, i, packrat))
+                heads = prog.heads[packrat]
+                for i in range(n):
+                    interp._head_table(prog, heads, i, packrat)
+                    assert heads[i] == _ref_fail_table(prog, i, packrat)
                 for i, k in enumerate(prog.kind):
                     if k == interp._K_STAR:
-                        assert (interp._iter_table(prog, fails, iters, i,
-                                                   packrat)
+                        assert (heads[n + i]
                                 == _ref_iter_table(prog, i, packrat))
 
 
@@ -1323,8 +1335,8 @@ def test_packrat_call_through_nested_call_still_runs():
     # Both alternatives' calls of b are one node.
     [call] = [i for i, k in enumerate(prog.kind) if k == trx.interp._K_TNT]
     assert g.nonterminals[prog.a[call]] == "b"
-    assert prog.fails[0][call][ord("z")] > 0
-    assert prog.fails[1][call] == _NO_FAIL
+    assert _fails(prog, 0)[call][ord("z")] > 0
+    assert _fails(prog, 1)[call] == _NO_FAIL
 
 
 def test_packrat_call_settled_by_its_body_table():
@@ -1342,12 +1354,12 @@ def test_packrat_call_settled_by_its_body_table():
     # The call reads that table: raise its entry for "z", and both
     # calls of b, the settled miss and the hit on its entry, cost more.
     body = prog.prod_body[g.nonterminals.index("b")]
-    fails = list(prog.fails[1])
-    table = list(fails[body])
+    heads = list(prog.heads[1])
+    table = list(heads[body])
     table[ord("z")] += 10
-    fails[body] = tuple(table)
-    twin = _copy_program(prog, marks=None, fails=(prog.fails[0], fails),
-                         iters=_per_mode(prog, None), shared={})
+    heads[body] = tuple(table)
+    twin = _copy_program(prog, marks=None, heads=(prog.heads[0], heads),
+                         shared={})
     assert (_outcome(twin, b"z", True)[4]
             == _outcome(prog, b"z", True)[4] + 20)
 
@@ -1368,7 +1380,7 @@ def test_failure_tables_at_end_of_input():
             out = parse(g, cert, data, mode=mode)
             assert out == want
             assert out.farthest == farthest
-    assert cert.program.fails[0][cert.program.start][256] > 0
+    assert _fails(cert.program, 0)[cert.program.start][256] > 0
 
 
 def test_literal_matching_its_first_byte_runs():
@@ -1384,14 +1396,14 @@ def test_literal_matching_its_first_byte_runs():
             assert out == oracle_parse(g, b"ad", fuel=10_000)
             assert not out.ok and out.farthest == 1
         prog = cert.program
-        assert prog.fails[0][prog.start][ord("a")] == 0
-        assert prog.fails[0][prog.start][ord("d")] > 0
+        assert _fails(prog, 0)[prog.start][ord("a")] == 0
+        assert _fails(prog, 0)[prog.start][ord("d")] > 0
         lits = [i for i, k in enumerate(prog.kind)
                 if k == trx.interp._K_LIT]
         assert len(lits) == (2 if g.tree_shaped is False else 0)
         for i in lits:
-            assert prog.fails[0][i][ord("a")] == 0
-            assert prog.fails[0][i][ord("d")] > 0
+            assert _fails(prog, 0)[i][ord("a")] == 0
+            assert _fails(prog, 0)[i][ord("d")] > 0
 
 
 def _call_chain(n):
@@ -1419,7 +1431,7 @@ def test_failure_tables_of_a_deep_call_chain():
             for packrat in (False, True):
                 assert (_outcome(cert.program, data, packrat)
                         == _outcome(twin, data, packrat))
-        assert cert.program.fails[0][cert.program.start][ord("z")] > 255
+        assert _fails(cert.program, 0)[cert.program.start][ord("z")] > 255
         assert _seed_set(g, cert) == set()
 
 
@@ -1516,7 +1528,7 @@ def test_iteration_tables_and_dropped_calls_agree_with_oracle(g, alphabet):
     # The parses built iteration tables, and in tree mode ~R, ~W and ~A
     # are dropped calls.
     assert any(prog.kind[i] == trx.interp._K_STAR
-               for i, t in enumerate(prog.iters[0]) if t is not None)
+               for i, t in enumerate(_iters(prog, 0)) if t is not None)
     if g.tree_shaped:
         dropped = {g.nonterminals[prog.a[i]]
                    for i, k in enumerate(prog.kind)
@@ -1543,8 +1555,8 @@ def test_meta_program_drops_spacing_in_one_frame():
     for name in sorted(os.listdir(GRAMMAR_DIR)):
         assert parse(g, cert, grammar_text(name)).ok
     assert parse(g, cert, b'a <- "x" ;').ok
-    assert all(prog.iters[0][i] is not None for i in stars)
-    assert all(t is None for t in prog.iters[1])
+    assert all(_iters(prog, 0)[i] is not None for i in stars)
+    assert all(t is None for t in _iters(prog, 1))
     # Spacing's table: a space costs its matcher's steps and the
     # choice's, '#' runs the comment, and any other byte and end of
     # input end the repetition in plain mode; in packrat mode the call
@@ -1554,7 +1566,7 @@ def test_meta_program_drops_spacing_in_one_frame():
     space = prog.a[prog.a[star]]
     assert star in stars and prog.kind[space] == trx.interp._K_MATCH1
     for packrat in (False, True):
-        steps, values = prog.iters[packrat][star]
+        steps, values = _iters(prog, packrat)[star]
         assert values is None
         for b in b" \t\r\n":
             assert steps[b] == prog.extra[space][0][b] + 1
