@@ -1,6 +1,7 @@
 """Textual grammar format: loading, bootstrap, round-trips, precedence."""
 
 import copy
+import json
 import os
 import pickle
 import random
@@ -11,7 +12,8 @@ import time
 import pytest
 
 from trx import (ANY, EMPTY, Action, ActionRef, And, CharClass, Choice, Drop,
-                 DuplicateRule, EmptyLiteral, Grammar, InvalidRange, Literal, MemoTable, NonTerminal, Not,
+                 DuplicateRule, EmptyLiteral, Grammar, GrammarError,
+                 InvalidRange, Literal, MemoTable, NonTerminal, Not,
                  Optional, PegSyntaxError, Plus, Seq, Star, Terminal,
                  UndefinedNonterminal, UnknownStart, build_grammar,
                  builtin_meta_grammar, check_well_formed, dump_grammar,
@@ -607,3 +609,85 @@ def test_long_sequences_dump_and_reload():
         assert load_grammar(dumped) == g
     assert dump_grammar(load_grammar("a <- 'a' 'b' 'c' ;")) == \
         "a <- [a] [b] [c] ;\n"
+
+
+# Loader outcomes over malformed and truncated .peg text.  The golden
+# file keeps the base texts it was made from (the bundled grammars when
+# it was written), so reshaping peg.peg or any other bundled grammar
+# leaves the corpus as it is.  Regenerate it with
+# ``PYTHONPATH=src python tests/test_meta.py``.
+
+_OUTCOMES = os.path.join(os.path.dirname(__file__), "golden",
+                         "peg_load_outcomes.json")
+_NOISE = b"()'\"[]-\\/!&~*+?;<.#" + b" \t\r\n"
+
+
+def _loader_corpus(bases: dict):
+    """(case, text): each base text, its truncations at every 7th byte,
+    and 40 seeded one-byte flips and 40 inserts of a byte of _NOISE."""
+    rng = random.Random(1)
+    for name, text in bases.items():
+        text = text.encode("utf-8")
+        yield name, text
+        for n in range(0, len(text), 7):
+            yield "%s cut %d" % (name, n), text[:n]
+        for k in range(40):
+            i = rng.randrange(len(text))
+            yield ("%s flip %d" % (name, k),
+                   text[:i] + bytes([rng.choice(_NOISE)]) + text[i + 1:])
+            i = rng.randrange(len(text) + 1)
+            yield ("%s insert %d" % (name, k),
+                   text[:i] + bytes([rng.choice(_NOISE)]) + text[i:])
+
+
+def _load_outcome(text: bytes, dumps: list) -> dict:
+    """The syntax error's position and message, the grammar error's
+    message, or the index of the grammar's dump in ``dumps``."""
+    try:
+        g = load_grammar(text)
+    except PegSyntaxError as exc:
+        return {"syntax": [exc.pos, exc.line, exc.col], "message": str(exc)}
+    except GrammarError as exc:
+        return {"error": "%s: %s" % (type(exc).__name__, exc)}
+    dump = dump_grammar(g)
+    if dump not in dumps:
+        dumps.append(dump)
+    return {"dump": dumps.index(dump)}
+
+
+def _loader_outcomes(bases: dict) -> dict:
+    dumps = []
+    outcomes = {case: _load_outcome(text, dumps)
+                for case, text in _loader_corpus(bases)}
+    return {"bases": bases, "dumps": dumps, "outcomes": outcomes}
+
+
+def test_loader_outcomes_match_golden():
+    # Every syntax error (byte, line, column and message), grammar error
+    # and dump over 2 000 truncated, flipped and extended grammar texts
+    # is the recorded one.
+    with open(_OUTCOMES, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    got = _loader_outcomes(golden["bases"])
+    assert got["dumps"] == golden["dumps"]
+    assert got["outcomes"].keys() == golden["outcomes"].keys()
+    for case, want in golden["outcomes"].items():
+        assert got["outcomes"][case] == want, case
+
+
+def _write_loader_golden():
+    """Record the outcomes over the bundled grammars as they are now,
+    one case a line."""
+    bases = {name[:-4]: grammar_text(name).decode("utf-8")
+             for name in sorted(os.listdir(GRAMMAR_DIR))}
+    doc = _loader_outcomes(bases)
+    with open(_OUTCOMES, "w", encoding="utf-8") as fh:
+        fh.write('{"bases": %s,\n"dumps": [\n%s],\n"outcomes": {\n%s}}\n' % (
+            json.dumps(bases, indent=0),
+            ",\n".join(map(json.dumps, doc["dumps"])),
+            ",\n".join("%s: %s" % (json.dumps(case), json.dumps(out))
+                        for case, out in doc["outcomes"].items())))
+
+
+if __name__ == "__main__":
+    _write_loader_golden()
