@@ -336,7 +336,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # Flushed here, so that a reader that went away is seen here.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # ``trx parse ... | head``: as the Python signal docs advise,
+        # point stdout at devnull, so that the flush at exit does not
+        # fail again, and report an I/O problem.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_USAGE
     except RecursionError:
         if not hasattr(args, "grammar"):
             raise

@@ -18,10 +18,10 @@ encoded as UTF-8 and matched byte by byte.
 from __future__ import annotations
 
 import threading
+import weakref
 from _weakref import _remove_dead_weakref
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator
-from weakref import KeyedRef
 
 from .values import (Lst, Opt as OptV, Str, TreeNode, Tup, UNIT, Value,
                      tuple_items)
@@ -174,6 +174,14 @@ _NODES = {}
 INTERN_LOCK = threading.Lock()
 
 
+class _KeyRef(weakref.ref):
+    """A weak reference that carries its key in _NODES.  Unlike
+    weakref.KeyedRef it has no Python-level ``__new__`` or ``__init__``:
+    the key is set after construction."""
+
+    __slots__ = ("key",)
+
+
 def _drop_dead(ref, nodes=_NODES, remove=_remove_dead_weakref):
     remove(nodes, ref.key)
 
@@ -196,7 +204,8 @@ def _intern(cls, fields: tuple, key: tuple):
         live = None if ref is None else ref()
         if live is not None:
             return live
-        _NODES[key] = KeyedRef(node, _drop_dead, key)
+        ref = _NODES[key] = _KeyRef(node, _drop_dead)
+        ref.key = key
     return node
 
 

@@ -7,6 +7,17 @@ assembled into a tree-shaped Grammar.  The bundled peg.peg file is the
 same grammar written in its own notation; loading it must reproduce
 the built-in grammar exactly, node for node.
 
+The tree is flat, so that the parse builds one node per token.  A
+rule node holds its identifier and one expression node, and an
+expression node holds, in text order, the items of all its
+alternatives, with a '/' leaf between two alternatives.  An item is
+its prefix operator nodes (notop, andop, dropop), one primary node
+(identifier, a parenthesised expression, literal, charclass, epsilon
+or anychar) and its postfix operator nodes (starop, plusop,
+questionop).  No rule wraps a sequence, an item or a primary, and
+identifier is a leaf rule, a call of which pushes no frame: the
+spacing after a name is its caller's.
+
 Grammars loaded from text carry only the built-in tree shapers: every
 nonterminal produces a TreeNode, terminals/classes/literals contribute
 leaf spans (adjacent leaves coalesce), and ``~`` drops a subtree.  The
@@ -153,35 +164,32 @@ def _meta_rules():
                                   ANY))),
                     Drop(Literal(q)), spacing)
 
+    def calls(*names: str) -> Expr:
+        return _ch(*map(NonTerminal, names))
+
+    # An item of a sequence: its prefix operators, a primary and its
+    # postfix operators, all children of the expression node.
+    item = _seq(Star(calls("notop", "andop", "dropop")),
+                _ch(NonTerminal("epsilon"),
+                    _seq(NonTerminal("identifier"), spacing,
+                         Not(Literal("<-"))),
+                    _seq(Drop(Literal("(")), spacing,
+                         NonTerminal("expression"), Drop(Literal(")")),
+                         spacing),
+                    calls("literal", "charclass", "anychar")),
+                Star(calls("starop", "plusop", "questionop")))
     return [
-        ("grammar", _seq(spacing, Plus(NonTerminal("definition")),
+        ("grammar", _seq(spacing, Plus(calls("pragma", "rule")),
                          Not(ANY))),
-        ("definition", _ch(NonTerminal("pragma"), NonTerminal("rule"))),
         ("pragma", _seq(Drop(Literal("@start")), spacing,
-                        NonTerminal("identifier"), Drop(Literal(";")),
-                        spacing)),
-        ("rule", _seq(NonTerminal("identifier"), Drop(Literal("<-")),
-                      spacing, NonTerminal("expression"),
-                      Drop(Literal(";")), spacing)),
-        ("expression", _seq(NonTerminal("sequence"),
-                            Star(_seq(Drop(Literal("/")), spacing,
-                                      NonTerminal("sequence"))))),
-        ("sequence", Plus(NonTerminal("prefixed"))),
-        ("prefixed", _seq(Star(_ch(NonTerminal("notop"),
-                                   NonTerminal("andop"),
-                                   NonTerminal("dropop"))),
-                          NonTerminal("suffixed"))),
-        ("suffixed", _seq(NonTerminal("primary"),
-                          Star(_ch(NonTerminal("starop"),
-                                   NonTerminal("plusop"),
-                                   NonTerminal("questionop"))))),
-        ("primary", _ch(NonTerminal("epsilon"),
-                        _seq(NonTerminal("identifier"), Not(Literal("<-"))),
-                        _seq(Drop(Literal("(")), spacing,
-                             NonTerminal("expression"),
-                             Drop(Literal(")")), spacing),
-                        NonTerminal("literal"), NonTerminal("charclass"),
-                        NonTerminal("anychar"))),
+                        NonTerminal("identifier"), spacing,
+                        Drop(Literal(";")), spacing)),
+        ("rule", _seq(NonTerminal("identifier"), spacing,
+                      Drop(Literal("<-")), spacing,
+                      NonTerminal("expression"), Drop(Literal(";")),
+                      spacing)),
+        ("expression", _seq(Plus(item),
+                            Star(_seq(Literal("/"), spacing, Plus(item))))),
         ("notop", _seq(Drop(Literal("!")), spacing)),
         ("andop", _seq(Drop(Literal("&")), spacing)),
         ("dropop", _seq(Drop(Literal("~")), spacing)),
@@ -190,7 +198,7 @@ def _meta_rules():
         ("questionop", _seq(Drop(Literal("?")), spacing)),
         ("epsilon", _seq(Drop(Literal("eps")), Not(_IDENT_CONT), spacing)),
         ("anychar", _seq(Drop(Literal(".")), spacing)),
-        ("identifier", _seq(_IDENT_START, Star(_IDENT_CONT), spacing)),
+        ("identifier", _seq(_IDENT_START, Star(_IDENT_CONT))),
         ("literal", _ch(quoted("'"), quoted('"'))),
         ("charclass", _seq(Drop(Literal("[")),
                            Plus(_seq(Not(Literal("]")),
@@ -240,16 +248,19 @@ def _decode_escape(raw: bytes) -> int:
 # The lowering reads parse-tree nodes by their tuple layout, (rule,
 # start, end, *children), which trx.values.TreeNode keeps internal to the
 # package: ``children`` builds a fresh tuple on every access, and a leaf
-# is a node whose rule is "".  Its recursion shape, five functions and
-# two list comprehensions per parenthesis level, is kept on purpose: the
+# is a node whose rule is "".  An expression is one flat node: the items
+# of all its alternatives, each its prefix operator nodes, a primary
+# node and its postfix operator nodes, with a '/' leaf between two
+# alternatives.  The recursion shape, five functions and two list
+# comprehensions per parenthesis level, is kept on purpose: the
 # benchmark's 150-parenthesis grammar and the CI step at 300 pin the
 # RecursionError it raises, until the lowering walks on an explicit
 # stack and those pins flip to must-succeed together.
 
 def _ident_text(node: TreeNode, data: bytes) -> str:
-    # An identifier's one child is the leaf of its name; its spacing is
-    # dropped.
-    return data[node[3][1]:node[3][2]].decode("ascii")
+    # An identifier's span is its name: the spacing after it is its
+    # caller's.
+    return data[node[1]:node[2]].decode("ascii")
 
 
 #: The tree-shaped leaf of each byte, ``Action(Terminal(b), LEAF)``, made
@@ -290,18 +301,17 @@ def _lower_charclass(node: TreeNode, data: bytes, tree: bool) -> Expr:
 
 
 def _lower_primary(node: TreeNode, data: bytes, tree: bool) -> Expr:
-    child = node[3]
-    rule = child[0]
+    rule = node[0]
+    if rule == "identifier":
+        return NonTerminal(_ident_text(node, data))
+    if rule == "literal":
+        return _lower_literal(node, data, tree)
+    if rule == "expression":
+        return _lower_expression(node, data, tree)
+    if rule == "charclass":
+        return _lower_charclass(node, data, tree)
     if rule == "epsilon":
         return EMPTY
-    if rule == "identifier":
-        return NonTerminal(_ident_text(child, data))
-    if rule == "expression":
-        return _lower_expression(child, data, tree)
-    if rule == "literal":
-        return _lower_literal(child, data, tree)
-    if rule == "charclass":
-        return _lower_charclass(child, data, tree)
     if rule == "anychar":
         return Action(ANY, LEAF) if tree else ANY
     raise AssertionError("unexpected primary %r" % rule)
@@ -316,35 +326,56 @@ _TREE_POSTFIX = {"starop": Star,
                  "plusop": lambda e: Seq(e, Star(e)),
                  "questionop": lambda e: Choice(e, EMPTY)}
 _PREFIX = {"notop": Not, "andop": And, "dropop": Drop}
+_PRIMARIES = frozenset(("identifier", "literal", "expression", "charclass",
+                        "epsilon", "anychar"))
 
 
-def _lower_suffixed(node: TreeNode, data: bytes, tree: bool) -> Expr:
-    e = _lower_primary(node[3], data, tree)
+def _lower_suffixed(kids: tuple, p: int, data: bytes, tree: bool) -> Expr:
+    # The primary node kids[p] and the postfix operator nodes after it.
+    e = _lower_primary(kids[p], data, tree)
     postfix = _TREE_POSTFIX if tree else _POSTFIX
-    for op in node[4:]:
-        e = postfix[op[0]](e)
+    for p in range(p + 1, len(kids)):
+        op = postfix.get(kids[p][0])
+        if op is None:
+            break
+        e = op(e)
     return e
 
 
-def _lower_prefixed(node: TreeNode, data: bytes, tree: bool) -> Expr:
-    # Under a prefix operator the value-mode form, as tree_wrap leaves it.
-    e = _lower_suffixed(node[-1], data, tree and len(node) == 4)
-    for op in reversed(node[3:-1]):
+def _lower_prefixed(kids: tuple, p: int, data: bytes, tree: bool) -> Expr:
+    # The item of the primary node kids[p]: it and the prefix operator
+    # nodes before it, the nearest applied first.  Under a prefix
+    # operator the value-mode form, as tree_wrap leaves it.
+    q = p
+    while q and kids[q - 1][0] in _PREFIX:
+        q -= 1
+    e = _lower_suffixed(kids, p, data, tree and q == p)
+    for op in reversed(kids[q:p]):
         e = _PREFIX[op[0]](e)
     return e
 
 
-def _lower_sequence(node: TreeNode, data: bytes, tree: bool) -> Expr:
-    return _right_nested([_lower_prefixed(c, data, tree) for c in node[3:]],
-                         Seq)
+def _lower_sequence(kids: tuple, primaries: list, data: bytes,
+                    tree: bool) -> Expr:
+    return _right_nested([_lower_prefixed(kids, p, data, tree)
+                          for p in primaries], Seq)
 
 
 def _lower_expression(node: TreeNode, data: bytes, tree: bool) -> Expr:
     """The expression of a parse-tree node: the tree-shaped form, which
     tree_wrap gives, when ``tree`` is set, else the value-mode form.
     Five calls per parenthesis level."""
-    return _right_nested([_lower_sequence(c, data, tree) for c in node[3:]],
-                         Choice)
+    kids = node[3:]
+    # The primary nodes of each alternative, by index: a '/' leaf starts
+    # the next alternative.
+    alternatives = [[]]
+    for i, c in enumerate(kids):
+        if c[0] in _PRIMARIES:
+            alternatives[-1].append(i)
+        elif not c[0]:
+            alternatives.append([])
+    return _right_nested([_lower_sequence(kids, primaries, data, tree)
+                          for primaries in alternatives], Choice)
 
 
 def _line_cols(data: bytes,
@@ -387,8 +418,7 @@ def load_grammar_source(text, path: str | None = None) -> GrammarSource:
     rules = []
     starts = []
     start = None
-    for definition in out.value[3:]:
-        node = definition[3]
+    for node in out.value[3:]:
         if node[0] == "pragma":
             start = _ident_text(node[3], data)
         else:

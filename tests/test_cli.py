@@ -405,6 +405,29 @@ def test_imports_load_only_the_engine():
         assert proc.returncode == 0, proc.stderr
 
 
+def test_closed_stdout_is_an_io_error():
+    # `trx parse peg.peg peg.peg --json | head -c 10`: a reader that
+    # went away before the JSON is written is exit 2, the I/O code,
+    # with no traceback.  The pipe's read end is closed before the
+    # command starts, so every write to it fails.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    peg = grammar_path("peg.peg")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "trx.cli", "parse", peg, peg, "--json"],
+            env=env, stdout=write, stderr=subprocess.PIPE, text=True,
+            timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "Error" not in proc.stderr
+
+
 def test_run_bench_rejects_reps_below_one():
     g = load_grammar("a <- 'x' ;")
     cert = check_well_formed(g).certificate

@@ -11,6 +11,8 @@ import time
 
 import pytest
 
+import trx.interp
+
 from trx import (ANY, EMPTY, Action, ActionRef, And, CharClass, Choice, Drop,
                  DuplicateRule, EmptyLiteral, Grammar, GrammarError,
                  InvalidRange, Literal, MemoTable, NonTerminal, Not,
@@ -348,6 +350,33 @@ def test_meta_grammar_itself_matches_oracle():
         expected = oracle_parse(builtin, text, fuel=2_000_000)
         got = parse(builtin, cert, text)
         assert got == expected and got.steps == expected.steps, text
+
+
+def test_meta_tree_is_one_node_per_token():
+    # An expression is one flat node: its items' operator and primary
+    # nodes, with a '/' leaf between alternatives.  No rule wraps a
+    # definition, sequence, item or primary, and identifier is a leaf
+    # rule whose every call pushes no frame.
+    g, cert = builtin_meta_grammar()
+    assert len(g.nonterminals) == 20
+    text = b"a <- !b c* / ('x' [y])? ;"
+    out = parse(g, cert, text)
+    assert out.ok
+    [rule] = out.value.children
+    name, expr = rule.children
+    assert (name.rule, text[name.start:name.end]) == ("identifier", b"a")
+    kids = expr.children
+    assert [c.rule for c in kids] == ["notop", "identifier", "identifier",
+                                      "starop", "", "expression",
+                                      "questionop"]
+    assert text[kids[4].start:kids[4].end] == b"/"
+    assert [c.rule for c in kids[5].children] == ["literal", "charclass"]
+    prog = cert.program
+    calls = {k for i, k in enumerate(prog.kind)
+             if k in (trx.interp._K_TNT, trx.interp._K_TDNT,
+                      trx.interp._K_TLEAF, trx.interp._K_TDLEAF)
+             and g.nonterminals[prog.a[i]] == "identifier"}
+    assert calls == {trx.interp._K_TLEAF}
 
 
 def _agrees_with_oracle_in_both_modes(g, cert, s):
