@@ -381,14 +381,21 @@ def test_selftest_bad_budget_is_usage_error(capsys):
         assert out == "" and "--budget" in err
 
 
-def test_imports_load_only_the_engine():
-    # `import trx` loads neither the oracle nor dataclasses, and the
-    # command line defers the selftest, bench and mathdemo modules to
-    # the commands that use them, as CI checks on the installed package.
+def _src_env() -> dict:
+    """The environment, with this checkout's sources first on the path of
+    a child interpreter."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_imports_load_only_the_engine():
+    # `import trx` loads neither the oracle nor dataclasses, and the
+    # command line defers the selftest, bench and mathdemo modules to
+    # the commands that use them, as CI checks on the installed package.
+    env = _src_env()
     script = (
         "import sys, importlib\n"
         "mod, banned = sys.argv[1], sys.argv[2].split(',')\n"
@@ -410,18 +417,14 @@ def test_closed_stdout_is_an_io_error():
     # went away before the JSON is written is exit 2, the I/O code,
     # with no traceback.  The pipe's read end is closed before the
     # command starts, so every write to it fails.
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p])
     peg = grammar_path("peg.peg")
     read, write = os.pipe()
     os.close(read)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "trx.cli", "parse", peg, peg, "--json"],
-            env=env, stdout=write, stderr=subprocess.PIPE, text=True,
-            timeout=60)
+            env=_src_env(), stdout=write, stderr=subprocess.PIPE,
+            text=True, timeout=60)
     finally:
         os.close(write)
     assert proc.returncode == 2, proc.stderr
