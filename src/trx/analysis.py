@@ -96,9 +96,6 @@ class PropertyTable:
     def can_fail(self, e: Expr) -> bool:
         return self._fail[e]
 
-    def can_succeed(self, e: Expr) -> bool:
-        return self._empty[e] or self._consume[e]
-
 
 def infer_properties(g: Grammar, *, simplified: bool = False) -> PropertyTable:
     """Least fixpoint of the property derivation rules, from all-false.

@@ -17,6 +17,7 @@ encoded as UTF-8 and matched byte by byte.
 
 from __future__ import annotations
 
+import sys
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
@@ -86,6 +87,14 @@ def _byte(c) -> int:
     raise TypeError("not a character: %r" % (c,))
 
 
+def _name(name):
+    """A rule name as the one str object of its text (sys.intern), so
+    that equal grammars pickle to the same bytes whatever the process
+    loaded before: pickle writes a string object it has met as a
+    reference to it.  Anything but a str is kept as it is."""
+    return sys.intern(name) if type(name) is str else name
+
+
 class ActionRef:
     """Named value transformer attached to an expression.
 
@@ -129,7 +138,7 @@ class NodeRef(ActionRef):
             raise ValueError("a node collector needs a rule name")
         self.label = "tree.node:" + rule
         self.span_aware = True
-        self.rule = rule
+        self.rule = _name(rule)
 
     # The collector is a method, which shadows ActionRef's ``fn`` slot:
     # a collector holds no function object of its own.
@@ -314,6 +323,11 @@ class Range(Expr):
 class NonTerminal(Expr):
     __slots__ = ("name",)
     _kinds = (str,)
+
+    def __new__(cls, name):
+        if type(name) is str:        # _name, without the call
+            name = sys.intern(name)
+        return _intern(cls, (name,), (cls, name))
 
 
 class Seq(Expr):
@@ -550,13 +564,13 @@ class Grammar:
     __slots__ = ("nonterminals", "productions", "start", "tree_shaped")
 
     def __init__(self, productions: dict, start: str):
-        productions = dict(productions)
+        productions = {_name(k): v for k, v in dict(productions).items()}
         tree_shaped = _check_rules(productions)
         if start not in productions:
             raise UnknownStart(start)
         self.nonterminals = tuple(productions)
         self.productions = MappingProxyType(productions)
-        self.start = start
+        self.start = _name(start)
         self.tree_shaped = tree_shaped
 
     def __setattr__(self, name, value):

@@ -14,12 +14,13 @@ certificate's analysis, holds every rule that both alternatives of one
 choice can call at the choice's own position other than from inside
 another seeded rule; it is memoised from the start.  A program
 compiled without a certificate (eval_expr) memoises every rule.  Every
-other rule carries a per-parse watermark, the highest position it has
-been called at: a call at or below it may be a re-entry, so from that
-call on the rule is memoised.  So no rule body runs more than twice at
-one position, and packrat stays linear within a factor of two also on
-re-entries no choice shows, while a grammar that never re-enters a
-rule (xml-lite) makes no memo entries at all.
+other rule carries a per-parse watermark, the highest position a call
+of it has run at (past its head, see below): a call at or below it may
+be a re-entry, so from that call on the rule is memoised.  So no rule
+body runs more than twice at one position, and packrat stays linear
+within a factor of two also on re-entries no choice shows, while a
+grammar that never re-enters a rule (xml-lite) makes no memo entries at
+all.
 
 Evaluation runs on an explicit heap-allocated frame stack, so input
 nesting depth is bounded by memory, not the Python recursion limit;
@@ -105,41 +106,41 @@ frame.
 
 Head tables.  Most probes of a parse fail on the byte under the cursor
 (the meta-grammar tries every operator rule at every token), so every
-node has, per mode, a head: 257 entries indexed like a step table, with
-its sign convention, of what the node does when started on that byte
-(256: end of input) without running.  Entry t > 0 means it succeeds in
-t steps by consuming the byte through a one-byte matcher (in tree mode
-as a leaf span, in value mode with the byte's entry of the head's value
-table); t < 0 that it fails in -t steps, having tried matchers only at
-that position and added nothing to ``kids``; 0 that it must run.  The
-entries follow the step arithmetic.  A matcher's head is its step
-table; a predicate's, and a SCAN's by its ``first`` table, are its
-failures; a literal fails in its first prefix's steps on every byte but
-its first.  A sequence fails in its first item's steps + 1, or + 2 with
-an action, and an action or rule node in its inside's + 1.  A choice
-folds its alternatives' heads with the step tables' choice rule, where
-a first alternative that is a choice gives only its failures, so that
-a choice succeeds only through the matchers of its right-nested chain
-(and its value table is theirs).  Repetitions, negations and EMPTY must
-run.  A rule call fails in its rule body's steps + 1, and a drop of one
-+ 2 (a tree-mode body is its node collector, whose head is its
-inside's + 1).  In packrat mode a call moves a watermark and may count
-a memo hit or miss, so there a call must run, and so must every node
-whose failure runs through a call; the call reads its rule body's head,
-built with its own, instead, and where that settles it, does its
-bookkeeping in place.  The VM reads heads in two ways.  Descending into
-a composite, it reads the head's failure view, a tuple with -t at each
-entry t < 0 and 0 elsewhere, and on a non-zero entry sets ``farthest``
-to at least the position and unwinds a failure of that many steps
-without pushing a frame (after LPeg's head-fail tests, but keeping the
-step index exact).  A repetition that is not a SCAN (Ford's
+node has a head, which both modes read: 257 entries indexed like a
+step table, with its sign convention, of what the node does when
+started on that byte (256: end of input) without running.  Entry t > 0
+means it succeeds in t steps by consuming the byte through a one-byte
+matcher (in tree mode as a leaf span, in value mode with the byte's
+entry of the head's value table); t < 0 that it fails in -t steps,
+having tried matchers only at that position and added nothing to
+``kids``; 0 that it must run.  The entries follow the step arithmetic.
+A matcher's head is its step table; a predicate's, and a SCAN's by its
+``first`` table, are its failures; a literal fails in its first
+prefix's steps on every byte but its first.  A sequence fails in its
+first item's steps + 1, or + 2 with an action, and an action or rule
+node in its inside's + 1.  A choice folds its alternatives' heads with
+the step tables' choice rule, where a first alternative that is a
+choice gives only its failures, so that a choice succeeds only through
+the matchers of its right-nested chain (and its value table is
+theirs).  Repetitions, negations and EMPTY must run.  A rule call
+fails in its rule body's steps + 1, and a drop of one + 2 (a tree-mode
+body is its node collector, whose head is its inside's + 1).  A call
+its head settles fails on its first byte without running its body, and
+so does every later call of that rule at that position, so in packrat
+mode it moves no watermark and makes no memo lookup or entry.  The VM
+reads heads in two ways.  Descending into a composite, it reads the
+head's failure view, a tuple with -t at each entry t < 0 and 0
+elsewhere, and on a non-zero entry sets ``farthest`` to at least the
+position and unwinds a failure of that many steps without pushing a
+frame (after LPeg's head-fail tests, but keeping the step index
+exact).  A repetition that is not a SCAN (Ford's
 ``([ \\t\\r\\n] / comment)*``, or an operator star ``(a / b / c)*`` of
 calls) reads its body's head, written out, as its iteration table
 (after LPeg's span and test instructions): it loops over the input
-while the entries are positive, adding t + 1 steps each.  On a negative
-entry the repetition ends without a frame, adding -t + 1, with
-``farthest`` at least the position; on 0 it pushes its frame with the
-steps and the span so far and runs the body, and comes back to the
+while the entries are positive, adding t + 1 steps each.  On a
+negative entry the repetition ends without a frame, adding -t + 1,
+with ``farthest`` at least the position; on 0 it pushes its frame with
+the steps and the span so far and runs the body, and comes back to the
 table after each iteration that ran it.  A head is built the first
 time a parse descends into its node (compiling builds none, so
 certification does not pay for them), with those it is made from, with
@@ -333,11 +334,11 @@ def memo_stats(table: MemoTable) -> dict:
 # next to each other, after the other composites, but the leaf calls
 # push no frame: they run that primitive in place, then add the
 # collector's or the action's step, write the memo entry and add the
-# call's step, and a drop's.  In packrat mode every call first reads its
-# rule body's failure view (see _run).  The VM reads the failure view of
-# every opcode below EMPTY, and STAR's iteration table too (see the
-# module docstring); a repetition's frame is pushed only when its body
-# runs, and its ``pos`` and ``steps`` start where the table stopped.
+# call's step, and a drop's.  The VM reads the failure view of every
+# opcode below EMPTY, a call's before its memo bookkeeping, and STAR's
+# iteration table too (see the module docstring); a repetition's frame
+# is pushed only when its body runs, and its ``pos`` and ``steps`` start
+# where the table stopped.
 # Terminals, ranges and any-char always compile to MATCH1; MATCH1, PRED,
 # LIT and SCAN are superinstructions.
 _K_SEQ, _K_CHOICE, _K_ACT, _K_STAR = 1, 3, 5, 6
@@ -374,17 +375,17 @@ class _Program:
     ``shared`` are private caches, each a pure function of the sealed
     arrays, filled as parses need them.  ``marks`` holds the watermarks
     a packrat parse starts from (see _initial_marks); it is computed on
-    the program's first packrat parse.  ``heads`` is a pair, plain
-    mode's and packrat mode's, of lists of 2n entries for n nodes, made
-    with the program and not replaceable; all are None until
-    _head_table builds them.  Entry n + i is node i's head, a default
-    and its exceptions with its value table, and entry i the failure
-    view the VM reads on descending into node i, a tuple or _NO_FAIL.
-    A repetition's own head settles nothing, so its entry n + i holds
-    its iteration table instead, its body's head written out with the
-    value table.  ``shared`` is the pool of tables written out as tuples
-    (see _dense), one copy of each distinct table, which the compiler
-    starts with the step tables and parses add the heads' to.
+    the program's first packrat parse.  ``heads``, which both modes
+    read, is a list of 2n entries for n nodes, made with the program and
+    not replaceable; all are None until _head_table builds them.  Entry
+    n + i is node i's head, a default and its exceptions with its value
+    table, and entry i the failure view the VM reads on descending into
+    node i, a tuple or _NO_FAIL.  A repetition's own head settles
+    nothing, so its entry n + i holds its iteration table instead, its
+    body's head written out with the value table.  ``shared`` is the
+    pool of tables written out as tuples (see _dense), one copy of each
+    distinct table, which the compiler starts with the step tables and
+    parses add the heads' to.
     """
 
     __slots__ = ("kind", "a", "b", "extra", "prod_body", "start", "tree",
@@ -402,8 +403,7 @@ class _Program:
         init(self, "tree", tree)
         init(self, "null", null)
         init(self, "marks", None)
-        init(self, "heads", ([None] * (2 * len(kind)),
-                             [None] * (2 * len(kind))))
+        init(self, "heads", [None] * (2 * len(kind)))
         init(self, "shared", shared)
 
     def __setattr__(self, name, value):
@@ -951,14 +951,13 @@ def _failures(x):
     return x if x < 0 else 0
 
 
-def _head_table(prog: _Program, heads: list, root: int, packrat: bool):
-    """Build the head of node ``root`` for one mode, and its views, with
-    the heads it is made from that ``heads`` does not hold yet (see the
-    module docstring and _Program).  A head is a default and its
-    exceptions, with the value table of its successes (None in tree
-    mode).  Only a matcher and a choice succeed, a choice only through
-    the matchers of its right-nested chain, so that its value table is
-    made of theirs.
+def _head_table(prog: _Program, heads: list, root: int):
+    """Build the head of node ``root``, and its views, with the heads it
+    is made from that ``heads`` does not hold yet (see the module
+    docstring and _Program).  A head is a default and its exceptions,
+    with the value table of its successes (None in tree mode).  Only a
+    matcher and a choice succeed, a choice only through the matchers of
+    its right-nested chain, so that its value table is made of theirs.
 
     Depth first with an explicit stack.  A head made from one that is
     still being built (a cycle of leading calls, which only an
@@ -987,11 +986,9 @@ def _head_table(prog: _Program, heads: list, root: int, packrat: bool):
         elif k == _K_STAR:
             parts = (aa[i],)
         elif k >= _K_TNT and k <= _K_LEAF:
-            # A call: its rule body's, and a drop's step.  In packrat
-            # mode (add 0) it must run, and its rule body's is built
-            # with it for the call to read (see _run).
+            # A call: its rule body's, and the call's step and a drop's.
             parts = (body[aa[i]],)
-            add = 0 if packrat else 2 if k == _K_TDLEAF or k == _K_TDNT else 1
+            add = 2 if k == _K_TDLEAF or k == _K_TDNT else 1
         else:
             parts = ()
         if i not in opened:
@@ -1035,7 +1032,7 @@ def _head_table(prog: _Program, heads: list, root: int, packrat: bool):
             steps = _zip(_choice_steps, sa, sb)
             values = (vb if va is None else va if vb is None or va is vb
                       else _choice_values(extra[parts[0]][0], va, vb))
-        elif not parts or not add:
+        elif not parts:
             steps = _RUNS
         else:
             steps = _map(lambda x: x - add if x < 0 else 0, sub[0][0])
@@ -1065,15 +1062,14 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
             # Parses that overlap here compute equal lists.
             marks = _initial_marks(prog)
             object.__setattr__(prog, "marks", marks)
-        # Per rule, the highest position it has been called at in this
+        # Per rule, the highest position a call of it has run at in this
         # parse, or _ALWAYS once it is memoised.
         mark = marks[:]
         hits = misses = 0            # added to ``memo`` when the run ends
         n_prods = len(prod_body)
     else:
         memo_entries = None
-    packrat = memo is not None
-    head = prog.heads[packrat]
+    head = prog.heads
     n_nodes = len(kind)              # where the heads start in ``head``
     # Tree mode: the rule nodes and leaf spans made so far, in order.
     kids = [] if prog.tree else None
@@ -1118,7 +1114,7 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                         break
                 elif g is None:
                     # Not built yet: build it, then read it.
-                    _head_table(prog, head, cur, packrat)
+                    _head_table(prog, head, cur)
                     continue
                 # Push its frame in its first state (a leaf call pushes
                 # none).
@@ -1150,20 +1146,6 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                             # now on.  (A hit means it is memoised.)
                             mark[p] = _ALWAYS
                             misses += 1
-                        # The call's failure view is empty, but its rule
-                        # body's, built with it, may settle it here.
-                        g = head[prod_body[p]]
-                        if g:
-                            s = g[data[cpos] if cpos < n else 256]
-                            if s:
-                                if cpos > farthest:
-                                    farthest = cpos
-                                ok, rpos, val = False, -1, None
-                                if key >= 0:
-                                    memo_entries[key] = (ok, rpos, val, s)
-                                # The call's step, and a drop's.
-                                steps = s + 1 + (_K_TDLEAF <= k <= _K_TDNT)
-                                break
                     if k >= _K_NT:
                         if k == _K_NT:
                             q = prod_body[p]
@@ -1597,9 +1579,24 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                 pop()
 
 
+def _input_bytes(data) -> bytes:
+    """The input as bytes: a str encoded as UTF-8, a bytearray copied (a
+    MemoTable keeps the input it is bound to, which the caller must not
+    be able to change); anything else raises TypeError."""
+    if isinstance(data, str):
+        return data.encode("utf-8")
+    if isinstance(data, bytearray):
+        return bytes(data)
+    if not isinstance(data, bytes):
+        raise TypeError("the input is str, bytes or bytearray, not %s"
+                        % type(data).__name__)
+    return data
+
+
 def parse(g: Grammar, cert: Certificate, data, mode: str = "plain",
           memo: MemoTable | None = None) -> ParseOutcome:
-    """Run the start production on the whole input.
+    """Run the start production on the whole input, a str (encoded as
+    UTF-8), bytes or bytearray (copied); anything else raises TypeError.
 
     ``cert`` must have been issued for ``g``; that is what makes this
     entry point total.  ``mode`` is "plain" or "packrat"; both return
@@ -1624,8 +1621,7 @@ def parse(g: Grammar, cert: Certificate, data, mode: str = "plain",
     """
     if not isinstance(cert, Certificate) or cert.grammar is not g:
         raise CertificateMismatch()
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+    data = _input_bytes(data)
     if mode == "packrat":
         if memo is None:
             memo = MemoTable()
@@ -1656,7 +1652,8 @@ def parse_to_tree(g: Grammar, cert: Certificate, data, mode: str = "plain",
 
 def eval_expr(e: Expr, data, pos: int = 0, g: Grammar | None = None,
               mode: str = "plain", memo: MemoTable | None = None) -> ParseOutcome:
-    """Evaluate a single expression at a position.
+    """Evaluate a single expression at a position of ``data``, which is
+    as for parse().
 
     This is the uncertified internal entry point used by tests;
     nonterminals resolve against ``g``.  Termination is NOT
@@ -1668,8 +1665,7 @@ def eval_expr(e: Expr, data, pos: int = 0, g: Grammar | None = None,
     only ok, pos and steps (and farthest) are meaningful, and the value
     is not the oracle's value spine.
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+    data = _input_bytes(data)
     if not 0 <= pos <= len(data):
         raise ValueError("position out of range")
     if mode == "packrat":

@@ -170,16 +170,21 @@ def test_certificate_program_is_sealed():
 
 
 def test_certificate_program_caches_are_fixed():
-    # The program's per-mode cache is made with it: neither mode's
-    # heads (failure views and iteration tables) can be swapped for
-    # forged ones.
+    # The program's one head cache, which both modes read, is made with
+    # it: the list of heads (failure views and iteration tables) cannot
+    # be swapped for a forged one or deleted.
     g = load_grammar("a <- 'x' ;")
     c = certify(g)
-    assert type(c.program.heads) is tuple and len(c.program.heads) == 2
+    heads = c.program.heads
     n = len(c.program.kind)
-    with pytest.raises(TypeError):
-        c.program.heads[0] = [bytes([1]) * 257] * n + [((1,) * 257, None)] * n
-    assert parse(g, c, b"x").ok
+    assert type(heads) is list and len(heads) == 2 * n
+    with pytest.raises(AttributeError):
+        c.program.heads = [bytes([1]) * 257] * n + [((1,) * 257, None)] * n
+    with pytest.raises(AttributeError):
+        del c.program.heads
+    for mode in ("plain", "packrat"):
+        assert parse(g, c, b"x", mode=mode).ok
+    assert c.program.heads is heads
 
 
 def test_loading_and_certifying_leave_no_cyclic_garbage():
@@ -203,6 +208,40 @@ def test_unknown_mode_rejected():
     g = build_grammar([("S", EMPTY)], "S")
     with pytest.raises(ValueError):
         parse(g, certify(g), "", mode="turbo")
+
+
+def test_bytearray_input_is_copied():
+    # A MemoTable keeps the input it is bound to.  A bytearray is copied,
+    # so changing the buffer afterwards makes a new input, which the
+    # table refuses as it refuses bytes of other contents, instead of
+    # handing back outcomes of the old contents.
+    g, cert = certified("math.peg")
+    buf = bytearray(b"(1+2)*3")
+    memo = MemoTable()
+    want = parse(g, cert, b"(1+2)*3", mode="packrat")
+    assert parse(g, cert, buf, mode="packrat", memo=memo) == want
+    assert parse(g, cert, buf, mode="packrat", memo=memo) == want
+    buf[:5] = b"(444)"
+    with pytest.raises(ValueError):
+        parse(g, cert, buf, mode="packrat", memo=memo)
+    fresh = parse(g, cert, b"(444)*3", mode="packrat")
+    assert fresh.ok and fresh.steps != want.steps
+    for mode in ("plain", "packrat"):
+        assert parse(g, cert, buf, mode=mode) == fresh
+        assert (eval_expr(NonTerminal("expr"), buf, g=g, mode=mode)
+                == eval_expr(NonTerminal("expr"), b"(444)*3", g=g, mode=mode))
+
+
+@pytest.mark.parametrize("data", [[40, 49, 41], memoryview(b"(1)")],
+                         ids=["list", "memoryview"])
+def test_input_of_another_type_raises_type_error(data):
+    # Only str, bytes and bytearray are inputs, as for exprs.Literal.
+    g, cert = certified("math.peg")
+    for mode in ("plain", "packrat"):
+        with pytest.raises(TypeError):
+            parse(g, cert, data, mode=mode)
+        with pytest.raises(TypeError):
+            eval_expr(Terminal("("), data, mode=mode)
 
 
 def test_star_defensive_check_fires_without_certificate():
@@ -326,10 +365,11 @@ def _memo_run(g, cert, data, plain=True):
 def test_memo_hits_on_fixed_inputs():
     # Full memoisation (every rule at every position) hits as often on
     # math and on the meta-grammars: every re-entry there is of a seeded
-    # rule.  On the dangling-else chain the watermark memoises `elsepart`
-    # from its second call at the end of the input on, so the first of
-    # full memoisation's 199 hits there becomes a miss.  (Plain mode
-    # would take minutes on the 12-deep expression.)
+    # rule.  On the dangling-else chain the 200 calls of `elsepart` at
+    # the end of the input are the only re-entries, and elsepart's head
+    # (its first item is the dropped literal 'else') settles each of
+    # them there without a lookup, so the chain touches no memo.  (Plain
+    # mode would take minutes on the 12-deep expression.)
     deep = b"(" * 12 + b"1+2*3" + b")" * 12 + b"*4+5"
     for g, cert in (math_grammar(), certified("math.peg")):
         out, stats = _memo_run(g, cert, deep, plain=False)
@@ -343,7 +383,7 @@ def test_memo_hits_on_fixed_inputs():
             assert out.ok and stats["hits"] == want, name
     g, cert = certified("dangling.peg")
     out, stats = _memo_run(g, cert, b"if (a) " * 200 + b"x;")
-    assert out.ok and stats == {"entries": 1, "hits": 198, "misses": 1}
+    assert out.ok and stats == {"entries": 0, "hits": 0, "misses": 0}
     g, cert = certified("xml-lite.peg")
     out, stats = _memo_run(g, cert, b"<a x=\"1\"><b/>t<c>u</c></a>")
     assert out.ok and stats == {"entries": 0, "hits": 0, "misses": 0}
@@ -395,16 +435,20 @@ def test_watermark_runs_a_rule_body_at_most_twice_per_position():
     ("(A 'x')* A", [b"cccc", b"axaxab", b"axcaxab"]),
 ])
 def test_watermark_memoises_hand_cases(body, inputs):
-    g = load_grammar("S <- (T / 'c')* ;\nT <- %s ;\nA <- 'a' 'b'* ;" % body)
+    g = load_grammar("S <- (T / 'c')* ;\nT <- %s ;\nA <- 'a' 'b'* / 'c' 'd' ;"
+                     % body)
     cert = check_well_formed(g).certificate
     assert _seed_set(g, cert) == set()
     for data in inputs:
         _memo_run(g, cert, data)
-    # At each 'c' and at the end, T calls A twice.  The second call at
-    # the first 'c' is a miss, after which A is memoised: from the next
-    # position on, the first call misses and the second hits.
+    # At each 'c' and at the end, T calls A twice, and A fails.  At the
+    # end A's head settles both calls, which touch no memo.  At a 'c' A
+    # runs ('c' 'd' fails on the next byte): at the first 'c' the first
+    # call moves A's watermark and the second misses, after which A is
+    # memoised; at each of the other three, the first call misses and
+    # the second hits.  So 1 + 3 entries and misses, and 3 hits.
     assert _memo_run(g, cert, b"cccc")[1] == {
-        "entries": 5, "hits": 4, "misses": 5}
+        "entries": 4, "hits": 3, "misses": 4}
 
 
 def test_farthest_failure_position(xml_lite):
@@ -541,6 +585,9 @@ def _chain_grammars(n):
 def test_sequence_chain_steps_at_every_failing_item(n):
     # An n-item tree-mode sequence is one VM node: a success adds n - 1
     # steps, a failure at item j adds j + 1, or n - 1 at the last item.
+    # In packrat mode T's second call of S hits the first's memo entry,
+    # unless S's head settles both calls on the first byte: then neither
+    # touches the memo.
     grammars, frags = _chain_grammars(n)
     inputs = [b"".join(frags), b"".join(frags) + b"!"]
     for j in range(n):
@@ -548,15 +595,28 @@ def test_sequence_chain_steps_at_every_failing_item(n):
         inputs.append(b"".join(frags[:j]) + b"!")      # a bad byte
     for g in grammars:
         cert = certify(g)
+        prog = cert.program
+        twin = _without_failure_tables(prog)
+        s = g.nonterminals.index("S")
+        calls = [i for i, k in enumerate(prog.kind)
+                 if trx.interp._K_TNT <= k <= trx.interp._K_LEAF
+                 and prog.a[i] == s]
         for data in inputs:
             want = oracle_parse(g, data, fuel=100_000)
             assert want is not EXHAUSTED
+            hits = []
             for mode in ("plain", "packrat"):
                 memo = MemoTable()
                 out = parse(g, cert, data, mode=mode, memo=memo)
                 assert out == want, (n, data, mode)
                 assert out.steps == want.steps
-                assert memo.hits == (mode == "packrat")
+                hits.append(memo.hits)
+            # The parses built the calls' heads.
+            byte = data[0] if data else 256
+            [settled] = {bool(_fails(prog)[i] and _fails(prog)[i][byte])
+                         for i in calls}
+            assert hits == [0, 0 if settled else 1], data
+            _as_headless(prog, twin, data, True)
     # ``farthest`` as when the same rules run in value mode.
     tree, embedded = grammars
     twin = value_twin(tree)
@@ -672,9 +732,10 @@ def _leaf_cases():
 @pytest.mark.parametrize("text,alphabet", list(_leaf_cases()))
 def test_leaf_rule_calls_agree_with_oracle(text, alphabet):
     # Calls of a leaf rule run frameless: ok, pos, steps, farthest and
-    # the tree agree with the oracle, and memo statistics with the
-    # same rules run in value mode, where the node collectors run as
-    # actions and a leaf rule's call is a value-mode leaf call.
+    # the tree agree with the oracle, and the memo's keys are within
+    # those of the same rules run in value mode, where the node
+    # collectors run as actions and a leaf rule's call is a value-mode
+    # leaf call.
     g = load_grammar(text)
     cert = certify(g)
     kinds = cert.program.kind
@@ -694,7 +755,7 @@ def test_leaf_rule_calls_agree_with_oracle(text, alphabet):
             assert out == want and out.steps == want.steps, (data, mode)
             assert out.farthest == farthest, (data, mode)
             parse(twin, twin_cert, data, mode=mode, memo=twin_memo)
-            assert memo_stats(memo) == memo_stats(twin_memo), (data, mode)
+            _memo_within(memo, twin_memo, keys_only=True)
             hits += memo.hits
     assert hits > 0
 
@@ -736,27 +797,27 @@ def _copy_program(prog, **fields):
     return twin
 
 
-def _per_mode(prog, view=None, head=None):
-    """A head cache of ``prog`` in each mode, holding ``view`` as every
-    node's failure view and ``head`` in every node's head slot."""
+def _head_cache(prog, view=None, head=None):
+    """A head cache of ``prog`` holding ``view`` as every node's failure
+    view and ``head`` in every node's head slot."""
     n = len(prog.kind)
-    return tuple([view] * n + [head] * n for _ in range(2))
+    return [view] * n + [head] * n
 
 
-def _fails(prog, packrat):
-    """The failure views of ``prog``'s heads in one mode, per node."""
-    return prog.heads[packrat][:len(prog.kind)]
+def _fails(prog):
+    """The failure views of ``prog``'s heads, per node."""
+    return prog.heads[:len(prog.kind)]
 
 
-def _iters(prog, packrat):
-    """The head slots of ``prog`` in one mode, per node: a repetition's
-    holds its iteration table."""
-    return prog.heads[packrat][len(prog.kind):]
+def _iters(prog):
+    """The head slots of ``prog``, per node: a repetition's holds its
+    iteration table."""
+    return prog.heads[len(prog.kind):]
 
 
 def _no_tables_built(prog):
-    """Whether no head of ``prog`` is built yet in either mode."""
-    return all(t is None for cache in prog.heads for t in cache)
+    """Whether no head of ``prog`` is built yet."""
+    return all(t is None for t in prog.heads)
 
 
 def _with_call_frames(prog):
@@ -764,7 +825,7 @@ def _with_call_frames(prog):
     kind = tuple(trx.interp._K_NT if k == trx.interp._K_LEAF else k
                  for k in prog.kind)
     return _copy_program(prog, kind=kind, marks=None, null=prog.null,
-                         heads=_per_mode(prog), shared={})
+                         heads=_head_cache(prog), shared={})
 
 
 @pytest.mark.parametrize("e, folds", _FOLDS)
@@ -923,7 +984,7 @@ def test_actions_over_sequences_agree_with_oracle(n, ref):
 
 def test_memo_stats_of_math_and_xml_lite_are_pinned():
     # (entries, hits, misses) per input: which frame a call runs in, and
-    # whether its body's failure table settles it, changes none of them.
+    # whether its head settles it, changes none of them.
     g, cert = math_grammar()
     want = [("1+2", 8, 3, 8), ("(1+2) * (3 * 4)", 24, 9, 24),
             (" 7 * 8 + ( 9 )", 16, 6, 16), ("((((1+2*3))))*4+5", 36, 16, 36),
@@ -957,11 +1018,11 @@ def test_deep_sequence_compiles_and_runs():
     report = check_well_formed(g)
     assert report.is_well_formed
     cert = report.certificate
-    for packrat, mode in enumerate(("plain", "packrat")):
+    for mode in ("plain", "packrat"):
         assert parse(g, cert, b"x", mode=mode).ok
         assert not parse(g, cert, b"ab" * 1500 + b"x", mode=mode).ok
         # The failure views of every node the parses ran are built.
-        assert any(_fails(cert.program, packrat))
+        assert any(_fails(cert.program))
     guards = " ".join("!'%s'" % chr(97 + i % 20) for i in range(1500))
     g = load_grammar("a <- !(%s 'x') 'y' ;" % guards)
     cert = certify(g)
@@ -973,15 +1034,39 @@ def _without_failure_tables(prog):
     every node and every repetition's body run."""
     run_body = ((0,) * 257, None)
     return _copy_program(prog, marks=None, null=prog.null,
-                         heads=_per_mode(prog, _NO_FAIL, run_body),
+                         heads=_head_cache(prog, _NO_FAIL, run_body),
                          shared={})
 
 
-def _outcome(prog, data, packrat):
-    memo = MemoTable() if packrat else None
+def _outcome(prog, data, packrat, memo=None):
+    if packrat and memo is None:
+        memo = MemoTable()
     ok, pos, val, steps, farthest = _run(prog, data, prog.start, 0, memo)
     return (ok, pos, repr(val), val, steps, farthest,
             memo_stats(memo) if packrat else None)
+
+
+def _memo_within(memo, other, keys_only=False):
+    """Assert that ``memo``'s entries are a sub-dict of ``other``'s (their
+    keys a subset, if ``keys_only``) and that in both entries equal
+    misses.  A program's memo holds a subset of the entries of the same
+    rules run without heads, or run in value mode: a call its head
+    settles makes no entry and no lookup."""
+    got, want = memo.entries, other.entries
+    assert (got.keys() <= want.keys() if keys_only
+            else got.items() <= want.items())
+    assert len(got) == memo.misses and len(want) == other.misses
+
+
+def _as_headless(prog, twin, data, packrat):
+    """Assert that ``prog`` ends exactly as ``twin``, the same program run
+    without failure and iteration tables (ok, pos, value, steps and
+    farthest), and that its memo entries are within the twin's."""
+    memo, twin_memo = (MemoTable(), MemoTable()) if packrat else (None, None)
+    got = _outcome(prog, data, packrat, memo)
+    assert got[:6] == _outcome(twin, data, packrat, twin_memo)[:6], data
+    if packrat:
+        _memo_within(memo, twin_memo)
 
 
 def _guard_cases():
@@ -1006,15 +1091,15 @@ def _guard_cases():
 @pytest.mark.parametrize("packrat", [False, True])
 def test_failure_tables_change_no_outcome(packrat):
     # A node skipped by its failure table ends exactly as if it had run:
-    # ok, position, value, tree, steps, farthest and memo statistics.
+    # ok, position, value, tree, steps and farthest.  A call it skips
+    # makes no memo entry, so the memo is within the twin's.
     guarded = 0
     for cert, inputs in _guard_cases():
         prog = cert.program
         twin = _without_failure_tables(prog)
         for data in inputs:
-            assert (_outcome(prog, data, packrat)
-                    == _outcome(twin, data, packrat)), data
-        guarded += any(_fails(prog, packrat))
+            _as_headless(prog, twin, data, packrat)
+        guarded += any(_fails(prog))
     assert guarded > 100
 
 
@@ -1028,8 +1113,7 @@ def test_failure_tables_are_tuples():
         prog = cert.program
         for mode in ("plain", "packrat"):
             assert parse(g, cert, data, mode=mode).ok
-        built = [t for packrat in (0, 1) for t in _fails(prog, packrat)
-                 if t is not None]
+        built = [t for t in _fails(prog) if t is not None]
         assert any(built) and () in built
         assert all(type(t) is tuple and len(t) in (0, 257) for t in built)
 
@@ -1140,7 +1224,7 @@ def _ref_plus(mt, xt, tree_mode, ok_add, fail_add):
     return scan[:4] + (first, 1)
 
 
-def _ref_iter_table(prog, root, packrat):
+def _ref_iter_table(prog, root):
     interp = trx.interp
     kind, aa, bb = prog.kind, prog.a, prog.b
     alts = []
@@ -1152,7 +1236,7 @@ def _ref_iter_table(prog, root, packrat):
     steps = values = None
     for x in reversed(alts):
         if kind[x] != interp._K_MATCH1:
-            f = _ref_fail_table(prog, x, packrat) or (0,) * 257
+            f = _ref_fail_table(prog, x) or (0,) * 257
             s = tuple([-t for t in f])
         else:
             s, v = prog.extra[x]
@@ -1167,26 +1251,24 @@ def _ref_iter_table(prog, root, packrat):
     return steps, values
 
 
-def _ref_fail_table(prog, i, packrat=False, open_=()):
-    """The failure table of node ``i`` in one mode, entry by entry from
-    the module docstring's formulas: a matcher or predicate fails in -t
-    steps where its step table has t < 0, a scan likewise by its
-    ``first`` table, a literal in its first prefix's steps on every byte
-    but its first; a sequence in its first item's steps + 1 (+ 2 with an
-    action), an action or rule node in its inside's + 1, a choice in
-    a + b + 1 where both alternatives fail; a call in its rule body's
-    + 1 (+ 2 for a drop) in plain mode, and never in packrat mode;
-    repetitions, negations and the empty expression never.  A table made
-    from one still being derived (``open_``, a cycle of leading calls)
-    takes it as never failing."""
+def _ref_fail_table(prog, i, open_=()):
+    """The failure table of node ``i``, entry by entry from the module
+    docstring's formulas: a matcher or predicate fails in -t steps where
+    its step table has t < 0, a scan likewise by its ``first`` table, a
+    literal in its first prefix's steps on every byte but its first; a
+    sequence in its first item's steps + 1 (+ 2 with an action), an
+    action or rule node in its inside's + 1, a choice in a + b + 1 where
+    both alternatives fail; a call in its rule body's + 1 (+ 2 for a
+    drop); repetitions, negations and the empty expression never.  A
+    table made from one still being derived (``open_``, a cycle of
+    leading calls) takes it as never failing."""
     interp = trx.interp
     k, a, extra = prog.kind[i], prog.a[i], prog.extra[i]
 
     def sub(x):
         if x in open_:
             return (0,) * 257
-        return (_ref_fail_table(prog, x, packrat, open_ + (i,))
-                or (0,) * 257)
+        return _ref_fail_table(prog, x, open_ + (i,)) or (0,) * 257
 
     if k in (interp._K_MATCH1, interp._K_PRED, interp._K_SCAN):
         steps = extra[4] if k == interp._K_SCAN else extra[0]
@@ -1203,7 +1285,7 @@ def _ref_fail_table(prog, i, packrat=False, open_=()):
     elif k == interp._K_CHOICE:
         out = [x + y + 1 if x and y else 0
                for x, y in zip(sub(a), sub(prog.b[i]))]
-    elif interp._K_TNT <= k <= interp._K_LEAF and not packrat:
+    elif interp._K_TNT <= k <= interp._K_LEAF:
         add = 2 if k in (interp._K_TDLEAF, interp._K_TDNT) else 1
         out = [t + add if t else 0 for t in sub(prog.prod_body[a])]
     else:
@@ -1307,61 +1389,64 @@ if st is not None:
                 body = trx.exprs._walk(trx.meta._tree_wrap_step, body, {})
             prog, _ = _compile(g, roots=(Star(body),) + tuple(alts))
             n = len(prog.kind)
-            for packrat in (False, True):
-                heads = prog.heads[packrat]
-                for i in range(n):
-                    interp._head_table(prog, heads, i, packrat)
-                    assert heads[i] == _ref_fail_table(prog, i, packrat)
-                for i, k in enumerate(prog.kind):
-                    if k == interp._K_STAR:
-                        assert (heads[n + i]
-                                == _ref_iter_table(prog, i, packrat))
+            heads = prog.heads
+            for i in range(n):
+                interp._head_table(prog, heads, i)
+                assert heads[i] == _ref_fail_table(prog, i)
+            for i, k in enumerate(prog.kind):
+                if k == interp._K_STAR:
+                    assert heads[n + i] == _ref_iter_table(prog, i)
 
 
-def test_packrat_call_through_nested_call_still_runs():
+def test_packrat_call_through_nested_call_is_settled():
     # ``b`` fails on "z" without consuming, through the call of ``c``.
-    # Plain mode skips the call; packrat runs it, since the call counts
-    # a memo miss (a's second alternative then hits), and inside ``b``
-    # runs the call of ``c``, which moves c's watermark.
+    # b is seeded (both alternatives of a's choice call it at their
+    # start), yet in packrat mode, as in plain mode, its head settles
+    # the call before any memo bookkeeping: the same steps and farthest,
+    # and no lookup or entry.
     g = load_grammar("a <- b 'x' / b 'y' ; b <- c 'q' ; c <- '!' ;")
-    prog = certify(g).program
+    cert = certify(g)
+    prog = cert.program
+    assert _seed_set(g, cert) == {"b"}
     twin = _without_failure_tables(prog)
-    for packrat in (False, True):
-        got = _outcome(prog, b"z", packrat)
-        assert got == _outcome(twin, b"z", packrat)
-        assert not got[0] and got[5] == 0
-    assert _outcome(prog, b"z", True)[6] == {"entries": 1, "hits": 1,
-                                               "misses": 1}
-    # Both alternatives' calls of b are one node.
+    plain = _outcome(prog, b"z", False)
+    assert not plain[0] and plain[5] == 0
+    assert _outcome(prog, b"z", True) == plain[:6] + (
+        {"entries": 0, "hits": 0, "misses": 0},)
+    # Run without heads, the packrat calls miss and then hit.
+    assert _outcome(twin, b"z", True) == plain[:6] + (
+        {"entries": 1, "hits": 1, "misses": 1},)
+    # Both alternatives' calls of b are one node, settled on "z".
     [call] = [i for i, k in enumerate(prog.kind) if k == trx.interp._K_TNT]
     assert g.nonterminals[prog.a[call]] == "b"
-    assert _fails(prog, 0)[call][ord("z")] > 0
-    assert _fails(prog, 1)[call] == _NO_FAIL
+    assert _fails(prog)[call][ord("z")] > 0
 
 
 def test_packrat_call_settled_by_its_body_table():
-    # b's body fails on "z" at its first byte.  In packrat mode b's call
-    # (whose own table is 0) reads that table, counts its miss and
-    # stores the failure without running the body, and a's second
-    # alternative hits the entry.
+    # b's body fails on "z" at its first byte, so the call's head, its
+    # body's + 1, settles both calls of b in either mode: plain mode's
+    # steps and farthest, and the memo is never touched.
     g = load_grammar("a <- b 'x' / b 'y' / 'z' ; b <- '!' c ; c <- 'c' ;")
     prog = certify(g).program
-    twin = _without_failure_tables(prog)
-    for packrat in (False, True):
-        assert _outcome(prog, b"z", packrat) == _outcome(twin, b"z", packrat)
-    assert _outcome(prog, b"z", True)[6] == {"entries": 1, "hits": 1,
-                                               "misses": 1}
-    # The call reads that table: raise its entry for "z", and both
-    # calls of b, the settled miss and the hit on its entry, cost more.
-    body = prog.prod_body[g.nonterminals.index("b")]
-    heads = list(prog.heads[1])
-    table = list(heads[body])
+    plain = _outcome(prog, b"z", False)
+    assert plain[0] and plain[5] == 0
+    assert _outcome(prog, b"z", True) == plain[:6] + (
+        {"entries": 0, "hits": 0, "misses": 0},)
+    # Both modes read the one head cache: raise the call's entry for
+    # "z", and the call, run on its own, costs 10 steps more in each
+    # mode.
+    [call] = [i for i, k in enumerate(prog.kind) if k == trx.interp._K_TNT]
+    heads = list(prog.heads)
+    table = list(heads[call])
     table[ord("z")] += 10
-    heads[body] = tuple(table)
-    twin = _copy_program(prog, marks=None, heads=(prog.heads[0], heads),
-                         shared={})
-    assert (_outcome(twin, b"z", True)[4]
-            == _outcome(prog, b"z", True)[4] + 20)
+    heads[call] = tuple(table)
+    twin = _copy_program(prog, marks=None, heads=heads, shared={})
+    for memo in (None, MemoTable()):
+        ok, _, _, steps, farthest = _run(twin, b"z", call, 0, memo)
+        assert not ok and farthest == 0
+        assert steps == _run(prog, b"z", call, 0, None)[3] + 10
+        assert memo is None or memo_stats(memo) == {
+            "entries": 0, "hits": 0, "misses": 0}
 
 
 def test_failure_tables_at_end_of_input():
@@ -1374,13 +1459,11 @@ def test_failure_tables_at_end_of_input():
     for data in (b"", b"1", b"y"):
         want, farthest = _oracle_farthest(g, data)
         for mode in ("plain", "packrat"):
-            packrat = mode == "packrat"
-            assert (_outcome(cert.program, data, packrat)
-                    == _outcome(twin, data, packrat)), (data, mode)
+            _as_headless(cert.program, twin, data, mode == "packrat")
             out = parse(g, cert, data, mode=mode)
             assert out == want
             assert out.farthest == farthest
-    assert _fails(cert.program, 0)[cert.program.start][256] > 0
+    assert _fails(cert.program)[cert.program.start][256] > 0
 
 
 def test_literal_matching_its_first_byte_runs():
@@ -1396,14 +1479,14 @@ def test_literal_matching_its_first_byte_runs():
             assert out == oracle_parse(g, b"ad", fuel=10_000)
             assert not out.ok and out.farthest == 1
         prog = cert.program
-        assert _fails(prog, 0)[prog.start][ord("a")] == 0
-        assert _fails(prog, 0)[prog.start][ord("d")] > 0
+        assert _fails(prog)[prog.start][ord("a")] == 0
+        assert _fails(prog)[prog.start][ord("d")] > 0
         lits = [i for i, k in enumerate(prog.kind)
                 if k == trx.interp._K_LIT]
         assert len(lits) == (2 if g.tree_shaped is False else 0)
         for i in lits:
-            assert _fails(prog, 0)[i][ord("a")] == 0
-            assert _fails(prog, 0)[i][ord("d")] > 0
+            assert _fails(prog)[i][ord("a")] == 0
+            assert _fails(prog)[i][ord("d")] > 0
 
 
 def _call_chain(n):
@@ -1416,8 +1499,8 @@ def _call_chain(n):
 
 
 def test_failure_tables_of_a_deep_call_chain():
-    # In plain mode the table of r0's body is made from those of all
-    # 3 000 rules' bodies, with an explicit stack.  A packrat parse
+    # The table of r0's body is made from those of all 3 000 rules'
+    # bodies, with an explicit stack.  A packrat parse
     # first finds the static seed set, in one pass over the rules,
     # callees first.
     n = 3000
@@ -1429,9 +1512,8 @@ def test_failure_tables_of_a_deep_call_chain():
             assert out.ok == (data == b"a%d" % (n - 1))
             assert parse(g, cert, data, mode="packrat") == out
             for packrat in (False, True):
-                assert (_outcome(cert.program, data, packrat)
-                        == _outcome(twin, data, packrat))
-        assert _fails(cert.program, 0)[cert.program.start][ord("z")] > 255
+                _as_headless(cert.program, twin, data, packrat)
+        assert _fails(cert.program)[cert.program.start][ord("z")] > 255
         assert _seed_set(g, cert) == set()
 
 
@@ -1498,9 +1580,9 @@ def _star_grammars():
 def test_iteration_tables_and_dropped_calls_agree_with_oracle(g, alphabet):
     # On every input up to length 5: ok, pos, the value (by repr) or
     # tree, steps and farthest agree with the oracle in both modes, and
-    # full outcomes, memo statistics included, with the same program
-    # run without failure and iteration tables; for a tree-shaped
-    # grammar memo statistics also agree with its rules run in value
+    # with the same program run without failure and iteration tables,
+    # whose memo entries hold the program's; for a tree-shaped grammar
+    # the memo's keys are also within those of its rules run in value
     # mode.
     cert = certify(g)
     prog = cert.program
@@ -1520,15 +1602,14 @@ def test_iteration_tables_and_dropped_calls_agree_with_oracle(g, alphabet):
             if g.tree_shaped:
                 value_memo = MemoTable()
                 parse(value, value_cert, data, mode=mode, memo=value_memo)
-                assert memo_stats(memo) == memo_stats(value_memo), data
+                _memo_within(memo, value_memo, keys_only=True)
         for packrat in (False, True):
-            assert (_outcome(prog, data, packrat)
-                    == _outcome(twin, data, packrat)), data
+            _as_headless(prog, twin, data, packrat)
     assert hits > 0
     # The parses built iteration tables, and in tree mode ~R, ~W and ~A
     # are dropped calls.
     assert any(prog.kind[i] == trx.interp._K_STAR
-               for i, t in enumerate(_iters(prog, 0)) if t is not None)
+               for i, t in enumerate(_iters(prog)) if t is not None)
     if g.tree_shaped:
         dropped = {g.nonterminals[prog.a[i]]
                    for i, k in enumerate(prog.kind)
@@ -1555,24 +1636,23 @@ def test_meta_program_drops_spacing_in_one_frame():
     for name in sorted(os.listdir(GRAMMAR_DIR)):
         assert parse(g, cert, grammar_text(name)).ok
     assert parse(g, cert, b'a <- "x" ;').ok
-    assert all(_iters(prog, 0)[i] is not None for i in stars)
-    assert all(t is None for t in _iters(prog, 1))
-    # Spacing's table: a space costs its matcher's steps and the
-    # choice's, '#' runs the comment, and any other byte and end of
-    # input end the repetition in plain mode; in packrat mode the call
-    # of comment runs everywhere but on a space.
-    assert parse(g, cert, grammar_text("peg.peg"), mode="packrat").ok
+    assert all(_iters(prog)[i] is not None for i in stars)
+    # Spacing's table, which both modes read: a space costs its
+    # matcher's steps and the choice's, '#' runs the comment, and any
+    # other byte and end of input end the repetition.
     star = prog.a[prog.prod_body[g.nonterminals.index("spacing")]]
     space = prog.a[prog.a[star]]
     assert star in stars and prog.kind[space] == trx.interp._K_MATCH1
-    for packrat in (False, True):
-        steps, values = _iters(prog, packrat)[star]
-        assert values is None
-        for b in b" \t\r\n":
-            assert steps[b] == prog.extra[space][0][b] + 1
-        assert steps[ord("#")] == 0
-        for b in (ord("a"), ord("'"), 256):
-            assert (steps[b] < 0) != packrat and steps[b] <= 0
+    table = _iters(prog)[star]
+    steps, values = table
+    assert values is None
+    for b in b" \t\r\n":
+        assert steps[b] == prog.extra[space][0][b] + 1
+    assert steps[ord("#")] == 0
+    for b in (ord("a"), ord("'"), 256):
+        assert steps[b] < 0
+    assert parse(g, cert, grammar_text("peg.peg"), mode="packrat").ok
+    assert _iters(prog)[star] is table
 
 
 def _reachable(prog, roots=()):
@@ -1635,9 +1715,9 @@ def test_failed_sequences_leave_kids_as_found(text):
     # a repetition, a negation and a drop over it need not.  In tree
     # mode and with the same rules in value mode (the node collectors
     # run as actions), plain and packrat: ok, pos, the tree, steps and
-    # farthest agree with the oracle, and full outcomes, memo
-    # statistics included, with the program run without failure and
-    # iteration tables.
+    # farthest agree with the oracle, and with the program run without
+    # failure and iteration tables, whose memo entries hold the
+    # program's.
     tree = load_grammar(text + _BC)
     oks = set()
     for g in (tree, value_twin(tree)):
@@ -1651,8 +1731,7 @@ def test_failed_sequences_leave_kids_as_found(text):
                 assert out == want and repr(out.value) == repr(want.value)
                 assert (out.steps, out.farthest) == (want.steps, farthest)
             for packrat in (False, True):
-                assert (_outcome(prog, data, packrat)
-                        == _outcome(twin, data, packrat)), data
+                _as_headless(prog, twin, data, packrat)
             oks.add(want.ok)
     assert oks == {True, False}
     if tree.start == "S":

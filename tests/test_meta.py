@@ -576,6 +576,46 @@ def test_grammars_unpickle_in_a_fresh_interpreter():
     assert proc.stdout.decode() == dump_grammar(g)
 
 
+_PICKLED_TEXT = b"alpha <- beta gamma ; beta <- 'x' ; gamma <- 'y' ;"
+
+
+def _pickled_grammars():
+    """Pickles of _PICKLED_TEXT loaded, and of the same rules built
+    through the API with names made at run time (a name written as a
+    literal in the source is one object already)."""
+    alpha, beta, gamma = ("".join(reversed(n)) for n in
+                          ("ahpla", "ateb", "ammag"))
+    built = build_grammar([
+        (alpha, Seq(NonTerminal(beta), NonTerminal(gamma))),
+        (beta, Terminal("x")), (gamma, Terminal("y"))], alpha)
+    return [pickle.dumps(load_grammar(_PICKLED_TEXT)), pickle.dumps(built)]
+
+
+def test_equal_grammars_pickle_to_the_same_bytes():
+    # Pickle writes a string object it has met as a reference to it, so
+    # rule names are interned: the bytes do not depend on which objects
+    # of the same names the process made first.  A loaded grammar and
+    # an API-built one each pickle to the bytes they pickle to after an
+    # unrelated earlier load of those names that is still live, and in
+    # a fresh interpreter.
+    first = _pickled_grammars()
+    earlier = load_grammar("gamma <- beta 'z' ; beta <- 'q' ;")
+    assert _pickled_grammars() == first
+    assert earlier.nonterminals == ("gamma", "beta")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src), os.path.dirname(os.path.abspath(__file__))]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    script = ("import sys, test_meta\n"
+              "for p in test_meta._pickled_grammars():\n"
+              "    print(p.hex())\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().split() == [p.hex() for p in first]
+
+
 def test_long_sequences_load():
     # Tree wrapping walks a sequence's right spine in a loop, so 3 000
     # guards in a row, and a 3 000-byte literal, load.
