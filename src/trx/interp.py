@@ -87,11 +87,16 @@ and adds 1 for the call and 1 more for a drop.  The node is (rule,
 start, end) with at most the primitive's one leaf; a drop builds it
 only when the call is memoised, since a kept call at that position may
 hit the entry.  A memo hit adds 1 step, or 2 for a drop, which appends
-nothing.  A drop of a call of any other rule (the meta-grammar's
-``~spacing``) is one frame too, which adds the collector's, the call's
-and the drop's steps on return, truncates ``kids`` and builds no node;
-when packrat memoises the call, the node frame of the rule's collector
-is pushed as well and builds the node for the memo entry.
+nothing.  A drop of a call of a rule whose
+collector's inside is a repetition (the meta-grammar's ``~spacing``)
+runs the repetition's iteration table in place, as a leaf call runs
+its primitive, and pushes a frame only where the table meets a byte
+its body must run on (a comment).  That frame, and the one a drop of
+any other rule pushes at once, adds the collector's, the call's and
+the drop's steps on return, truncates ``kids`` and builds no node;
+when packrat memoises the call, which then always runs in frames, the
+node frame of the rule's collector is pushed as well and builds the
+node for the memo entry.
 
 Value mode builds only the values it returns (LPeg builds a capture
 only where it is kept).  ``~x*`` and ``x+`` (a cons over ``m x*``, m
@@ -128,20 +133,32 @@ body is its node collector, whose head is its inside's + 1).  A call
 its head settles fails on its first byte without running its body, and
 so does every later call of that rule at that position, so in packrat
 mode it moves no watermark and makes no memo lookup or entry.  The VM
-reads heads in two ways.  Descending into a composite, it reads the
-head's failure view, a tuple with -t at each entry t < 0 and 0
-elsewhere, and on a non-zero entry sets ``farthest`` to at least the
-position and unwinds a failure of that many steps without pushing a
-frame (after LPeg's head-fail tests, but keeping the step index
-exact).  A repetition that is not a SCAN (Ford's
-``([ \\t\\r\\n] / comment)*``, or an operator star ``(a / b / c)*`` of
-calls) reads its body's head, written out, as its iteration table
-(after LPeg's span and test instructions): it loops over the input
-while the entries are positive, adding t + 1 steps each.  On a
-negative entry the repetition ends without a frame, adding -t + 1,
-with ``farthest`` at least the position; on 0 it pushes its frame with
-the steps and the span so far and runs the body, and comes back to the
-table after each iteration that ran it.  A head is built the first
+reads heads in two ways.  Descending into a composite or a call, it
+reads the node's view, 257 entries of what the node's head settles on
+each byte (_NO_FAIL, the empty tuple, where it settles none).  An entry
+s > 0 is a failure in s steps: the VM sets ``farthest`` to at least the
+position and unwinds the failure without pushing a frame (after LPeg's
+head-fail tests, but keeping the step index exact).  A negative entry
+indexes the tuples that follow the 257, and also sets ``farthest``: a
+repetition whose body's head fails in -t steps succeeds empty in
+-t + 1; a negation fails in t + 1 steps where its inside's head
+succeeds in t, and succeeds empty in -t + 1 where it fails in -t; and
+a choice starts at the first alternative of its right-nested chain
+whose head does not fail there, in one frame that carries the steps of
+the alternatives it passes, their failures and one per level.  Only
+the view says so: the head of a repetition or negation is still "must
+run", and a choice's is the fold above, so no other node's head, and
+no call that packrat mode memoises, changes.  A repetition that is not
+a SCAN (Ford's ``([ \\t\\r\\n] / comment)*``, or an operator star
+``(a / b / c)*`` of calls) reads its body's head, written out, as its
+iteration table (after LPeg's span and test instructions): it loops
+over the input while the entries are positive, adding t + 1 steps
+each.  On a negative entry the repetition ends without a frame, adding
+-t + 1, with ``farthest`` at least the position; on 0 it pushes its
+frame with the steps and the span so far and runs the body.  After
+each iteration that ran the body, the frame reads the next entry: it
+goes back to the table on a positive one, ends on a negative one, and
+runs the body again on 0.  A head is built the first
 time a parse descends into its node (compiling builds none, so
 certification does not pay for them), with those it is made from, with
 an explicit stack, and kept on the program with its views; equal
@@ -294,6 +311,7 @@ def memo_stats(table: MemoTable) -> dict:
 #   [10, node, pos, mark, add]             TDNT
 #   [0, body, pos, key]                    NT
 #   [3, node, pos, key]                    CHOICE, run by an NT call
+#   [_S_LATER, node, pos, steps]           CHOICE, started by its view
 #   [state, node, pos, ..., call, pos, mark, key]
 #                                          TSEQ or CHOICE, run by a TNT call
 # where ``mark`` is where the node's children start in ``kids`` (None
@@ -301,8 +319,15 @@ def memo_stats(table: MemoTable) -> dict:
 # of its items' values (None in tree mode).  The states in between
 # continue a node (2: Seq right, 4: Choice second), and 0 returns from a
 # value-mode call.  A SEQ or CHOICE frame grows by what it keeps while
-# its second part runs (the left value and steps, the first
-# alternative's steps); ``len(f)`` tells a call's frame from the node's
+# its second part runs (the left value and steps, the steps to add when
+# the second finishes but one: the first alternative's, or those of the
+# alternatives before it in the chain).  A choice's view starts it at a
+# later alternative of its right-nested chain in state _S_LATER, running
+# the first alternative of ``node``, a level of the chain, with the
+# steps of those before it; or in state 4, running the last alternative
+# as the second of the last level.  When a later alternative fails, the
+# frame turns to state 4 and runs the second of its level.
+# ``len(f)`` tells a call's frame from the node's
 # own.  A node that fails leaves ``kids`` as it found it, so CHOICE, NOT
 # and STAR serve both modes: only a tree-mode sequence, which fails
 # after earlier items may have appended, and a NOT or drop, which
@@ -334,11 +359,13 @@ def memo_stats(table: MemoTable) -> dict:
 # next to each other, after the other composites, but the leaf calls
 # push no frame: they run that primitive in place, then add the
 # collector's or the action's step, write the memo entry and add the
-# call's step, and a drop's.  The VM reads the failure view of every
-# opcode below EMPTY, a call's before its memo bookkeeping, and STAR's
-# iteration table too (see the module docstring); a repetition's frame
-# is pushed only when its body runs, and its ``pos`` and ``steps`` start
-# where the table stopped.
+# call's step, and a drop's; so does a TDNT call of a rule whose
+# collector's inside is a STAR, unless it is memoised, until the STAR
+# needs its frame, when it pushes the TDNT frame below it.  The VM reads
+# the view of every opcode below EMPTY, a call's before its memo
+# bookkeeping, and STAR's iteration table too (see the module
+# docstring); a repetition's frame is pushed only when its body runs,
+# and its ``pos`` and ``steps`` start where the table stopped.
 # Terminals, ranges and any-char always compile to MATCH1; MATCH1, PRED,
 # LIT and SCAN are superinstructions.
 _K_SEQ, _K_CHOICE, _K_ACT, _K_STAR = 1, 3, 5, 6
@@ -379,10 +406,11 @@ class _Program:
     read, is a list of 2n entries for n nodes, made with the program and
     not replaceable; all are None until _head_table builds them.  Entry
     n + i is node i's head, a default and its exceptions with its value
-    table, and entry i the failure view the VM reads on descending into
-    node i, a tuple or _NO_FAIL.  A repetition's own head settles
-    nothing, so its entry n + i holds its iteration table instead, its
-    body's head written out with the value table.  ``shared`` is the
+    table (a choice's with its view too, before it is written out), and
+    entry i the view the VM reads on descending into node i, a tuple
+    (see _view) or _NO_FAIL.  A repetition's own head settles nothing,
+    so its entry n + i holds its iteration table instead, its body's
+    head written out with the value table.  ``shared`` is the
     pool of tables written out as tuples (see _dense), one copy of each
     distinct table, which the compiler starts with the step tables and
     parses add the heads' to.
@@ -445,7 +473,7 @@ class _Program:
 #   ``base`` is the steps a scan adds to its items': 1 for the
 #   repetition, 2 under a drop.
 #
-# The VM reads every step table, failure view and iteration table as a
+# The VM reads every step table, view and iteration table as a
 # tuple of 257 entries.  The compiler and _head_table derive tables from
 # tables entry by entry, and they do so on a default and its
 # exceptions, ``(d, {index: entry})`` with every entry not listed equal
@@ -462,15 +490,18 @@ _SPAN = object()
 _SPANS = (_SPAN,) * 256
 
 
-def _dense(table, pool: dict) -> tuple:
-    # The tuple of ``table``: ``pool`` keeps equal tuples as one object.
-    # Equal tables that two nodes hold are written twice and kept once:
-    # a cache keyed by the default and exceptions saved 4 of 1 187 writes
-    # in a grammar-check round and held more memory than the tuples.
+def _dense(table, pool: dict, tail: tuple = ()) -> tuple:
+    # The tuple of ``table``, and ``tail`` after it: ``pool`` keeps equal
+    # tuples as one object.  Equal tables that two nodes hold are written
+    # twice and kept once: a cache keyed by the default and exceptions
+    # saved 4 of 1 187 writes in a grammar-check round and held more
+    # memory than the tuples.
     d, exc = table
     out = [d] * 257
     for i, t in exc.items():
         out[i] = t
+    if tail:
+        out += tail
     out = tuple(out)
     return pool.setdefault(out, out)
 
@@ -941,21 +972,50 @@ def _bits(mask: int) -> list:
     return out
 
 
-# The failure view of a node that never fails on its first byte alone.
+# The view of a node that settles no byte at its descent.
 _NO_FAIL = ()
 # The head of a node that settles no byte without running.
 _RUNS = (0, {})
+# The unwind state of a choice's frame that runs a later alternative of
+# its right-nested chain, started there by the choice's view.
+_S_LATER = -1
 
 
 def _failures(x):
     return x if x < 0 else 0
 
 
+def _view(table, pool: dict) -> tuple:
+    """The view ``table``, a default and its exceptions, written out as
+    the VM reads it (_NO_FAIL if every entry is 0): 257 entries, where a
+    tuple entry (a zero-width success, or a choice's start) stands as a
+    negative index into the tail that follows them, which holds each
+    distinct tuple once, in the order in which the entries first name
+    them.  ``pool`` is _dense's."""
+    if table == _RUNS:
+        return _NO_FAIL
+    d, exc = table
+    tail = ()
+    if type(d) is tuple or tuple in set(map(type, exc.values())):
+        first = {}                  # each tuple's first index
+        for i in sorted(exc, reverse=True):
+            if type(exc[i]) is tuple:
+                first[exc[i]] = i
+        if type(d) is tuple:
+            first[d] = next(i for i in range(257) if i not in exc)
+        tail = tuple(sorted(first, key=first.get))
+        at = {t: j - len(tail) for j, t in enumerate(tail)}
+        table = _map(lambda t: at[t] if type(t) is tuple else t, table)
+    return _dense(table, pool, tail)
+
+
 def _head_table(prog: _Program, heads: list, root: int):
     """Build the head of node ``root``, and its views, with the heads it
     is made from that ``heads`` does not hold yet (see the module
     docstring and _Program).  A head is a default and its exceptions,
-    with the value table of its successes (None in tree mode).  Only a
+    with the value table of its successes (None in tree mode); a
+    choice's also carries its view before it is written out, from which
+    the views of the choices whose chains it ends are made.  Only a
     matcher and a choice succeed, a choice only through the matchers of
     its right-nested chain, so that its value table is made of theirs.
 
@@ -967,6 +1027,7 @@ def _head_table(prog: _Program, heads: list, root: int):
     kind, aa, bb, extra, body = (prog.kind, prog.a, prog.b, prog.extra,
                                  prog.prod_body)
     n = len(kind)
+    pool = prog.shared
     opened = set()
     todo = [root]
     while todo:
@@ -983,7 +1044,7 @@ def _head_table(prog: _Program, heads: list, root: int):
             parts, add = (aa[i],), 1 + (k == _K_SEQ and extra[i] is not None)
         elif k == _K_CHOICE:
             parts = (aa[i], bb[i])
-        elif k == _K_STAR:
+        elif k == _K_STAR or k == _K_NOT:
             parts = (aa[i],)
         elif k >= _K_TNT and k <= _K_LEAF:
             # A call: its rule body's, and the call's step and a drop's.
@@ -1003,8 +1064,19 @@ def _head_table(prog: _Program, heads: list, root: int):
         sub = [(_RUNS, None) if heads[n + x] is None or kind[x] == _K_STAR
                else heads[n + x] for x in parts]
         if k == _K_STAR:
-            heads[i] = _NO_FAIL
-            heads[n + i] = (_dense(sub[0][0], prog.shared), sub[0][1])
+            # Where its body fails, it succeeds empty.
+            zero = None if prog.tree else Lst(())
+            heads[i] = _view(_map(lambda t: (1 - t, zero) if t < 0 else 0,
+                                  sub[0][0]), pool)
+            heads[n + i] = (_dense(sub[0][0], pool), sub[0][1])
+            continue
+        if k == _K_NOT:
+            # It fails where its inside succeeds, and succeeds empty where
+            # its inside fails; its own head is _RUNS, so that it settles
+            # nothing but its own descent.
+            heads[i] = _view(_map(lambda t: t + 1 if t > 0 else (
+                (1 - t, UNIT) if t < 0 else 0), sub[0][0]), pool)
+            heads[n + i] = (_RUNS, None)
             continue
         values = None
         if k == _K_MATCH1 or k == _K_PRED:
@@ -1026,20 +1098,58 @@ def _head_table(prog: _Program, heads: list, root: int):
             # prefix.
             steps = (-extra[i][2][0], {extra[i][0][0]: 0})
         elif k == _K_CHOICE:
-            (sa, va), (sb, vb) = sub
+            (sa, va), (sb, vb) = sub[0][:2], sub[1][:2]
             if kind[parts[0]] == _K_CHOICE:
                 sa, va = _map(_failures, sa), None
             steps = _zip(_choice_steps, sa, sb)
             values = (vb if va is None else va if vb is None or va is vb
                       else _choice_values(extra[parts[0]][0], va, vb))
+            view = _choice_view(prog, heads, i, sa, sb)
+            heads[i] = _view(view, pool)
+            heads[n + i] = (steps, values, view)
+            continue
         elif not parts:
             steps = _RUNS
         else:
             steps = _map(lambda x: x - add if x < 0 else 0, sub[0][0])
-        # The failure view the VM reads at a descent.
+        # The view the VM reads at a descent: the head's failures.
         fail = _map(lambda x: -x if x < 0 else 0, steps)
-        heads[i] = _dense(fail, prog.shared) if fail != _RUNS else _NO_FAIL
+        heads[i] = _dense(fail, pool) if fail != _RUNS else _NO_FAIL
         heads[n + i] = (steps, values)
+
+
+def _choice_view(prog: _Program, heads: list, i: int, first, second):
+    """The view of choice ``i``, given the heads ``first`` and ``second``
+    of its alternatives (the first's failures alone if it is a choice):
+    0 where its first alternative must run or may succeed; where that
+    one fails, the choice's failure if the rest of its right-nested
+    chain fails too, else the first alternative of the chain whose head
+    does not fail there, as the frame that runs it: (state, level,
+    steps, node).  The frame is [_S_LATER, level, pos, steps] running
+    the level's first alternative, or [4, level, pos, steps - 1] running
+    its second, the chain's last; ``steps`` are the failures of the
+    alternatives passed and one per level."""
+    q = prog.b[i]
+    if prog.kind[q] != _K_CHOICE:
+        def entry(f, t):
+            return 0 if f >= 0 else 1 - f - t if t < 0 else (4, i, -f, q)
+        return _zip(entry, first, second)
+    rest = heads[len(prog.kind) + q]
+    later = (_S_LATER, q, 0, prog.a[q])
+
+    def entry(f, r):
+        # ``r``: the rest's view entry.
+        if f >= 0:
+            return 0
+        if type(r) is not tuple:
+            if r:
+                return 1 - f + r
+            r = later
+        s, level, add, cur = r
+        return s, level, add + 1 - f, cur
+
+    # A rest still being built (an uncertified cycle) runs.
+    return _zip(entry, first, _RUNS if rest is None else rest[2])
 
 
 def _run(prog: _Program, data: bytes, root: int, pos0: int,
@@ -1099,18 +1209,30 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
         while True:
             k = kind[cur]
             if k < _K_EMPTY:
-                # A composite or a call.  If it cannot start on the byte
-                # under the cursor, its head's failure view has the steps.
+                # A composite or a call.  Its view settles what it does
+                # on the byte under the cursor where its head can: a
+                # failure in s > 0 steps, or at g[s] with s < 0 a
+                # repetition's or negation's empty success, or where in
+                # its chain a choice starts.
                 g = head[cur]
                 if g:
                     s = g[data[cpos] if cpos < n else 256]
                     if s:
                         if cpos > farthest:
                             farthest = cpos
-                        ok = False
-                        rpos = -1
-                        val = None
-                        steps = s
+                        if s > 0:
+                            ok = False
+                            rpos = -1
+                            val = None
+                            steps = s
+                            break
+                        if k == _K_CHOICE:
+                            st, q, steps, cur = g[s]
+                            push([st, q, cpos, steps])
+                            continue
+                        steps, val = g[s]
+                        ok = True
+                        rpos = cpos
                         break
                 elif g is None:
                     # Not built yet: build it, then read it.
@@ -1172,11 +1294,15 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                             cur = aa[q]
                             continue
                         push([_K_NODE, cur, cpos, m, key])
-                    elif k == _K_TDNT:
+                    elif k == _K_TDNT and (key >= 0
+                                           or kind[bb[cur]] != _K_STAR):
                         # A dropped call is one frame, which builds no
                         # node, unless it is memoised: then the node
                         # frame of its rule's collector builds the
-                        # node for the memo entry.
+                        # node for the memo entry.  A drop of a rule
+                        # whose collector's inside is a repetition
+                        # (``~spacing``) runs in place, as a leaf call,
+                        # unless it is memoised.
                         if key < 0:
                             push([_K_TACT, cur, cpos, len(kids), 3])
                         else:
@@ -1184,10 +1310,11 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                             push([_K_NODE, prod_body[p], cpos, len(kids),
                                   key])
                     else:
+                        # TLEAF, TDLEAF, or a TDNT running in place.
                         leaf_rule = extra[cur]
                         leaf_key = key
                         leaf_mark = len(kids)
-                        leaf_drop = k == _K_TDLEAF
+                        leaf_drop = k > _K_TLEAF
                     cur = bb[cur]
                     continue
                 elif k == _K_STAR:
@@ -1232,6 +1359,12 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                     if p > cpos and p > farthest + 1:
                         farthest = p - 1
                     if f is None:
+                        if leaf_rule is not None:
+                            # A dropped call running this repetition in
+                            # place: its body must run, so the call's
+                            # frame goes below the repetition's.
+                            push([_K_TACT, cur, cpos, leaf_mark, 3])
+                            leaf_rule = None
                         push([k, cur, p, items, acc, tab])
                     else:
                         f[2] = p
@@ -1506,7 +1639,15 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                         cpos = f[2]
                         break
                     steps += 1
-                elif st:                     # the second
+                elif st:                     # the second, or a later one
+                    if not ok and st < 0:
+                        # A later alternative of the chain failed, so the
+                        # second of its level runs, in this frame.
+                        f[0] = 4
+                        f[3] += steps
+                        cur = bb[f[1]]
+                        cpos = f[2]
+                        break
                     steps += f.pop() + 1
                 if len(f) > 3:               # a call's frame
                     if kids is not None:
@@ -1543,18 +1684,25 @@ def _run(prog: _Program, data: bytes, root: int, pos0: int,
                         f[3].append(val)
                     f[4] += steps + 1
                     cpos = rpos
-                    if f[5][data[rpos] if rpos < n else 256]:
+                    t = f[5][data[rpos] if rpos < n else 256]
+                    if t > 0:
                         # Back to the iteration table.
                         again = f
                         cur = f[1]
                         break
-                    # The body runs again.
-                    f[2] = rpos
-                    cur = aa[f[1]]
-                    break
+                    if not t:
+                        # The body runs again.
+                        f[2] = rpos
+                        cur = aa[f[1]]
+                        break
+                    # The body fails at rpos by its head: the end.
+                    if rpos > farthest:
+                        farthest = rpos
+                    steps = -t
+                else:
+                    rpos = f[2]
                 val = None if kids is not None else Lst(tuple(f[3]))
                 ok = True
-                rpos = f[2]
                 steps += f[4] + 1
                 pop()
             elif st == 5:                    # Action

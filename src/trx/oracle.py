@@ -18,7 +18,7 @@ from typing import Iterator
 from .exprs import (Action, AnyChar, CharClass, Choice, Drop, EMPTY, Empty,
                     Expr, Grammar, NonTerminal, Not, Range, Seq, Star,
                     Terminal, build_grammar)
-from .interp import ParseOutcome
+from .interp import ParseOutcome, _input_bytes
 from .values import Lst, Tup, UNIT, CHAR
 
 
@@ -47,7 +47,9 @@ def oracle_eval(g: Grammar | None, e: Expr, data, pos: int = 0,
     Returns a ParseOutcome whose steps are exactly the derivation's step
     index (and <= fuel), or EXHAUSTED if no derivation with index <=
     fuel exists.  ``trace``, if given, accumulates (expr, pos, verdict)
-    tuples in rule-application order.
+    tuples in rule-application order.  ``data`` is as for the
+    interpreter's parse(): a str (encoded as UTF-8), bytes or bytearray
+    (copied); anything else raises TypeError.
 
     Every recursion level consumes at least one unit of fuel, so the
     evaluator's recursion depth is bounded by the fuel.  The call raises
@@ -55,8 +57,7 @@ def oracle_eval(g: Grammar | None, e: Expr, data, pos: int = 0,
     probing pathological grammars (self-referential rules, nullable
     stars) keep the fuel within that headroom.
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+    data = _input_bytes(data)
     limit = sys.getrecursionlimit()
     if limit < 40_000:
         sys.setrecursionlimit(40_000)

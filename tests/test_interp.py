@@ -171,7 +171,7 @@ def test_certificate_program_is_sealed():
 
 def test_certificate_program_caches_are_fixed():
     # The program's one head cache, which both modes read, is made with
-    # it: the list of heads (failure views and iteration tables) cannot
+    # it: the list of heads (views and iteration tables) cannot
     # be swapped for a forged one or deleted.
     g = load_grammar("a <- 'x' ;")
     c = certify(g)
@@ -805,7 +805,7 @@ def _head_cache(prog, view=None, head=None):
 
 
 def _fails(prog):
-    """The failure views of ``prog``'s heads, per node."""
+    """The views of ``prog``'s heads, per node."""
     return prog.heads[:len(prog.kind)]
 
 
@@ -1021,7 +1021,7 @@ def test_deep_sequence_compiles_and_runs():
     for mode in ("plain", "packrat"):
         assert parse(g, cert, b"x", mode=mode).ok
         assert not parse(g, cert, b"ab" * 1500 + b"x", mode=mode).ok
-        # The failure views of every node the parses ran are built.
+        # The views of every node the parses ran are built.
         assert any(_fails(cert.program))
     guards = " ".join("!'%s'" % chr(97 + i % 20) for i in range(1500))
     g = load_grammar("a <- !(%s 'x') 'y' ;" % guards)
@@ -1030,7 +1030,7 @@ def test_deep_sequence_compiles_and_runs():
 
 
 def _without_failure_tables(prog):
-    """A copy of ``prog`` whose failure views and iteration tables let
+    """A copy of ``prog`` whose views and iteration tables let
     every node and every repetition's body run."""
     run_body = ((0,) * 257, None)
     return _copy_program(prog, marks=None, null=prog.null,
@@ -1103,28 +1103,46 @@ def test_failure_tables_change_no_outcome(packrat):
     assert guarded > 100
 
 
+def _is_view(t):
+    """Whether ``t`` is written out as a view: 257 ints, and after them
+    the distinct tuples the negative ones index, each indexed."""
+    if t == ():
+        return True
+    entries, tail = t[:257], t[257:]
+    return (type(t) is tuple and len(entries) == 257
+            and all(type(x) is int and -len(tail) <= x for x in entries)
+            and all(type(x) is tuple for x in tail)
+            and len(set(tail)) == len(tail)
+            and {x for x in entries if x < 0} == set(range(-len(tail), 0)))
+
+
 def test_failure_tables_are_tuples():
-    # Every failure view a parse builds is a tuple of 257 entries, or
-    # the empty tuple of a node that never fails on its first byte.
-    cases = ((builtin_meta_grammar(), grammar_text("peg.peg")),
-             (math_grammar(), b"1+(2*3)"),
-             (certified("xml-lite.peg"), b"<a x=\"1\"><b/>t</a>"))
-    for (g, cert), data in cases:
+    # Every view a parse builds is a tuple of 257 entries, with the
+    # tuples its negative entries index after them, or the empty tuple
+    # of a node that settles nothing at its descent.  The meta-grammar
+    # and xml-lite have views with tails: empty repetitions and
+    # negations, and choices that start past their first alternative.
+    cases = ((builtin_meta_grammar(), grammar_text("peg.peg"), True),
+             (math_grammar(), b"1+(2*3)", False),
+             (certified("xml-lite.peg"), b"<a x=\"1\"><b/>t</a>", True))
+    for (g, cert), data, tails in cases:
         prog = cert.program
         for mode in ("plain", "packrat"):
             assert parse(g, cert, data, mode=mode).ok
         built = [t for t in _fails(prog) if t is not None]
         assert any(built) and () in built
-        assert all(type(t) is tuple and len(t) in (0, 257) for t in built)
+        assert all(_is_view(t) for t in built)
+        assert any(len(t) > 257 for t in built) == tails
 
 
 # --- The table algebra against dense tables -----------------------------
 #
 # The compiler and _head_table derive tables on a default and its
 # exceptions.  The reference below derives the tables the VM reads (step
-# tables, and the failure views and iteration tables of the heads) entry
-# by entry over all 257 (or 256) entries, with the formulas the module
-# docstring states.  A failure view's entry t > 0 fails in t steps.
+# tables, and the views and iteration tables of the heads) entry by
+# entry over all 257 (or 256) entries, with the formulas the module
+# docstring states.  A view's entry t > 0 fails in t steps; a negative
+# one indexes the empty success or the choice's start after the 257.
 
 def _ref_choice_steps(sa, sb):
     return tuple([x + 1 if x > 0 else 0 if not (x and y)
@@ -1224,11 +1242,16 @@ def _ref_plus(mt, xt, tree_mode, ok_add, fail_add):
     return scan[:4] + (first, 1)
 
 
-def _ref_iter_table(prog, root):
+def _ref_head(prog, x):
+    """The head of node ``x`` as (steps, values) tuples, entry by entry:
+    the alternatives of the right-nested chain ``x`` heads (``x`` alone
+    if it is no choice) folded with the choice rule, a matcher by its
+    step table (in tree mode a success only where it makes a leaf span)
+    and any other alternative, a choice among them, by its negated
+    failure table."""
     interp = trx.interp
     kind, aa, bb = prog.kind, prog.a, prog.b
     alts = []
-    x = aa[root]
     while kind[x] == interp._K_CHOICE:
         alts.append(aa[x])
         x = bb[x]
@@ -1249,6 +1272,66 @@ def _ref_iter_table(prog, root):
                 values = _ref_choice_values(s, v, values)
         steps = s if steps is None else _ref_choice_steps(s, steps)
     return steps, values
+
+
+def _ref_iter_table(prog, root):
+    """The iteration table of repetition ``root``: its body's head."""
+    return _ref_head(prog, prog.a[root])
+
+
+def _ref_start(prog, i, b):
+    """Where choice ``i`` starts on byte ``b``: 0 at its first
+    alternative, else the frame that runs the first alternative of its
+    right-nested chain that its failure table does not rule out on
+    ``b``, as (state, level, steps, node): a later level's first
+    alternative in state _S_LATER with the ruled-out alternatives'
+    failures and one step per level passed, or the chain's last
+    alternative in state 4 with one step less."""
+    interp = trx.interp
+    c, passed = i, 0
+    while True:
+        f = (_ref_fail_table(prog, prog.a[c]) or (0,) * 257)[b]
+        if not f:
+            return (0 if c == i
+                    else (interp._S_LATER, c, passed, prog.a[c]))
+        passed += f + 1
+        if prog.kind[prog.b[c]] != interp._K_CHOICE:
+            return (4, c, passed - 1, prog.b[c])
+        c = prog.b[c]
+
+
+def _ref_view(prog, i):
+    """The view the VM reads on descending into node ``i``, entry by
+    entry: its failure table's entries t > 0 (a failure in t steps),
+    and where it does not fail, for a repetition an empty success in
+    -t + 1 steps where its body's head fails in -t steps, for a
+    negation a failure in t + 1 steps where its inside's head succeeds
+    in t and an empty success in -t + 1 where it fails in -t, and for
+    a choice where it starts (_ref_start).  An empty success is (steps,
+    value); a tuple entry is written as a negative index into the tail
+    of the distinct tuples, in the order in which the entries first
+    name them."""
+    interp = trx.interp
+    k = prog.kind[i]
+    if k == interp._K_STAR:
+        zero = None if prog.tree else Lst(())
+        out = [(1 - t, zero) if t < 0 else 0
+               for t in _ref_iter_table(prog, i)[0]]
+    elif k == interp._K_NOT:
+        out = [t + 1 if t > 0 else (1 - t, UNIT) if t < 0 else 0
+               for t in _ref_head(prog, prog.a[i])[0]]
+    else:
+        out = list(_ref_fail_table(prog, i) or (0,) * 257)
+        if k == interp._K_CHOICE:
+            out = [t or _ref_start(prog, i, b) for b, t in enumerate(out)]
+    tail = []
+    for t in out:
+        if type(t) is tuple and t not in tail:
+            tail.append(t)
+    if not tail and not any(out):
+        return _NO_FAIL
+    return tuple([t if type(t) is int else tail.index(t) - len(tail)
+                  for t in out] + tail)
 
 
 def _ref_fail_table(prog, i, open_=()):
@@ -1321,23 +1404,35 @@ if st is not None:
         st.tuples(inner, st.sampled_from([LEAF, DROP, TUPLE2STR])).map(
             lambda p: Action(*p))), max_leaves=6)
     # Kept and dropped calls of the host rules below.
-    _CALLS = st.sampled_from([f(NonTerminal(name)) for name in "ABCE"
+    _CALLS = st.sampled_from([f(NonTerminal(name)) for name in "ABCENR"
                               for f in (lambda e: e, Drop)])
-    # The alternatives of a repetition's body: byte-local expressions,
-    # literals, calls and sequences, which have failure tables.
+    # The alternatives of a repetition's body and of a choice's chain:
+    # byte-local expressions, literals, calls and sequences, which have
+    # failure tables; negations of literals, calls and choices that a
+    # matcher ends, repetitions of calls and choices of calls, which
+    # have views.
     _ALT = st.one_of(
         _LOCAL,
         st.binary(min_size=1, max_size=3).map(Literal),
         st.tuples(_LOCAL, _LOCAL).map(lambda p: Seq(*p)),
         _CALLS,
-        st.tuples(_CALLS, _LOCAL).map(lambda p: Seq(*p)))
+        st.tuples(_CALLS, _LOCAL).map(lambda p: Seq(*p)),
+        st.one_of(st.binary(min_size=2, max_size=3).map(Literal), _CALLS,
+                  st.tuples(_CALLS, _LOCAL).map(lambda p: Choice(*p))
+                  ).map(Not),
+        _CALLS.map(Star),
+        st.tuples(_CALLS, _CALLS).map(lambda p: Choice(*p)))
     # Rules that fail at their first byte: a literal, a leaf rule and a
-    # choice; and B, which fails there through its call of A.
+    # choice; and B, which fails there through its call of A.  N starts
+    # with a negation of a literal, and R is a repetition, whose drop in
+    # tree mode runs in place.
     _HOST = [("S", EMPTY),
              ("A", Seq(Terminal("a"), Terminal("b"))),
              ("B", Seq(NonTerminal("A"), Terminal("c"))),
              ("C", Range("x", "z")),
-             ("E", Choice(Terminal("e"), NonTerminal("A")))]
+             ("E", Choice(Terminal("e"), NonTerminal("A"))),
+             ("N", Seq(Not(Literal("ab")), NonTerminal("C"))),
+             ("R", Star(NonTerminal("A")))]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(e=_LOCAL, x=_LOCAL, adds=st.sampled_from([(1, 1), (1, 0),
@@ -1392,7 +1487,7 @@ if st is not None:
             heads = prog.heads
             for i in range(n):
                 interp._head_table(prog, heads, i)
-                assert heads[i] == _ref_fail_table(prog, i)
+                assert heads[i] == _ref_view(prog, i)
             for i, k in enumerate(prog.kind):
                 if k == interp._K_STAR:
                     assert heads[n + i] == _ref_iter_table(prog, i)
@@ -1653,6 +1748,69 @@ def test_meta_program_drops_spacing_in_one_frame():
         assert steps[b] < 0
     assert parse(g, cert, grammar_text("peg.peg"), mode="packrat").ok
     assert _iters(prog)[star] is table
+
+
+# Grammars for what a descent's view settles and for the paths that it
+# leaves to run: (text, alphabet, inputs beyond those up to length 4).
+_VIEW_CASES = [
+    # ``~sp`` runs its table in place, and a comment after white space
+    # makes the table reach an entry its body must run on: the call's
+    # frame is pushed there.
+    ("s <- ~sp 'x' ~sp ;\nsp <- ([ \\n] / c)* ;\nc <- '#' [a-z]* ;",
+     " #\nxa", [b"  #ab\n x  #a", b" \n#\n#a\nx#", b"x   #"]),
+    # ``~sp`` called twice at one position: packrat mode memoises it.
+    ("s <- ~sp 'x' / ~sp 'y' ;\nsp <- ([ ] / c)* ;\nc <- '#' [a-z]* ;",
+     " #xy", [b"  #ab y", b" # #y"]),
+    # Negations over a multi-byte literal, over a choice with a call and
+    # over one that a matcher ends (which succeeds on its byte in value
+    # mode), also at the end of the input.
+    ("s <- 'a' !'<-' [a-z]* / 'b' !('xy' / k) !(k / 'z') . ;\n"
+     "k <- 'k' 'k' ;", "a<-bxyzk", [b"a<", b"a<-", b"bxy", b"bkk", b"bxz"]),
+    # Choices whose chains rule out kept calls, drops and nested
+    # choices, first or later, also at the end of the input.
+    ("s <- (k / ~d / ('p' 'q' / 'r' 's') / 'z' / e) !. ;\n"
+     "k <- 'k' 'k' ;\nd <- 'd' 'd' ;\ne <- 'e'+ ;",
+     "kdprsze", [b"kk", b"dd", b"pq", b"rs", b"eee"]),
+    ("s <- ((k / ~d) / 'p' 'q' / ~e / t) ;\nk <- 'k' 'k' ;\n"
+     "d <- 'd' 'd' ;\ne <- 'e'+ ;\nt <- 't' / 'u' ;",
+     "kdpqetu", [b"kk", b"dd", b"pq", b"ee"]),
+]
+
+
+@pytest.mark.parametrize("text, alphabet, extra", _VIEW_CASES)
+def test_view_settled_and_fallback_paths_agree_with_oracle(text, alphabet,
+                                                           extra):
+    # On every input up to length 4 and the extra ones, in tree and in
+    # value mode: ok, pos, value (by repr) or tree, steps and farthest
+    # agree with the oracle in both modes, and with the program run
+    # without views and iteration tables, whose memo entries hold the
+    # program's.
+    tree = load_grammar(text)
+    hits = 0
+    for g in (tree, value_twin(tree)):
+        cert = certify(g)
+        prog = cert.program
+        twin = _without_failure_tables(prog)
+        for data in all_inputs(alphabet, 4) + extra:
+            want, farthest = _oracle_farthest(g, data)
+            for mode in ("plain", "packrat"):
+                memo = MemoTable()
+                out = parse(g, cert, data, mode=mode, memo=memo)
+                assert out == want and repr(out.value) == repr(want.value)
+                assert (out.steps, out.farthest) == (want.steps, farthest), \
+                    (data, mode)
+                hits += memo.hits
+            for packrat in (False, True):
+                _as_headless(prog, twin, data, packrat)
+        assert any(len(t) > 257 for t in _fails(prog) if t)
+    if "sp" in tree.nonterminals:
+        # ~sp is one dropped call whose rule's collector holds a
+        # repetition; the second grammar memoises it.
+        prog = certify(tree).program
+        [drop] = [i for i, k in enumerate(prog.kind)
+                  if k == trx.interp._K_TDNT]
+        assert prog.kind[prog.b[drop]] == trx.interp._K_STAR
+        assert (hits > 0) == ("/ ~sp" in text)
 
 
 def _reachable(prog, roots=()):

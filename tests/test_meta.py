@@ -5,6 +5,7 @@ import json
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import time
@@ -163,6 +164,40 @@ def test_eps_keyword_and_identifier_prefix():
 def test_comments_and_crlf():
     g = load_grammar("# heading\r\nS <- 'a' ; # trailing\n# tail no newline")
     assert g.nonterminals == ("S",)
+
+
+# A .peg token, a comment, or white space: literals and classes first,
+# so that a '#' inside one is not a comment.
+_PEG_TOKEN = re.compile(r"""'(?:\\.|[^'\\])*'|"(?:\\.|[^"\\])*"|\[(?:\\.|[^]\\])*\]"""
+                        r"|#[^\n]*|@start|<-|\w+|[/*+?!&~().;]|\s+")
+
+
+def _comment_every_token(text: str) -> str:
+    """``text`` with its comments dropped and ``# c`` and a newline after
+    every token."""
+    tokens = [m.group() for m in _PEG_TOKEN.finditer(text)]
+    assert "".join(tokens) == text
+    return "".join(t + " # c\n" for t in tokens
+                   if not t.isspace() and t[0] != "#")
+
+
+def test_comments_after_every_token():
+    # peg.peg with a comment after each of its tokens loads to the same
+    # grammar, and the meta-grammar parses it to the same tree in plain
+    # and packrat mode: every ~spacing meets white space and a comment.
+    text = grammar_text("peg.peg").decode()
+    commented = _comment_every_token(text)
+    assert commented.count("# c\n") > 300
+    assert (dump_grammar(load_grammar(commented))
+            == dump_grammar(load_grammar(text)))
+    meta, cert = builtin_meta_grammar()
+    data = commented.encode()
+    plain = parse(meta, cert, data)
+    packrat = parse(meta, cert, data, mode="packrat")
+    assert plain.ok and plain.pos == len(data)
+    assert (plain, plain.steps, plain.farthest) == (
+        packrat, packrat.steps, packrat.farthest)
+    assert plain.value == packrat.value
 
 
 def test_pragma_selects_start_and_last_wins():

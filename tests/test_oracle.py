@@ -4,7 +4,10 @@ import itertools
 import random
 import sys
 
-from trx import EMPTY, EXHAUSTED, Star, Terminal, build_grammar, parse
+import pytest
+
+from trx import (EMPTY, EXHAUSTED, Star, Terminal, build_grammar,
+                 check_well_formed, parse)
 from trx.exprs import (Action, AnyChar, Choice, NonTerminal, Not, Range, Seq,
                        iter_subexprs)
 from trx.mathdemo import math_grammar
@@ -22,6 +25,26 @@ def test_terminal_with_exact_fuel():
     assert out is not EXHAUSTED
     assert (out.ok, out.pos, out.steps) == (True, 1, 1)
     assert oracle_eval(None, Terminal("a"), "a", fuel=0) is EXHAUSTED
+
+
+@pytest.mark.parametrize("data", [[97], memoryview(b"a"), 97],
+                         ids=["list", "memoryview", "int"])
+def test_oracle_takes_the_interpreters_input_types(data):
+    # The differential's two sides accept one input domain: a str,
+    # bytes or a bytearray, and nothing else.
+    g = build_grammar([("S", Terminal("a"))], "S")
+    for run in (lambda: oracle_parse(g, data),
+                lambda: oracle_eval(g, Terminal("a"), data),
+                lambda: parse(g, check_well_formed(g).certificate, data)):
+        with pytest.raises(TypeError):
+            run()
+
+
+def test_oracle_takes_a_bytearray_as_bytes():
+    g = build_grammar([("S", Terminal("a"))], "S")
+    out = oracle_parse(g, bytearray(b"a"))
+    assert out.ok and out == oracle_parse(g, b"a") == oracle_parse(g, "a")
+    assert oracle_eval(g, Terminal("a"), bytearray(b"b")).ok is False
 
 
 def test_oracle_restores_recursion_limit():
