@@ -1129,27 +1129,28 @@ def _choice_view(prog: _Program, heads: list, i: int, first, second):
     the level's first alternative, or [4, level, pos, steps - 1] running
     its second, the chain's last; ``steps`` are the failures of the
     alternatives passed and one per level."""
+    # ``later``: where the choice starts when the rest's first
+    # alternative runs, with the steps it adds to the first's failure.
     q = prog.b[i]
-    if prog.kind[q] != _K_CHOICE:
-        def entry(f, t):
-            return 0 if f >= 0 else 1 - f - t if t < 0 else (4, i, -f, q)
-        return _zip(entry, first, second)
-    rest = heads[len(prog.kind) + q]
-    later = (_S_LATER, q, 0, prog.a[q])
+    if prog.kind[q] == _K_CHOICE:
+        rest = heads[len(prog.kind) + q]
+        # A rest still being built (an uncertified cycle) runs.
+        rest = _RUNS if rest is None else rest[2]
+        later = (_S_LATER, q, 0, prog.a[q])
+    else:
+        rest = _map(lambda t: -t if t < 0 else 0, second)
+        later = (4, i, -1, q)
 
     def entry(f, r):
-        # ``r``: the rest's view entry.
+        # ``r``: the rest's view entry; one > 0 is its failure.
         if f >= 0:
             return 0
-        if type(r) is not tuple:
-            if r:
-                return 1 - f + r
-            r = later
-        s, level, add, cur = r
+        if r and type(r) is not tuple:
+            return 1 - f + r
+        s, level, add, cur = r or later
         return s, level, add + 1 - f, cur
 
-    # A rest still being built (an uncertified cycle) runs.
-    return _zip(entry, first, _RUNS if rest is None else rest[2])
+    return _zip(entry, first, rest)
 
 
 def _run(prog: _Program, data: bytes, root: int, pos0: int,
